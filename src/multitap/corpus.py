@@ -10,6 +10,7 @@ per-user and per-(user, category) views the rest of the pipeline reads.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,7 +49,8 @@ class DomainDataset:
 
     `user_category_items[u][c]` is a Counter over item ids (interaction
     multiplicity preserved), `user_items[u]` the per-user Counter across
-    categories.  Treat instances as immutable once built.
+    categories, `user_records[u]` the user's interactions in input order.
+    Treat instances as immutable once built.
     """
 
     domain_id: str
@@ -59,6 +61,7 @@ class DomainDataset:
     categories: frozenset[str] = field(default_factory=frozenset)
     user_category_items: dict[str, dict[str, Counter]] = field(default_factory=dict)
     user_items: dict[str, Counter] = field(default_factory=dict)
+    user_records: dict[str, list[InteractionRecord]] = field(default_factory=dict)
 
     @classmethod
     def from_records(
@@ -98,6 +101,7 @@ def index_views(dataset: DomainDataset) -> DomainDataset:
     """Materialize the per-user and per-(user, category) views."""
     user_category_items: dict[str, dict[str, Counter]] = {}
     user_items: dict[str, Counter] = {}
+    user_records: dict[str, list[InteractionRecord]] = {}
     for rec in dataset.interactions:
         meta = dataset.items.get(rec.item_id)
         if meta is None:
@@ -107,11 +111,13 @@ def index_views(dataset: DomainDataset) -> DomainDataset:
         per_cat = user_category_items.setdefault(rec.user_id, {})
         per_cat.setdefault(meta.category, Counter())[rec.item_id] += 1
         user_items.setdefault(rec.user_id, Counter())[rec.item_id] += 1
+        user_records.setdefault(rec.user_id, []).append(rec)
     dataset.users = frozenset(user_items)
     dataset.item_ids = frozenset(dataset.items)
     dataset.categories = frozenset(m.category for m in dataset.items.values())
     dataset.user_category_items = user_category_items
     dataset.user_items = user_items
+    dataset.user_records = user_records
     return dataset
 
 
@@ -136,6 +142,31 @@ def _require(obj: dict, key: str, path: str, lineno: int):
     return obj[key]
 
 
+def _number(obj: dict, key: str, path: str, lineno: int) -> float:
+    """A finite number; booleans, NaN and infinities are rejected."""
+    value = _require(obj, key, path, lineno)
+    if isinstance(value, bool):
+        raise ParseError(path, lineno, f"{key} {value!r} is not a number")
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ParseError(path, lineno, f"{key} {value!r} is not a number") from None
+    if not math.isfinite(number):
+        raise ParseError(path, lineno, f"{key} {value!r} is not finite")
+    return number
+
+
+def _whole(obj: dict, key: str, path: str, lineno: int) -> int:
+    """An integer; a float is accepted only when it has no fractional part."""
+    value = _require(obj, key, path, lineno)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    number = _number(obj, key, path, lineno)
+    if not number.is_integer():
+        raise ParseError(path, lineno, f"{key} {value!r} is not a whole number")
+    return int(number)
+
+
 def load_metadata(path: str | Path) -> dict[str, ItemMeta]:
     items: dict[str, ItemMeta] = {}
     spath = str(path)
@@ -145,15 +176,13 @@ def load_metadata(path: str | Path) -> dict[str, ItemMeta]:
             raise ParseError(spath, lineno, f"duplicate metadata for item '{item_id}'")
         title = str(_require(obj, "title", spath, lineno))
         category = str(_require(obj, "category", spath, lineno))
-        price = obj.get("price")
-        if price is not None:
-            price = float(price)
-            if price < 0:
-                raise ParseError(spath, lineno, f"price {price} is negative")
-        avg_rating = float(_require(obj, "avg_rating", spath, lineno))
+        price = None if obj.get("price") is None else _number(obj, "price", spath, lineno)
+        if price is not None and price < 0:
+            raise ParseError(spath, lineno, f"price {price} is negative")
+        avg_rating = _number(obj, "avg_rating", spath, lineno)
         if not (1.0 <= avg_rating <= 5.0):
             raise ParseError(spath, lineno, f"avg_rating {avg_rating} outside [1, 5]")
-        rating_count = int(_require(obj, "rating_count", spath, lineno))
+        rating_count = _whole(obj, "rating_count", spath, lineno)
         if rating_count < 0:
             raise ParseError(spath, lineno, f"rating_count {rating_count} is negative")
         items[item_id] = ItemMeta(item_id, title, category, price, avg_rating, rating_count)
@@ -167,8 +196,8 @@ def load_interactions(path: str | Path, items: Mapping[str, ItemMeta]) -> list[I
     for lineno, obj in _jsonl_lines(path):
         user = str(_require(obj, "user", spath, lineno))
         item = str(_require(obj, "item", spath, lineno))
-        rating = float(_require(obj, "rating", spath, lineno))
-        ts = int(_require(obj, "ts", spath, lineno))
+        rating = _number(obj, "rating", spath, lineno)
+        ts = _whole(obj, "ts", spath, lineno)
         if not (1.0 <= rating <= 5.0):
             raise ParseError(spath, lineno, f"rating {rating} outside [1, 5]")
         if ts < 0:

@@ -8,7 +8,6 @@ so rankings are deterministic across runs.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -16,21 +15,19 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class RankResult:
-    user_id: str
-    ranked_items: list[str]
-    positive_ranks: dict[str, int]  # item -> 1-based rank among candidates
-
-
-def rank_candidates(
-    scores: np.ndarray, item_ids: Sequence[str], exclude: set[str]
-) -> list[str]:
-    """Candidates sorted by descending score, ties by ascending item id."""
-    ids = np.asarray(item_ids)
-    keep = np.array([i not in exclude for i in item_ids], dtype=bool)
-    order = np.lexsort((ids[keep], -np.asarray(scores, dtype=np.float64)[keep]))
-    return list(ids[keep][order])
+def _rank(
+    scores: np.ndarray, nan: np.ndarray, keep: np.ndarray, id_rank: np.ndarray, pos: int
+) -> int:
+    """1-based rank of candidate `pos` among the kept ones, ordered by
+    descending score, then ascending id; NaN scores come after every other
+    score, as in a sort on the negated scores."""
+    smaller_id = id_rank < id_rank[pos]
+    if nan[pos]:
+        ahead = ~nan | smaller_id
+    else:
+        score = scores[pos]
+        ahead = (scores > score) | ((scores == score) & smaller_id)
+    return int(np.count_nonzero(ahead & keep)) + 1
 
 
 def full_ranking_eval(
@@ -43,8 +40,9 @@ def full_ranking_eval(
 ) -> dict:
     """Evaluate held-out positives under the full-ranking protocol.
 
-    `score_fn(user)` returns scores aligned with `item_ids`.  `heldout`
-    entries expose `.user_id` and `.item_id` (or are (user, item) pairs).
+    `score_fn(user)` returns scores aligned with `item_ids`, which must be
+    distinct.  `heldout` entries expose `.user_id` and `.item_id` (or are
+    (user, item) pairs).
     Users without scores or candidates are skipped and counted.
     `average` is "interaction" (each positive is one unit) or "user"
     (per-user means, then averaged across users).
@@ -66,18 +64,25 @@ def full_ranking_eval(
     units = 0
     skipped = 0
     id_index = {item: i for i, item in enumerate(item_ids)}
+    if len(id_index) != len(item_ids):
+        raise ValueError("item_ids contains duplicates")
+    # position of each id in ascending string order, the tie-break key
+    id_rank = np.empty(len(item_ids), dtype=np.int64)
+    id_rank[np.argsort(np.asarray(item_ids), kind="stable")] = np.arange(len(item_ids))
     for user in sorted(by_user):
         try:
             scores = score_fn(user)
         except KeyError:
             skipped += len(by_user[user])
             continue
+        scores = np.asarray(scores, dtype=np.float64)
         exclude = train_items.get(user, set())
-        ranked = rank_candidates(scores, item_ids, exclude)
-        if not ranked:
+        keep = np.ones(len(item_ids), dtype=bool)
+        keep[[id_index[i] for i in exclude if i in id_index]] = False
+        if not keep.any():
             skipped += len(by_user[user])
             continue
-        rank_of = {item: r + 1 for r, item in enumerate(ranked)}
+        nan = np.isnan(scores)
         u_hits = {k: 0.0 for k in ks}
         u_gains = {k: 0.0 for k in ks}
         u_units = 0
@@ -85,7 +90,7 @@ def full_ranking_eval(
             if item not in id_index or item in exclude:
                 skipped += 1
                 continue
-            rank = rank_of[item]
+            rank = _rank(scores, nan, keep, id_rank, id_index[item])
             u_units += 1
             for k in ks:
                 if rank <= k:

@@ -21,10 +21,8 @@ from .database import (
     familiarity_counts,
 )
 from .encoding import (
-    ItemSemanticVector,
     PersonaEmbeddingSet,
     encode_item_batch,
-    encode_item_semantics,
     encode_personas,
     item_semantic_text,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "EncoderClient",
     "GeneratorClient",
     "HashingEncoder",
-    "ItemSemanticVector",
     "JsonCache",
     "PersonaDB",
     "PersonaEmbeddingSet",
@@ -70,7 +67,6 @@ __all__ = [
     "category_familiarity_label",
     "description_payload",
     "encode_item_batch",
-    "encode_item_semantics",
     "encode_personas",
     "familiarity_counts",
     "generate_all_personas",

@@ -196,27 +196,31 @@ class _RemoteBase:
         self._limiter = _RateLimiter(config.min_interval)
 
     def _post(self, path: str, body: dict) -> dict:
+        """POST with retries on network errors, 429 and 5xx; any other 4xx
+        fails at once.  Backoff doubles between attempts, none after the last."""
         url = self.config.endpoint.rstrip("/") + path
         headers = {"Authorization": f"Bearer {_api_key()}"}
         last_error: Exception | None = None
         for attempt in range(self.config.retries):
+            if attempt:
+                time.sleep(self.config.backoff * 2 ** (attempt - 1))
             self._limiter.wait()
             try:
                 resp = self._session.post(
                     url, json=body, headers=headers, timeout=self.config.timeout
                 )
-                if resp.status_code >= 500:
-                    raise ClientError(f"server error {resp.status_code}")
-                if resp.status_code >= 400:
-                    raise ClientError(f"request rejected ({resp.status_code}): {resp.text}")
+            except OSError as exc:  # requests' exceptions are OSErrors too
+                last_error = exc
+                continue
+            if resp.status_code == 429 or resp.status_code >= 500:
+                last_error = ClientError(f"status {resp.status_code}")
+                continue
+            if resp.status_code >= 400:
+                raise ClientError(f"request rejected ({resp.status_code}): {resp.text}")
+            try:
                 return resp.json()
-            except ClientError as exc:
-                last_error = exc
-                if "rejected" in str(exc):
-                    raise
-            except Exception as exc:  # network-level failure, retry
-                last_error = exc
-            time.sleep(self.config.backoff * (2**attempt))
+            except ValueError as exc:
+                raise ClientError(f"response from {url} is not JSON: {exc}") from exc
         raise ClientError(f"remote call to {url} failed after {self.config.retries} attempts: {last_error}")
 
 

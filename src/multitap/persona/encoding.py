@@ -2,7 +2,8 @@
 
 Each user yields one vector per criterion (a single batched encoder call per
 user); items are encoded from the domain description concatenated with their
-category, in configurable chunks.  Both paths cache on content hashes.
+category, in configurable chunks.  Both paths cache on content hashes, with
+one cache read and at most one cache write per call.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from ..corpus import ItemMeta
 from ..idh import CRITERIA_ORDER, Criterion
-from .cache import JsonCache, content_key
+from .cache import JsonCache, cache_batch, content_key
 from .clients import EncoderClient
 from .generation import PersonaText
 
@@ -30,50 +31,42 @@ class PersonaEmbeddingSet:
         return np.stack([self.vectors[c] for c in CRITERIA_ORDER])
 
 
-@dataclass
-class ItemSemanticVector:
-    item_id: str
-    vector: np.ndarray
-
-
 def encode_personas(
-    text: PersonaText, encoder: EncoderClient, cache: JsonCache | None = None
-) -> PersonaEmbeddingSet:
-    """Encode all five criterion texts into one fixed-dimension vector set."""
-    missing = [c.value for c in CRITERIA_ORDER if c not in text.texts]
-    if missing:
-        raise ValueError(f"persona texts missing criteria: {missing}")
-    key = content_key(
-        {"texts": text.ordered_texts(), "encoder": encoder.identity}
-    )
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            vectors = {
-                Criterion(k): np.asarray(v, dtype=np.float64) for k, v in hit.items()
-            }
-            return PersonaEmbeddingSet(text.user_id, vectors, encoder.dim)
-    matrix = encoder.embed(text.ordered_texts())
-    if matrix.shape != (len(CRITERIA_ORDER), encoder.dim):
-        raise ValueError(
-            f"encoder returned shape {matrix.shape}, expected (5, {encoder.dim})"
+    texts: Sequence[PersonaText], encoder: EncoderClient, cache: JsonCache | None = None
+) -> list[PersonaEmbeddingSet]:
+    """Encode each user's five criterion texts, one encoder call per user
+    whose texts are not cached; one cache read and at most one write."""
+    for text in texts:
+        missing = [c.value for c in CRITERIA_ORDER if c not in text.texts]
+        if missing:
+            raise ValueError(f"persona texts missing criteria: {missing}")
+    keys = [
+        content_key({"texts": t.ordered_texts(), "encoder": encoder.identity}) for t in texts
+    ]
+    with cache_batch(cache, keys) as (stored, new):
+        for text, key in zip(texts, keys):
+            if key in stored or key in new:
+                continue
+            matrix = encoder.embed(text.ordered_texts())
+            if matrix.shape != (len(CRITERIA_ORDER), encoder.dim):
+                raise ValueError(
+                    f"encoder returned shape {matrix.shape}, expected (5, {encoder.dim})"
+                )
+            new[key] = matrix
+    stored.update(new)
+    return [
+        PersonaEmbeddingSet(
+            text.user_id,
+            {c: stored[key][i] for i, c in enumerate(CRITERIA_ORDER)},
+            encoder.dim,
         )
-    vectors = {c: matrix[i].copy() for i, c in enumerate(CRITERIA_ORDER)}
-    if cache is not None:
-        cache.put(key, {c.value: vectors[c].tolist() for c in CRITERIA_ORDER})
-    return PersonaEmbeddingSet(text.user_id, vectors, encoder.dim)
+        for text, key in zip(texts, keys)
+    ]
 
 
 def item_semantic_text(item: ItemMeta, domain_description: str) -> str:
     """Item-side encoder input: the domain description plus the item category."""
     return f"{domain_description} || {item.category}"
-
-
-def encode_item_semantics(
-    item: ItemMeta, domain_description: str, encoder: EncoderClient
-) -> ItemSemanticVector:
-    vector = encoder.embed([item_semantic_text(item, domain_description)])[0]
-    return ItemSemanticVector(item.item_id, vector)
 
 
 def encode_item_batch(
@@ -83,22 +76,18 @@ def encode_item_batch(
     chunk_size: int = 256,
     cache: JsonCache | None = None,
 ) -> dict[str, np.ndarray]:
-    """Encode many items with one encoder call per chunk of `chunk_size`."""
+    """Encode many items; those whose text is not cached go to the encoder
+    in calls of `chunk_size`.  The cache is keyed per item text."""
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
     texts = [item_semantic_text(m, domain_description) for m in items]
-    key = content_key({"texts": texts, "encoder": encoder.identity})
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return {
-                m.item_id: np.asarray(hit[m.item_id], dtype=np.float64) for m in items
-            }
-    rows: list[np.ndarray] = []
-    for start in range(0, len(texts), chunk_size):
-        rows.append(encoder.embed(texts[start : start + chunk_size]))
-    matrix = np.vstack(rows) if rows else np.zeros((0, encoder.dim))
-    out = {m.item_id: matrix[i].copy() for i, m in enumerate(items)}
-    if cache is not None:
-        cache.put(key, {item_id: vec.tolist() for item_id, vec in out.items()})
-    return out
+    keys = [content_key({"text": t, "encoder": encoder.identity}) for t in texts]
+    with cache_batch(cache, keys) as (stored, new):
+        todo = [i for i, key in enumerate(keys) if key not in stored]
+        for start in range(0, len(todo), chunk_size):
+            chunk = todo[start : start + chunk_size]
+            matrix = encoder.embed([texts[i] for i in chunk])
+            for i, row in zip(chunk, matrix):
+                new[keys[i]] = row
+    stored.update(new)
+    return {m.item_id: stored[key].copy() for m, key in zip(items, keys)}

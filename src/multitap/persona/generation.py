@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from ..errors import MalformedResponseError
 from ..idh import CRITERIA_ORDER, Criterion
-from .cache import JsonCache, content_key
+from .cache import JsonCache, cache_batch, content_key
 from .clients import GeneratorClient
 from .database import PersonaDB
 from .prompts import PROFILE_KEYS, PromptAssets, persona_payload
@@ -61,6 +61,21 @@ def parse_persona_response(raw: str, user_id: str) -> dict[Criterion, str]:
     return texts
 
 
+def _generate(user_id: str, payload: dict, key: str, client: GeneratorClient) -> PersonaText:
+    raw = client.personas(payload)
+    try:
+        texts = parse_persona_response(raw, user_id)
+    except MalformedResponseError:
+        raw = client.personas(payload)  # one reparse attempt
+        texts = parse_persona_response(raw, user_id)
+    return PersonaText(
+        user_id=user_id,
+        texts=texts,
+        provenance=getattr(client, "provenance", "llm"),
+        cache_key=key,
+    )
+
+
 def generate_personas(
     user_id: str,
     db: PersonaDB,
@@ -70,50 +85,7 @@ def generate_personas(
     cache: JsonCache | None = None,
 ) -> PersonaText:
     """Generate (or fetch from cache) the five persona texts for one user."""
-    if len(history) > 30:
-        history = history[:30]
-    payload = persona_payload(
-        user_id=user_id,
-        domain_id=assets.domain_id,
-        domain_description=assets.domain_description,
-        level_maps=db.labels,
-        diversity=db.diversity,
-        history=history,
-    )
-    key = content_key(
-        {"payload": payload, "client": client.identity, "instruction": assets.persona_instruction}
-    )
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return PersonaText(
-                user_id=user_id,
-                texts={Criterion(k): v for k, v in hit["texts"].items()},
-                provenance=hit["provenance"],
-                cache_key=key,
-            )
-    raw = client.personas(payload)
-    try:
-        texts = parse_persona_response(raw, user_id)
-    except MalformedResponseError:
-        raw = client.personas(payload)  # one reparse attempt
-        texts = parse_persona_response(raw, user_id)
-    result = PersonaText(
-        user_id=user_id,
-        texts=texts,
-        provenance=getattr(client, "provenance", "llm"),
-        cache_key=key,
-    )
-    if cache is not None:
-        cache.put(
-            key,
-            {
-                "user_id": user_id,
-                "texts": {c.value: t for c, t in texts.items()},
-                "provenance": result.provenance,
-            },
-        )
-    return result
+    return generate_all_personas({user_id: db}, assets, {user_id: history}, client, cache)[user_id]
 
 
 def generate_all_personas(
@@ -124,16 +96,60 @@ def generate_all_personas(
     cache: JsonCache | None = None,
     parallelism: int = 1,
 ) -> dict[str, PersonaText]:
-    """Generate texts for many users, optionally with bounded concurrency."""
+    """Generate texts for many users, optionally with bounded concurrency.
+
+    The cache is read once; users it lacks go to the client, and their texts
+    are written back as one batch from the calling thread."""
     users = sorted(dbs)
-    if parallelism <= 1:
-        return {
-            u: generate_personas(u, dbs[u], assets, histories.get(u, ()), client, cache)
-            for u in users
-        }
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        results = pool.map(
-            lambda u: generate_personas(u, dbs[u], assets, histories.get(u, ()), client, cache),
-            users,
+
+    def payload(u: str) -> dict:
+        return persona_payload(
+            user_id=u,
+            domain_id=assets.domain_id,
+            domain_description=assets.domain_description,
+            level_maps=dbs[u].labels,
+            diversity=dbs[u].diversity,
+            history=histories.get(u, ())[:30],
         )
-        return dict(zip(users, results))
+
+    # payloads are rebuilt for the misses rather than all held at once
+    keys = {
+        u: content_key(
+            {"payload": payload(u), "client": client.identity, "instruction": assets.persona_instruction}
+        )
+        for u in users
+    }
+    out: dict[str, PersonaText] = {}
+    with cache_batch(cache, keys.values()) as (stored, new):
+        missing = []
+        for u in users:
+            hit = stored.get(keys[u])
+            if hit is None:
+                missing.append(u)
+            else:
+                out[u] = PersonaText(
+                    user_id=u,
+                    texts={Criterion(k): v for k, v in hit["texts"].items()},
+                    provenance=hit["provenance"],
+                    cache_key=keys[u],
+                )
+
+        def generate(u: str) -> PersonaText:
+            return _generate(u, payload(u), keys[u], client)
+
+        def keep(text: PersonaText) -> None:
+            out[text.user_id] = text
+            new[text.cache_key] = {
+                "user_id": text.user_id,
+                "texts": {c.value: t for c, t in text.texts.items()},
+                "provenance": text.provenance,
+            }
+
+        if parallelism <= 1:
+            for u in missing:
+                keep(generate(u))
+        else:
+            with ThreadPoolExecutor(max_workers=parallelism) as pool:
+                for text in pool.map(generate, missing):
+                    keep(text)
+    return {u: out[u] for u in users}

@@ -232,8 +232,9 @@ def recent_history(
     limit: int = 30,
 ) -> list[tuple[InteractionRecord, ItemMeta, str | None]]:
     """The user's most recent `limit` interactions, newest first."""
-    rows = [r for r in dataset.interactions if r.user_id == user_id]
-    rows.sort(key=lambda r: (-r.timestamp, r.item_id))
+    rows = sorted(
+        dataset.user_records.get(user_id, ()), key=lambda r: (-r.timestamp, r.item_id)
+    )
     out = []
     for rec in rows[:limit]:
         meta = dataset.items[rec.item_id]

@@ -398,10 +398,10 @@ class Pipeline:
                 continue
             vectors = np.stack(
                 [
-                    persona_mod.encode_personas(
-                        texts[u], persona_encoder, cache=self.vector_cache
-                    ).stacked()
-                    for u in user_ids
+                    e.stacked()
+                    for e in persona_mod.encode_personas(
+                        [texts[u] for u in user_ids], persona_encoder, cache=self.vector_cache
+                    )
                 ]
             )
             items = [train_ds.items[i] for i in sorted(train_ds.items)]

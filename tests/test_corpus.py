@@ -126,6 +126,49 @@ class TestLoadDomain:
             load_domain(tmp_path / "inter.jsonl", tmp_path / "meta.jsonl", "demo")
 
 
+class TestLoaderRejectsBadNumbers:
+    """Each bad value is on line 2 and must be reported with its file and line."""
+
+    def _load(self, tmp_path, meta_rows, inter_rows):
+        write_jsonl(tmp_path / "meta.jsonl", meta_rows)
+        write_jsonl(tmp_path / "inter.jsonl", inter_rows)
+        return load_domain(tmp_path / "inter.jsonl", tmp_path / "meta.jsonl", "demo")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("price", float("nan")),
+            ("price", float("inf")),
+            ("avg_rating", float("nan")),
+            ("avg_rating", float("-inf")),
+            ("price", True),
+            ("avg_rating", True),
+            ("rating_count", True),
+            ("rating_count", 2.5),
+        ],
+    )
+    def test_metadata_field(self, tmp_path, field, value):
+        bad = dict(meta_row("i2"), **{field: value})
+        with pytest.raises(ParseError, match=rf"meta\.jsonl:2: {field} "):
+            self._load(tmp_path, [meta_row("i1"), bad], [])
+
+    @pytest.mark.parametrize("field,value", [("rating", True), ("ts", 1.9), ("ts", True)])
+    def test_interaction_field(self, tmp_path, field, value):
+        good = {"user": "u1", "item": "i1", "rating": 3.0, "ts": 10}
+        bad = dict(good, **{field: value})
+        with pytest.raises(ParseError, match=rf"inter\.jsonl:2: {field} "):
+            self._load(tmp_path, [meta_row("i1")], [good, bad])
+
+    def test_nan_price_rejected_in_any_order(self, tmp_path):
+        # unrejected, a NaN makes the price tertiles depend on input order:
+        # [nan, 1, 3, 2] gives (1, 2) and [1, nan, 3, 2] gives (nan, 2)
+        for prices in ([float("nan"), 1.0, 3.0, 2.0], [1.0, float("nan"), 3.0, 2.0]):
+            line = prices.index(next(p for p in prices if p != p)) + 1
+            rows = [meta_row(f"i{k}", price=p) for k, p in enumerate(prices)]
+            with pytest.raises(ParseError, match=rf":{line}: price nan is not finite"):
+                self._load(tmp_path, rows, [])
+
+
 class TestDomainPair:
     def test_overlap_intersection(self):
         src = make_dataset("s", [("a", "i1", 1), ("b", "i1", 2)])
@@ -250,3 +293,4 @@ class TestIndexViews:
                 ds.interaction_count(u, c) for c in ds.user_category_items[u]
             )
             assert total == sum(1 for t in triples if t[0] == u)
+            assert ds.user_records[u] == [r for r in ds.interactions if r.user_id == u]

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from multitap.evaluate import aggregate_seed_reports, full_ranking_eval, rank_candidates
+from multitap.evaluate import aggregate_seed_reports, full_ranking_eval
+
+import oracles
+from oracles import rank_candidates
 
 
 def eval_single(scores_by_item, positive, exclude=frozenset(), ks=(5,)):
@@ -126,6 +129,57 @@ class TestInvariants:
         )
         assert base["HR"] == warped["HR"]
         assert base["NDCG"] == warped["NDCG"]
+
+
+class TestSortOracle:
+    """The production eval equals the lexsort oracle, type for type."""
+
+    def _case(self, rng):
+        n_items = int(rng.integers(1, 25))
+        item_ids = [f"i{k}" for k in rng.permutation(n_items)]  # unsorted, mixed widths
+        users = [f"u{k}" for k in range(int(rng.integers(1, 6)))]
+        # rounding to one decimal makes score ties common
+        scores = {u: np.round(rng.normal(size=n_items), 1) for u in users}
+        for u in users:
+            scores[u][rng.random(n_items) < 0.15] = np.nan
+        train = {
+            u: {i for i in item_ids if rng.random() < 0.3} for u in users if rng.random() < 0.8
+        }
+        pool = item_ids + ["unknown"]
+        heldout = [
+            (users[int(rng.integers(0, len(users)))], pool[int(rng.integers(0, len(pool)))])
+            for _ in range(int(rng.integers(1, 12)))
+        ]
+        heldout.append(("ghost", item_ids[0]))
+        return item_ids, scores, train, heldout
+
+    def test_repr_equals_oracle_on_random_cases(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            item_ids, scores, train, heldout = self._case(rng)
+
+            def score_fn(user):
+                return scores[user]
+
+            for average in ("interaction", "user"):
+                args = (score_fn, item_ids, train, heldout)
+                kwargs = {"ks": (1, 3, 5, 10), "average": average}
+                assert repr(full_ranking_eval(*args, **kwargs)) == repr(
+                    oracles.full_ranking_eval(*args, **kwargs)
+                )
+
+    def test_nan_ranks_after_finite_then_by_id(self):
+        item_ids = ["c", "a", "b", "d"]
+        scores = np.array([np.nan, np.nan, -5.0, 1.0])
+        assert rank_candidates(scores, item_ids, set()) == ["d", "b", "a", "c"]
+        out = full_ranking_eval(
+            lambda u: scores, item_ids, {}, [("u", "c")], ks=(3, 4)
+        )
+        assert out["HR"] == {3: 0.0, 4: 1.0}
+
+    def test_duplicate_item_ids_rejected(self):
+        with pytest.raises(ValueError, match="duplicates"):
+            full_ranking_eval(lambda u: np.zeros(2), ["a", "a"], {}, [("u", "a")])
 
 
 class TestSeedAggregation:

@@ -489,7 +489,7 @@ class TestTraining:
         inputs = toy_inputs(rng)
         model = MultiTapModel(inputs, toy_config())
         scores = model.score_matrix()
-        from multitap.evaluate import rank_candidates
+        from oracles import rank_candidates
 
         for row in range(scores.shape[0]):
             base = rank_candidates(scores[row], inputs.item_ids, set())

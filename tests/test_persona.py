@@ -21,8 +21,8 @@ from multitap.persona import (
     category_diversity_label,
     category_familiarity_label,
     encode_item_batch,
-    encode_item_semantics,
     encode_personas,
+    generate_all_personas,
     familiarity_counts,
     generate_personas,
     parse_persona_response,
@@ -342,17 +342,16 @@ class TestEncoders:
         db = build_persona_db("u1", ds, labels)
         assets = PromptAssets(domain_id="home", domain_description="desc")
         text = generate_personas("u1", db, assets, [], TemplateGenerator())
-        out = encode_personas(text, HashingEncoder(dim=32, seed=1))
+        (out,) = encode_personas([text], HashingEncoder(dim=32, seed=1))
         assert set(out.vectors) == set(CRITERIA_ORDER)
         assert out.stacked().shape == (5, 32)
 
     def test_item_semantics_ignore_title(self):
         ds, _ = domain_with_labels()
         enc = HashingEncoder(dim=32, seed=2)
-        a = encode_item_semantics(ds.items["i1"], "desc", enc)
         same_cat = ItemMeta("other", "completely different title", "catA", 9.9, 2.0, 1)
-        b = encode_item_semantics(same_cat, "desc", enc)
-        np.testing.assert_array_equal(a.vector, b.vector)
+        out = encode_item_batch([ds.items["i1"], same_cat], "desc", enc)
+        np.testing.assert_array_equal(out["i1"], out["other"])
 
     def test_batch_call_count_matches_chunks(self):
         items = [ItemMeta(f"i{k}", "t", f"c{k % 7}", 1.0, 4.0, 1) for k in range(1000)]
@@ -395,6 +394,67 @@ class TestRemoteRetries:
             client.personas({"User ID": "u"})
         assert session.calls == 3
 
+    class _Response:
+        def __init__(self, status, payload=None):
+            self.status_code = status
+            self.text = f"status {status}"
+            self._payload = payload
+
+        def json(self):
+            return self._payload
+
+    class _ScriptedSession:
+        """Answers each post with the next scripted response or exception."""
+
+        def __init__(self, script):
+            self.script = list(script)
+            self.calls = 0
+
+        def post(self, *args, **kwargs):
+            self.calls += 1
+            outcome = self.script.pop(0)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+    def _client(self, monkeypatch, script, retries=3):
+        from multitap.persona import clients
+
+        monkeypatch.setenv("MULTITAP_API_KEY", "k")
+        sleeps = []
+        monkeypatch.setattr(clients.time, "sleep", sleeps.append)
+        session = self._ScriptedSession(script)
+        client = clients.RemoteGenerator(
+            clients.RemoteConfig(retries=retries, backoff=0.5), session=session
+        )
+        return client, session, sleeps
+
+    def _ok(self):
+        return self._Response(200, {"choices": [{"message": {"content": "done"}}]})
+
+    @pytest.mark.parametrize("first", [429, 500, 503, OSError("connection reset")])
+    def test_retryable_failure_then_success(self, monkeypatch, first):
+        failure = first if isinstance(first, Exception) else self._Response(first)
+        client, session, sleeps = self._client(monkeypatch, [failure, self._ok()])
+        assert client.personas({"User ID": "u"}) == "done"
+        assert session.calls == 2
+        assert sleeps == [0.5]
+
+    @pytest.mark.parametrize("status", [400, 401, 404, 422])
+    def test_other_4xx_fails_at_once(self, monkeypatch, status):
+        client, session, sleeps = self._client(monkeypatch, [self._Response(status), self._ok()])
+        with pytest.raises(ClientError, match=f"rejected \\({status}\\)"):
+            client.personas({"User ID": "u"})
+        assert session.calls == 1
+        assert sleeps == []
+
+    def test_no_sleep_after_last_attempt(self, monkeypatch):
+        client, session, sleeps = self._client(monkeypatch, [self._Response(429)] * 3)
+        with pytest.raises(ClientError, match="after 3 attempts: status 429"):
+            client.personas({"User ID": "u"})
+        assert session.calls == 3
+        assert sleeps == [0.5, 1.0]
+
     def test_missing_api_key(self, monkeypatch):
         from multitap.persona.clients import RemoteConfig, RemoteGenerator
 
@@ -415,8 +475,6 @@ class TestParallelGeneration:
         dbs = build_all_persona_dbs(ds, labels)
         assets = PromptAssets(domain_id="home", domain_description="desc")
         histories = {u: recent_history(ds, u) for u in dbs}
-        from multitap.persona import generate_all_personas
-
         serial = generate_all_personas(dbs, assets, histories, TemplateGenerator())
         parallel = generate_all_personas(
             dbs, assets, histories, TemplateGenerator(), parallelism=3
@@ -424,3 +482,85 @@ class TestParallelGeneration:
         assert {u: t.texts for u, t in serial.items()} == {
             u: t.texts for u, t in parallel.items()
         }
+
+
+class TestShardCache:
+    def _inputs(self):
+        ds, labels = domain_with_labels()
+        dbs = build_all_persona_dbs(ds, labels)
+        assets = PromptAssets(domain_id="home", domain_description="desc")
+        histories = {u: recent_history(ds, u) for u in dbs}
+        return dbs, assets, histories, [ds.items[i] for i in sorted(ds.items)]
+
+    def _stage(self, root, generator, encoder, parallelism=1):
+        """What the persona stage does for one domain, on caches under `root`."""
+        dbs, assets, histories, items = self._inputs()
+        texts = generate_all_personas(
+            dbs, assets, histories, generator, JsonCache(root / "texts"), parallelism
+        )
+        vectors = JsonCache(root / "vectors")
+        personas = encode_personas([texts[u] for u in sorted(texts)], encoder, vectors)
+        item_vecs = encode_item_batch(items, "desc", encoder, chunk_size=2, cache=vectors)
+        return (
+            {u: t.texts for u, t in texts.items()},
+            [e.stacked().tobytes() for e in personas],
+            {i: v.tobytes() for i, v in item_vecs.items()},
+        )
+
+    def _files(self, root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    def test_fresh_cache_is_bit_exact_with_zero_calls(self, tmp_path):
+        cold = self._stage(tmp_path, TemplateGenerator(), HashingEncoder(dim=16, seed=5))
+        generator, encoder = TemplateGenerator(), HashingEncoder(dim=16, seed=5)
+        warm = self._stage(tmp_path, generator, encoder)
+        assert (generator.calls, encoder.calls) == (0, 0)
+        assert warm == cold
+        assert warm == self._stage(tmp_path / "other", TemplateGenerator(), HashingEncoder(dim=16, seed=5))
+
+    def test_one_shard_per_batch_and_none_on_warm_rerun(self, tmp_path):
+        self._stage(tmp_path, TemplateGenerator(), HashingEncoder(dim=16, seed=5), parallelism=3)
+        files = self._files(tmp_path)
+        assert sorted(p.parent.name for p in files) == ["texts", "vectors", "vectors"]
+        assert all(p.suffix == ".shard" for p in files)
+        self._stage(tmp_path, TemplateGenerator(), HashingEncoder(dim=16, seed=5), parallelism=3)
+        assert self._files(tmp_path) == files
+
+    def test_stray_and_old_layout_files_ignored(self, tmp_path):
+        dbs, assets, histories, _ = self._inputs()
+        key = generate_personas("u1", dbs["u1"], assets, histories["u1"], TemplateGenerator()).cache_key
+        texts_dir = tmp_path / "texts"
+        texts_dir.mkdir()
+        # a per-key file of the older layout and a temp file an interrupted write left
+        (texts_dir / f"{key}.json").write_text(json.dumps({"user_id": "u1", "texts": {}, "provenance": "x"}))
+        (texts_dir / "0123.shard.tmpab12").write_bytes(b"partial")
+        assert JsonCache(texts_dir).get([key]) is None
+        generator = TemplateGenerator()
+        cold = self._stage(tmp_path, generator, HashingEncoder(dim=16, seed=5))
+        assert generator.calls == len(dbs)
+        assert cold == self._stage(tmp_path / "clean", TemplateGenerator(), HashingEncoder(dim=16, seed=5))
+
+    def test_vectors_and_json_round_trip_bit_exactly(self, tmp_path):
+        cache = JsonCache(tmp_path)
+        vec = np.array([[-0.0, np.nan, 5e-324], [np.inf, 1.0 / 3.0, -2.5]])
+        cache.put({"v": vec, "t": {"texts": ["\u00e9t\u00e9"], "n": 1}})
+        got = JsonCache(tmp_path).get(["v", "t", "absent"])
+        assert set(got) == {"v", "t"}
+        assert got["v"].dtype == np.float64 and got["v"].tobytes() == vec.tobytes()
+        assert got["t"] == {"texts": ["\u00e9t\u00e9"], "n": 1}
+
+    def test_failed_batch_keeps_finished_entries(self, tmp_path):
+        dbs, assets, histories, _ = self._inputs()
+
+        class FailsOnThirdUser(TemplateGenerator):
+            def personas(self, payload):
+                if payload["User ID"] == sorted(dbs)[2]:
+                    raise ClientError("down")
+                return super().personas(payload)
+
+        cache = JsonCache(tmp_path)
+        with pytest.raises(ClientError):
+            generate_all_personas(dbs, assets, histories, FailsOnThirdUser(), cache)
+        generator = TemplateGenerator()
+        generate_all_personas(dbs, assets, histories, generator, cache)
+        assert generator.calls == len(dbs) - 2
