@@ -208,6 +208,9 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "persona":
             config = _apply_overrides(config, args)
+            if args.action == "encode":
+                _run_stages(config, ["ingest", "split", "idh", "persona"])
+                return 0
             _run_stages(config, ["ingest", "split", "idh"])
             pipe = Pipeline(config)
             pipe.stage_persona(phase=args.action)
@@ -239,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
                         config, source=config.target, target=config.source
                     )
             config = _apply_overrides(config, args)
-            _run_stages(config, ["train"])
+            _run_stages(config, ["ingest", "split", "idh", "persona", "pretrain", "train"])
             return 0
         if args.command == "eval":
             if args.k:
@@ -251,13 +254,14 @@ def main(argv: list[str] | None = None) -> int:
             if args.checkpoint:
                 pipe = Pipeline(config)
                 pipe.stage_eval(checkpoint=args.checkpoint)
-                print(json.dumps({"run_dir": config.run_dir, "checkpoint": args.checkpoint}))
+                report = pipe.checkpoint_report_path(args.checkpoint)
+                print(json.dumps({"checkpoint": args.checkpoint, "report": str(report)}))
                 return 0
-            _run_stages(config, ["eval"])
+            _run_stages(config, ["ingest", "split", "idh", "persona", "pretrain", "train", "eval"])
             return 0
         if args.command == "ablate":
             config = _with_sweeps(config, args.sweep)
-            _run_stages(config, ["ablate"])
+            _run_stages(config, ["ingest", "split", "idh", "persona", "pretrain", "ablate"])
             return 0
         raise ValueError(f"unhandled command {args.command}")
     except MultitapError as exc:

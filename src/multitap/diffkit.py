@@ -292,6 +292,11 @@ def grad_check(
 # ---------------------------------------------------------------------------
 
 
+def checkpoint_manifest_path(path: str | Path) -> Path:
+    """The JSON manifest written next to the checkpoint at `path`."""
+    return Path(str(path) + ".manifest.json")
+
+
 def save_checkpoint(path: str | Path, arrays: dict[str, Array], manifest: dict) -> None:
     """Write arrays to a deterministic binary container plus a JSON manifest."""
     path = Path(path)
@@ -311,7 +316,7 @@ def save_checkpoint(path: str | Path, arrays: dict[str, Array], manifest: dict) 
         [_CKPT_MAGIC, struct.pack("<II", _CKPT_VERSION, len(header)), header] + blobs
     )
     atomic_write_bytes(path, payload)
-    write_json(str(path) + ".manifest.json", manifest)
+    write_json(checkpoint_manifest_path(path), manifest)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Array], dict]:
@@ -332,5 +337,5 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Array], dict]:
         arrays[entry["name"]] = np.frombuffer(raw, dtype=np.float64).reshape(
             entry["shape"]
         ).copy()
-    manifest = read_json(str(path) + ".manifest.json")
+    manifest = read_json(checkpoint_manifest_path(path))
     return arrays, manifest

@@ -1,10 +1,16 @@
 """Config-driven pipeline: ingest, split, idh, persona, pretrain, train, eval,
 ablate.
 
-Every stage writes its artifacts plus a manifest carrying the semantic
-config hash; rerunning a completed stage with an unchanged config is a
-no-op.  Artifacts never embed absolute paths or timestamps, so two runs
-with the same config hash produce byte-identical primary outputs.
+Each stage has its own cache key: the content key of the config sections it
+reads plus the keys of the stages it consumes (`PipelineConfig.stage_keys`).
+The source-domain model that train and ablate build on is keyed the same
+way, as the node "source".  A stage counts as done only when its manifest
+records its current key, its artifacts exist and every upstream node is
+done, so a train-only change reruns train and eval and serves everything
+upstream from disk.  Keys come from the config alone, never from the input
+files.  Every stage manifest, checkpoint manifest and report records the key
+of the stage that wrote it, and artifacts never embed absolute paths or
+timestamps, so a reused artifact is byte-identical to one built cold.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .corpus import (
     load_domain,
     time_split,
 )
-from .diffkit import load_checkpoint, save_checkpoint
+from .diffkit import checkpoint_manifest_path, load_checkpoint, save_checkpoint
 from .errors import DependencyError
 from .evaluate import aggregate_seed_reports, full_ranking_eval
 from .gcn import GcnConfig, IdEmbeddingTable, pretrain_id_embeddings
@@ -46,16 +52,42 @@ logger = logging.getLogger(__name__)
 
 STAGES = ("ingest", "split", "idh", "persona", "pretrain", "train", "eval", "ablate")
 
-_STAGE_DEPS = {
+# Upstream nodes of every node, in topological order.  "source" is the
+# source-domain model: keyed and checked like a stage, but built inside train
+# and ablate (`_ensure_source_tables`), never requested on its own.
+_UPSTREAM = {
     "ingest": (),
     "split": ("ingest",),
     "idh": ("split",),
     "persona": ("idh",),
     "pretrain": ("split",),
-    "train": ("persona", "pretrain"),
+    "source": ("persona", "pretrain"),
+    "train": ("source",),
     "eval": ("train",),
-    "ablate": ("persona", "pretrain"),
+    "ablate": ("source",),
 }
+
+
+def _artifacts(node: str, seeds: Sequence[int]) -> list[str]:
+    """Run-dir paths a done node must have (checkpoint manifests aside)."""
+    sides = ("source", "target")
+    return {
+        "ingest": ["ingest/summary.json"],
+        "split": [f"split/{w}.json" for w in sides],
+        "idh": [f"idh/{w}/{f}" for w in sides for f in ("bins.json", "labels.json")],
+        "persona": [
+            f"persona/{w}/{f}"
+            for w in sides
+            for f in ("db.json", "texts.json", "description.txt",
+                      "user_vectors.ckpt", "item_vectors.ckpt")
+        ],
+        "pretrain": [f"backbone/{w}.ckpt" for w in sides],
+        "source": ["model/source_model.ckpt", "model/source_tables.ckpt"],
+        "train": [f"model/{f}{s}{ext}" for s in seeds
+                  for f, ext in (("target_seed", ".ckpt"), ("metrics_seed", ".jsonl"))],
+        "eval": ["eval/report.json"],
+        "ablate": ["ablation/results.csv"],
+    }[node]
 
 
 def _parse_boundary(value) -> int:
@@ -156,6 +188,37 @@ class PipelineConfig:
     def config_hash(self) -> str:
         return content_key(self.semantic_dict())
 
+    def source_train_config(self) -> TrainConfig:
+        """The source-domain model's trainer: no transfer, the first seed."""
+        base = self.source_train or self.train
+        return dataclasses.replace(base, transfer="none", lambda_dpl=0.0, seed=self.seeds[0])
+
+    def stage_keys(self) -> dict[str, str]:
+        """The cache key of every node in `_UPSTREAM`: the config sections
+        it reads plus the keys of its upstream nodes."""
+        c = self.semantic_dict()
+
+        def pick(*names: str) -> dict:
+            return {name: c[name] for name in names}
+
+        slices = {
+            "ingest": pick("source", "target"),
+            "split": pick("split"),
+            "idh": pick("criteria", "report_labels"),
+            "persona": pick("client"),
+            "pretrain": pick("gcn"),
+            "source": {"source_train": dataclasses.asdict(self.source_train_config())},
+            "train": pick("train", "seeds"),
+            "eval": pick("eval_ks", "eval_split", "eval_average"),
+            "ablate": pick("ablate", "train", "seeds", "eval_average"),
+        }
+        keys: dict[str, str] = {}
+        for node, upstream in _UPSTREAM.items():
+            keys[node] = content_key(
+                {"node": node, "config": slices[node], "upstream": [keys[u] for u in upstream]}
+            )
+        return keys
+
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -172,7 +235,11 @@ class Pipeline:
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.run_dir = Path(config.run_dir)
+        # whole-config hash; run and cache locations do not enter it
         self.hash = config.config_hash()
+        self.keys = config.stage_keys()
+        # `_is_done` results, memoised only while `run` executes
+        self._done: dict[str, bool] | None = None
         cache_dir = config.cache_dir or str(self.run_dir / "cache")
         self.text_cache = persona_mod.JsonCache(Path(cache_dir) / "texts")
         self.vector_cache = persona_mod.JsonCache(Path(cache_dir) / "vectors")
@@ -184,21 +251,50 @@ class Pipeline:
     def _manifest_path(self, stage: str) -> Path:
         return self.run_dir / stage / "manifest.json"
 
-    def _is_done(self, stage: str) -> bool:
-        path = self._manifest_path(stage)
-        if not path.exists():
-            return False
-        return read_json(path).get("config_hash") == self.hash
+    def _record_path(self, node: str) -> Path:
+        """The manifest that records `node`'s key."""
+        if node == "source":
+            return checkpoint_manifest_path(self._source_tables_path())
+        return self._manifest_path(node)
+
+    def _is_done(self, node: str) -> bool:
+        """True when `node`'s manifest records its current key, its artifacts
+        exist and every upstream node is done."""
+        if self._done is not None and node in self._done:
+            return self._done[node]
+        record = self._record_path(node)
+        paths = [self.run_dir / rel for rel in _artifacts(node, self.config.seeds)]
+        paths += [checkpoint_manifest_path(p) for p in paths if p.suffix == ".ckpt"]
+        done = (
+            record.exists()
+            and read_json(record).get("stage_key") == self.keys[node]
+            and all(p.exists() for p in paths)
+            and all(self._is_done(up) for up in _UPSTREAM[node])
+        )
+        if self._done is not None:
+            self._done[node] = done
+        return done
+
+    def _set_done(self, node: str) -> None:
+        if self._done is not None:
+            self._done[node] = True
 
     def _mark_done(self, stage: str, extra: dict | None = None) -> None:
-        manifest = {"stage": stage, "config_hash": self.hash}
+        manifest = {"stage": stage, "stage_key": self.keys[stage]}
         if extra:
             manifest.update(extra)
         write_json(self._manifest_path(stage), manifest)
+        self._set_done(stage)
 
-    def _require(self, stage: str, needed: str) -> None:
-        if not self._is_done(needed):
-            raise DependencyError(stage, needed)
+    def _begin(self, stage: str, node: str | None = None) -> None:
+        """Start building `node` (default `stage`): raise unless every
+        upstream node is done, then drop `node`'s record, so a build that
+        fails part-way never leaves an old key beside new artifacts."""
+        node = node or stage
+        for needed in _UPSTREAM[node]:
+            if not self._is_done(needed):
+                raise DependencyError(stage, needed)
+        self._record_path(node).unlink(missing_ok=True)
 
     # -- shared loaders -----------------------------------------------------
 
@@ -253,6 +349,7 @@ class Pipeline:
     # -- stages -------------------------------------------------------------
 
     def stage_ingest(self) -> None:
+        self._begin("ingest")
         summary = {}
         for which in ("source", "target"):
             ds = self._dataset(which)
@@ -268,7 +365,7 @@ class Pipeline:
         self._mark_done("ingest", {"overlap_users": len(pair.overlap)})
 
     def stage_split(self) -> None:
-        self._require("split", "ingest")
+        self._begin("split")
         boundary = self.config.split.boundary_ts
         for which in ("source", "target"):
             ds = self._dataset(which)
@@ -290,7 +387,7 @@ class Pipeline:
         self._mark_done("split")
 
     def stage_idh(self) -> None:
-        self._require("idh", "split")
+        self._begin("idh")
         report_labels = [Label[name.upper()] for name in self.config.report_labels]
         criteria = tuple(Criterion(c) for c in self.config.criteria)
         for which in ("source", "target"):
@@ -364,7 +461,7 @@ class Pipeline:
 
         `phase` stops early after "build" (databases only) or "generate"
         (plus texts); only the full "encode" pass marks the stage done."""
-        self._require("persona", "idh")
+        self._begin("persona")
         generator, persona_encoder, item_encoder = self._clients()
         for which in ("source", "target"):
             train_ds = self._train_dataset(which)
@@ -416,7 +513,7 @@ class Pipeline:
                 base / "user_vectors.ckpt",
                 {"vectors": vectors},
                 {
-                    "config_hash": self.hash,
+                    "stage_key": self.keys["persona"],
                     "seed": self.config.client.seed,
                     "user_ids": user_ids,
                     "dim": persona_encoder.dim,
@@ -427,7 +524,7 @@ class Pipeline:
                 base / "item_vectors.ckpt",
                 {"vectors": np.stack([item_vecs[i] for i in item_order])},
                 {
-                    "config_hash": self.hash,
+                    "stage_key": self.keys["persona"],
                     "seed": self.config.client.seed,
                     "item_ids": item_order,
                     "dim": item_encoder.dim,
@@ -437,7 +534,7 @@ class Pipeline:
             self._mark_done("persona")
 
     def stage_pretrain(self) -> None:
-        self._require("pretrain", "split")
+        self._begin("pretrain")
         for which in ("source", "target"):
             ds = self._dataset(which)
             result = pretrain_id_embeddings(
@@ -452,7 +549,7 @@ class Pipeline:
                     "raw_item_vecs": result.raw.item_vecs,
                 },
                 {
-                    "config_hash": self.hash,
+                    "stage_key": self.keys["pretrain"],
                     "seed": self.config.gcn.seed,
                     "user_ids": result.table.user_ids,
                     "item_ids": result.table.item_ids,
@@ -510,18 +607,15 @@ class Pipeline:
     def _source_tables_path(self) -> Path:
         return self.run_dir / "model" / "source_tables.ckpt"
 
-    def _ensure_source_tables(self) -> None:
-        """Train the source-domain model (no transfer) and export the
-        overlap-aligned persona and ID tables it provides."""
-        path = self._source_tables_path()
-        if path.exists():
-            _, manifest = load_checkpoint(path)
-            if manifest.get("config_hash") == self.hash:
-                return
-        base = self.config.source_train or self.config.train
-        cfg = dataclasses.replace(
-            base, transfer="none", lambda_dpl=0.0, seed=self.config.seeds[0]
-        )
+    def _ensure_source_tables(self, stage: str = "train") -> None:
+        """Unless they are done under the current source key, train the
+        source-domain model (no transfer) and export the overlap-aligned
+        persona and ID tables it provides; `stage` names the caller in a
+        DependencyError."""
+        if self._is_done("source"):
+            return
+        self._begin(stage, "source")
+        cfg = self.config.source_train_config()
         inputs = self._model_inputs("source")
         split = self._split("source")
         result = train_target(inputs, split.train, split.valid, cfg)
@@ -531,19 +625,22 @@ class Pipeline:
         overlap = sorted(source_users & target_train_users)
         rows = [result.model.user_rows[u] for u in overlap]
         backbone = self._load_backbone("source")
+        key = self.keys["source"]
         save_checkpoint(
-            path,
+            self.run_dir / "model" / "source_model.ckpt",
+            result.model.store.params,
+            {"stage_key": key, "seed": cfg.seed, "best_epoch": result.best_epoch},
+        )
+        # written last: its manifest is the record `_is_done("source")` reads
+        save_checkpoint(
+            self._source_tables_path(),
             {
                 "h_users": h_all[rows],
                 "v_users": backbone.user_vecs[rows],
             },
-            {"config_hash": self.hash, "overlap_users": overlap, "seed": cfg.seed},
+            {"stage_key": key, "overlap_users": overlap, "seed": cfg.seed},
         )
-        save_checkpoint(
-            self.run_dir / "model" / "source_model.ckpt",
-            result.model.store.params,
-            {"config_hash": self.hash, "seed": cfg.seed, "best_epoch": result.best_epoch},
-        )
+        self._set_done("source")
 
     def _target_inputs_with_transfer(self) -> ModelInputs:
         arrays, manifest = load_checkpoint(self._source_tables_path())
@@ -582,9 +679,8 @@ class Pipeline:
         )
 
     def stage_train(self) -> None:
-        self._require("train", "persona")
-        self._require("train", "pretrain")
-        self._ensure_source_tables()
+        self._ensure_source_tables("train")
+        self._begin("train")
         inputs = self._target_inputs_with_transfer()
         for seed in self.config.seeds:
             result = self._train_one(inputs, seed)
@@ -592,7 +688,7 @@ class Pipeline:
                 self.run_dir / "model" / f"target_seed{seed}.ckpt",
                 result.model.store.params,
                 {
-                    "config_hash": self.hash,
+                    "stage_key": self.keys["train"],
                     "seed": seed,
                     "best_epoch": result.best_epoch,
                 },
@@ -611,17 +707,26 @@ class Pipeline:
         model.store.load_params(arrays)
         return self._test_report(model, ks, which_split)
 
+    def checkpoint_report_path(self, checkpoint: str | Path) -> Path:
+        return self.run_dir / "eval" / f"checkpoint_{Path(checkpoint).stem}.json"
+
     def stage_eval(self, checkpoint: str | None = None) -> None:
+        """Evaluate every seed's target model into `eval/report.json`; with
+        `checkpoint`, evaluate that one file into `checkpoint_report_path`
+        instead, which leaves the stage's done state alone."""
         if checkpoint is None:
-            self._require("eval", "train")
+            self._begin("eval")
+        elif not self._is_done("source"):
+            # the checkpoint is scored on this config's personas, backbone and
+            # source tables, which train builds
+            raise DependencyError("eval", "train")
         inputs = self._target_inputs_with_transfer()
         ks = list(self.config.eval_ks)
         which_split = self.config.eval_split
         if checkpoint is not None:
             report = self._eval_checkpoint(Path(checkpoint), inputs, ks, which_split)
-            report.update(config_hash=self.hash, split=which_split, checkpoint=str(checkpoint))
-            write_json(self.run_dir / "eval" / "report.json", report)
-            self._mark_done("eval", {"checkpoint": str(checkpoint)})
+            report.update(stage_key=self.keys["eval"], split=which_split, checkpoint=str(checkpoint))
+            write_json(self.checkpoint_report_path(checkpoint), report)
             return
         reports = [
             self._eval_checkpoint(
@@ -630,15 +735,14 @@ class Pipeline:
             for seed in self.config.seeds
         ]
         aggregated = aggregate_seed_reports(reports, ks, expected_seeds=len(self.config.seeds))
-        aggregated["config_hash"] = self.hash
+        aggregated["stage_key"] = self.keys["eval"]
         aggregated["split"] = which_split
         write_json(self.run_dir / "eval" / "report.json", aggregated)
         self._mark_done("eval")
 
     def stage_ablate(self) -> None:
-        self._require("ablate", "persona")
-        self._require("ablate", "pretrain")
-        self._ensure_source_tables()
+        self._ensure_source_tables("ablate")
+        self._begin("ablate")
         inputs = self._target_inputs_with_transfer()
         grids: list[tuple[str, object, dict]] = []
         for mode in self.config.ablate.get("aggregation", []):
@@ -684,16 +788,20 @@ class Pipeline:
         if unknown:
             raise ValueError(f"unknown stages: {unknown}")
         status: dict[str, str] = {}
-        for stage in STAGES:
-            if stage not in stages:
-                continue
-            if self._is_done(stage):
-                logger.info("stage %s cached", stage)
-                status[stage] = "cached"
-                continue
-            logger.info("stage %s running", stage)
-            getattr(self, f"stage_{stage}")()
-            status[stage] = "ran"
+        self._done = {}
+        try:
+            for stage in STAGES:
+                if stage not in stages:
+                    continue
+                if self._is_done(stage):
+                    logger.info("stage %s cached", stage)
+                    status[stage] = "cached"
+                    continue
+                logger.info("stage %s running", stage)
+                getattr(self, f"stage_{stage}")()
+                status[stage] = "ran"
+        finally:
+            self._done = None
         return status
 
 

@@ -1,18 +1,22 @@
 """End-to-end pipeline tests: dependencies, caching, determinism, CLI."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from multitap.cli import main
+from multitap.diffkit import checkpoint_manifest_path
 from multitap.errors import DependencyError
 from multitap.pipeline import Pipeline, PipelineConfig, STAGES
-from multitap.util import read_json
+from multitap.util import read_json, write_json
 
 from conftest import small_config_dict
 
 GOLDEN = Path(__file__).parent / "golden" / "smoke_report.json"
+RUN_STAGES = ["ingest", "split", "idh", "persona", "pretrain", "train", "eval"]
 
 
 def build_pipeline(paths, run_dir, cache_dir=None) -> Pipeline:
@@ -80,9 +84,23 @@ class TestEndToEnd:
 
     def test_artifact_manifests_carry_config_hash(self, completed_run):
         pipe, run_dir, _ = completed_run
-        for stage in ("ingest", "split", "idh", "persona", "pretrain", "train", "eval"):
+        assert len(set(pipe.keys.values())) == len(pipe.keys)
+        for stage in RUN_STAGES:
             manifest = read_json(run_dir / stage / "manifest.json")
-            assert manifest["config_hash"] == pipe.hash
+            assert manifest["stage_key"] == pipe.keys[stage]
+        checkpoints = {
+            "persona/source/user_vectors.ckpt": "persona",
+            "persona/target/item_vectors.ckpt": "persona",
+            "backbone/source.ckpt": "pretrain",
+            "backbone/target.ckpt": "pretrain",
+            "model/source_model.ckpt": "source",
+            "model/source_tables.ckpt": "source",
+            "model/target_seed0.ckpt": "train",
+        }
+        for rel, node in checkpoints.items():
+            manifest = read_json(checkpoint_manifest_path(run_dir / rel))
+            assert manifest["stage_key"] == pipe.keys[node], rel
+        assert read_json(run_dir / "eval" / "report.json")["stage_key"] == pipe.keys["eval"]
 
 
 class TestDeterminism:
@@ -199,7 +217,7 @@ class TestEvalOptions:
         single = Pipeline(config)
         ckpt = run_dir / "model" / "target_seed0.ckpt"
         single.stage_eval(checkpoint=str(ckpt))
-        report = read_json(run_dir / "eval" / "report.json")
+        report = read_json(run_dir / "eval" / "checkpoint_target_seed0.json")
         assert report["split"] == "valid"
         assert report["checkpoint"].endswith("target_seed0.ckpt")
         hr = report["HR"].get("5", report["HR"].get(5))
@@ -225,3 +243,175 @@ class TestCliStandaloneIngest:
         assert summary["domain"] == "target"
         assert summary["users"] > 0
         assert (tmp_path / "target_ingest.json").exists()
+
+
+@pytest.fixture
+def completed_copy(completed_run, small_fixture, tmp_path):
+    """A private copy of the completed run and a config file that points at it."""
+    _, paths = small_fixture
+    _, run_dir, _ = completed_run
+    shutil.copytree(run_dir, tmp_path / "run")
+    config_path = tmp_path / "config.json"
+    write_json(config_path, small_config_dict(paths, tmp_path / "run"))
+    return tmp_path / "run", config_path
+
+
+def snapshot(run_dir: Path) -> dict[str, bytes]:
+    return {
+        str(p.relative_to(run_dir)): p.read_bytes() for p in sorted(run_dir.rglob("*")) if p.is_file()
+    }
+
+
+def cli(capsys, *argv):
+    code = main([str(a) for a in argv])
+    return code, capsys.readouterr()
+
+
+ALL_KEYED = {"split", "idh", "persona", "pretrain", "source", "train", "eval", "ablate"}
+
+
+class TestStageKeys:
+    @pytest.mark.parametrize(
+        "edit, changed",
+        [
+            (lambda c: c["split"].update(valid_fraction=0.4), ALL_KEYED),
+            (lambda c: c.update(criteria=["ps", "qp"]),
+             {"idh", "persona", "source", "train", "eval", "ablate"}),
+            (lambda c: c["client"].update(seed=8), {"persona", "source", "train", "eval", "ablate"}),
+            (lambda c: c["gcn"].update(epochs=3), {"pretrain", "source", "train", "eval", "ablate"}),
+            (lambda c: c["source_train"].update(max_epochs=3), {"source", "train", "eval", "ablate"}),
+            (lambda c: c["train"].update(lambda_dpl=1.0), {"train", "eval", "ablate"}),
+            (lambda c: c.update(eval_ks=[5, 10]), {"eval"}),
+            (lambda c: c.update(ablate={"lambda": [0.0, 1.0]}), {"ablate"}),
+        ],
+        ids=["split.valid_fraction", "criteria", "client.seed", "gcn.epochs",
+             "source_train.max_epochs", "train.lambda_dpl", "eval_ks", "ablate"],
+    )
+    def test_field_changes_exactly_its_downstream_keys(self, small_fixture, tmp_path, edit, changed):
+        _, paths = small_fixture
+        base = PipelineConfig.from_dict(small_config_dict(paths, tmp_path / "a")).stage_keys()
+        config = small_config_dict(paths, tmp_path / "b", tmp_path / "cache_b")
+        edit(config)
+        keys = PipelineConfig.from_dict(config).stage_keys()
+        assert {node for node in keys if keys[node] != base[node]} == changed
+
+
+class TestStageReuse:
+    def test_lambda_rerun_matches_cold_run(self, completed_copy, small_fixture, tmp_path):
+        _, paths = small_fixture
+        run_dir, _ = completed_copy
+        configs = {}
+        for name, directory in (("reuse", run_dir), ("cold", tmp_path / "cold")):
+            configs[name] = small_config_dict(paths, directory)
+            configs[name]["train"]["lambda_dpl"] = 1.0
+        status = Pipeline(PipelineConfig.from_dict(configs["reuse"])).run(RUN_STAGES)
+        assert status == {**{s: "cached" for s in RUN_STAGES[:5]}, "train": "ran", "eval": "ran"}
+        Pipeline(PipelineConfig.from_dict(configs["cold"])).run(RUN_STAGES)
+        reused = snapshot(run_dir)
+        cold = {rel: data for rel, data in snapshot(tmp_path / "cold").items()
+                if not rel.startswith("cache/")}
+        assert "eval/report.json" in cold and "model/target_seed0.ckpt" in cold
+        for rel, data in cold.items():
+            assert reused[rel] == data, f"{rel} differs from a cold run of the same config"
+
+    @pytest.mark.parametrize(
+        "argv, ran, downstream",
+        [
+            (["persona"], set(), ()),
+            (["train", "--lambda", "1.0"], {"train"}, ("train/", "model/target_", "model/metrics_")),
+            (["eval", "--k", "5,10"], {"eval"}, ("eval/",)),
+            (["eval", "--split", "valid"], {"eval"}, ("eval/",)),
+        ],
+        ids=["persona", "train-lambda", "eval-k", "eval-split"],
+    )
+    def test_cli_override_reruns_only_downstream(self, completed_copy, capsys, argv, ran, downstream):
+        run_dir, config_path = completed_copy
+        before = snapshot(run_dir)
+        code, captured = cli(capsys, argv[0], "--config", config_path, *argv[1:])
+        assert code == 0, captured.err
+        status = json.loads(captured.out)["stages"]
+        assert {s for s, v in status.items() if v == "ran"} == ran
+        assert {s for s, v in status.items() if v != "ran"} == set(status) - ran
+        after = snapshot(run_dir)
+        for rel, data in before.items():
+            if not rel.startswith(downstream):
+                assert after[rel] == data, f"{rel} changed"
+
+    def test_pretrain_change_is_never_served_as_cached(self, completed_copy, capsys):
+        run_dir, config_path = completed_copy
+        original = snapshot(run_dir)
+        code, captured = cli(capsys, "pretrain", "--config", config_path, "--epochs", "1")
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["stages"]["pretrain"] == "ran"
+        # train and eval under the original config were built on the old backbone
+        code, captured = cli(capsys, "run", "--config", config_path, "--stages", "train,eval")
+        assert code == 1
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "DependencyError" and "'pretrain'" in error["message"]
+        ckpt = run_dir / "model" / "target_seed0.ckpt"
+        code, captured = cli(capsys, "eval", "--config", config_path, "--checkpoint", ckpt)
+        assert code == 1
+        assert json.loads(captured.err)["error"]["type"] == "DependencyError"
+        code, captured = cli(capsys, "run", "--config", config_path, "--stages", ",".join(RUN_STAGES))
+        assert code == 0, captured.err
+        # rebuilding the original backbone makes the original train and eval valid again
+        status = json.loads(captured.out)["stages"]
+        assert status == {**{s: "cached" for s in RUN_STAGES}, "pretrain": "ran"}
+        restored = snapshot(run_dir)
+        for rel in ("backbone/target.ckpt", "model/source_tables.ckpt", "model/target_seed0.ckpt",
+                    "eval/report.json"):
+            assert restored[rel] == original[rel], rel
+
+    def test_missing_artifact_reruns_its_stage(self, completed_copy, small_fixture):
+        _, paths = small_fixture
+        run_dir, _ = completed_copy
+        original = (run_dir / "backbone" / "target.ckpt").read_bytes()
+        (run_dir / "backbone" / "target.ckpt").unlink()
+        pipe = Pipeline(PipelineConfig.from_dict(small_config_dict(paths, run_dir)))
+        assert not pipe._is_done("pretrain") and not pipe._is_done("train")
+        status = pipe.run(RUN_STAGES)
+        assert status == {**{s: "cached" for s in RUN_STAGES}, "pretrain": "ran"}
+        assert (run_dir / "backbone" / "target.ckpt").read_bytes() == original
+
+    def test_interrupted_rebuild_is_never_served_as_cached(
+        self, completed_copy, small_fixture, monkeypatch
+    ):
+        import multitap.pipeline as pipeline_mod
+
+        _, paths = small_fixture
+        run_dir, _ = completed_copy
+        original = snapshot(run_dir)
+        pretrain = pipeline_mod.pretrain_id_embeddings
+        calls = []
+
+        def fail_on_second_domain(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("interrupted")
+            return pretrain(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "pretrain_id_embeddings", fail_on_second_domain)
+        changed = small_config_dict(paths, run_dir)
+        changed["gcn"]["epochs"] = 1
+        with pytest.raises(RuntimeError, match="interrupted"):
+            Pipeline(PipelineConfig.from_dict(changed)).run(RUN_STAGES)
+        monkeypatch.undo()
+        manifest = "backbone/source.ckpt.manifest.json"
+        assert snapshot(run_dir)[manifest] != original[manifest]  # half rebuilt
+        pipe = Pipeline(PipelineConfig.from_dict(small_config_dict(paths, run_dir)))
+        status = pipe.run(RUN_STAGES)
+        assert status == {**{s: "cached" for s in RUN_STAGES}, "pretrain": "ran"}
+        assert snapshot(run_dir)[manifest] == original[manifest]
+
+    def test_checkpoint_eval_leaves_stage_to_plain_eval(self, completed_copy, capsys):
+        run_dir, config_path = completed_copy
+        aggregate = (run_dir / "eval" / "report.json").read_bytes()
+        shutil.rmtree(run_dir / "eval")
+        ckpt = run_dir / "model" / "target_seed0.ckpt"
+        code, captured = cli(capsys, "eval", "--config", config_path, "--checkpoint", ckpt)
+        assert code == 0, captured.err
+        code, captured = cli(capsys, "run", "--config", config_path, "--stages", "eval")
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["stages"] == {"eval": "ran"}
+        assert (run_dir / "eval" / "report.json").read_bytes() == aggregate
+        assert read_json(run_dir / "eval" / "checkpoint_target_seed0.json")["checkpoint"] == str(ckpt)
