@@ -73,9 +73,6 @@ class DomainDataset:
         ds = cls(domain_id=domain_id, interactions=tuple(interactions), items=dict(items))
         return index_views(ds)
 
-    def category_of(self, item_id: str) -> str:
-        return self.items[item_id].category
-
     def interaction_count(self, user_id: str, category: str) -> int:
         """|E_{u,c}|: number of the user's interactions with items of c."""
         per_cat = self.user_category_items.get(user_id, {})

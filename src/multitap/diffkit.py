@@ -1,11 +1,12 @@
 """Minimal differentiable-compute kernel.
 
-Dense float64 tensors (numpy arrays) plus the handful of operations the
-recommendation model needs: affine maps, softmax, scaled dot-product
-attention, cosine similarity and tanh.  Every operation ships with a
-hand-derived adjoint instead of a general expression graph; the model
-composes forward and backward passes explicitly and `grad_check` verifies
-the composition against central finite differences.
+Dense float64 tensors (numpy arrays) plus the operations the
+recommendation model calls: `softmax` with `softmax_backward`, the batched
+cosine InfoNCE `info_nce` (forward and adjoints in one call) and `sigmoid`.
+Adjoints are hand-derived instead of built from a general expression graph;
+the model composes forward and backward passes explicitly and `grad_check`
+verifies the composition against central finite differences.  The module
+also holds the parameter store, Adam and the checkpoint container.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DivergenceError
 from .util import atomic_write_bytes, write_json, read_json
 
 Array = np.ndarray
@@ -40,25 +42,6 @@ def init_normal(rng: np.random.Generator, shape: tuple[int, ...], std: float = 0
 # ---------------------------------------------------------------------------
 
 
-def affine(x: Array, w: Array, b: Array) -> Array:
-    """x @ w + b for x of shape (m, p), w (p, q), b (q,)."""
-    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
-        raise ValueError("affine expects x (m,p), w (p,q), b (q,)")
-    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"affine shape mismatch: x{x.shape} w{w.shape} b{b.shape}"
-        )
-    return x @ w + b
-
-
-def affine_backward(grad_out: Array, x: Array, w: Array) -> tuple[Array, Array, Array]:
-    """Adjoints of affine: returns (grad_x, grad_w, grad_b)."""
-    grad_x = grad_out @ w.T
-    grad_w = x.T @ grad_out
-    grad_b = grad_out.sum(axis=0)
-    return grad_x, grad_w, grad_b
-
-
 def softmax(logits: Array, axis: int = -1) -> Array:
     """Numerically stabilized softmax along `axis`."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -76,77 +59,34 @@ def softmax_backward(grad_out: Array, out: Array, axis: int = -1) -> Array:
     return out * (grad_out - inner)
 
 
-def scaled_dot_attention(query: Array, keys: Array, values: Array) -> tuple[Array, Array]:
-    """Single-query attention: weights = softmax(keys @ query / sqrt(n)).
+def info_nce(X: Array, Y: Array, tau: float) -> tuple[float, Array, Array]:
+    """Mean cosine InfoNCE and its adjoints: returns (loss, dL/dX, dL/dY).
 
-    Returns (weights of shape (K,), output of shape matching a value row).
+    Row i of `X` is an anchor whose positive is row i of `Y`; the other rows
+    of `Y` are its negatives, so the loss is the mean over i of
+    -log softmax_j(cos(X_i, Y_j) / tau)[i].
     """
-    query = np.asarray(query, dtype=np.float64)
-    keys = np.asarray(keys, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if query.ndim != 1 or keys.ndim != 2 or values.ndim != 2:
-        raise ValueError("attention expects query (n,), keys (K,n), values (K,m)")
-    if keys.shape[0] < 1 or keys.shape[1] != query.shape[0]:
-        raise ValueError(f"attention shape mismatch: q{query.shape} k{keys.shape}")
-    if values.shape[0] != keys.shape[0]:
-        raise ValueError(f"keys/values row mismatch: {keys.shape} vs {values.shape}")
-    n = query.shape[0]
-    logits = keys @ query / np.sqrt(n)
-    weights = softmax(logits)
-    out = weights @ values
-    return weights, out
+    M = X.shape[0]
+    nx = np.linalg.norm(X, axis=1)
+    ny = np.linalg.norm(Y, axis=1)
+    if np.any(nx == 0.0) or np.any(ny == 0.0):
+        raise DivergenceError("zero-norm representation in the contrastive term")
+    Xn = X / nx[:, None]
+    Yn = Y / ny[:, None]
+    C = Xn @ Yn.T
+    logits = C / tau
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    P = np.exp(shifted)
+    P /= P.sum(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
+    loss = float(np.mean(lse - np.diag(logits)))
 
-
-def scaled_dot_attention_backward(
-    grad_out: Array,
-    query: Array,
-    keys: Array,
-    values: Array,
-    weights: Array,
-) -> tuple[Array, Array, Array]:
-    """Adjoints of scaled_dot_attention w.r.t. (query, keys, values)."""
-    n = query.shape[0]
-    grad_values = np.outer(weights, grad_out)
-    grad_weights = values @ grad_out
-    grad_logits = softmax_backward(grad_weights, weights)
-    grad_query = keys.T @ grad_logits / np.sqrt(n)
-    grad_keys = np.outer(grad_logits, query) / np.sqrt(n)
-    return grad_query, grad_keys, grad_values
-
-
-def cosine_similarity(a: Array, b: Array) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"cosine expects equal 1-d shapes, got {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity of zero-norm vector")
-    return float(a @ b / (na * nb))
-
-
-def cosine_similarity_backward(grad: float, a: Array, b: Array) -> tuple[Array, Array]:
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    sim = a @ b / (na * nb)
-    grad_a = grad * (b / (na * nb) - sim * a / (na * na))
-    grad_b = grad * (a / (na * nb) - sim * b / (nb * nb))
-    return grad_a, grad_b
-
-
-def tanh(x: Array) -> Array:
-    return np.tanh(x)
-
-
-def tanh_backward(grad_out: Array, out: Array) -> Array:
-    return grad_out * (1.0 - out * out)
-
-
-def log_sigmoid(x: Array) -> Array:
-    """log(sigmoid(x)) computed without overflow."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+    G = (P - np.eye(M)) / (tau * M)
+    dXn = G @ Yn
+    dYn = G.T @ Xn
+    dX = (dXn - (dXn * Xn).sum(axis=1, keepdims=True) * Xn) / nx[:, None]
+    dY = (dYn - (dYn * Yn).sum(axis=1, keepdims=True) * Yn) / ny[:, None]
+    return loss, dX, dY
 
 
 def sigmoid(x: Array) -> Array:

@@ -122,25 +122,6 @@ def bin_items(items: Sequence[ItemMeta], criterion: Criterion) -> BinAssignment:
     return BinAssignment(items[0].category, criterion, q13, q23, bins)
 
 
-def preference_score(
-    user: str,
-    category: str,
-    criterion: Criterion,
-    bins: BinAssignment,
-    dataset: DomainDataset,
-) -> float:
-    """Mean bin value over the user's distinct interacted items in the category."""
-    item_ids = dataset.distinct_items(user, category)
-    if not item_ids:
-        raise ValueError(f"user '{user}' has no interactions in category '{category}'")
-    values = [bins.bins[i] for i in item_ids if i in bins.bins]
-    if not values:
-        raise ValueError(
-            f"user '{user}' has no binnable {criterion.value} items in '{category}'"
-        )
-    return sum(values) / len(values)
-
-
 def preference_scores(
     dataset: DomainDataset, bins: BinAssignment
 ) -> dict[str, float]:

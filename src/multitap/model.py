@@ -5,15 +5,18 @@ Frozen inputs are the per-user criterion embedding stacks, item semantic
 vectors, and the source-domain persona/ID tables; trainable parameters are
 the aggregation mask token, the aggregator FFN/Proj, the two fusion heads
 and the ID embeddings (initialized from the pretrained graph backbone).
-The forward and backward passes are composed explicitly from hand-derived
-adjoints; `diffkit.grad_check` validates the complete objective.
+`MultiTapModel` is the only implementation of this maths: it works on whole
+batches, composes its forward and backward passes from the `diffkit` ops
+(`softmax`/`softmax_backward`, `info_nce`, `sigmoid`) and a few inline
+affine and tanh adjoints, and `diffkit.grad_check` validates the complete
+objective.  The transfer modes are rows of `TRANSFER_TABLE`.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,210 +25,32 @@ from .diffkit import (
     ParameterStore,
     AdamConfig,
     adam_step,
+    info_nce,
     init_normal,
-    scaled_dot_attention,
     sigmoid,
     softmax,
+    softmax_backward,
 )
 from .errors import DivergenceError
 from .evaluate import full_ranking_eval
-from .persona.encoding import PersonaEmbeddingSet
 
 logger = logging.getLogger(__name__)
 
 AGGREGATION_MODES = ("self_attn", "mean", "concat")
-TRANSFER_MODES = ("doppelganger", "direct_id", "direct_persona", "direct_both", "none")
 
-
-# ---------------------------------------------------------------------------
-# tables and standalone operations
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PersonaTable:
-    """Frozen per-domain embedding tables (users and optionally items)."""
-
-    user_ids: list[str]
-    user_vecs: np.ndarray
-    item_ids: list[str] = field(default_factory=list)
-    item_vecs: np.ndarray | None = None
-
-    def __post_init__(self):
-        self._user_rows = {u: k for k, u in enumerate(self.user_ids)}
-
-    def user_vector(self, user_id: str) -> np.ndarray:
-        return self.user_vecs[self._user_rows[user_id]]
-
-    def __contains__(self, user_id: str) -> bool:
-        return user_id in self._user_rows
-
-
-@dataclass
-class AggregatorParams:
-    mask: np.ndarray | None
-    ffn_w: np.ndarray
-    ffn_b: np.ndarray
-    proj_w: np.ndarray
-    proj_b: np.ndarray
-
-
-@dataclass
-class AggregateResult:
-    weights: np.ndarray | None  # attention weights over criteria, None for mean/concat
-    pooled: np.ndarray  # pre-FFN aggregation
-    vector: np.ndarray  # final embedding h_u
-
-
-def aggregate_personas(
-    emb_set: PersonaEmbeddingSet, params: AggregatorParams, mode: str = "self_attn"
-) -> AggregateResult:
-    """Aggregate the five criterion vectors into one user embedding."""
-    if mode not in AGGREGATION_MODES:
-        raise ValueError(f"unknown aggregation mode '{mode}'")
-    stacked = emb_set.stacked()  # (5, n)
-    n = stacked.shape[1]
-    weights = None
-    if mode == "self_attn":
-        if params.mask is None:
-            raise ValueError("self_attn aggregation needs a mask token")
-        if params.mask.shape != (n,):
-            raise ValueError(f"mask dimension {params.mask.shape} != ({n},)")
-        weights, pooled = scaled_dot_attention(params.mask, stacked, stacked)
-    elif mode == "mean":
-        pooled = stacked.mean(axis=0)
-    else:  # concat
-        pooled = stacked.reshape(-1)
-    hid = np.tanh(pooled @ params.ffn_w + params.ffn_b)
-    vector = hid @ params.proj_w + params.proj_b
-    return AggregateResult(weights=weights, pooled=pooled, vector=vector)
-
-
-@dataclass
-class DoppelgangerState:
-    user_id: str
-    weights: np.ndarray  # attention over source users, sums to 1
-    vector: np.ndarray
-
-
-def doppelganger_embed(
-    user_id: str, target_personas: PersonaTable, source_personas: PersonaTable
-) -> DoppelgangerState:
-    """Target-conditioned convex combination of source persona embeddings.
-
-    The query is the user's target persona embedding; keys and values are
-    the source persona embeddings of all overlapping users.
-    """
-    if user_id not in target_personas or user_id not in source_personas:
-        raise ValueError(f"user '{user_id}' is not an overlapping user")
-    if len(source_personas.user_ids) == 0:
-        raise ValueError("source persona table is empty")
-    query = target_personas.user_vector(user_id)
-    keys = source_personas.user_vecs
-    weights, vector = scaled_dot_attention(query, keys, keys)
-    return DoppelgangerState(user_id=user_id, weights=weights, vector=vector)
-
-
-def _cosine_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    nx = np.linalg.norm(x, axis=1)
-    ny = np.linalg.norm(y, axis=1)
-    if np.any(nx == 0.0) or np.any(ny == 0.0):
-        raise ValueError("cosine similarity of zero-norm vector")
-    return (x / nx[:, None]) @ (y / ny[:, None]).T
-
-
-def infonce_sum(anchors: np.ndarray, positives: np.ndarray, tau: float) -> float:
-    """Sum over anchors of -log softmax(sim(anchor_u, positive_u') / tau)[u].
-
-    Row u of the similarity matrix pairs anchor u against every positive;
-    the diagonal entry is the positive pair.
-    """
-    if tau <= 0:
-        raise ValueError("temperature must be positive")
-    if anchors.shape[0] < 2:
-        raise ValueError("contrastive loss needs at least two anchors")
-    logits = _cosine_rows(anchors, positives) / tau
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-    return float(np.sum(lse - np.diag(logits)))
-
-
-def dpl_loss(
-    batch: Sequence[str],
-    target_personas: PersonaTable,
-    doppelgangers: Mapping[str, DoppelgangerState],
-    tau: float,
-) -> float:
-    """Contrastive alignment of each target persona with its own doppelganger
-    against the doppelgangers of the other batch users (sum form)."""
-    users = list(batch)
-    if len(users) < 2:
-        raise ValueError("doppelganger loss needs a batch of at least two users")
-    anchors = np.stack([target_personas.user_vector(u) for u in users])
-    positives = np.stack([doppelgangers[u].vector for u in users])
-    return infonce_sum(anchors, positives, tau)
-
-
-def direct_alignment_loss(
-    batch: Sequence[str],
-    mode: str,
-    tau: float,
-    target_personas: Mapping[str, np.ndarray] | None = None,
-    source_personas: Mapping[str, np.ndarray] | None = None,
-    target_ids: Mapping[str, np.ndarray] | None = None,
-    source_ids: Mapping[str, np.ndarray] | None = None,
-) -> float:
-    """InfoNCE where the positive is the same user's source-domain
-    representation (ID embedding, persona embedding, or their concatenation)."""
-    users = list(batch)
-    if len(users) < 2:
-        raise ValueError("alignment loss needs a batch of at least two users")
-    if mode == "direct_id":
-        anchors = np.stack([target_ids[u] for u in users])
-        positives = np.stack([source_ids[u] for u in users])
-    elif mode == "direct_persona":
-        anchors = np.stack([target_personas[u] for u in users])
-        positives = np.stack([source_personas[u] for u in users])
-    elif mode == "direct_both":
-        anchors = np.stack(
-            [np.concatenate([target_personas[u], target_ids[u]]) for u in users]
-        )
-        positives = np.stack(
-            [np.concatenate([source_personas[u], source_ids[u]]) for u in users]
-        )
-    else:
-        raise ValueError(f"unknown direct alignment mode '{mode}'")
-    return infonce_sum(anchors, positives, tau)
-
-
-def fuse_representations(h: np.ndarray, v: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Single-layer fusion of a semantic vector with an ID vector."""
-    x = np.concatenate([h, v])
-    if x.shape[0] != w.shape[0]:
-        raise ValueError(f"fusion input {x.shape[0]} != weight rows {w.shape[0]}")
-    return x @ w + b
-
-
-def bpr_loss_from_scores(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
-    """Sum over triples of -log sigmoid(pos - neg)."""
-    margin = np.asarray(pos_scores, dtype=np.float64) - np.asarray(neg_scores, dtype=np.float64)
-    return float(np.sum(np.logaddexp(0.0, -margin)))
-
-
-def bpr_loss(
-    triples: Sequence[tuple[str, str, str]],
-    user_z: Mapping[str, np.ndarray],
-    item_z: Mapping[str, np.ndarray],
-) -> float:
-    """BPR loss over (user, positive item, negative item) triples."""
-    pos = np.array([user_z[u] @ item_z[i] for u, i, _ in triples])
-    neg = np.array([user_z[u] @ item_z[j] for u, _, j in triples])
-    return bpr_loss_from_scores(pos, neg)
-
-
-# ---------------------------------------------------------------------------
-# trainable model
-# ---------------------------------------------------------------------------
+# mode -> (anchor parts, positive parts | "doppelganger"). An anchor is the
+# concatenation of the named parts of a target user: "persona" is the
+# aggregated persona embedding h, "id" the trainable ID embedding. Positive
+# parts name the same user's rows in the source tables (the source persona
+# embeddings and the source ID backbone); "doppelganger" is the
+# target-conditioned attention over all source persona embeddings.
+TRANSFER_TABLE: dict[str, tuple[tuple[str, ...], tuple[str, ...] | str]] = {
+    "doppelganger": (("persona",), "doppelganger"),
+    "direct_id": (("id",), ("id",)),
+    "direct_persona": (("persona",), ("persona",)),
+    "direct_both": (("persona", "id"), ("persona", "id")),
+}
+TRANSFER_MODES = (*TRANSFER_TABLE, "none")
 
 
 @dataclass
@@ -296,10 +121,13 @@ class MultiTapModel:
         self.rng = np.random.default_rng(config.seed)
         self.user_rows = {u: k for k, u in enumerate(inputs.user_ids)}
         self.item_rows = {i: k for k, i in enumerate(inputs.item_ids)}
-        self.overlap_rows = np.array(
-            [self.user_rows[u] for u in inputs.overlap_users], dtype=np.int64
-        )
         self.overlap_index = {u: k for k, u in enumerate(inputs.overlap_users)}
+        # per transfer part: its source table and its width
+        self.source_tables = {
+            "persona": inputs.source_user_personas,
+            "id": inputs.source_user_backbone,
+        }
+        self.part_widths = {"persona": self.h_dim, "id": self.id_dim}
 
         # Variance-preserving init. Criterion embeddings are unit-L2 rows
         # (coordinates ~1/sqrt(n)), so the first layer uses std 1 to bring
@@ -338,31 +166,17 @@ class MultiTapModel:
                 raise ValueError(
                     "transfer is enabled but there are no overlapping users"
                 )
-            if config.transfer != "direct_id":
-                if inputs.source_user_personas is None:
-                    raise ValueError("transfer needs source persona embeddings")
-                if inputs.source_user_personas.shape[1] != self.h_dim:
+            anchor_parts, positives = TRANSFER_TABLE[config.transfer]
+            for part in anchor_parts if positives == "doppelganger" else positives:
+                table, width = self.source_tables[part], self.part_widths[part]
+                if table is None:
+                    raise ValueError(f"{config.transfer} needs source {part} embeddings")
+                if table.shape[1] != width:
                     raise ValueError(
-                        "source persona dimension "
-                        f"{inputs.source_user_personas.shape[1]} != target {self.h_dim}"
+                        f"source {part} dimension {table.shape[1]} != target {width}"
                     )
-            if (
-                config.transfer in ("direct_id", "direct_both")
-                and inputs.source_user_backbone is None
-            ):
-                raise ValueError(f"{config.transfer} needs source ID embeddings")
 
     # -- forward/backward pieces ------------------------------------------
-
-    def aggregator_params(self) -> AggregatorParams:
-        p = self.store.params
-        return AggregatorParams(
-            mask=p.get("agg.mask"),
-            ffn_w=p["agg.ffn_w"],
-            ffn_b=p["agg.ffn_b"],
-            proj_w=p["agg.proj_w"],
-            proj_b=p["agg.proj_b"],
-        )
 
     def _persona_forward(self, user_rows: np.ndarray, dropout_rng=None) -> dict:
         p = self.store.params
@@ -402,9 +216,8 @@ class MultiTapModel:
         g["agg.ffn_b"] += dhid_pre.sum(axis=0)
         dpooled = dhid_pre @ p["agg.ffn_w"].T
         if cache["mode"] == "self_attn":
-            A = cache["A"]
             dA = np.einsum("bn,bkn->bk", dpooled, E)
-            dlogits = A * (dA - (dA * A).sum(axis=1, keepdims=True))
+            dlogits = softmax_backward(dA, cache["A"], axis=1)
             g["agg.mask"] += np.einsum("bk,bkn->n", dlogits, E) / np.sqrt(self.n)
         # mean/concat pooling has no trainable parameters and E is frozen
 
@@ -439,6 +252,13 @@ class MultiTapModel:
         dx = dz @ p["fuse.item_w"].T
         np.add.at(g["id.item"], cache["rows"], dx[:, self.sem_dim :])
 
+    def doppelganger_weights(self, H: np.ndarray) -> np.ndarray:
+        """(M, |U_o|) attention of target persona rows `H` over the source
+        persona embeddings: softmax(H S^T / sqrt(h)). Row m's doppelganger
+        is the convex combination `weights[m] @ S`."""
+        S = self.inputs.source_user_personas
+        return softmax(H @ S.T / np.sqrt(self.h_dim), axis=1)
+
     def _transfer_term(
         self, anchors_local: np.ndarray, anchor_users: list[str], h: np.ndarray
     ) -> tuple[float, np.ndarray, dict]:
@@ -447,78 +267,34 @@ class MultiTapModel:
         Returns (loss, dL/dh for all batch users, id-gradient scatter info).
         The doppelganger path recomputes the attention inside the loss so the
         gradient flows through both the anchor and the query."""
-        mode = self.config.transfer
-        tau = self.config.tau
-        M = anchors_local.shape[0]
+        anchor_parts, positive_parts = TRANSFER_TABLE[self.config.transfer]
+        rows = np.array([self.user_rows[u] for u in anchor_users])
+        src_rows = [self.overlap_index[u] for u in anchor_users]
+        anchor_tables = {"persona": h[anchors_local], "id": self.store.params["id.user"][rows]}
+        X = _join([anchor_tables[part] for part in anchor_parts])
+        if positive_parts == "doppelganger":
+            S = self.inputs.source_user_personas
+            W = self.doppelganger_weights(X)
+            Y = W @ S
+        else:
+            Y = _join([self.source_tables[part][src_rows] for part in positive_parts])
+
+        loss, dX, dY = info_nce(X, Y, self.config.tau)
+
         dh = np.zeros_like(h)
         id_grads: dict = {}
-        p = self.store.params
-
-        H_a = h[anchors_local]
-        if mode == "doppelganger":
-            S = self.inputs.source_user_personas
-            att_logits = H_a @ S.T / np.sqrt(self.h_dim)
-            W = softmax(att_logits, axis=1)
-            Htil = W @ S
-            X, Y = H_a, Htil
-        elif mode == "direct_persona":
-            X = H_a
-            Y = self.inputs.source_user_personas[
-                [self.overlap_index[u] for u in anchor_users]
-            ]
-        elif mode == "direct_id":
-            rows = np.array([self.user_rows[u] for u in anchor_users])
-            X = p["id.user"][rows]
-            Y = self.inputs.source_user_backbone[
-                [self.overlap_index[u] for u in anchor_users]
-            ]
-        else:  # direct_both
-            rows = np.array([self.user_rows[u] for u in anchor_users])
-            src_rows = [self.overlap_index[u] for u in anchor_users]
-            X = np.concatenate([H_a, p["id.user"][rows]], axis=1)
-            Y = np.concatenate(
-                [
-                    self.inputs.source_user_personas[src_rows],
-                    self.inputs.source_user_backbone[src_rows],
-                ],
-                axis=1,
-            )
-
-        nx = np.linalg.norm(X, axis=1)
-        ny = np.linalg.norm(Y, axis=1)
-        if np.any(nx == 0.0) or np.any(ny == 0.0):
-            raise DivergenceError("zero-norm representation in the contrastive term")
-        Xn = X / nx[:, None]
-        Yn = Y / ny[:, None]
-        C = Xn @ Yn.T
-        logits = C / tau
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        P = np.exp(shifted)
-        P /= P.sum(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-        loss = float(np.mean(lse - np.diag(logits)))
-
-        G = (P - np.eye(M)) / (tau * M)
-        dXn = G @ Yn
-        dYn = G.T @ Xn
-        dX = (dXn - (dXn * Xn).sum(axis=1, keepdims=True) * Xn) / nx[:, None]
-        dY = (dYn - (dYn * Yn).sum(axis=1, keepdims=True) * Yn) / ny[:, None]
-
-        if mode == "doppelganger":
-            dH_a = dX
-            dW = dY @ S.T
-            dlogits = W * (dW - (dW * W).sum(axis=1, keepdims=True))
-            dH_a = dH_a + dlogits @ S / np.sqrt(self.h_dim)
-            np.add.at(dh, anchors_local, dH_a)
-        elif mode == "direct_persona":
-            np.add.at(dh, anchors_local, dX)
-        elif mode == "direct_id":
-            rows = np.array([self.user_rows[u] for u in anchor_users])
-            id_grads = {"rows": rows, "grad": dX}
-        else:  # direct_both
-            rows = np.array([self.user_rows[u] for u in anchor_users])
-            np.add.at(dh, anchors_local, dX[:, : self.h_dim])
-            id_grads = {"rows": rows, "grad": dX[:, self.h_dim :]}
+        start = 0
+        for part in anchor_parts:
+            width = self.part_widths[part]
+            grad = dX[:, start : start + width]
+            start += width
+            if part == "id":
+                id_grads = {"rows": rows, "grad": grad}
+                continue
+            if positive_parts == "doppelganger":
+                dlogits = softmax_backward(dY @ S.T, W, axis=1)
+                grad = grad + dlogits @ S / np.sqrt(self.h_dim)
+            np.add.at(dh, anchors_local, grad)
         return loss, dh, id_grads
 
     def batch_loss_and_grads(
@@ -605,6 +381,10 @@ class MultiTapModel:
         zu = self._fuse_users(rows, h)["z"]
         zi = self._fuse_items(np.arange(len(self.inputs.item_ids)))["z"]
         return zu @ zi.T
+
+
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 @dataclass

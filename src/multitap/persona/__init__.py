@@ -29,12 +29,10 @@ from .encoding import (
 from .generation import (
     PersonaText,
     generate_all_personas,
-    generate_personas,
     parse_persona_response,
 )
 from .prompts import (
     PromptAssets,
-    build_domain_config_texts,
     build_domain_description,
     build_prompt_assets,
     description_payload,
@@ -58,7 +56,6 @@ __all__ = [
     "RemoteGenerator",
     "TemplateGenerator",
     "build_all_persona_dbs",
-    "build_domain_config_texts",
     "build_domain_description",
     "build_persona_db",
     "build_prompt_assets",
@@ -70,7 +67,6 @@ __all__ = [
     "encode_personas",
     "familiarity_counts",
     "generate_all_personas",
-    "generate_personas",
     "item_semantic_text",
     "parse_persona_response",
     "persona_payload",

@@ -76,18 +76,6 @@ def _generate(user_id: str, payload: dict, key: str, client: GeneratorClient) ->
     )
 
 
-def generate_personas(
-    user_id: str,
-    db: PersonaDB,
-    assets: PromptAssets,
-    history: Sequence[tuple],
-    client: GeneratorClient,
-    cache: JsonCache | None = None,
-) -> PersonaText:
-    """Generate (or fetch from cache) the five persona texts for one user."""
-    return generate_all_personas({user_id: db}, assets, {user_id: history}, client, cache)[user_id]
-
-
 def generate_all_personas(
     dbs: Mapping[str, PersonaDB],
     assets: PromptAssets,

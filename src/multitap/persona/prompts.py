@@ -10,7 +10,7 @@ client, so the parser downstream is shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..corpus import DomainDataset, InteractionRecord, ItemMeta
@@ -139,8 +139,6 @@ class PromptAssets:
     domain_description: str
     persona_instruction: str = PERSONA_SYSTEM_PROMPT
     description_instruction: str = DESCRIPTION_SYSTEM_PROMPT
-    item_snippets: dict[str, tuple[str, str]] = field(default_factory=dict)
-    domain_config_texts: list[str] = field(default_factory=list)
 
 
 def sample_description_items(dataset: DomainDataset, cap: int = 100) -> list[ItemMeta]:
@@ -169,11 +167,6 @@ def sample_description_items(dataset: DomainDataset, cap: int = 100) -> list[Ite
             break
         chosen.setdefault(meta.item_id, meta)
     return sorted(chosen.values(), key=lambda m: (-counts[m.item_id], m.item_id))
-
-
-def build_domain_config_texts(domain_id: str, items: Sequence[ItemMeta]) -> list[str]:
-    """Concatenated snippets: domain, title and category per sampled item."""
-    return [f"{domain_id} || {m.title} || {m.category}" for m in items]
 
 
 def description_payload(dataset: DomainDataset, items: Sequence[ItemMeta]) -> dict:
@@ -247,15 +240,13 @@ def recent_history(
     return out
 
 
-def build_domain_description(dataset: DomainDataset, client, items: Sequence[ItemMeta] | None = None) -> str:
+def build_domain_description(dataset: DomainDataset, client) -> str:
     """Generate the domain description via the client and parse it out."""
     import json
 
     from ..errors import MalformedResponseError
 
-    if items is None:
-        items = sample_description_items(dataset)
-    payload = description_payload(dataset, items)
+    payload = description_payload(dataset, sample_description_items(dataset))
     raw = client.domain_description(payload)
     try:
         obj = json.loads(raw)
@@ -271,11 +262,7 @@ def build_domain_description(dataset: DomainDataset, client, items: Sequence[Ite
 
 def build_prompt_assets(dataset: DomainDataset, client) -> PromptAssets:
     """Assemble all prompt inputs for one domain."""
-    items = sample_description_items(dataset)
-    description = build_domain_description(dataset, client, items)
     return PromptAssets(
         domain_id=dataset.domain_id,
-        domain_description=description,
-        item_snippets={m.item_id: (m.title, m.category) for m in items},
-        domain_config_texts=build_domain_config_texts(dataset.domain_id, items),
+        domain_description=build_domain_description(dataset, client),
     )

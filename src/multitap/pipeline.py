@@ -725,7 +725,9 @@ class Pipeline:
         which_split = self.config.eval_split
         if checkpoint is not None:
             report = self._eval_checkpoint(Path(checkpoint), inputs, ks, which_split)
-            report.update(stage_key=self.keys["eval"], split=which_split, checkpoint=str(checkpoint))
+            report.update(
+                stage_key=self.keys["eval"], split=which_split, checkpoint=Path(checkpoint).name
+            )
             write_json(self.checkpoint_report_path(checkpoint), report)
             return
         reports = [
@@ -804,6 +806,3 @@ class Pipeline:
             self._done = None
         return status
 
-
-def run_pipeline(config: PipelineConfig, stages: Sequence[str]) -> dict[str, str]:
-    return Pipeline(config).run(stages)

@@ -2,10 +2,14 @@
 
 `rank_candidates` sorts every candidate with a lexsort; `full_ranking_eval`
 is the evaluation protocol written directly on top of that full ranking.
-Both are deliberately naive and slow.
+`aggregate_personas` and `transfer_loss` are the model's persona
+aggregation and transfer term written one user at a time with plain loops.
+All are deliberately naive and slow.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -71,3 +75,65 @@ def full_ranking_eval(score_fn, item_ids, train_items, heldout, ks=(5,), average
         "HR": {k: reduce(per_user_hits, k) for k in ks},
         "NDCG": {k: reduce(per_user_gains, k) for k in ks},
     }
+
+
+def scaled_dot_attention(query, keys, values):
+    """Single-query attention: (softmax(keys @ query / sqrt(n)), weights @ values)."""
+    logits = [float(k @ query) / math.sqrt(query.shape[0]) for k in keys]
+    top = max(logits)
+    e = [math.exp(v - top) for v in logits]
+    weights = np.array([v / sum(e) for v in e])
+    return weights, sum(w * v for w, v in zip(weights, values))
+
+
+def aggregate_personas(E, params, mode):
+    """One user's (5, n) criterion stack -> (attention weights or None,
+    pooled vector, aggregated persona h), from the model's parameter dict."""
+    weights = None
+    if mode == "self_attn":
+        weights, pooled = scaled_dot_attention(params["agg.mask"], E, E)
+    elif mode == "mean":
+        pooled = sum(E) / len(E)
+    else:  # concat
+        pooled = np.concatenate(list(E))
+    hid = np.tanh(pooled @ params["agg.ffn_w"] + params["agg.ffn_b"])
+    return weights, pooled, hid @ params["agg.proj_w"] + params["agg.proj_b"]
+
+
+def _cosine(a, b):
+    return float(a @ b) / (math.sqrt(float(a @ a)) * math.sqrt(float(b @ b)))
+
+
+def info_nce_mean(anchors, positives, tau):
+    """Mean over anchors u of -log(exp(cos(a_u, p_u)/tau) / sum_v exp(cos(a_u, p_v)/tau))."""
+    total = 0.0
+    for u, a in enumerate(anchors):
+        logits = [_cosine(a, p) / tau for p in positives]
+        top = max(logits)
+        lse = top + math.log(sum(math.exp(v - top) for v in logits))
+        total += lse - logits[u]
+    return total / len(anchors)
+
+
+def transfer_loss(mode, users, persona, ids, source_users, source_persona, source_ids, tau):
+    """The transfer term for `users`: their target persona and ID rows
+    (`persona[u]`, `ids[u]`) against the source tables, whose row k belongs
+    to `source_users[k]`."""
+    src = {u: k for k, u in enumerate(source_users)}
+    anchors, positives = [], []
+    for u in users:
+        s = src[u]
+        if mode == "doppelganger":
+            _, doppelganger = scaled_dot_attention(persona[u], source_persona, source_persona)
+            anchors.append(persona[u])
+            positives.append(doppelganger)
+        elif mode == "direct_persona":
+            anchors.append(persona[u])
+            positives.append(source_persona[s])
+        elif mode == "direct_id":
+            anchors.append(ids[u])
+            positives.append(source_ids[s])
+        else:  # direct_both
+            anchors.append(np.concatenate([persona[u], ids[u]]))
+            positives.append(np.concatenate([source_persona[s], source_ids[s]]))
+    return info_nce_mean(anchors, positives, tau)

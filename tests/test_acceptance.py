@@ -13,18 +13,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from multitap.diffkit import grad_check, scaled_dot_attention
+from multitap.diffkit import grad_check, info_nce
 from multitap.evaluate import full_ranking_eval
 from multitap.gcn import BipartiteGraph, IdEmbeddingTable, normalized_adjacency, propagate
 from multitap.idh import Criterion, Label, compute_domain_bins, compute_domain_labels, preservation_matrix
-from multitap.model import (
-    MultiTapModel,
-    PersonaTable,
-    bpr_loss_from_scores,
-    doppelganger_embed,
-    dpl_loss,
-    infonce_sum,
-)
+from multitap.model import MultiTapModel
 from multitap.pipeline import Pipeline, PipelineConfig
 
 from conftest import small_config_dict
@@ -68,12 +61,13 @@ class TestCriterion1GradientCorrectness:
 class TestCriterion2AnalyticLossValues:
     def test_bpr_equal_scores(self):
         with criterion(2, "analytic BPR and InfoNCE values"):
-            loss = bpr_loss_from_scores(np.array([2.0]), np.array([2.0]))
+            model = MultiTapModel(toy_inputs(np.random.default_rng(2)), toy_config())
+            _, loss, _ = model.batch_loss_and_grads(np.array([0]), np.array([2]), np.array([2]))
             assert abs(loss - math.log(2)) < 1e-9
             for n in (2, 4, 8):
                 anchors = np.eye(n)
                 positives = np.tile(np.ones(n), (n, 1))
-                loss = infonce_sum(anchors, positives, tau=0.5)
+                loss = n * info_nce(anchors, positives, tau=0.5)[0]
                 assert abs(loss - n * math.log(n)) < 1e-8, (n, loss)
 
 
@@ -82,20 +76,21 @@ class TestCriterion3AttentionContracts:
         with criterion(3, "attention weight and convexity contracts"):
             rng = np.random.default_rng(3)
             for k in (1, 5):
-                key = rng.normal(size=6)
-                keys = np.tile(key, (k, 1))
-                values = rng.normal(size=(k, 6))
-                weights, _ = scaled_dot_attention(rng.normal(size=6), keys, values)
+                inputs = toy_inputs(rng, n_users=k, n=6)
+                inputs.source_user_personas = np.tile(rng.normal(size=6), (k, 1))
+                model = MultiTapModel(inputs, toy_config())
+                weights = model.doppelganger_weights(rng.normal(size=(1, 6)))
                 assert np.max(np.abs(weights - 1.0 / k)) < 1e-9
             for _ in range(100):
-                users = [f"u{j}" for j in range(7)]
-                target = PersonaTable(users, rng.normal(size=(7, 5)))
-                source = PersonaTable(users, rng.normal(size=(7, 5)))
-                state = doppelganger_embed("u3", target, source)
-                assert abs(state.weights.sum() - 1.0) < 1e-6
-                lo = source.user_vecs.min(axis=0) - 1e-12
-                hi = source.user_vecs.max(axis=0) + 1e-12
-                assert np.all(state.vector >= lo) and np.all(state.vector <= hi)
+                inputs = toy_inputs(rng, n_users=7, n=5)
+                model = MultiTapModel(inputs, toy_config())
+                weights = model.doppelganger_weights(rng.normal(size=(1, 5)))[0]
+                source = inputs.source_user_personas
+                vector = weights @ source
+                assert abs(weights.sum() - 1.0) < 1e-6
+                lo = source.min(axis=0) - 1e-12
+                hi = source.max(axis=0) + 1e-12
+                assert np.all(vector >= lo) and np.all(vector <= hi)
 
 
 class TestCriterion4IdhOracleEquivalence:

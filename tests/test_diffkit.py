@@ -1,58 +1,80 @@
-"""Kernel tests: closed-form values, brute-force oracles and gradient checks."""
+"""Kernel tests: closed-form values, brute-force oracles and gradient checks.
+
+The model's affine maps, attention and tanh have no kernel op of their own;
+their forward and adjoint contracts are checked here on `MultiTapModel`."""
 
 import math
 
 import numpy as np
 import pytest
 
+import oracles
 from multitap.diffkit import (
     AdamConfig,
     ParameterStore,
     adam_step,
-    affine,
-    affine_backward,
-    cosine_similarity,
-    cosine_similarity_backward,
     grad_check,
+    info_nce,
     load_checkpoint,
     save_checkpoint,
-    scaled_dot_attention,
-    scaled_dot_attention_backward,
     softmax,
     softmax_backward,
-    tanh,
-    tanh_backward,
 )
+from multitap.errors import DivergenceError
+from multitap.model import MultiTapModel
+
+from test_model import persona_of, to_generic_point, toy_config, toy_inputs
+
+
+def fusion_model(sem_dim=2, id_dim=3, fused_dim=4, seed=0):
+    """A model whose item fusion head maps [semantics, ID] -> fused_dim."""
+    rng = np.random.default_rng(seed)
+    inputs = toy_inputs(rng, sem_dim=sem_dim, id_dim=id_dim)
+    model = MultiTapModel(inputs, toy_config(fused_dim=fused_dim))
+    to_generic_point(model, seed=seed)
+    return model
+
+
+def attention_model(source):
+    """A model whose doppelganger attention has the rows of `source` as keys."""
+    inputs = toy_inputs(np.random.default_rng(0), n_users=len(source), n=source.shape[1])
+    inputs.source_user_personas = source
+    return MultiTapModel(inputs, toy_config())
 
 
 class TestAffine:
+    """The fusion heads are the model's affine maps: [x, v] @ W + b."""
+
     def test_identity_weights(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(3, 4))
-        out = affine(x, np.eye(4), np.zeros(4))
-        np.testing.assert_array_equal(out, x)
+        model = fusion_model(sem_dim=2, id_dim=2, fused_dim=4)
+        model.store.params["fuse.item_w"][...] = np.eye(4)
+        model.store.params["fuse.item_b"][...] = 0.0
+        cache = model._fuse_items(np.arange(6))
+        np.testing.assert_array_equal(cache["z"], cache["x"])
 
     def test_scalar_case(self):
-        out = affine(np.array([[2.0]]), np.array([[3.0]]), np.array([1.0]))
-        np.testing.assert_allclose(out, [[7.0]])
+        model = fusion_model(sem_dim=1, id_dim=1, fused_dim=1)
+        model.inputs.item_semantics[0] = 2.0
+        model.store.params["fuse.item_w"][...] = [[3.0], [0.0]]
+        model.store.params["fuse.item_b"][...] = 1.0
+        np.testing.assert_allclose(model._fuse_items(np.array([0]))["z"], [[7.0]])
 
     def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(4, 5))
-        w = rng.normal(size=(5, 3))
-        b = rng.normal(size=3)
-        expected = np.zeros((4, 3))
-        for i in range(4):
-            for j in range(3):
+        model = fusion_model()
+        x = np.concatenate([model.inputs.item_semantics, model.store.params["id.item"]], axis=1)
+        w, b = model.store.params["fuse.item_w"], model.store.params["fuse.item_b"]
+        expected = np.zeros((6, 4))
+        for i in range(6):
+            for j in range(4):
                 acc = b[j]
                 for k in range(5):
                     acc += x[i, k] * w[k, j]
                 expected[i, j] = acc
-        np.testing.assert_allclose(affine(x, w, b), expected, atol=1e-12)
+        np.testing.assert_allclose(model._fuse_items(np.arange(6))["z"], expected, atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            affine(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
+            fusion_model().store.load_params({"fuse.item_w": np.zeros((4, 4))})
 
 
 class TestSoftmax:
@@ -90,63 +112,91 @@ class TestSoftmax:
 
 
 class TestAttention:
+    """The doppelganger attention: softmax(H S^T / sqrt(h)) over source rows S."""
+
     def test_single_key(self):
-        q = np.array([1.0, -2.0, 0.5])
-        keys = np.array([[0.3, 0.1, -0.2]])
-        values = np.array([[5.0, 6.0, 7.0]])
-        weights, out = scaled_dot_attention(q, keys, values)
-        np.testing.assert_allclose(weights, [1.0])
-        np.testing.assert_allclose(out, values[0])
+        source = np.array([[5.0, 6.0, 7.0]])
+        weights = attention_model(source).doppelganger_weights(np.array([[1.0, -2.0, 0.5]]))
+        np.testing.assert_allclose(weights, [[1.0]])
+        np.testing.assert_allclose(weights @ source, source)
 
     def test_identical_keys_uniform(self):
         rng = np.random.default_rng(4)
-        q = rng.normal(size=6)
-        key = rng.normal(size=6)
-        keys = np.tile(key, (5, 1))
-        values = rng.normal(size=(5, 6))
-        weights, out = scaled_dot_attention(q, keys, values)
-        np.testing.assert_allclose(weights, np.full(5, 0.2), atol=1e-9)
-        np.testing.assert_allclose(out, values.mean(axis=0), atol=1e-12)
+        source = np.tile(rng.normal(size=6), (5, 1))
+        weights = attention_model(source).doppelganger_weights(rng.normal(size=(3, 6)))
+        np.testing.assert_allclose(weights, np.full((3, 5), 0.2), atol=1e-9)
+        np.testing.assert_allclose(weights @ source, source[:3], atol=1e-12)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(5)
         q = rng.normal(size=8)
         keys = rng.normal(size=(4, 8))
-        values = rng.normal(size=(4, 8))
         logits = np.array([k @ q for k in keys]) / math.sqrt(8)
         e = np.exp(logits - logits.max())
         w = e / e.sum()
-        expected = sum(w[i] * values[i] for i in range(4))
-        weights, out = scaled_dot_attention(q, keys, values)
+        expected = sum(w[i] * keys[i] for i in range(4))
+        weights = attention_model(keys).doppelganger_weights(q[None, :])[0]
         np.testing.assert_allclose(weights, w, atol=1e-12)
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        np.testing.assert_allclose(weights @ keys, expected, atol=1e-12)
 
     def test_convexity(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
-            q = rng.normal(size=5)
-            keys = rng.normal(size=(7, 5))
-            values = rng.normal(size=(7, 5))
-            _, out = scaled_dot_attention(q, keys, values)
-            assert np.all(out >= values.min(axis=0) - 1e-12)
-            assert np.all(out <= values.max(axis=0) + 1e-12)
+            source = rng.normal(size=(7, 5))
+            weights = attention_model(source).doppelganger_weights(
+                rng.normal(size=(3, 5))
+            )
+            out = weights @ source
+            assert np.all(out >= source.min(axis=0) - 1e-12)
+            assert np.all(out <= source.max(axis=0) + 1e-12)
 
 
 class TestCosine:
+    """The cosine similarities inside `info_nce`."""
+
     def test_equal_vectors(self):
-        a = np.array([1.0, 2.0, 3.0])
-        assert cosine_similarity(a, a) == pytest.approx(1.0)
+        # cos(x_i, x_i) = 1 on the diagonal, orthogonal rows elsewhere
+        x = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        loss = info_nce(x, x, tau=0.5)[0]
+        assert loss == pytest.approx(math.log(1.0 + math.exp(-2.0)))
 
     def test_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
+        # each anchor is orthogonal to its positive and parallel to the other one
+        x = np.array([[1.0, 0.0], [0.0, 1.0]])
+        loss = info_nce(x, x[::-1] * 3.0, tau=0.5)[0]
+        assert loss == pytest.approx(math.log(1.0 + math.exp(2.0)))
 
     def test_antiparallel(self):
-        a = np.array([0.3, -0.4, 1.0])
-        assert cosine_similarity(a, -a) == pytest.approx(-1.0)
+        x = np.array([[0.3, -0.4, 0.0], [0.0, 0.0, 1.0]])
+        loss = info_nce(x, -x, tau=0.5)[0]
+        assert loss == pytest.approx(math.log(math.exp(-2.0) + 1.0) + 2.0)
 
     def test_zero_norm_errors(self):
-        with pytest.raises(ValueError):
-            cosine_similarity(np.zeros(3), np.ones(3))
+        with pytest.raises(DivergenceError):
+            info_nce(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), np.ones((2, 3)), 0.5)
+
+
+class TestInfoNce:
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(15)
+        for tau in (0.2, 0.5, 1.3):
+            x, y = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+            expected = oracles.info_nce_mean(x, y, tau)
+            assert info_nce(x, y, tau)[0] == pytest.approx(expected, abs=1e-12)
+
+    def test_grad_check(self):
+        rng = np.random.default_rng(16)
+        store = ParameterStore()
+        store.add("x", rng.normal(size=(5, 4)))
+        store.add("y", rng.normal(size=(5, 4)))
+
+        def fn(s):
+            loss, dx, dy = info_nce(s.params["x"], s.params["y"], 0.5)
+            s.accumulate("x", dx)
+            s.accumulate("y", dy)
+            return loss
+
+        assert grad_check(fn, store, eps=1e-5) < 1e-4
 
 
 class TestAdam:
@@ -245,19 +295,31 @@ def _fd_check(fn_forward, fn_backward, arrays, eps=1e-6, atol=1e-6):
         assert rel.max() < 1e-4
 
 
+def _persona_param_check(aggregation, name):
+    """Finite-difference check of the persona aggregation's adjoint w.r.t.
+    one of its parameters, perturbed in place through `_fd_check`."""
+    model = MultiTapModel(toy_inputs(np.random.default_rng(17)), toy_config(aggregation=aggregation))
+    to_generic_point(model, scale=1.0)
+
+    def backward(g, _param):
+        model.store.zero_grads()
+        model._persona_backward(persona_of(model), g)
+        return (model.store.grads[name].copy(),)
+
+    _fd_check(lambda _param: persona_of(model)["h"], backward, [model.store.params[name]])
+
+
 class TestOperationAdjoints:
     def test_affine_backward(self):
-        rng = np.random.default_rng(8)
-        x, w, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)
+        # the user fusion head's adjoint w.r.t. the persona input h
+        model = MultiTapModel(toy_inputs(np.random.default_rng(8)), toy_config())
+        to_generic_point(model)
+        rows = np.arange(4)
         _fd_check(
-            affine,
-            lambda g, x, w, b: affine_backward(g, x, w),
-            [x, w, b],
+            lambda h: model._fuse_users(rows, h)["z"],
+            lambda g, h: (model._fuse_users_backward(model._fuse_users(rows, h), g),),
+            [np.random.default_rng(8).normal(size=(4, 8))],
         )
-        # bias gradient separately (affine_backward returns it third)
-        g = rng.normal(size=(3, 2))
-        _, _, gb = affine_backward(g, x, w)
-        np.testing.assert_allclose(gb, g.sum(axis=0))
 
     def test_softmax_backward(self):
         rng = np.random.default_rng(9)
@@ -269,37 +331,26 @@ class TestOperationAdjoints:
         )
 
     def test_tanh_backward(self):
-        rng = np.random.default_rng(10)
-        x = rng.normal(size=(2, 5))
-        _fd_check(tanh, lambda g, x: (tanh_backward(g, np.tanh(x)),), [x])
+        # the FFN bias gradient runs through the tanh adjoint
+        _persona_param_check("mean", "agg.ffn_b")
 
     def test_attention_backward(self):
-        rng = np.random.default_rng(11)
-        q = rng.normal(size=5)
-        keys = rng.normal(size=(4, 5))
-        values = rng.normal(size=(4, 5))
-
-        def forward(q, keys, values):
-            return scaled_dot_attention(q, keys, values)[1]
-
-        def backward(g, q, keys, values):
-            weights, _ = scaled_dot_attention(q, keys, values)
-            return scaled_dot_attention_backward(g, q, keys, values, weights)
-
-        _fd_check(forward, backward, [q, keys, values])
+        # the mask token gradient runs through the self-attention adjoint
+        _persona_param_check("self_attn", "agg.mask")
 
     def test_cosine_backward(self):
         rng = np.random.default_rng(12)
-        a = rng.normal(size=6)
-        b = rng.normal(size=6)
+        x = rng.normal(size=(4, 6))
+        y = rng.normal(size=(4, 6))
 
-        def forward(a, b):
-            return np.array(cosine_similarity(a, b))
+        def forward(x, y):
+            return np.array(info_nce(x, y, 0.5)[0])
 
-        def backward(g, a, b):
-            return cosine_similarity_backward(float(g), a, b)
+        def backward(g, x, y):
+            _, dx, dy = info_nce(x, y, 0.5)
+            return float(g) * dx, float(g) * dy
 
-        _fd_check(forward, backward, [a, b])
+        _fd_check(forward, backward, [x, y])
 
 
 class TestDeterminismAndCheckpoints:
@@ -307,11 +358,9 @@ class TestDeterminismAndCheckpoints:
         def run():
             rng = np.random.default_rng(13)
             x = rng.normal(size=(4, 6))
-            w = rng.normal(size=(6, 3))
-            b = rng.normal(size=3)
-            out = affine(x, w, b)
-            gx, gw, gb = affine_backward(np.ones_like(out), x, w)
-            return out.tobytes() + gx.tobytes() + gw.tobytes() + gb.tobytes()
+            y = rng.normal(size=(4, 6))
+            loss, dx, dy = info_nce(x, y, 0.5)
+            return repr(loss).encode() + dx.tobytes() + dy.tobytes()
 
         assert run() == run()
 

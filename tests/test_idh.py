@@ -16,7 +16,6 @@ from multitap.idh import (
     compute_domain_labels,
     export_idh_report,
     preference_labels,
-    preference_score,
     preference_scores,
     preservation_matrix,
     tertile_thresholds,
@@ -102,22 +101,22 @@ class TestPreferenceScore:
             {"u": ["i1", "i2", "i3"]}, {"i1": 1.0, "i2": 1.0, "i3": 1.0}
         )
         bins = BinAssignment("c", Criterion.PS, 0, 0, {"i1": 1, "i2": 2, "i3": 3})
-        assert preference_score("u", "c", Criterion.PS, bins, ds) == pytest.approx(2.0)
+        assert preference_scores(ds, bins)["u"] == pytest.approx(2.0)
         bins2 = BinAssignment("c", Criterion.PS, 0, 0, {"i1": 3, "i2": 3})
         ds2 = single_category_dataset({"u": ["i1", "i2"]}, {"i1": 1.0, "i2": 1.0})
-        assert preference_score("u", "c", Criterion.PS, bins2, ds2) == pytest.approx(3.0)
+        assert preference_scores(ds2, bins2)["u"] == pytest.approx(3.0)
 
     def test_empty_category_errors(self):
+        # a user without interactions in the category gets no score
         ds = single_category_dataset({"u": ["i1"]}, {"i1": 1.0})
-        bins = BinAssignment("c", Criterion.PS, 0, 0, {"i1": 1})
-        with pytest.raises(ValueError):
-            preference_score("u", "other", Criterion.PS, bins, ds)
+        bins = BinAssignment("other", Criterion.PS, 0, 0, {"i1": 1})
+        assert preference_scores(ds, bins) == {}
 
     def test_all_unbinned_errors(self):
-        ds = single_category_dataset({"u": ["i1"]}, {"i1": 1.0})
-        bins = BinAssignment("c", Criterion.PS, 0, 0, {})
-        with pytest.raises(ValueError, match="binnable"):
-            preference_score("u", "c", Criterion.PS, bins, ds)
+        # a user whose items all lack a bin gets no score
+        ds = single_category_dataset({"u": ["i1"], "v": ["i2"]}, {"i1": 1.0, "i2": 2.0})
+        bins = BinAssignment("c", Criterion.PS, 0, 0, {"i2": 3})
+        assert preference_scores(ds, bins) == {"v": pytest.approx(3.0)}
 
     def test_scores_match_full_recomputation(self):
         rng = np.random.default_rng(2)

@@ -1,322 +1,26 @@
 """Core model tests: aggregation, doppelganger transfer, losses, fusion,
-joint training and the full-objective gradient check."""
+joint training and the full-objective gradient check.
+
+Every test drives `MultiTapModel` or a `diffkit` op; the unbatched
+references the batched paths are compared with live in `tests/oracles.py`."""
 
 import math
 
 import numpy as np
 import pytest
 
-from multitap.diffkit import grad_check
-from multitap.idh import CRITERIA_ORDER, Criterion
+import oracles
+from multitap.diffkit import grad_check, info_nce
+from multitap.errors import DivergenceError
 from multitap.model import (
-    AggregatorParams,
+    AGGREGATION_MODES,
+    TRANSFER_TABLE,
     ModelInputs,
     MultiTapModel,
-    PersonaTable,
     TrainConfig,
-    aggregate_personas,
-    bpr_loss,
-    bpr_loss_from_scores,
-    direct_alignment_loss,
-    doppelganger_embed,
-    dpl_loss,
-    fuse_representations,
-    infonce_sum,
     train_target,
 )
 from multitap.corpus import InteractionRecord
-from multitap.persona.encoding import PersonaEmbeddingSet
-
-
-def emb_set(matrix):
-    return PersonaEmbeddingSet(
-        "u", {c: matrix[k] for k, c in enumerate(CRITERIA_ORDER)}, matrix.shape[1]
-    )
-
-
-def random_params(rng, n, h=None, mask=True):
-    h = h or n
-    return AggregatorParams(
-        mask=rng.normal(size=n) if mask else None,
-        ffn_w=rng.normal(size=(n, n)) * 0.2,
-        ffn_b=np.zeros(n),
-        proj_w=rng.normal(size=(n, h)) * 0.2,
-        proj_b=np.zeros(h),
-    )
-
-
-class TestAggregation:
-    def test_identical_vectors_uniform_attention(self):
-        rng = np.random.default_rng(0)
-        v = rng.normal(size=6)
-        matrix = np.tile(v, (5, 1))
-        result = aggregate_personas(emb_set(matrix), random_params(rng, 6), "self_attn")
-        np.testing.assert_allclose(result.weights, np.full(5, 0.2), atol=1e-9)
-        np.testing.assert_allclose(result.pooled, v, atol=1e-12)
-
-    def test_mean_equals_self_attn_for_identical_vectors(self):
-        rng = np.random.default_rng(1)
-        v = rng.normal(size=6)
-        matrix = np.tile(v, (5, 1))
-        params = random_params(rng, 6)
-        attn = aggregate_personas(emb_set(matrix), params, "self_attn")
-        mean = aggregate_personas(emb_set(matrix), params, "mean")
-        np.testing.assert_allclose(attn.pooled, mean.pooled, atol=1e-12)
-        np.testing.assert_allclose(attn.vector, mean.vector, atol=1e-12)
-
-    def test_pooled_within_convex_hull(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            matrix = rng.normal(size=(5, 7))
-            params = random_params(rng, 7)
-            result = aggregate_personas(emb_set(matrix), params, "self_attn")
-            assert np.all(result.pooled >= matrix.min(axis=0) - 1e-12)
-            assert np.all(result.pooled <= matrix.max(axis=0) + 1e-12)
-            assert abs(result.weights.sum() - 1.0) < 1e-6
-
-    def test_concat_widens_input(self):
-        rng = np.random.default_rng(3)
-        matrix = rng.normal(size=(5, 4))
-        params = AggregatorParams(
-            mask=None,
-            ffn_w=rng.normal(size=(20, 4)),
-            ffn_b=np.zeros(4),
-            proj_w=rng.normal(size=(4, 4)),
-            proj_b=np.zeros(4),
-        )
-        result = aggregate_personas(emb_set(matrix), params, "concat")
-        assert result.pooled.shape == (20,)
-        assert result.vector.shape == (4,)
-
-    def test_missing_mask_errors(self):
-        rng = np.random.default_rng(4)
-        matrix = rng.normal(size=(5, 4))
-        with pytest.raises(ValueError, match="mask"):
-            aggregate_personas(
-                emb_set(matrix), random_params(rng, 4, mask=False), "self_attn"
-            )
-
-
-def persona_table(user_ids, vecs):
-    return PersonaTable(user_ids=list(user_ids), user_vecs=np.asarray(vecs, dtype=float))
-
-
-class TestDoppelganger:
-    def test_single_source_user(self):
-        rng = np.random.default_rng(5)
-        target = persona_table(["u"], rng.normal(size=(1, 6)))
-        source = persona_table(["u"], rng.normal(size=(1, 6)))
-        state = doppelganger_embed("u", target, source)
-        np.testing.assert_allclose(state.weights, [1.0])
-        np.testing.assert_allclose(state.vector, source.user_vecs[0])
-
-    def test_identical_source_embeddings(self):
-        rng = np.random.default_rng(6)
-        shared = rng.normal(size=6)
-        target = persona_table(["u", "v", "w"], rng.normal(size=(3, 6)))
-        source = persona_table(["u", "v", "w"], np.tile(shared, (3, 1)))
-        state = doppelganger_embed("u", target, source)
-        np.testing.assert_allclose(state.weights, np.full(3, 1 / 3), atol=1e-9)
-        np.testing.assert_allclose(state.vector, shared, atol=1e-12)
-
-    def test_matches_direct_formula(self):
-        rng = np.random.default_rng(7)
-        users = [f"u{k}" for k in range(5)]
-        target = persona_table(users, rng.normal(size=(5, 8)))
-        source = persona_table(users, rng.normal(size=(5, 8)))
-        state = doppelganger_embed("u2", target, source)
-        q = target.user_vecs[2]
-        logits = source.user_vecs @ q / math.sqrt(8)
-        w = np.exp(logits - logits.max())
-        w /= w.sum()
-        np.testing.assert_allclose(state.weights, w, atol=1e-10)
-        np.testing.assert_allclose(state.vector, w @ source.user_vecs, atol=1e-10)
-
-    def test_convex_hull_100_draws(self):
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            users = [f"u{k}" for k in range(6)]
-            target = persona_table(users, rng.normal(size=(6, 5)))
-            source = persona_table(users, rng.normal(size=(6, 5)))
-            state = doppelganger_embed("u0", target, source)
-            lo = source.user_vecs.min(axis=0) - 1e-12
-            hi = source.user_vecs.max(axis=0) + 1e-12
-            assert np.all(state.vector >= lo) and np.all(state.vector <= hi)
-            assert abs(state.weights.sum() - 1.0) < 1e-6
-
-    def test_non_overlap_user_errors(self):
-        rng = np.random.default_rng(9)
-        target = persona_table(["u"], rng.normal(size=(1, 4)))
-        source = persona_table(["v"], rng.normal(size=(1, 4)))
-        with pytest.raises(ValueError, match="overlap"):
-            doppelganger_embed("u", target, source)
-
-
-def doppelganger_table(users, target, source):
-    return {u: doppelganger_embed(u, target, source) for u in users}
-
-
-class TestDplLoss:
-    def test_two_anchor_uniform_case(self):
-        # anchors orthogonal to each other, doppelgangers all equal -> all sims equal
-        target = persona_table(["a", "b"], np.array([[1.0, 0.0], [0.0, 1.0]]))
-        shared = np.array([1.0, 1.0])
-        source = persona_table(["a", "b"], np.tile(shared, (2, 1)))
-        dopples = doppelganger_table(["a", "b"], target, source)
-        loss = dpl_loss(["a", "b"], target, dopples, tau=0.5)
-        assert loss == pytest.approx(2 * math.log(2), abs=1e-9)
-
-    @pytest.mark.parametrize("n", [2, 4, 8])
-    def test_n_equal_similarity_anchors(self, n):
-        # orthonormal anchors and identical doppelgangers give equal sims
-        users = [f"u{k}" for k in range(n)]
-        target = persona_table(users, np.eye(n))
-        source = persona_table(users, np.tile(np.ones(n), (n, 1)))
-        dopples = doppelganger_table(users, target, source)
-        loss = dpl_loss(users, target, dopples, tau=0.7)
-        assert loss == pytest.approx(n * math.log(n), abs=1e-8)
-
-    def test_matches_formula_oracle(self):
-        rng = np.random.default_rng(10)
-        users = [f"u{k}" for k in range(4)]
-        target = persona_table(users, rng.normal(size=(4, 6)))
-        source = persona_table(users, rng.normal(size=(4, 6)))
-        dopples = doppelganger_table(users, target, source)
-        tau = 0.5
-        loss = dpl_loss(users, target, dopples, tau)
-
-        def cos(a, b):
-            return a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
-
-        expected = 0.0
-        for u in users:
-            num = math.exp(cos(target.user_vector(u), dopples[u].vector) / tau)
-            den = sum(
-                math.exp(cos(target.user_vector(u), dopples[v].vector) / tau)
-                for v in users
-            )
-            expected -= math.log(num / den)
-        assert loss == pytest.approx(expected, abs=1e-10)
-
-    def test_single_anchor_errors(self):
-        target = persona_table(["a"], np.ones((1, 3)))
-        source = persona_table(["a"], np.ones((1, 3)))
-        dopples = doppelganger_table(["a"], target, source)
-        with pytest.raises(ValueError):
-            dpl_loss(["a"], target, dopples, tau=0.5)
-
-    def test_per_anchor_terms_nonnegative(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            users = [f"u{k}" for k in range(5)]
-            anchors = rng.normal(size=(5, 4))
-            positives = rng.normal(size=(5, 4))
-            # per-anchor term is -log softmax diag <= log(N), always >= 0
-            loss = infonce_sum(anchors, positives, tau=0.3)
-            assert loss >= -1e-12
-
-
-class TestDirectAlignment:
-    def test_two_user_symmetric_case(self):
-        users = ["a", "b"]
-        t = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
-        s = {"a": np.array([1.0, 1.0]), "b": np.array([1.0, 1.0])}
-        loss = direct_alignment_loss(
-            users, "direct_persona", 0.5, target_personas=t, source_personas=s
-        )
-        assert loss == pytest.approx(2 * math.log(2), abs=1e-9)
-
-    def test_matches_formula_oracle(self):
-        rng = np.random.default_rng(12)
-        users = [f"u{k}" for k in range(5)]
-        t = {u: rng.normal(size=6) for u in users}
-        s = {u: rng.normal(size=6) for u in users}
-        loss = direct_alignment_loss(
-            users, "direct_persona", 0.4, target_personas=t, source_personas=s
-        )
-
-        def cos(a, b):
-            return a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
-
-        expected = 0.0
-        for u in users:
-            den = sum(math.exp(cos(t[u], s[v]) / 0.4) for v in users)
-            expected -= math.log(math.exp(cos(t[u], s[u]) / 0.4) / den)
-        assert loss == pytest.approx(expected, abs=1e-10)
-
-    def test_direct_both_concatenates_dimensions(self):
-        rng = np.random.default_rng(13)
-        users = ["a", "b"]
-        t = {u: rng.normal(size=4) for u in users}
-        s = {u: rng.normal(size=4) for u in users}
-        tid = {u: rng.normal(size=3) for u in users}
-        sid = {u: rng.normal(size=3) for u in users}
-        loss = direct_alignment_loss(
-            users,
-            "direct_both",
-            0.5,
-            target_personas=t,
-            source_personas=s,
-            target_ids=tid,
-            source_ids=sid,
-        )
-        anchors = np.stack([np.concatenate([t[u], tid[u]]) for u in users])
-        positives = np.stack([np.concatenate([s[u], sid[u]]) for u in users])
-        assert anchors.shape[1] == 7
-        assert loss == pytest.approx(infonce_sum(anchors, positives, 0.5), abs=1e-12)
-
-
-class TestFusion:
-    def test_shape_contract(self):
-        rng = np.random.default_rng(14)
-        h = rng.normal(size=256)
-        v = rng.normal(size=128)
-        w = rng.normal(size=(384, 128)) * 0.02
-        z = fuse_representations(h, v, w, np.zeros(128))
-        assert z.shape == (128,)
-
-    def test_zero_weights_zero_output(self):
-        z = fuse_representations(np.ones(4), np.ones(3), np.zeros((7, 5)), np.zeros(5))
-        np.testing.assert_array_equal(z, np.zeros(5))
-
-    def test_identity_block_selects_id_vector(self):
-        h = np.array([9.0, 8.0])
-        v = np.array([1.0, 2.0, 3.0])
-        w = np.vstack([np.zeros((2, 3)), np.eye(3)])
-        z = fuse_representations(h, v, w, np.zeros(3))
-        np.testing.assert_allclose(z, v)
-
-
-class TestBprLoss:
-    def test_equal_scores_ln2(self):
-        assert bpr_loss_from_scores(np.array([1.0]), np.array([1.0])) == pytest.approx(
-            math.log(2), abs=1e-9
-        )
-
-    def test_large_margin_goes_to_zero(self):
-        assert bpr_loss_from_scores(np.array([60.0]), np.array([0.0])) < 1e-12
-
-    def test_matches_formula_oracle(self):
-        rng = np.random.default_rng(15)
-        users = [f"u{k}" for k in range(4)]
-        items = [f"i{k}" for k in range(6)]
-        uz = {u: rng.normal(size=5) for u in users}
-        iz = {i: rng.normal(size=5) for i in items}
-        triples = [
-            (users[rng.integers(0, 4)], items[rng.integers(0, 6)], items[rng.integers(0, 6)])
-            for _ in range(16)
-        ]
-        loss = bpr_loss(triples, uz, iz)
-        expected = 0.0
-        for u, ip, ineg in triples:
-            x = uz[u] @ iz[ip] - uz[u] @ iz[ineg]
-            expected += -math.log(1.0 / (1.0 + math.exp(-x)))
-        assert loss == pytest.approx(expected, abs=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# trainable model
-# ---------------------------------------------------------------------------
 
 
 def toy_inputs(rng, n_users=4, n_items=6, n=8, id_dim=4, sem_dim=5, h=None):
@@ -386,6 +90,282 @@ def to_generic_point(model, seed=99, scale=0.3):
         )
 
 
+def persona_of(model, rows=None):
+    """The forward cache of the persona aggregation for `rows` (all users by default)."""
+    if rows is None:
+        rows = np.arange(len(model.inputs.user_ids))
+    return model._persona_forward(np.asarray(rows), None)
+
+
+def transfer_loss(model, h):
+    """The model's mean transfer term over all users, with `h` as their persona rows."""
+    users = list(model.inputs.user_ids)
+    return model._transfer_term(np.arange(len(users)), users, h)[0]
+
+
+class TestAggregation:
+    def test_identical_vectors_uniform_attention(self):
+        rng = np.random.default_rng(0)
+        v = rng.normal(size=6)
+        inputs = toy_inputs(rng, n=6)
+        inputs.persona_inputs[0] = np.tile(v, (5, 1))
+        cache = persona_of(MultiTapModel(inputs, toy_config()), [0])
+        np.testing.assert_allclose(cache["A"][0], np.full(5, 0.2), atol=1e-9)
+        np.testing.assert_allclose(cache["pooled"][0], v, atol=1e-12)
+
+    def test_mean_equals_self_attn_for_identical_vectors(self):
+        rng = np.random.default_rng(1)
+        inputs = toy_inputs(rng, n=6)
+        inputs.persona_inputs[:] = inputs.persona_inputs[:, :1, :]
+        attn = MultiTapModel(inputs, toy_config())
+        mean = MultiTapModel(inputs, toy_config(aggregation="mean"))
+        mean.store.load_params(
+            {k: v for k, v in attn.store.params.items() if k != "agg.mask"}
+        )
+        a, m = persona_of(attn), persona_of(mean)
+        np.testing.assert_allclose(a["pooled"], m["pooled"], atol=1e-12)
+        np.testing.assert_allclose(a["h"], m["h"], atol=1e-12)
+
+    def test_pooled_within_convex_hull(self):
+        rng = np.random.default_rng(2)
+        for draw in range(100):
+            inputs = toy_inputs(rng, n_users=3, n=7)
+            model = MultiTapModel(inputs, toy_config())
+            to_generic_point(model, seed=draw, scale=1.0)
+            cache = persona_of(model)
+            E = inputs.persona_inputs
+            assert np.all(cache["pooled"] >= E.min(axis=1) - 1e-12)
+            assert np.all(cache["pooled"] <= E.max(axis=1) + 1e-12)
+            assert np.all(np.abs(cache["A"].sum(axis=1) - 1.0) < 1e-6)
+
+    def test_concat_widens_input(self):
+        rng = np.random.default_rng(3)
+        model = MultiTapModel(toy_inputs(rng, n=4), toy_config(aggregation="concat"))
+        cache = persona_of(model)
+        assert model.store.params["agg.ffn_w"].shape == (20, 4)
+        assert cache["pooled"].shape == (4, 20)
+        assert cache["h"].shape == (4, 4)
+
+    def test_missing_mask_errors(self):
+        rng = np.random.default_rng(4)
+        inputs = toy_inputs(rng, n=4)
+        assert MultiTapModel(inputs, toy_config()).store.params["agg.mask"].shape == (4,)
+        for mode in ("mean", "concat"):
+            model = MultiTapModel(inputs, toy_config(aggregation=mode))
+            assert "agg.mask" not in model.store.params
+            with pytest.raises(KeyError, match="agg.mask"):
+                model.store.load_params({"agg.mask": np.zeros(4)})
+        with pytest.raises(ValueError, match="aggregation"):
+            toy_config(aggregation="attention")
+
+
+class TestDoppelganger:
+    def test_single_source_user(self):
+        rng = np.random.default_rng(5)
+        inputs = toy_inputs(rng, n=6)
+        inputs.source_user_personas = inputs.source_user_personas[:1]
+        model = MultiTapModel(inputs, toy_config())
+        h = rng.normal(size=(4, 6))
+        # with one source user every anchor's positive is that user's persona
+        expected = info_nce(h, np.tile(inputs.source_user_personas[0], (4, 1)), 0.5)[0]
+        assert transfer_loss(model, h) == pytest.approx(expected, abs=1e-12)
+
+    def test_identical_source_embeddings(self):
+        rng = np.random.default_rng(6)
+        shared = rng.normal(size=6)
+        inputs = toy_inputs(rng, n=6)
+        inputs.source_user_personas = np.tile(shared, (4, 1))
+        model = MultiTapModel(inputs, toy_config())
+        h = rng.normal(size=(4, 6))
+        expected = info_nce(h, np.tile(shared, (4, 1)), 0.5)[0]
+        assert transfer_loss(model, h) == pytest.approx(expected, abs=1e-12)
+
+    def test_matches_direct_formula(self):
+        rng = np.random.default_rng(7)
+        inputs = toy_inputs(rng, n_users=5, n=8)
+        model = MultiTapModel(inputs, toy_config())
+        h = rng.normal(size=(5, 8))
+        S = inputs.source_user_personas
+        positives = []
+        for q in h:
+            logits = S @ q / math.sqrt(8)
+            w = np.exp(logits - logits.max())
+            w /= w.sum()
+            positives.append(w @ S)
+        expected = info_nce(h, np.array(positives), 0.5)[0]
+        assert transfer_loss(model, h) == pytest.approx(expected, abs=1e-10)
+
+    def test_convex_hull_100_draws(self):
+        rng = np.random.default_rng(8)
+        for draw in range(100):
+            inputs = toy_inputs(rng, n_users=6, n=5)
+            model = MultiTapModel(inputs, toy_config())
+            to_generic_point(model, seed=draw, scale=1.0)
+            W = model.doppelganger_weights(persona_of(model)["h"])
+            S = inputs.source_user_personas
+            assert np.all(W @ S >= S.min(axis=0) - 1e-12)
+            assert np.all(W @ S <= S.max(axis=0) + 1e-12)
+            assert np.all(np.abs(W.sum(axis=1) - 1.0) < 1e-6)
+
+    def test_non_overlap_user_errors(self):
+        rng = np.random.default_rng(9)
+        inputs = toy_inputs(rng, n=4)
+        inputs.overlap_users = inputs.user_ids[:3]
+        inputs.source_user_personas = inputs.source_user_personas[:3]
+        model = MultiTapModel(inputs, toy_config())
+        with pytest.raises(KeyError, match="u3"):
+            transfer_loss(model, rng.normal(size=(4, 4)))
+        # so a batch only anchors its overlapping users
+        items = np.array([0, 1, 2, 3])
+        with_u3 = model.batch_loss_and_grads(np.array([0, 1, 2, 3]), items, items[::-1])
+        without = model.batch_loss_and_grads(np.array([0, 1, 2]), items[:3], items[::-1][:3])
+        assert with_u3[2] == pytest.approx(without[2], abs=1e-12)
+        assert without[2] > 0.0
+
+
+class TestDplLoss:
+    def test_two_anchor_uniform_case(self):
+        # anchors orthogonal to each other, doppelgangers all equal -> all sims equal
+        inputs = toy_inputs(np.random.default_rng(0), n_users=2, n=2)
+        inputs.source_user_personas = np.ones((2, 2))
+        model = MultiTapModel(inputs, toy_config())
+        assert transfer_loss(model, np.eye(2)) == pytest.approx(math.log(2), abs=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_n_equal_similarity_anchors(self, n):
+        # orthonormal anchors and identical doppelgangers give equal sims
+        inputs = toy_inputs(np.random.default_rng(n), n_users=n, n=n)
+        inputs.source_user_personas = np.ones((n, n))
+        model = MultiTapModel(inputs, toy_config(tau=0.7))
+        assert n * transfer_loss(model, np.eye(n)) == pytest.approx(n * math.log(n), abs=1e-8)
+
+    def test_matches_formula_oracle(self):
+        rng = np.random.default_rng(10)
+        inputs = toy_inputs(rng, n=6)
+        model = MultiTapModel(inputs, toy_config())
+        h = rng.normal(size=(4, 6))
+        positives = model.doppelganger_weights(h) @ inputs.source_user_personas
+        expected = oracles.info_nce_mean(h, positives, 0.5)
+        assert transfer_loss(model, h) == pytest.approx(expected, abs=1e-10)
+
+    def test_single_anchor_errors(self):
+        # fewer than two overlapping users in a batch: no contrastive term
+        rng = np.random.default_rng(11)
+        inputs = toy_inputs(rng)
+        inputs.overlap_users = inputs.user_ids[:1]
+        inputs.source_user_personas = inputs.source_user_personas[:1]
+        users, pos, neg = np.array([0, 1, 2]), np.array([0, 1, 2]), np.array([3, 4, 5])
+        grads = {}
+        for transfer in ("doppelganger", "none"):
+            model = MultiTapModel(inputs, toy_config(transfer=transfer))
+            total, _, l_dpl = model.batch_loss_and_grads(users, pos, neg)
+            assert l_dpl == 0.0
+            grads[transfer] = {k: v.copy() for k, v in model.store.grads.items()}
+        for name, grad in grads["none"].items():
+            np.testing.assert_array_equal(grads["doppelganger"][name], grad)
+
+    def test_per_anchor_terms_nonnegative(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            anchors = rng.normal(size=(5, 4))
+            positives = rng.normal(size=(5, 4))
+            # per-anchor term is -log softmax diag <= log(N), always >= 0
+            assert info_nce(anchors, positives, tau=0.3)[0] >= -1e-12
+
+
+class TestDirectAlignment:
+    def test_two_user_symmetric_case(self):
+        inputs = toy_inputs(np.random.default_rng(0), n_users=2, n=2)
+        inputs.source_user_personas = np.ones((2, 2))
+        model = MultiTapModel(inputs, toy_config(transfer="direct_persona"))
+        assert transfer_loss(model, np.eye(2)) == pytest.approx(math.log(2), abs=1e-9)
+
+    def test_matches_formula_oracle(self):
+        rng = np.random.default_rng(12)
+        inputs = toy_inputs(rng, n_users=5, n=6)
+        model = MultiTapModel(inputs, toy_config(transfer="direct_persona", tau=0.4))
+        h = rng.normal(size=(5, 6))
+        expected = oracles.info_nce_mean(h, inputs.source_user_personas, 0.4)
+        assert transfer_loss(model, h) == pytest.approx(expected, abs=1e-10)
+
+    def test_direct_both_concatenates_dimensions(self):
+        rng = np.random.default_rng(13)
+        inputs = toy_inputs(rng, n_users=2, n=4, id_dim=3)
+        model = MultiTapModel(inputs, toy_config(transfer="direct_both"))
+        h = rng.normal(size=(2, 4))
+        anchors = np.concatenate([h, model.store.params["id.user"]], axis=1)
+        positives = np.concatenate(
+            [inputs.source_user_personas, inputs.source_user_backbone], axis=1
+        )
+        assert anchors.shape[1] == 7
+        expected = info_nce(anchors, positives, 0.5)[0]
+        assert transfer_loss(model, h) == pytest.approx(expected, abs=1e-12)
+
+
+class TestFusion:
+    def test_shape_contract(self):
+        rng = np.random.default_rng(14)
+        inputs = toy_inputs(rng, id_dim=128, h=256)
+        model = MultiTapModel(inputs, toy_config(persona_out_dim=256, fused_dim=128))
+        h = rng.normal(size=(4, 256))
+        assert model.store.params["fuse.user_w"].shape == (384, 128)
+        assert model._fuse_users(np.arange(4), h)["z"].shape == (4, 128)
+
+    def test_zero_weights_zero_output(self):
+        model = MultiTapModel(toy_inputs(np.random.default_rng(0)), toy_config())
+        model.store.params["fuse.user_w"][...] = 0.0
+        z = model._fuse_users(np.arange(4), np.ones((4, 8)))["z"]
+        np.testing.assert_array_equal(z, np.zeros((4, 6)))
+
+    def test_identity_block_selects_id_vector(self):
+        inputs = toy_inputs(np.random.default_rng(0), n=2, id_dim=3)
+        model = MultiTapModel(inputs, toy_config(fused_dim=3))
+        model.store.params["fuse.user_w"][...] = np.vstack([np.zeros((2, 3)), np.eye(3)])
+        z = model._fuse_users(np.arange(4), np.full((4, 2), 9.0))["z"]
+        np.testing.assert_allclose(z, inputs.backbone_user)
+
+
+def identity_fusion(model):
+    """Fusion heads that pass the ID embeddings through unchanged."""
+    p = model.store.params
+    for side, width in (("user", model.h_dim), ("item", model.sem_dim)):
+        p[f"fuse.{side}_w"][...] = np.vstack([np.zeros((width, model.dz)), np.eye(model.dz)])
+
+
+class TestBprLoss:
+    def test_equal_scores_ln2(self):
+        model = MultiTapModel(toy_inputs(np.random.default_rng(0)), toy_config())
+        _, l_rec, _ = model.batch_loss_and_grads(np.array([1]), np.array([2]), np.array([2]))
+        assert l_rec == pytest.approx(math.log(2), abs=1e-9)
+
+    def test_large_margin_goes_to_zero(self):
+        inputs = toy_inputs(np.random.default_rng(0), id_dim=4)
+        model = MultiTapModel(inputs, toy_config(transfer="none", fused_dim=4))
+        identity_fusion(model)
+        p = model.store.params
+        p["id.user"][0] = [60.0, 0.0, 0.0, 0.0]
+        p["id.item"][0] = [1.0, 0.0, 0.0, 0.0]
+        p["id.item"][1] = 0.0
+        _, l_rec, _ = model.batch_loss_and_grads(np.array([0]), np.array([0]), np.array([1]))
+        assert l_rec < 1e-12
+
+    def test_matches_formula_oracle(self):
+        rng = np.random.default_rng(15)
+        model = MultiTapModel(toy_inputs(rng), toy_config(transfer="none"))
+        to_generic_point(model)
+        users = rng.integers(0, 4, size=16)
+        pos = rng.integers(0, 6, size=16)
+        neg = rng.integers(0, 6, size=16)
+        scores = model.score_matrix()
+        total, l_rec, _ = model.batch_loss_and_grads(users, pos, neg)
+        expected = 0.0
+        for u, ip, ineg in zip(users, pos, neg):
+            x = scores[u, ip] - scores[u, ineg]
+            expected += -math.log(1.0 / (1.0 + math.exp(-x)))
+        assert l_rec == pytest.approx(expected / 16, abs=1e-10)
+        assert total == l_rec
+
+
 class TestGradientCheck:
     @pytest.mark.parametrize("transfer", ["doppelganger", "direct_id", "direct_persona", "direct_both"])
     def test_full_objective_matches_finite_differences(self, transfer):
@@ -420,38 +400,125 @@ class TestGradientCheck:
         assert grad_check(fn, model.store, eps=1e-4) < 1e-4
 
 
+def reference_transfer_loss(model, h, users):
+    """`oracles.transfer_loss` on the model's current tables."""
+    inputs = model.inputs
+    rows = {u: k for k, u in enumerate(inputs.user_ids)}
+    return oracles.transfer_loss(
+        model.config.transfer,
+        users,
+        {u: h[rows[u]] for u in users},
+        {u: model.store.params["id.user"][rows[u]] for u in users},
+        inputs.overlap_users,
+        inputs.source_user_personas,
+        inputs.source_user_backbone,
+        model.config.tau,
+    )
+
+
 class TestBatchedPathsMatchOps:
     def test_persona_forward_matches_aggregate_op(self):
         rng = np.random.default_rng(18)
         inputs = toy_inputs(rng)
         model = MultiTapModel(inputs, toy_config())
-        cache = model._persona_forward(np.arange(4), None)
-        params = model.aggregator_params()
-        for k, user in enumerate(inputs.user_ids):
-            es = PersonaEmbeddingSet(
-                user,
-                {c: inputs.persona_inputs[k, j] for j, c in enumerate(CRITERIA_ORDER)},
-                inputs.persona_inputs.shape[2],
+        cache = persona_of(model)
+        for k in range(len(inputs.user_ids)):
+            weights, _, vector = oracles.aggregate_personas(
+                inputs.persona_inputs[k], model.store.params, "self_attn"
             )
-            result = aggregate_personas(es, params, "self_attn")
-            np.testing.assert_allclose(cache["h"][k], result.vector, atol=1e-12)
-            np.testing.assert_allclose(cache["A"][k], result.weights, atol=1e-12)
+            np.testing.assert_allclose(cache["h"][k], vector, atol=1e-12)
+            np.testing.assert_allclose(cache["A"][k], weights, atol=1e-12)
 
     def test_transfer_term_matches_dpl_loss_op(self):
         rng = np.random.default_rng(19)
         inputs = toy_inputs(rng)
         model = MultiTapModel(inputs, toy_config())
-        h = model._persona_forward(np.arange(4), None)["h"]
-        loss, _, _ = model._transfer_term(
-            np.arange(4), list(inputs.user_ids), h
-        )
-        target = PersonaTable(user_ids=list(inputs.user_ids), user_vecs=h)
-        source = PersonaTable(
-            user_ids=list(inputs.overlap_users), user_vecs=inputs.source_user_personas
-        )
-        dopples = {u: doppelganger_embed(u, target, source) for u in inputs.user_ids}
-        expected = dpl_loss(list(inputs.user_ids), target, dopples, model.config.tau)
-        assert loss == pytest.approx(expected / 4.0, abs=1e-10)
+        h = persona_of(model)["h"]
+        users = list(inputs.user_ids)
+        expected = reference_transfer_loss(model, h, users)
+        assert transfer_loss(model, h) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("aggregation", AGGREGATION_MODES)
+    def test_every_aggregation_matches_oracle(self, aggregation):
+        rng = np.random.default_rng(27)
+        inputs = toy_inputs(rng, n_users=5)
+        model = MultiTapModel(inputs, toy_config(aggregation=aggregation))
+        to_generic_point(model, scale=1.0)
+        cache = persona_of(model)
+        for k in range(5):
+            weights, pooled, vector = oracles.aggregate_personas(
+                inputs.persona_inputs[k], model.store.params, aggregation
+            )
+            np.testing.assert_allclose(cache["pooled"][k], pooled, atol=1e-12)
+            np.testing.assert_allclose(cache["h"][k], vector, atol=1e-12)
+            if weights is not None:
+                np.testing.assert_allclose(cache["A"][k], weights, atol=1e-12)
+
+    @pytest.mark.parametrize("transfer", list(TRANSFER_TABLE))
+    def test_every_transfer_mode_matches_oracle(self, transfer):
+        # u4 is not an overlapping user, so the batch anchors only u0..u3
+        rng = np.random.default_rng(28)
+        inputs = toy_inputs(rng, n_users=5)
+        inputs.overlap_users = inputs.user_ids[:4]
+        inputs.source_user_personas = inputs.source_user_personas[:4]
+        inputs.source_user_backbone = inputs.source_user_backbone[:4]
+        model = MultiTapModel(inputs, toy_config(transfer=transfer))
+        to_generic_point(model)
+        users = np.array([0, 1, 2, 3, 4, 0])
+        items = np.arange(6)
+        _, _, l_dpl = model.batch_loss_and_grads(users, items, items[::-1])
+        expected = reference_transfer_loss(model, persona_of(model)["h"], inputs.user_ids[:4])
+        assert l_dpl == pytest.approx(expected, abs=1e-12)
+
+
+class TestTransferTable:
+    @pytest.mark.parametrize(
+        "transfer, part",
+        [
+            ("doppelganger", "persona"),
+            ("direct_id", "id"),
+            ("direct_persona", "persona"),
+            ("direct_both", "persona"),
+            ("direct_both", "id"),
+        ],
+    )
+    def test_missing_source_table_rejected(self, transfer, part):
+        field = {"persona": "source_user_personas", "id": "source_user_backbone"}
+        inputs = toy_inputs(np.random.default_rng(29))
+        setattr(inputs, field[part], None)
+        with pytest.raises(ValueError, match=f"{transfer} needs source {part}"):
+            MultiTapModel(inputs, toy_config(transfer=transfer))
+        # the other table is not needed unless the mode names it
+        inputs = toy_inputs(np.random.default_rng(29))
+        other = "id" if part == "persona" else "persona"
+        setattr(inputs, field[other], None)
+        needs_other = transfer == "direct_both"
+        if needs_other:
+            with pytest.raises(ValueError, match="needs source"):
+                MultiTapModel(inputs, toy_config(transfer=transfer))
+        else:
+            MultiTapModel(inputs, toy_config(transfer=transfer))
+        # without a transfer term no source table is needed
+        MultiTapModel(inputs, toy_config(transfer=transfer, lambda_dpl=0.0))
+
+    def test_source_width_must_match(self):
+        inputs = toy_inputs(np.random.default_rng(30), h=5)
+        with pytest.raises(ValueError, match="source persona dimension 5 != target 8"):
+            MultiTapModel(inputs, toy_config())
+        inputs = toy_inputs(np.random.default_rng(30))
+        inputs.source_user_backbone = np.zeros((4, 3))
+        with pytest.raises(ValueError, match="source id dimension 3 != target 4"):
+            MultiTapModel(inputs, toy_config(transfer="direct_id"))
+
+    @pytest.mark.parametrize("transfer", list(TRANSFER_TABLE))
+    def test_zero_norm_representation_diverges(self, transfer):
+        inputs = toy_inputs(np.random.default_rng(31))
+        inputs.source_user_personas[:] = 0.0
+        inputs.source_user_backbone[:] = 0.0
+        model = MultiTapModel(inputs, toy_config(transfer=transfer))
+        users = np.array([0, 1, 2, 3])
+        with pytest.raises(DivergenceError, match="zero-norm"):
+            model.batch_loss_and_grads(users, users, users[::-1])
 
 
 class TestTraining:

@@ -17,19 +17,22 @@ from multitap.persona import (
     build_all_persona_dbs,
     build_domain_description,
     build_persona_db,
-    build_prompt_assets,
     category_diversity_label,
     category_familiarity_label,
     encode_item_batch,
     encode_personas,
     generate_all_personas,
     familiarity_counts,
-    generate_personas,
     parse_persona_response,
     persona_payload,
     recent_history,
     sample_description_items,
 )
+
+
+def generate_personas(user_id, db, assets, history, client, cache=None):
+    """`generate_all_personas` for a single user."""
+    return generate_all_personas({user_id: db}, assets, {user_id: history}, client, cache)[user_id]
 
 
 def make_domain(triples, item_meta=None):
@@ -181,13 +184,11 @@ class TestDomainDescription:
 
     def test_caps_at_100_config_texts(self):
         ds = self._bulk_domain(150)
-        assets = build_prompt_assets(ds, TemplateGenerator())
-        assert len(assets.domain_config_texts) == 100
+        assert len(sample_description_items(ds)) == 100
 
     def test_small_catalog_uses_all_items(self):
         ds = self._bulk_domain(40)
-        assets = build_prompt_assets(ds, TemplateGenerator())
-        assert len(assets.domain_config_texts) == 40
+        assert len(sample_description_items(ds)) == 40
 
     def test_fallback_description_deterministic(self):
         ds = self._bulk_domain(60)

@@ -1,6 +1,7 @@
 """End-to-end pipeline tests: dependencies, caching, determinism, CLI."""
 
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -223,6 +224,23 @@ class TestEvalOptions:
         hr = report["HR"].get("5", report["HR"].get(5))
         assert 0.0 <= hr <= 1.0
 
+    def test_checkpoint_report_does_not_depend_on_path_spelling(
+        self, completed_run, tmp_path, monkeypatch
+    ):
+        pipe, run_dir, _ = completed_run
+        ckpt = (run_dir / "model" / "target_seed0.ckpt").resolve()
+        out = run_dir / "eval" / "checkpoint_target_seed0.json"
+        Pipeline(pipe.config).stage_eval(checkpoint=str(ckpt))
+        by_absolute = out.read_bytes()
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        relative = os.path.relpath(ckpt, elsewhere)
+        assert not Path(relative).is_absolute()
+        Pipeline(pipe.config).stage_eval(checkpoint=relative)
+        assert out.read_bytes() == by_absolute
+        assert read_json(out)["checkpoint"] == "target_seed0.ckpt"
+
 
 class TestCliStandaloneIngest:
     def test_ingest_without_config(self, small_fixture, tmp_path, capsys):
@@ -414,4 +432,4 @@ class TestStageReuse:
         assert code == 0, captured.err
         assert json.loads(captured.out)["stages"] == {"eval": "ran"}
         assert (run_dir / "eval" / "report.json").read_bytes() == aggregate
-        assert read_json(run_dir / "eval" / "checkpoint_target_seed0.json")["checkpoint"] == str(ckpt)
+        assert read_json(run_dir / "eval" / "checkpoint_target_seed0.json")["checkpoint"] == ckpt.name
