@@ -392,7 +392,6 @@ class TrainResult:
     model: MultiTapModel
     history: list[dict]
     best_epoch: int
-    best_valid: dict
 
 
 def train_target(
@@ -443,7 +442,6 @@ def train_target(
     best_hr = -1.0
     best_epoch = -1
     best_params: dict | None = None
-    best_metrics: dict = {}
     history: list[dict] = []
 
     for epoch in range(config.max_epochs):
@@ -487,13 +485,10 @@ def train_target(
             best_hr = hr
             best_epoch = epoch
             best_params = store.copy_params()
-            best_metrics = metrics
         elif epoch - best_epoch >= config.patience:
             logger.info("early stop at epoch %d (best %d)", epoch, best_epoch)
             break
 
     if best_params is not None:
         store.load_params(best_params)
-    return TrainResult(
-        model=model, history=history, best_epoch=best_epoch, best_valid=best_metrics
-    )
+    return TrainResult(model=model, history=history, best_epoch=best_epoch)

@@ -3,10 +3,10 @@
 from .cache import JsonCache
 from .clients import (
     API_KEY_ENV,
+    ClientSettings,
     EncoderClient,
     GeneratorClient,
     HashingEncoder,
-    RemoteConfig,
     RemoteEncoder,
     RemoteGenerator,
     TemplateGenerator,
@@ -43,6 +43,7 @@ from .prompts import (
 
 __all__ = [
     "API_KEY_ENV",
+    "ClientSettings",
     "EncoderClient",
     "GeneratorClient",
     "HashingEncoder",
@@ -51,7 +52,6 @@ __all__ = [
     "PersonaEmbeddingSet",
     "PersonaText",
     "PromptAssets",
-    "RemoteConfig",
     "RemoteEncoder",
     "RemoteGenerator",
     "TemplateGenerator",

@@ -1,11 +1,12 @@
 """Generator and encoder clients.
 
 Two implementations of each interface: a remote chat/embedding API client
-(OpenAI-style endpoints, key from an environment variable, retries with
-exponential backoff) and a deterministic offline fallback that needs no
-network.  The offline generator verbalizes the structured evidence through
-fixed sentence templates; the offline encoder is a seeded feature-hashing
-bag-of-words embedder with unit L2 norm.
+(OpenAI-style endpoints, key from an environment variable, a fixed retry
+policy with exponential backoff) and a deterministic offline fallback that
+needs no network.  `ClientSettings`, the `client` section of the pipeline
+config, selects and configures both.  The offline generator verbalizes the
+structured evidence through fixed sentence templates; the offline encoder is
+a seeded feature-hashing bag-of-words embedder with unit L2 norm.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import hashlib
 import json
 import os
 import re
-import threading
 import time
 from dataclasses import dataclass
 from typing import Protocol, Sequence
@@ -33,12 +33,35 @@ from .prompts import (
 
 API_KEY_ENV = "MULTITAP_API_KEY"
 
+# Remote calls: attempts per request, the sleep before the second attempt
+# (doubling before each later one) and the per-request timeout, in seconds.
+ATTEMPTS = 3
+BACKOFF_S = 1.0
+TIMEOUT_S = 60.0
+
 _LEVEL_MAP_KEYS: dict[Criterion, str] = {
     Criterion.PS: "category_price_level",
     Criterion.QP: "category_rating_level",
     Criterion.PB: "category_popularity_level",
     Criterion.CF: "category_familiarity_level",
 }
+
+
+@dataclass
+class ClientSettings:
+    mode: str = "offline"
+    persona_dim: int = 256
+    item_dim: int = 128
+    seed: int = 7
+    chunk_size: int = 256
+    parallelism: int = 1
+    endpoint: str = "https://api.openai.com/v1"
+    chat_model: str = "gpt-4o"
+    embed_model: str = "text-embedding-3-large"
+    persona_temperature: float = 0.7
+    description_temperature: float = 1.0
+    remote_persona_dim: int = 3072
+    remote_item_dim: int = 512
 
 
 class GeneratorClient(Protocol):
@@ -147,20 +170,6 @@ class HashingEncoder:
         return out
 
 
-@dataclass
-class RemoteConfig:
-    endpoint: str = "https://api.openai.com/v1"
-    chat_model: str = "gpt-4o"
-    embed_model: str = "text-embedding-3-large"
-    persona_temperature: float = 0.7
-    description_temperature: float = 1.0
-    embed_dim: int = 3072
-    retries: int = 3
-    backoff: float = 1.0
-    timeout: float = 60.0
-    min_interval: float = 0.0  # simple rate limiting between calls
-
-
 def _api_key() -> str:
     key = os.environ.get(API_KEY_ENV)
     if not key:
@@ -168,47 +177,26 @@ def _api_key() -> str:
     return key
 
 
-class _RateLimiter:
-    def __init__(self, min_interval: float):
-        self.min_interval = min_interval
-        self._lock = threading.Lock()
-        self._last = 0.0
-
-    def wait(self) -> None:
-        if self.min_interval <= 0:
-            return
-        with self._lock:
-            now = time.monotonic()
-            delta = self._last + self.min_interval - now
-            if delta > 0:
-                time.sleep(delta)
-            self._last = time.monotonic()
-
-
 class _RemoteBase:
-    def __init__(self, config: RemoteConfig, session=None):
-        self.config = config
+    def __init__(self, settings: ClientSettings, session=None):
+        self.settings = settings
         if session is None:
             import requests
 
             session = requests.Session()
         self._session = session
-        self._limiter = _RateLimiter(config.min_interval)
 
     def _post(self, path: str, body: dict) -> dict:
         """POST with retries on network errors, 429 and 5xx; any other 4xx
         fails at once.  Backoff doubles between attempts, none after the last."""
-        url = self.config.endpoint.rstrip("/") + path
+        url = self.settings.endpoint.rstrip("/") + path
         headers = {"Authorization": f"Bearer {_api_key()}"}
         last_error: Exception | None = None
-        for attempt in range(self.config.retries):
+        for attempt in range(ATTEMPTS):
             if attempt:
-                time.sleep(self.config.backoff * 2 ** (attempt - 1))
-            self._limiter.wait()
+                time.sleep(BACKOFF_S * 2 ** (attempt - 1))
             try:
-                resp = self._session.post(
-                    url, json=body, headers=headers, timeout=self.config.timeout
-                )
+                resp = self._session.post(url, json=body, headers=headers, timeout=TIMEOUT_S)
             except OSError as exc:  # requests' exceptions are OSErrors too
                 last_error = exc
                 continue
@@ -221,19 +209,19 @@ class _RemoteBase:
                 return resp.json()
             except ValueError as exc:
                 raise ClientError(f"response from {url} is not JSON: {exc}") from exc
-        raise ClientError(f"remote call to {url} failed after {self.config.retries} attempts: {last_error}")
+        raise ClientError(f"remote call to {url} failed after {ATTEMPTS} attempts: {last_error}")
 
 
 class RemoteGenerator(_RemoteBase):
     provenance = "llm"
 
-    def __init__(self, config: RemoteConfig | None = None, session=None):
-        super().__init__(config or RemoteConfig(), session)
-        self.identity = f"remote-{self.config.chat_model}"
+    def __init__(self, settings: ClientSettings, session=None):
+        super().__init__(settings, session)
+        self.identity = f"remote-{settings.chat_model}"
 
     def _chat(self, system_prompt: str, payload: dict, temperature: float) -> str:
         body = {
-            "model": self.config.chat_model,
+            "model": self.settings.chat_model,
             "temperature": temperature,
             "response_format": {"type": "json_object"},
             "messages": [
@@ -248,23 +236,23 @@ class RemoteGenerator(_RemoteBase):
             raise ClientError(f"unexpected chat response shape: {exc}") from exc
 
     def personas(self, payload: dict) -> str:
-        return self._chat(PERSONA_SYSTEM_PROMPT, payload, self.config.persona_temperature)
+        return self._chat(PERSONA_SYSTEM_PROMPT, payload, self.settings.persona_temperature)
 
     def domain_description(self, payload: dict) -> str:
         return self._chat(
-            DESCRIPTION_SYSTEM_PROMPT, payload, self.config.description_temperature
+            DESCRIPTION_SYSTEM_PROMPT, payload, self.settings.description_temperature
         )
 
 
 class RemoteEncoder(_RemoteBase):
-    def __init__(self, config: RemoteConfig | None = None, session=None):
-        super().__init__(config or RemoteConfig(), session)
-        self.dim = self.config.embed_dim
-        self.identity = f"remote-{self.config.embed_model}-d{self.dim}"
+    def __init__(self, settings: ClientSettings, dim: int, session=None):
+        super().__init__(settings, session)
+        self.dim = dim
+        self.identity = f"remote-{settings.embed_model}-d{dim}"
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         body = {
-            "model": self.config.embed_model,
+            "model": self.settings.embed_model,
             "input": list(texts),
             "dimensions": self.dim,
         }

@@ -79,21 +79,6 @@ class PersonaDB:
         out["cats_interaction_diversity"] = self.diversity.code
         return out
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "PersonaDB":
-        labels = {
-            criterion: {
-                category: Label.from_code(code)
-                for category, code in obj.get(key, {}).items()
-            }
-            for criterion, key in _JSON_KEYS.items()
-        }
-        return cls(
-            user_id=obj["User ID"],
-            labels=labels,
-            diversity=Label.from_code(obj["cats_interaction_diversity"]),
-        )
-
 
 def build_persona_db(
     user_id: str,

@@ -138,7 +138,6 @@ class PromptAssets:
     domain_id: str
     domain_description: str
     persona_instruction: str = PERSONA_SYSTEM_PROMPT
-    description_instruction: str = DESCRIPTION_SYSTEM_PROMPT
 
 
 def sample_description_items(dataset: DomainDataset, cap: int = 100) -> list[ItemMeta]:

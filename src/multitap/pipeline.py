@@ -46,6 +46,7 @@ from .model import (
     TrainConfig,
     train_target,
 )
+from .persona.clients import ClientSettings
 from .util import atomic_write_text, content_key, read_json, write_json
 
 logger = logging.getLogger(__name__)
@@ -66,6 +67,16 @@ _UPSTREAM = {
     "eval": ("train",),
     "ablate": ("source",),
 }
+
+
+def stages_through(stage: str) -> list[str]:
+    """`stage` and every stage upstream of it, in run order."""
+    needed, pending = set(), [stage]
+    while pending:
+        node = pending.pop()
+        needed.add(node)
+        pending.extend(_UPSTREAM[node])
+    return [s for s in STAGES if s in needed]
 
 
 def _artifacts(node: str, seeds: Sequence[int]) -> list[str]:
@@ -114,23 +125,6 @@ class SplitConfig:
     @property
     def boundary_ts(self) -> int:
         return _parse_boundary(self.boundary)
-
-
-@dataclass
-class ClientSettings:
-    mode: str = "offline"
-    persona_dim: int = 256
-    item_dim: int = 128
-    seed: int = 7
-    chunk_size: int = 256
-    parallelism: int = 1
-    endpoint: str = "https://api.openai.com/v1"
-    chat_model: str = "gpt-4o"
-    embed_model: str = "text-embedding-3-large"
-    persona_temperature: float = 0.7
-    description_temperature: float = 1.0
-    remote_persona_dim: int = 3072
-    remote_item_dim: int = 512
 
 
 @dataclass
@@ -218,9 +212,6 @@ class PipelineConfig:
                 {"node": node, "config": slices[node], "upstream": [keys[u] for u in upstream]}
             )
         return keys
-
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def _records_to_rows(records: Sequence[InteractionRecord]) -> list[list]:
@@ -326,25 +317,18 @@ class Pipeline:
     def _clients(self):
         cs = self.config.client
         if cs.mode == "offline":
-            generator = persona_mod.TemplateGenerator()
-            persona_encoder = persona_mod.HashingEncoder(cs.persona_dim, cs.seed)
-            item_encoder = persona_mod.HashingEncoder(cs.item_dim, cs.seed)
-        elif cs.mode == "remote":
-            remote = persona_mod.RemoteConfig(
-                endpoint=cs.endpoint,
-                chat_model=cs.chat_model,
-                embed_model=cs.embed_model,
-                persona_temperature=cs.persona_temperature,
-                description_temperature=cs.description_temperature,
-                embed_dim=cs.remote_persona_dim,
+            return (
+                persona_mod.TemplateGenerator(),
+                persona_mod.HashingEncoder(cs.persona_dim, cs.seed),
+                persona_mod.HashingEncoder(cs.item_dim, cs.seed),
             )
-            generator = persona_mod.RemoteGenerator(remote)
-            persona_encoder = persona_mod.RemoteEncoder(remote)
-            item_remote = dataclasses.replace(remote, embed_dim=cs.remote_item_dim)
-            item_encoder = persona_mod.RemoteEncoder(item_remote)
-        else:
-            raise ValueError(f"unknown client mode '{cs.mode}'")
-        return generator, persona_encoder, item_encoder
+        if cs.mode == "remote":
+            return (
+                persona_mod.RemoteGenerator(cs),
+                persona_mod.RemoteEncoder(cs, cs.remote_persona_dim),
+                persona_mod.RemoteEncoder(cs, cs.remote_item_dim),
+            )
+        raise ValueError(f"unknown client mode '{cs.mode}'")
 
     # -- stages -------------------------------------------------------------
 
@@ -460,7 +444,11 @@ class Pipeline:
         """Build databases, generate texts and encode vectors.
 
         `phase` stops early after "build" (databases only) or "generate"
-        (plus texts); only the full "encode" pass marks the stage done."""
+        (plus texts); only the full "encode" pass marks the stage done.  An
+        early phase leaves a done stage alone: its databases and texts are
+        on disk already."""
+        if phase != "encode" and self._is_done("persona"):
+            return
         self._begin("persona")
         generator, persona_encoder, item_encoder = self._clients()
         for which in ("source", "target"):

@@ -3,7 +3,11 @@
 Every module-level function and class in `src/multitap` must be referenced
 from product code: loaded by name in the module that defines or imports it,
 or read as an attribute of an imported module.  Imports alone, and so the
-re-exports of a package `__init__.py`, do not count.  Code that only tests
+re-exports of a package `__init__.py`, do not count.  Every method and
+property of a module-level class must have its name read as an attribute
+somewhere in product code (of any object: the scan does not infer types), or
+match the constant prefix of a `getattr(obj, f"prefix{...}")` dispatch.
+Dunder methods are called by the language and exempt.  Code that only tests
 call belongs in the tests.
 """
 
@@ -82,10 +86,54 @@ def unreferenced_definitions(root: Path) -> list[str]:
     return sorted(defined - referenced)
 
 
+def _dispatch_prefix(node: ast.AST) -> str | None:
+    """'stage_' for `getattr(obj, f"stage_{name}")`, else None."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "getattr"
+        and len(node.args) >= 2
+        and isinstance(node.args[1], ast.JoinedStr)
+        and node.args[1].values
+        and isinstance(node.args[1].values[0], ast.Constant)
+    ):
+        return node.args[1].values[0].value
+    return None
+
+
+def unread_methods(root: Path) -> list[str]:
+    """`module.Class.method` for every method or property of a module-level
+    class under `root` whose name no module of `root` reads as an attribute
+    or reaches through a `getattr` dispatch prefix."""
+    methods, read, prefixes = [], set(), set()
+    for module, (_, tree) in _parse(root).items():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                methods += [
+                    (f"{module}.{cls.name}.{node.name}", node.name)
+                    for node in cls.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (prefix := _dispatch_prefix(node)) is not None:
+                prefixes.add(prefix)
+    return sorted(
+        qualified for qualified, name in methods
+        if name not in read and not any(name.startswith(p) for p in prefixes)
+    )
+
+
 class TestNoDeadProductCode:
     def test_every_definition_is_referenced(self):
         dead = [name for name in unreferenced_definitions(SRC) if name not in ALLOWED]
         assert dead == [], f"never referenced from product code: {dead}"
+
+    def test_every_method_is_read(self):
+        dead = unread_methods(SRC)
+        assert dead == [], f"never read from product code: {dead}"
 
     def test_allowed_entry_points_exist(self):
         modules = _parse(SRC)
@@ -104,3 +152,20 @@ class TestNoDeadProductCode:
             "def run():\n    return a.helper() + helper()\n\nclass Caller:\n    pass\n\nrun()\nCaller()\n"
         )
         assert unreferenced_definitions(pkg) == ["pkg.a.unused"]
+
+    def test_methods_count_only_when_read_or_dispatched(self, tmp_path):
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text("")
+        (pkg / "a.py").write_text(
+            "class Box:\n"
+            "    def __init__(self):\n        self.n = 0\n"
+            "    def used(self):\n        return self.n\n"
+            "    @property\n    def size(self):\n        return 1\n"
+            "    def step_one(self):\n        return 1\n"
+            "    def unused(self):\n        return 2\n"
+            "    @classmethod\n    def build(cls):\n        return cls()\n\n"
+            "def run(box, name):\n"
+            "    return box.used() + box.size + getattr(box, f'step_{name}')()\n"
+        )
+        assert unread_methods(pkg) == ["pkg.a.Box.build", "pkg.a.Box.unused"]

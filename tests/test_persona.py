@@ -145,9 +145,19 @@ class TestPersonaDB:
         assert obj["cats_interaction_diversity"] in "HML"
 
     def test_round_trip(self):
+        from multitap.persona.database import _JSON_KEYS
+
         ds, labels = domain_with_labels()
         db = build_persona_db("u1", ds, labels)
-        again = PersonaDB.from_json_dict(json.loads(json.dumps(db.to_json_dict())))
+        obj = json.loads(json.dumps(db.to_json_dict()))
+        again = PersonaDB(
+            user_id=obj["User ID"],
+            labels={
+                criterion: {cat: Label.from_code(code) for cat, code in obj[key].items()}
+                for criterion, key in _JSON_KEYS.items()
+            },
+            diversity=Label.from_code(obj["cats_interaction_diversity"]),
+        )
         assert again == db
 
     def test_user_without_interactions_errors(self):
@@ -375,9 +385,11 @@ class TestEncoders:
 
 class TestRemoteRetries:
     def test_three_attempts_then_client_error(self, monkeypatch):
-        from multitap.persona.clients import RemoteConfig, RemoteGenerator
+        from multitap.persona import clients
+        from multitap.persona.clients import ClientSettings, RemoteGenerator
 
         monkeypatch.setenv("MULTITAP_API_KEY", "k")
+        monkeypatch.setattr(clients.time, "sleep", lambda seconds: None)
 
         class FailingSession:
             def __init__(self):
@@ -388,9 +400,7 @@ class TestRemoteRetries:
                 raise OSError("connection refused")
 
         session = FailingSession()
-        client = RemoteGenerator(
-            RemoteConfig(retries=3, backoff=0.0), session=session
-        )
+        client = RemoteGenerator(ClientSettings(), session=session)
         with pytest.raises(ClientError, match="after 3 attempts"):
             client.personas({"User ID": "u"})
         assert session.calls == 3
@@ -418,16 +428,14 @@ class TestRemoteRetries:
                 raise outcome
             return outcome
 
-    def _client(self, monkeypatch, script, retries=3):
+    def _client(self, monkeypatch, script):
         from multitap.persona import clients
 
         monkeypatch.setenv("MULTITAP_API_KEY", "k")
         sleeps = []
         monkeypatch.setattr(clients.time, "sleep", sleeps.append)
         session = self._ScriptedSession(script)
-        client = clients.RemoteGenerator(
-            clients.RemoteConfig(retries=retries, backoff=0.5), session=session
-        )
+        client = clients.RemoteGenerator(clients.ClientSettings(), session=session)
         return client, session, sleeps
 
     def _ok(self):
@@ -439,7 +447,7 @@ class TestRemoteRetries:
         client, session, sleeps = self._client(monkeypatch, [failure, self._ok()])
         assert client.personas({"User ID": "u"}) == "done"
         assert session.calls == 2
-        assert sleeps == [0.5]
+        assert sleeps == [1.0]
 
     @pytest.mark.parametrize("status", [400, 401, 404, 422])
     def test_other_4xx_fails_at_once(self, monkeypatch, status):
@@ -454,10 +462,10 @@ class TestRemoteRetries:
         with pytest.raises(ClientError, match="after 3 attempts: status 429"):
             client.personas({"User ID": "u"})
         assert session.calls == 3
-        assert sleeps == [0.5, 1.0]
+        assert sleeps == [1.0, 2.0]
 
     def test_missing_api_key(self, monkeypatch):
-        from multitap.persona.clients import RemoteConfig, RemoteGenerator
+        from multitap.persona.clients import ClientSettings, RemoteGenerator
 
         monkeypatch.delenv("MULTITAP_API_KEY", raising=False)
 
@@ -465,7 +473,7 @@ class TestRemoteRetries:
             def post(self, *a, **k):
                 raise AssertionError("should not reach the network")
 
-        client = RemoteGenerator(RemoteConfig(retries=1), session=NeverCalled())
+        client = RemoteGenerator(ClientSettings(), session=NeverCalled())
         with pytest.raises(ClientError, match="MULTITAP_API_KEY"):
             client.personas({"User ID": "u"})
 

@@ -1,17 +1,20 @@
 """End-to-end pipeline tests: dependencies, caching, determinism, CLI."""
 
+import dataclasses
 import json
 import os
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from multitap import cli as cli_mod
 from multitap.cli import main
 from multitap.diffkit import checkpoint_manifest_path
-from multitap.errors import DependencyError
-from multitap.pipeline import Pipeline, PipelineConfig, STAGES
+from multitap.errors import ClientError, DependencyError
+from multitap.pipeline import Pipeline, PipelineConfig, STAGES, stages_through
 from multitap.util import read_json, write_json
 
 from conftest import small_config_dict
@@ -433,3 +436,191 @@ class TestStageReuse:
         assert json.loads(captured.out)["stages"] == {"eval": "ran"}
         assert (run_dir / "eval" / "report.json").read_bytes() == aggregate
         assert read_json(run_dir / "eval" / "checkpoint_target_seed0.json")["checkpoint"] == ckpt.name
+
+
+class TestPersonaPhaseAfterDoneStage:
+    @pytest.mark.parametrize("phase", ["build", "generate"])
+    def test_early_phase_leaves_done_persona_alone(self, completed_copy, capsys, phase):
+        run_dir, config_path = completed_copy
+        before = snapshot(run_dir / "persona")
+        code, captured = cli(capsys, "persona", phase, "--config", config_path)
+        assert code == 0, captured.err
+        code, captured = cli(capsys, "run", "--config", config_path, "--stages", ",".join(RUN_STAGES))
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["stages"] == {s: "cached" for s in RUN_STAGES}
+        assert snapshot(run_dir / "persona") == before
+
+
+# What each subcommand ran before its stage list came from the stage graph.
+SUBCOMMAND_STAGES = {
+    "ingest": ["ingest"],
+    "split": ["ingest", "split"],
+    "idh": ["ingest", "split", "idh"],
+    "persona": ["ingest", "split", "idh", "persona"],
+    "pretrain": ["ingest", "split", "pretrain"],
+    "train": ["ingest", "split", "idh", "persona", "pretrain", "train"],
+    "eval": ["ingest", "split", "idh", "persona", "pretrain", "train", "eval"],
+    "ablate": ["ingest", "split", "idh", "persona", "pretrain", "ablate"],
+}
+
+
+def flat_fields(config: PipelineConfig) -> dict:
+    """Every config field by its dest name: `eval_ks`, `train.lambda_dpl`."""
+    flat = {}
+    for name, value in dataclasses.asdict(config).items():
+        if isinstance(value, dict) and name != "ablate":
+            flat.update({f"{name}.{k}": v for k, v in value.items()})
+        else:
+            flat[name] = value
+    return flat
+
+
+@pytest.fixture
+def captured_runs(small_fixture, tmp_path, monkeypatch):
+    """A config file whose every overridable field differs from the values
+    below, and a `main` that records (config, stages) instead of running."""
+    _, paths = small_fixture
+    config = small_config_dict(paths, tmp_path / "run")
+    config["client"]["mode"] = "remote"
+    config["ablate"] = {"transfer": ["none"]}
+    config_path = tmp_path / "config.json"
+    write_json(config_path, config)
+    runs = []
+    monkeypatch.setattr(cli_mod, "_run_stages", lambda c, stages: runs.append((c, stages)))
+
+    def run(*argv):
+        assert main([argv[0], "--config", str(config_path), *argv[1:]]) == 0
+        return runs[-1]
+
+    return PipelineConfig.from_json(config_path), run
+
+
+# (argv, the config field its flag sets, the value it sets)
+OVERRIDES = [
+    (["split", "--boundary", "2020-06-01"], "split.boundary", "2020-06-01"),
+    (["split", "--valid-fraction", "0.25"], "split.valid_fraction", 0.25),
+    (["idh", "--criteria", "ps,qp"], "criteria", ("ps", "qp")),
+    (["idh", "--labels", "high"], "report_labels", ("high",)),
+    (["persona", "--offline"], "client.mode", "offline"),
+    (["pretrain", "--layers", "2"], "gcn.layers", 2),
+    (["pretrain", "--epochs", "3"], "gcn.epochs", 3),
+    (["train", "--lambda", "1.0"], "train.lambda_dpl", 1.0),
+    (["train", "--tau", "0.3"], "train.tau", 0.3),
+    (["train", "--aggregation", "mean"], "train.aggregation", "mean"),
+    (["train", "--transfer", "none"], "train.transfer", "none"),
+    (["train", "--seed", "5"], "seeds", (5,)),
+    (["eval", "--k", "5,10"], "eval_ks", (5, 10)),
+    (["eval", "--split", "valid"], "eval_split", "valid"),
+    (["run", "--sweep", "lambda=0:1:0.5"], "ablate",
+     {"transfer": ["none"], "lambda": [0.0, 0.5, 1.0]}),
+    (["ablate", "--sweep", "lambda=0:1:0.5", "--sweep", "transfer=0:0:1"], "ablate",
+     {"transfer": [0.0], "lambda": [0.0, 0.5, 1.0]}),
+]
+
+
+class TestCliTables:
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_STAGES))
+    def test_subcommand_runs_its_upstream_stages(self, captured_runs, command):
+        _, run = captured_runs
+        assert stages_through(command) == SUBCOMMAND_STAGES[command]
+        assert run(command)[1] == SUBCOMMAND_STAGES[command]
+
+    @pytest.mark.parametrize(
+        "argv, field, value", OVERRIDES, ids=[argv[0] + argv[1] for argv, _, _ in OVERRIDES]
+    )
+    def test_flag_sets_exactly_its_field(self, captured_runs, argv, field, value):
+        base, run = captured_runs
+        before = flat_fields(base)
+        after = flat_fields(run(*argv)[0])
+        assert {name for name in after if after[name] != before[name]} == {field}
+        assert after[field] == value and type(after[field]) is type(value)
+
+
+class TestRemoteClients:
+    class _Session:
+        """Answers chat and embedding posts, or fails every post with `fail`."""
+
+        def __init__(self, fail=None):
+            self.fail = fail
+            self.posts = []
+
+        def post(self, url, json, headers, timeout):
+            self.posts.append({"url": url, "body": json, "timeout": timeout})
+            if self.fail is not None:
+                return SimpleNamespace(status_code=self.fail, text="", json=dict)
+            if url.endswith("/embeddings"):
+                rows = [{"index": k, "embedding": [0.5] * json["dimensions"]}
+                        for k in range(len(json["input"]))]
+                payload = {"data": rows}
+            else:
+                payload = {"choices": [{"message": {"content": "text"}}]}
+            return SimpleNamespace(status_code=200, text="", json=lambda: payload)
+
+    def _clients(self, monkeypatch, tmp_path, session, **settings):
+        import requests
+
+        from multitap.persona import clients
+
+        monkeypatch.setenv("MULTITAP_API_KEY", "k")
+        monkeypatch.setattr(requests, "Session", lambda: session)
+        sleeps = []
+        monkeypatch.setattr(clients.time, "sleep", sleeps.append)
+        config = PipelineConfig.from_dict({
+            "run_dir": str(tmp_path / "run"),
+            "source": {"domain_id": "s", "interactions": "s.jsonl", "metadata": "sm.jsonl"},
+            "target": {"domain_id": "t", "interactions": "t.jsonl", "metadata": "tm.jsonl"},
+            "client": {"mode": "remote", **settings},
+        })
+        return config.client, Pipeline(config)._clients(), sleeps
+
+    @pytest.mark.parametrize(
+        "settings",
+        [{}, {"endpoint": "http://localhost:9/v2/", "chat_model": "chat-x", "embed_model": "emb-y",
+              "persona_temperature": 0.2, "description_temperature": 0.9,
+              "remote_persona_dim": 6, "remote_item_dim": 4}],
+        ids=["defaults", "custom"],
+    )
+    def test_clients_carry_client_settings(self, monkeypatch, tmp_path, settings):
+        session = self._Session()
+        cs, (generator, persona_encoder, item_encoder), sleeps = self._clients(
+            monkeypatch, tmp_path, session, **settings
+        )
+        if not settings:
+            assert generator.identity == "remote-gpt-4o"
+            assert persona_encoder.identity == "remote-text-embedding-3-large-d3072"
+            assert item_encoder.identity == "remote-text-embedding-3-large-d512"
+        assert generator.identity == f"remote-{cs.chat_model}"
+        assert persona_encoder.identity == f"remote-{cs.embed_model}-d{cs.remote_persona_dim}"
+        assert item_encoder.identity == f"remote-{cs.embed_model}-d{cs.remote_item_dim}"
+        assert generator.personas({"User ID": "u"}) == "text"
+        assert generator.domain_description({"Domain": "d"}) == "text"
+        assert persona_encoder.embed(["a"]).shape == (1, cs.remote_persona_dim)
+        assert item_encoder.embed(["b", "c"]).shape == (2, cs.remote_item_dim)
+        base = cs.endpoint.rstrip("/")
+        assert [p["url"] for p in session.posts] == [base + "/chat/completions"] * 2 + [
+            base + "/embeddings"] * 2
+        assert all(p["timeout"] == 60.0 for p in session.posts)
+        chats = [p["body"] for p in session.posts[:2]]
+        assert [(b["model"], b["temperature"]) for b in chats] == [
+            (cs.chat_model, cs.persona_temperature),
+            (cs.chat_model, cs.description_temperature),
+        ]
+        assert [b["messages"][1]["content"] for b in chats] == [
+            '{"User ID": "u"}', '{"Domain": "d"}']
+        assert [p["body"] for p in session.posts[2:]] == [
+            {"model": cs.embed_model, "input": ["a"], "dimensions": cs.remote_persona_dim},
+            {"model": cs.embed_model, "input": ["b", "c"], "dimensions": cs.remote_item_dim},
+        ]
+        assert sleeps == []
+
+    def test_three_attempts_with_doubling_backoff(self, monkeypatch, tmp_path):
+        session = self._Session(fail=503)
+        _, (generator, _, item_encoder), sleeps = self._clients(monkeypatch, tmp_path, session)
+        with pytest.raises(ClientError, match="after 3 attempts: status 503"):
+            generator.personas({"User ID": "u"})
+        assert len(session.posts) == 3
+        assert sleeps == [1.0, 2.0]
+        with pytest.raises(ClientError, match="after 3 attempts"):
+            item_encoder.embed(["a"])
+        assert len(session.posts) == 6
+        assert sleeps == [1.0, 2.0, 1.0, 2.0]
