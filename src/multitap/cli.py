@@ -6,8 +6,8 @@ a synthetic two-domain corpus plus a ready-to-run config.  The `dest` of an
 override flag names the config field it sets, either a top-level field
 (`eval_ks`) or `section.field` (`train.lambda_dpl`); its `type` converts the
 text to the field's value, and `_apply_overrides` sets every flag the user
-gave.  Failures print a machine-readable error object to stderr and exit
-nonzero.
+gave.  Failures, usage errors included, print a machine-readable error
+object to stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -25,6 +25,19 @@ from .pipeline import STAGES, Pipeline, PipelineConfig, stages_through
 from .util import write_json
 
 _FIELDS = {f.name for f in dataclasses.fields(PipelineConfig)}
+
+
+def _print_error(kind: str, message: str) -> None:
+    print(json.dumps({"error": {"type": kind, "message": message}}), file=sys.stderr)
+
+
+class _JsonErrorParser(argparse.ArgumentParser):
+    """Reports a usage error (an unknown flag, a value its `type` rejects)
+    as the JSON error object; subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        _print_error("ArgumentError", f"{self.prog}: {message}")
+        self.exit(2)
 
 
 def _parse_sweep(text: str) -> tuple[str, list[float]]:
@@ -74,7 +87,7 @@ def _run_stages(config: PipelineConfig, stages: list[str]) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="multitap")
+    parser = _JsonErrorParser(prog="multitap")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -173,9 +186,7 @@ def main(argv: list[str] | None = None) -> int:
             from .corpus import load_domain
 
             if not (args.domain and args.interactions and args.metadata):
-                raise ValueError(
-                    "ingest needs either --config or --domain/--interactions/--metadata"
-                )
+                parser.error("ingest needs either --config or --domain/--interactions/--metadata")
             ds = load_domain(args.interactions, args.metadata, args.domain)
             summary = {
                 "domain": ds.domain_id,
@@ -219,16 +230,10 @@ def main(argv: list[str] | None = None) -> int:
         _run_stages(config, stages)
         return 0
     except MultitapError as exc:
-        print(
-            json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
-            file=sys.stderr,
-        )
+        _print_error(type(exc).__name__, str(exc))
         return 1
     except (ValueError, OSError) as exc:
-        print(
-            json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
-            file=sys.stderr,
-        )
+        _print_error(type(exc).__name__, str(exc))
         return 2
 
 

@@ -2,7 +2,8 @@
 
 Dense float64 tensors (numpy arrays) plus the operations the
 recommendation model calls: `softmax` with `softmax_backward`, the batched
-cosine InfoNCE `info_nce` (forward and adjoints in one call) and `sigmoid`.
+cosine InfoNCE `info_nce` (forward and adjoints in one call), `sigmoid` and
+`scatter_rows`, the adjoint of a row gather.
 Adjoints are hand-derived instead of built from a general expression graph;
 the model composes forward and backward passes explicitly and `grad_check`
 verifies the composition against central finite differences.  The module
@@ -18,6 +19,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DivergenceError
 from .util import atomic_write_bytes, write_json, read_json
@@ -97,6 +99,18 @@ def sigmoid(x: Array) -> Array:
     e = np.exp(x[~pos])
     out[~pos] = e / (1.0 + e)
     return out
+
+
+def scatter_rows(index: Array, values: Array, n: int) -> Array:
+    """(n, d) sums of the rows of `values` grouped by `index`: output row r
+    is the sum of every `values[t]` with `index[t] == r`.
+
+    A CSR product whose row r holds one unit entry per term, in input order;
+    each output row adds its terms into zero in that order, so the result
+    is bit-equal to `np.add.at(np.zeros((n, d)), index, values)`."""
+    T = index.shape[0]
+    select = sp.csr_matrix((np.ones(T), (index, np.arange(T))), shape=(n, T))
+    return select @ values
 
 
 # ---------------------------------------------------------------------------

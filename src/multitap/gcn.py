@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import InteractionRecord, SplitBundle
-from .diffkit import AdamConfig, ParameterStore, adam_step, init_normal, sigmoid
+from .diffkit import AdamConfig, ParameterStore, adam_step, init_normal, scatter_rows, sigmoid
 from .errors import DivergenceError
 from .evaluate import full_ranking_eval
 
@@ -257,10 +257,12 @@ def pretrain_id_embeddings(
 
             # backward through the propagation (adjacency is symmetric)
             coeff = -sigmoid(-margin) / margin.size
-            grad_prop = np.zeros_like(prop)
-            np.add.at(grad_prop, users, coeff[:, None] * (q_pos - q_neg))
-            np.add.at(grad_prop, nu + pos, coeff[:, None] * p_u)
-            np.add.at(grad_prop, nu + neg, -coeff[:, None] * p_u)
+            grad_pos = coeff[:, None] * p_u
+            grad_prop = scatter_rows(
+                np.concatenate([users, nu + pos, nu + neg]),
+                np.concatenate([coeff[:, None] * (q_pos - q_neg), grad_pos, -grad_pos]),
+                prop.shape[0],
+            )
             acc = grad_prop.copy()
             current = grad_prop
             for _ in range(layer_count):

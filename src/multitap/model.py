@@ -7,9 +7,9 @@ the aggregation mask token, the aggregator FFN/Proj, the two fusion heads
 and the ID embeddings (initialized from the pretrained graph backbone).
 `MultiTapModel` is the only implementation of this maths: it works on whole
 batches, composes its forward and backward passes from the `diffkit` ops
-(`softmax`/`softmax_backward`, `info_nce`, `sigmoid`) and a few inline
-affine and tanh adjoints, and `diffkit.grad_check` validates the complete
-objective.  The transfer modes are rows of `TRANSFER_TABLE`.
+(`softmax`/`softmax_backward`, `info_nce`, `sigmoid`, `scatter_rows`) and a
+few inline affine and tanh adjoints, and `diffkit.grad_check` validates the
+complete objective.  The transfer modes are rows of `TRANSFER_TABLE`.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .diffkit import (
     adam_step,
     info_nce,
     init_normal,
+    scatter_rows,
     sigmoid,
     softmax,
     softmax_backward,
@@ -234,7 +235,7 @@ class MultiTapModel:
         g["fuse.user_b"] += dz.sum(axis=0)
         dx = dz @ p["fuse.user_w"].T
         dh = dx[:, : self.h_dim]
-        np.add.at(g["id.user"], cache["rows"], dx[:, self.h_dim :])
+        g["id.user"][cache["rows"]] += dx[:, self.h_dim :]
         return dh
 
     def _fuse_items(self, item_rows: np.ndarray) -> dict:
@@ -250,7 +251,7 @@ class MultiTapModel:
         g["fuse.item_w"] += cache["x"].T @ dz
         g["fuse.item_b"] += dz.sum(axis=0)
         dx = dz @ p["fuse.item_w"].T
-        np.add.at(g["id.item"], cache["rows"], dx[:, self.sem_dim :])
+        g["id.item"][cache["rows"]] += dx[:, self.sem_dim :]
 
     def doppelganger_weights(self, H: np.ndarray) -> np.ndarray:
         """(M, |U_o|) attention of target persona rows `H` over the source
@@ -294,7 +295,7 @@ class MultiTapModel:
             if positive_parts == "doppelganger":
                 dlogits = softmax_backward(dY @ S.T, W, axis=1)
                 grad = grad + dlogits @ S / np.sqrt(self.h_dim)
-            np.add.at(dh, anchors_local, grad)
+            dh[anchors_local] += grad
         return loss, dh, id_grads
 
     def batch_loss_and_grads(
@@ -328,11 +329,11 @@ class MultiTapModel:
         l_rec = float(np.mean(np.logaddexp(0.0, -margin)))
 
         dmargin = -sigmoid(-margin) / T
-        dzu = np.zeros_like(zu)
-        dzi = np.zeros_like(zi)
-        np.add.at(dzu, user_inv, dmargin[:, None] * (zi[pos_local] - zi[neg_local]))
-        np.add.at(dzi, pos_local, dmargin[:, None] * zu[user_inv])
-        np.add.at(dzi, neg_local, -dmargin[:, None] * zu[user_inv])
+        dzu = scatter_rows(
+            user_inv, dmargin[:, None] * (zi[pos_local] - zi[neg_local]), zu.shape[0]
+        )
+        dzi_pos = dmargin[:, None] * zu[user_inv]
+        dzi = scatter_rows(item_inv, np.concatenate([dzi_pos, -dzi_pos]), zi.shape[0])
 
         l_dpl = 0.0
         dh_extra = None
@@ -355,11 +356,7 @@ class MultiTapModel:
         if dh_extra is not None:
             dh = dh + cfg.lambda_dpl * dh_extra
         if id_grads:
-            np.add.at(
-                self.store.grads["id.user"],
-                id_grads["rows"],
-                cfg.lambda_dpl * id_grads["grad"],
-            )
+            self.store.grads["id.user"][id_grads["rows"]] += cfg.lambda_dpl * id_grads["grad"]
         self._persona_backward(pcache, dh)
 
         total = l_rec + cfg.lambda_dpl * l_dpl
@@ -385,6 +382,27 @@ class MultiTapModel:
 
 def _join(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
+def _sample_negatives(
+    rng: np.random.Generator, users: np.ndarray, observed: list[set[int]], n_items: int
+) -> np.ndarray:
+    """One unobserved item per triple, drawn in triple order: a draw the
+    user has seen is redrawn before the next triple draws (a user who has
+    seen every item keeps the draw).  Each round draws one block of exactly
+    as many values as triples remain, which is the stream scalar draws
+    would consume."""
+    negs = np.empty_like(users)
+    rows = users.tolist()
+    t = 0
+    while t < len(rows):
+        for draw in rng.integers(0, n_items, size=len(rows) - t).tolist():
+            seen = observed[rows[t]]
+            if draw in seen and len(seen) < n_items:
+                continue  # this draw is rejected; the next value is the redraw
+            negs[t] = draw
+            t += 1
+    return negs
 
 
 @dataclass
@@ -448,14 +466,7 @@ def train_target(
         order = rng.permutation(positives.shape[0])
         users_all = np.repeat(positives[order, 0], config.negatives)
         pos_all = np.repeat(positives[order, 1], config.negatives)
-        neg_all = np.empty_like(pos_all)
-        for t in range(users_all.size):
-            draw = int(rng.integers(0, n_items))
-            seen = observed[users_all[t]]
-            if len(seen) < n_items:
-                while draw in seen:
-                    draw = int(rng.integers(0, n_items))
-            neg_all[t] = draw
+        neg_all = _sample_negatives(rng, users_all, observed, n_items)
 
         sum_rec = 0.0
         sum_dpl = 0.0

@@ -135,7 +135,9 @@ class HashingEncoder:
     """Seeded feature-hashing encoder over unigrams and bigrams, unit L2 norm.
 
     Bigrams keep short phrase distinctions ("higher priced" vs "budget
-    priced") that single-token bags wash out."""
+    priced") that single-token bags wash out.  Each distinct feature is
+    hashed once per instance: its (slot, sign) pair is memoised, so repeated
+    template phrases cost a dict lookup."""
 
     def __init__(self, dim: int = 256, seed: int = 0):
         if dim <= 0:
@@ -144,23 +146,34 @@ class HashingEncoder:
         self.seed = seed
         self.identity = f"hashing-v2-d{dim}-s{seed}"
         self.calls = 0
+        self._slots: dict[str, tuple[int, float]] = {}
 
     def _features(self, text: str) -> list[str]:
         tokens = re.findall(r"[a-z0-9]+", text.lower())
         return tokens + [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]
 
+    def _slot(self, feature: str) -> tuple[int, float]:
+        digest = hashlib.blake2b(
+            f"{self.seed}:{feature}".encode("utf-8"), digest_size=8
+        ).digest()
+        value = int.from_bytes(digest, "little")
+        return value % self.dim, 1.0 if (value >> 62) & 1 else -1.0
+
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         self.calls += 1
         out = np.zeros((len(texts), self.dim), dtype=np.float64)
+        memo = self._slots
         for row, text in enumerate(texts):
+            pairs = []
             for feature in self._features(text):
-                digest = hashlib.blake2b(
-                    f"{self.seed}:{feature}".encode("utf-8"), digest_size=8
-                ).digest()
-                value = int.from_bytes(digest, "little")
-                idx = value % self.dim
-                sign = 1.0 if (value >> 62) & 1 else -1.0
-                out[row, idx] += sign
+                pair = memo.get(feature)
+                if pair is None:
+                    pair = memo[feature] = self._slot(feature)
+                pairs.append(pair)
+            if pairs:
+                slots, signs = zip(*pairs)
+                # bins hold small integer sums, exact in any order
+                out[row] = np.bincount(slots, weights=signs, minlength=self.dim)
             norm = np.linalg.norm(out[row])
             if norm == 0.0:
                 # text with no tokens still needs a valid unit vector

@@ -127,6 +127,9 @@ class SplitConfig:
         return _parse_boundary(self.boundary)
 
 
+ABLATE_AXES = ("aggregation", "transfer", "lambda", "tau")
+
+
 @dataclass
 class PipelineConfig:
     run_dir: str
@@ -147,6 +150,14 @@ class PipelineConfig:
     criteria: tuple[str, ...] = ("ps", "qp", "pb")
     report_labels: tuple[str, ...] = ("high", "low")
     ablate: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        unknown = sorted(set(self.ablate) - set(ABLATE_AXES))
+        if unknown:
+            raise ValueError(
+                f"unknown ablate axis {', '.join(map(repr, unknown))}; "
+                f"known axes: {', '.join(ABLATE_AXES)}"
+            )
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineConfig":

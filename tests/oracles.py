@@ -4,12 +4,16 @@
 is the evaluation protocol written directly on top of that full ranking.
 `aggregate_personas` and `transfer_loss` are the model's persona
 aggregation and transfer term written one user at a time with plain loops.
-All are deliberately naive and slow.
+`hashing_embed` is the feature-hashing encoder that hashes every feature
+occurrence, and `sample_negatives` the target trainer's negative sampler
+drawing one scalar at a time.  All are deliberately naive and slow.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import re
 
 import numpy as np
 
@@ -137,3 +141,35 @@ def transfer_loss(mode, users, persona, ids, source_users, source_persona, sourc
             anchors.append(np.concatenate([persona[u], ids[u]]))
             positives.append(np.concatenate([source_persona[s], source_ids[s]]))
     return info_nce_mean(anchors, positives, tau)
+
+
+def hashing_embed(texts, dim, seed):
+    """`HashingEncoder(dim, seed).embed(texts)`, one blake2b per feature
+    occurrence, each added into its slot in feature order."""
+    out = np.zeros((len(texts), dim), dtype=np.float64)
+    for row, text in enumerate(texts):
+        tokens = re.findall(r"[a-z0-9]+", text.lower())
+        for feature in tokens + [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]:
+            digest = hashlib.blake2b(f"{seed}:{feature}".encode("utf-8"), digest_size=8).digest()
+            value = int.from_bytes(digest, "little")
+            out[row, value % dim] += 1.0 if (value >> 62) & 1 else -1.0
+        norm = np.linalg.norm(out[row])
+        if norm == 0.0:
+            out[row, 0] = 1.0
+        else:
+            out[row] /= norm
+    return out
+
+
+def sample_negatives(rng, users, observed, n_items):
+    """The target trainer's negatives, one `rng.integers` call per draw:
+    redraw while the user has seen the draw, unless they have seen every item."""
+    negs = np.empty_like(users)
+    for t in range(users.size):
+        draw = int(rng.integers(0, n_items))
+        seen = observed[users[t]]
+        if len(seen) < n_items:
+            while draw in seen:
+                draw = int(rng.integers(0, n_items))
+        negs[t] = draw
+    return negs

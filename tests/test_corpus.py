@@ -1,10 +1,12 @@
 """Ingestion, overlap and time-split tests."""
 
 import json
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from multitap.corpus import (
     DomainDataset,
@@ -167,6 +169,94 @@ class TestLoaderRejectsBadNumbers:
             rows = [meta_row(f"i{k}", price=p) for k, p in enumerate(prices)]
             with pytest.raises(ParseError, match=rf":{line}: price nan is not finite"):
                 self._load(tmp_path, rows, [])
+
+
+# NaN, the infinities, booleans and (for whole-number fields) every
+# non-integral float
+NOT_A_NUMBER = st.sampled_from([float("nan"), float("inf"), float("-inf"), True, False])
+FRACTIONAL = st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer())
+BAD_VALUES = {
+    "ts": st.one_of(NOT_A_NUMBER, FRACTIONAL),
+    "rating_count": st.one_of(NOT_A_NUMBER, FRACTIONAL),
+    "rating": NOT_A_NUMBER,
+    "price": NOT_A_NUMBER,
+    "avg_rating": NOT_A_NUMBER,
+}
+INTERACTION_FIELDS = ("ts", "rating")
+
+
+class TestLoaderProperties:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(sorted(BAD_VALUES)), rows=st.integers(1, 5), data=st.data())
+    def test_bad_number_names_file_and_line(self, tmp_path, field, rows, data):
+        """A bad value on the last row of a file, after any blank lines, is
+        reported with that file and its physical line number."""
+        meta = [meta_row(f"i{k}") for k in range(rows)]
+        inter = [{"user": f"u{k}", "item": "i0", "rating": 3.0, "ts": k} for k in range(rows)]
+        bad_name, bad_rows = ("inter.jsonl", inter) if field in INTERACTION_FIELDS else ("meta.jsonl", meta)
+        bad_rows[-1] = dict(bad_rows[-1], **{field: data.draw(BAD_VALUES[field])})
+        line_count = {}
+        for name, file_rows in (("meta.jsonl", meta), ("inter.jsonl", inter)):
+            lines = []
+            for row in file_rows:
+                lines += [""] * data.draw(st.integers(0, 2)) + [json.dumps(row)]
+            (tmp_path / name).write_text("\n".join(lines) + "\n")
+            line_count[name] = len(lines)
+        with pytest.raises(ParseError) as info:
+            load_domain(tmp_path / "inter.jsonl", tmp_path / "meta.jsonl", "demo")
+        path, line = str(tmp_path / bad_name), line_count[bad_name]
+        assert (info.value.path, info.value.line) == (path, line)
+        assert re.match(rf"{re.escape(path)}:{line}: {field} ", str(info.value))
+
+
+@st.composite
+def split_cases(draw):
+    """A small domain whose timestamps crowd around a boundary, plus a
+    valid fraction; (user, item, ts) triples are unique."""
+    triples = draw(st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(-6, 6)),
+        min_size=1, max_size=40, unique=True,
+    ))
+    ds = make_dataset("d", [(f"u{u}", f"i{i}", TS_2019 + t) for u, i, t in triples])
+    fraction = draw(st.floats(0.01, 0.99))
+    return ds, fraction
+
+
+class TestTimeSplitProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(split_cases())
+    def test_split_invariants(self, case):
+        ds, fraction = case
+        before = tuple(r for r in ds.interactions if r.timestamp < TS_2019)
+        assume(before)
+        train_users = {r.user_id for r in before}
+        post = [r for r in ds.interactions if r.timestamp >= TS_2019 and r.user_id in train_users]
+        assume(post)
+        bundle = time_split(ds, TS_2019, valid_fraction=fraction)
+        # train is exactly the rows before the boundary, in input order
+        assert bundle.train == before
+        # valid and test hold exactly the post-boundary rows of train users
+        assert Counter(bundle.valid + bundle.test) == Counter(post)
+        # each user's valid rows precede their test rows in (timestamp, item) order
+        key = lambda r: (r.timestamp, r.item_id)
+        for user in train_users:
+            valid = [key(r) for r in bundle.valid if r.user_id == user]
+            test = [key(r) for r in bundle.test if r.user_id == user]
+            assert valid == sorted(valid) and test == sorted(test)
+            if valid and test:
+                assert max(valid) < min(test)
+
+    @settings(max_examples=100, deadline=None)
+    @given(split_cases())
+    def test_degenerate_split_raises(self, case):
+        ds, fraction = case
+        before = [r for r in ds.interactions if r.timestamp < TS_2019]
+        train_users = {r.user_id for r in before}
+        post = [r for r in ds.interactions if r.timestamp >= TS_2019 and r.user_id in train_users]
+        assume(not before or not post)
+        with pytest.raises(DegenerateSplitError):
+            time_split(ds, TS_2019, valid_fraction=fraction)
 
 
 class TestDomainPair:

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from multitap.diffkit import (
@@ -17,6 +18,7 @@ from multitap.diffkit import (
     info_nce,
     load_checkpoint,
     save_checkpoint,
+    scatter_rows,
     softmax,
     softmax_backward,
 )
@@ -197,6 +199,44 @@ class TestInfoNce:
             return loss
 
         assert grad_check(fn, store, eps=1e-5) < 1e-4
+
+
+@st.composite
+def scatter_cases(draw):
+    """(index, values, n): duplicate-heavy indices, signed magnitudes from
+    1e-8 to 1e8 (and signed zeros), possibly no terms at all."""
+    n = draw(st.integers(1, 6))
+    T = draw(st.integers(0, 30))
+    d = draw(st.integers(1, 4))
+    index = np.array(draw(st.lists(st.integers(0, n - 1), min_size=T, max_size=T)), dtype=np.int64)
+    magnitude = st.one_of(st.floats(1e-8, 1e8), st.sampled_from([0.0, 1e-8, 1e8]))
+    cells = draw(st.lists(st.tuples(st.sampled_from([1.0, -1.0]), magnitude),
+                          min_size=T * d, max_size=T * d))
+    values = np.array([sign * m for sign, m in cells], dtype=np.float64).reshape(T, d)
+    return index, values, n
+
+
+class TestScatterRows:
+    @settings(max_examples=300, deadline=None)
+    @given(scatter_cases())
+    def test_bit_equal_to_add_at(self, case):
+        index, values, n = case
+        expected = np.zeros((n, values.shape[1]))
+        np.add.at(expected, index, values)
+        out = scatter_rows(index, values, n)
+        assert out.shape == expected.shape and out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+
+    def test_order_of_terms_is_kept(self):
+        # (1e8 + 1e-9) - 1e8 is 0 and (-1e8 + 1e8) + 1e-9 is 1e-9: the same
+        # terms in another order give another sum
+        values = np.array([[1e8], [1e-9], [-1e8], [-1e8], [1e8], [1e-9]])
+        index = np.array([0, 0, 0, 1, 1, 1])
+        assert scatter_rows(index, values, 2).tolist() == [[0.0], [1e-9]]
+
+    def test_empty_index_gives_zeros(self):
+        out = scatter_rows(np.zeros(0, dtype=np.int64), np.zeros((0, 3)), 4)
+        assert out.tobytes() == np.zeros((4, 3)).tobytes()
 
 
 class TestAdam:

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from multitap.diffkit import grad_check, info_nce
@@ -18,6 +19,7 @@ from multitap.model import (
     ModelInputs,
     MultiTapModel,
     TrainConfig,
+    _sample_negatives,
     train_target,
 )
 from multitap.corpus import InteractionRecord
@@ -573,3 +575,49 @@ class TestTraining:
         total, l_rec, l_dpl = model.batch_loss_and_grads(users, pos, neg)
         assert l_dpl == 0.0
         assert total == l_rec
+
+
+class TestNegativeSampling:
+    """The block sampler consumes the scalar loop's draws, value for value."""
+
+    @staticmethod
+    def _both(n_items, users, observed, seed=0):
+        block_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = _sample_negatives(block_rng, users, observed, n_items)
+        scalar = oracles.sample_negatives(scalar_rng, users, observed, n_items)
+        assert block.dtype == scalar.dtype
+        assert block.tobytes() == scalar.tobytes()
+        assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
+        return block
+
+    @pytest.mark.parametrize("n_items", [1, 2, 7, 432])
+    def test_full_and_all_but_one_users(self, n_items):
+        everything = set(range(n_items))
+        observed = [everything, everything - {n_items // 2}, {0}, set()]
+        rng = np.random.default_rng(n_items)
+        users = rng.integers(0, len(observed), size=200).astype(np.int64)
+        negs = self._both(n_items, users, observed)
+        for u, item in zip(users, negs):
+            if len(observed[u]) < n_items:
+                assert item not in observed[u]
+        if n_items > 1:
+            assert set(negs[users == 1].tolist()) <= {n_items // 2}
+
+    @pytest.mark.parametrize("n_items", [2**31, 2**33])
+    def test_wide_catalogs(self, n_items):
+        rng = np.random.default_rng(3)
+        observed = [set(rng.integers(0, n_items, size=50).tolist()) for _ in range(5)]
+        users = rng.integers(0, 5, size=300).astype(np.int64)
+        self._both(n_items, users, observed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.lists(st.sets(st.integers(0, 11)), min_size=1, max_size=5),
+        st.lists(st.integers(0, 4), max_size=60),
+        st.integers(0, 2**32),
+    )
+    def test_random_shapes(self, n_items, sets, users, seed):
+        observed = [{i for i in seen if i < n_items} for seen in sets]
+        users = np.array([u % len(observed) for u in users], dtype=np.int64)
+        self._both(n_items, users, observed, seed)

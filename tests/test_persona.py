@@ -4,7 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from multitap.corpus import DomainDataset, InteractionRecord, ItemMeta
 from multitap.errors import ClientError, MalformedResponseError
 from multitap.idh import CRITERIA_ORDER, Criterion, Label, compute_domain_bins, compute_domain_labels
@@ -381,6 +383,31 @@ class TestEncoders:
         assert enc.calls == calls
         for k in first:
             np.testing.assert_allclose(first[k], second[k])
+
+    ENCODER_TEXTS = [
+        "This user prefers higher priced items in Kitchen, and budget priced items in Garden.",
+        "budget priced budget priced budget priced",
+        "",
+        "?! -- ...",
+        "a a a a b a",
+        "This user prefers higher priced items in Kitchen, and budget priced items in Garden.",
+    ]
+
+    @pytest.mark.parametrize("dim", [3, 7, 256])
+    def test_embed_matches_unmemoised_oracle(self, dim):
+        enc = HashingEncoder(dim=dim, seed=5)
+        expected = oracles.hashing_embed(self.ENCODER_TEXTS, dim, 5)
+        assert enc.embed(self.ENCODER_TEXTS).tobytes() == expected.tobytes()
+        # a second call reads every feature from the memo
+        again = enc.embed(self.ENCODER_TEXTS[::-1])
+        assert again.tobytes() == expected[::-1].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.text(alphabet="ab c1.", max_size=24), max_size=5),
+           st.sampled_from([3, 7, 256]), st.integers(0, 9))
+    def test_embed_matches_oracle_on_random_texts(self, texts, dim, seed):
+        expected = oracles.hashing_embed(texts, dim, seed)
+        assert HashingEncoder(dim=dim, seed=seed).embed(texts).tobytes() == expected.tobytes()
 
 
 class TestRemoteRetries:

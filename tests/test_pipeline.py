@@ -536,6 +536,54 @@ class TestCliTables:
         assert after[field] == value and type(after[field]) is type(value)
 
 
+class TestCliErrors:
+    """Every failure, a usage error included, is one JSON object on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["eval", "--k", "5,x"], "--k"),
+            (["train", "--seed", "x"], "--seed"),
+            (["train", "--lambda", "x"], "--lambda"),
+            (["ablate", "--sweep", "bad"], "--sweep"),
+        ],
+    )
+    def test_rejected_flag_value_prints_json_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as info:
+            main([argv[0], "--config", "unused.json", *argv[1:]])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "ArgumentError"
+        assert f"argument {flag}" in error["message"]
+        assert captured.out == ""
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--help"])
+        assert info.value.code == 0
+        assert "--lambda" in capsys.readouterr().out
+
+    def test_misspelt_sweep_axis_is_rejected(self, small_fixture, tmp_path, capsys):
+        _, paths = small_fixture
+        config_path = tmp_path / "config.json"
+        write_json(config_path, small_config_dict(paths, tmp_path / "run"))
+        code, captured = cli(capsys, "ablate", "--config", config_path, "--sweep", "lamda=0:1:0.5")
+        assert code == 2
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "ValueError"
+        assert "'lamda'" in error["message"]
+        assert "aggregation, transfer, lambda, tau" in error["message"]
+        assert not (tmp_path / "run").exists()
+
+    def test_unknown_ablate_axis_in_config_is_rejected(self, small_fixture, tmp_path):
+        _, paths = small_fixture
+        config = small_config_dict(paths, tmp_path / "run")
+        config["ablate"] = {"lambda": [0.0], "taus": [0.1], "lamda": [1.0]}
+        with pytest.raises(ValueError, match=r"unknown ablate axis 'lamda', 'taus'; known axes"):
+            PipelineConfig.from_dict(config)
+
+
 class TestRemoteClients:
     class _Session:
         """Answers chat and embedding posts, or fails every post with `fail`."""
