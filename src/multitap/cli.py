@@ -41,12 +41,10 @@ class _JsonErrorParser(argparse.ArgumentParser):
 
 
 def _parse_sweep(text: str) -> tuple[str, list[float]]:
-    """Parse 'lambda=0:2:0.2' into an axis name and an inclusive grid."""
+    """Parse 'lambda=0:2:0.2' into an axis name and an inclusive grid; a
+    malformed text raises ValueError."""
     axis, _, rhs = text.partition("=")
-    parts = rhs.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"sweep '{text}' must look like name=start:stop:step")
-    start, stop, step = (float(p) for p in parts)
+    start, stop, step = (float(p) for p in rhs.split(":"))
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"invalid sweep bounds in '{text}'")
     count = int(round((stop - start) / step)) + 1
@@ -62,8 +60,21 @@ def _comma_list(convert=str):
     return comma_list
 
 
-def _one_seed(text: str) -> tuple[int]:
-    return (int(text),)
+def _expecting(convert, expected: str):
+    """A flag type whose usage error names the form it expects, not `convert`."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+
+    return parse
+
+
+_INTEGER = _expecting(int, "an integer")
+_NUMBER = _expecting(float, "a number")
+_SWEEP = _expecting(_parse_sweep, "a sweep like name=start:stop:step")
 
 
 def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
@@ -95,12 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True)
     run.add_argument("--stages", default=",".join(STAGES))
     run.add_argument("--sweep", dest="ablate", metavar="SWEEP", action="append", default=[],
-                     type=_parse_sweep)
+                     type=_SWEEP)
 
     fixture = sub.add_parser("fixture", help="write the synthetic two-domain corpus")
     fixture.add_argument("--out", required=True)
-    fixture.add_argument("--users", type=int, default=200)
-    fixture.add_argument("--seed", type=int, default=7)
+    fixture.add_argument("--users", type=_INTEGER, default=200)
+    fixture.add_argument("--seed", type=_INTEGER, default=7)
 
     ingest = sub.add_parser("ingest", help="validate and summarize domains")
     ingest.add_argument("--config", default=None)
@@ -112,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     split = sub.add_parser("split", help="time-aware split of both domains")
     split.add_argument("--config", required=True)
     split.add_argument("--boundary", dest="split.boundary", default=None)
-    split.add_argument("--valid-fraction", dest="split.valid_fraction", type=float, default=None)
+    split.add_argument("--valid-fraction", dest="split.valid_fraction", type=_NUMBER, default=None)
 
     idh = sub.add_parser("idh", help="heterogeneity analysis and report CSVs")
     idh.add_argument("--config", required=True)
@@ -130,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pretrain = sub.add_parser("pretrain", help="pretrain the graph backbone")
     pretrain.add_argument("--config", required=True)
-    pretrain.add_argument("--layers", dest="gcn.layers", type=int, default=None)
-    pretrain.add_argument("--epochs", dest="gcn.epochs", type=int, default=None)
+    pretrain.add_argument("--layers", dest="gcn.layers", type=_INTEGER, default=None)
+    pretrain.add_argument("--epochs", dest="gcn.epochs", type=_INTEGER, default=None)
 
     train = sub.add_parser("train", help="joint training on the target domain")
     train.add_argument("--config", required=True)
@@ -139,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="domain id to use as the source")
     train.add_argument("--target", dest="target_domain", default=None,
                        help="domain id to use as the target")
-    train.add_argument("--lambda", dest="train.lambda_dpl", type=float, default=None)
-    train.add_argument("--tau", dest="train.tau", type=float, default=None)
+    train.add_argument("--lambda", dest="train.lambda_dpl", type=_NUMBER, default=None)
+    train.add_argument("--tau", dest="train.tau", type=_NUMBER, default=None)
     train.add_argument("--aggregation", dest="train.aggregation",
                        choices=("self_attn", "mean", "concat"), default=None)
     train.add_argument(
@@ -149,11 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("doppelganger", "direct_id", "direct_persona", "direct_both", "none"),
         default=None,
     )
-    train.add_argument("--seed", dest="seeds", type=_one_seed, default=None)
+    train.add_argument("--seed", dest="seeds", default=None,
+                       type=_expecting(lambda text: (int(text),), "an integer seed"))
 
     evalp = sub.add_parser("eval", help="full-ranking evaluation of trained models")
     evalp.add_argument("--config", required=True)
-    evalp.add_argument("--k", dest="eval_ks", type=_comma_list(int), default=None,
+    evalp.add_argument("--k", dest="eval_ks", default=None,
+                       type=_expecting(_comma_list(int), "a comma list of integers"),
                        help="comma list of cutoffs, e.g. 5,10")
     evalp.add_argument("--split", dest="eval_split", default=None, choices=("valid", "test"))
     evalp.add_argument("--checkpoint", default=None, help="evaluate one checkpoint file")
@@ -161,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     ablate = sub.add_parser("ablate", help="aggregation/transfer/hyperparameter grids")
     ablate.add_argument("--config", required=True)
     ablate.add_argument("--sweep", dest="ablate", metavar="SWEEP", action="append", default=[],
-                        type=_parse_sweep)
+                        type=_SWEEP)
     return parser
 
 

@@ -7,12 +7,14 @@ cosine InfoNCE `info_nce` (forward and adjoints in one call), `sigmoid` and
 Adjoints are hand-derived instead of built from a general expression graph;
 the model composes forward and backward passes explicitly and `grad_check`
 verifies the composition against central finite differences.  The module
-also holds the parameter store, Adam and the checkpoint container.
+also holds the parameter store, Adam, the early-stopped fit loop both
+trainers run and the checkpoint container.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +27,8 @@ from .errors import DivergenceError
 from .util import atomic_write_bytes, write_json, read_json
 
 Array = np.ndarray
+
+logger = logging.getLogger(__name__)
 
 _CKPT_MAGIC = b"MTAPCKPT"
 _CKPT_VERSION = 1
@@ -114,7 +118,7 @@ def scatter_rows(index: Array, values: Array, n: int) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# parameter store and optimizer
+# parameter store, optimizer and the early-stopped fit loop
 # ---------------------------------------------------------------------------
 
 
@@ -204,6 +208,40 @@ def adam_step(store: ParameterStore, config: AdamConfig) -> None:
         if config.weight_decay > 0.0:
             p -= config.learning_rate * config.weight_decay * p
     store.zero_grads()
+
+
+def check_loop_settings(config, epochs_field: str) -> None:
+    """Reject loop settings that cannot train, each below its least value."""
+    for name, least in {epochs_field: 1, "batch_size": 1, "negatives": 1, "patience": 0}.items():
+        if getattr(config, name) < least:
+            raise ValueError(f"{name} must be >= {least}, got {getattr(config, name)!r}")
+
+
+def fit_early_stopped(
+    run_epoch: Callable[[int], tuple[dict, Callable[[], object]]], epochs: int, patience: int
+) -> tuple[list[dict], int, float, object]:
+    """Train epoch by epoch, early-stopped on validation HR; returns the
+    history, the best epoch, its valid HR and its snapshot.
+
+    `run_epoch(epoch)` trains one epoch and returns its history row (without
+    "epoch"; it holds "valid_hr") and a snapshot callable, called only when
+    that HR is a strict maximum so far: the first epoch at the best HR wins.
+    Training stops `patience` epochs after the best one."""
+    history: list[dict] = []
+    best_hr = -1.0
+    best_epoch = -1
+    best = None
+    for epoch in range(epochs):
+        stats, snapshot = run_epoch(epoch)
+        history.append({"epoch": epoch, **stats})
+        if stats["valid_hr"] > best_hr:
+            best_hr = stats["valid_hr"]
+            best_epoch = epoch
+            best = snapshot()
+        elif epoch - best_epoch >= patience:
+            logger.info("early stop at epoch %d (best %d)", epoch, best_epoch)
+            break
+    return history, best_epoch, best_hr, best
 
 
 def grad_check(

@@ -2,13 +2,14 @@
 
 Every item the user has not touched in train is a candidate.  Each held-out
 interaction is one evaluation unit; ties in score break by ascending item id
-so rankings are deterministic across runs.
+so rankings are deterministic across runs.  Users are ranked from rows of a
+(U, I) score matrix; `train_items_by_user` builds their exclusion sets.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Callable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,8 +31,17 @@ def _rank(
     return int(np.count_nonzero(ahead & keep)) + 1
 
 
+def train_items_by_user(records: Iterable) -> dict[str, set[str]]:
+    """The items each user touched in `records` (`.user_id`/`.item_id`)."""
+    items: dict[str, set[str]] = {}
+    for r in records:
+        items.setdefault(r.user_id, set()).add(r.item_id)
+    return items
+
+
 def full_ranking_eval(
-    score_fn: Callable[[str], np.ndarray],
+    scores: np.ndarray,
+    user_rows: Mapping[str, int],
     item_ids: Sequence[str],
     train_items: Mapping[str, set[str]],
     heldout: Sequence,
@@ -40,10 +50,10 @@ def full_ranking_eval(
 ) -> dict:
     """Evaluate held-out positives under the full-ranking protocol.
 
-    `score_fn(user)` returns scores aligned with `item_ids`, which must be
-    distinct.  `heldout` entries expose `.user_id` and `.item_id` (or are
-    (user, item) pairs).
-    Users without scores or candidates are skipped and counted.
+    Row `user_rows[user]` of the (U, I) matrix `scores` holds the user's
+    scores, aligned with `item_ids`, which must be distinct.  `heldout`
+    entries expose `.user_id` and `.item_id` (or are (user, item) pairs).
+    Users without a row or without candidates are skipped and counted.
     `average` is "interaction" (each positive is one unit) or "user"
     (per-user means, then averaged across users).
     """
@@ -69,20 +79,19 @@ def full_ranking_eval(
     # position of each id in ascending string order, the tie-break key
     id_rank = np.empty(len(item_ids), dtype=np.int64)
     id_rank[np.argsort(np.asarray(item_ids), kind="stable")] = np.arange(len(item_ids))
+    scores = np.asarray(scores, dtype=np.float64)
     for user in sorted(by_user):
-        try:
-            scores = score_fn(user)
-        except KeyError:
+        if user not in user_rows:
             skipped += len(by_user[user])
             continue
-        scores = np.asarray(scores, dtype=np.float64)
+        row = scores[user_rows[user]]
         exclude = train_items.get(user, set())
         keep = np.ones(len(item_ids), dtype=bool)
         keep[[id_index[i] for i in exclude if i in id_index]] = False
         if not keep.any():
             skipped += len(by_user[user])
             continue
-        nan = np.isnan(scores)
+        nan = np.isnan(row)
         u_hits = {k: 0.0 for k in ks}
         u_gains = {k: 0.0 for k in ks}
         u_units = 0
@@ -90,7 +99,7 @@ def full_ranking_eval(
             if item not in id_index or item in exclude:
                 skipped += 1
                 continue
-            rank = _rank(scores, nan, keep, id_rank, id_index[item])
+            rank = _rank(row, nan, keep, id_rank, id_index[item])
             u_units += 1
             for k in ks:
                 if rank <= k:

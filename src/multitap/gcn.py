@@ -4,12 +4,12 @@ The bipartite graph indexes only users and items that appear in train
 edges; the embedding table may additionally cover catalog items that never
 occur in train (they receive no propagation mass and are reachable only as
 sampled negatives or ranking candidates).  Propagation is the layer mean of
-repeated normalized-adjacency applications, including layer 0.
+repeated normalized-adjacency applications, including layer 0.  Pretraining
+runs its epoch body (negatives drawn per batch) in `diffkit.fit_early_stopped`.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -18,10 +18,9 @@ import scipy.sparse as sp
 
 from .corpus import InteractionRecord, SplitBundle
 from .diffkit import AdamConfig, ParameterStore, adam_step, init_normal, scatter_rows, sigmoid
+from .diffkit import check_loop_settings, fit_early_stopped
 from .errors import DivergenceError
-from .evaluate import full_ranking_eval
-
-logger = logging.getLogger(__name__)
+from .evaluate import full_ranking_eval, train_items_by_user
 
 
 @dataclass
@@ -111,6 +110,16 @@ def normalized_adjacency(
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
+def _layer_mean(x: np.ndarray, adjacency: sp.spmatrix, layers: int) -> np.ndarray:
+    """Mean of A^l x over l = 0..layers, summed in layer order."""
+    acc = x.copy()
+    current = x
+    for _ in range(layers):
+        current = adjacency @ current
+        acc += current
+    return acc / (layers + 1)
+
+
 def propagate(table: IdEmbeddingTable, adjacency: sp.spmatrix, layers: int) -> IdEmbeddingTable:
     """Layer-averaged propagation: mean over layers 0..L of A^l applied to
     the stacked embedding matrix.  layers=0 returns the input exactly."""
@@ -121,12 +130,7 @@ def propagate(table: IdEmbeddingTable, adjacency: sp.spmatrix, layers: int) -> I
         raise ValueError(
             f"adjacency shape {adjacency.shape} does not match table ({stacked.shape[0]} nodes)"
         )
-    acc = stacked.copy()
-    current = stacked
-    for _ in range(layers):
-        current = adjacency @ current
-        acc += current
-    out = acc / (layers + 1)
+    out = _layer_mean(stacked, adjacency, layers)
     nu = len(table.user_ids)
     return IdEmbeddingTable(
         user_ids=list(table.user_ids),
@@ -148,6 +152,9 @@ class GcnConfig:
     negatives: int = 1
     seed: int = 0
     eval_k: int = 5
+
+    def __post_init__(self):
+        check_loop_settings(self, "epochs")
 
 
 @dataclass
@@ -202,30 +209,10 @@ def pretrain_id_embeddings(
     observed: list[set[int]] = [set() for _ in range(nu)]
     for u_row, i_row in pos_pairs:
         observed[u_row].add(int(i_row))
-    train_item_sets = {
-        user_ids[u]: {item_ids[i] for i in rows} for u, rows in enumerate(observed)
-    }
-    valid = [r for r in split.valid if r.user_id in u_index and r.item_id in i_index]
-
-    def current_table() -> IdEmbeddingTable:
-        return IdEmbeddingTable(user_ids, item_ids, emb[:nu].copy(), emb[nu:].copy())
-
-    def evaluate(table: IdEmbeddingTable) -> dict:
-        scores = table.user_vecs @ table.item_vecs.T
-
-        def score_fn(user: str) -> np.ndarray:
-            return scores[u_index[user]]
-
-        return full_ranking_eval(score_fn, item_ids, train_item_sets, valid, ks=[config.eval_k])
-
-    best_hr = -1.0
-    best_epoch = -1
-    best_params: np.ndarray | None = None
-    best_table: IdEmbeddingTable | None = None
-    history: list[dict] = []
+    train_items = train_items_by_user(split.train)
     layer_count = config.layers
 
-    for epoch in range(config.epochs):
+    def run_epoch(epoch: int):
         order = rng.permutation(pos_pairs.shape[0])
         epoch_loss = 0.0
         n_triples = 0
@@ -236,13 +223,7 @@ def pretrain_id_embeddings(
             neg = _sample_negatives(rng, users, observed, ni)
 
             # forward: propagate, then score the batch triples
-            stacked = emb
-            outputs = [stacked]
-            current = stacked
-            for _ in range(layer_count):
-                current = adjacency @ current
-                outputs.append(current)
-            prop = sum(outputs) / (layer_count + 1)
+            prop = _layer_mean(emb, adjacency, layer_count)
             p_u = prop[users]
             q_pos = prop[nu + pos]
             q_neg = prop[nu + neg]
@@ -263,31 +244,19 @@ def pretrain_id_embeddings(
                 np.concatenate([coeff[:, None] * (q_pos - q_neg), grad_pos, -grad_pos]),
                 prop.shape[0],
             )
-            acc = grad_prop.copy()
-            current = grad_prop
-            for _ in range(layer_count):
-                current = adjacency @ current
-                acc += current
-            store.accumulate("emb", acc / (layer_count + 1))
+            store.accumulate("emb", _layer_mean(grad_prop, adjacency, layer_count))
             adam_step(store, adam)
 
-        table = propagate(current_table(), adjacency, layer_count)
-        metrics = evaluate(table)
-        hr = metrics["HR"][config.eval_k]
-        history.append(
-            {"epoch": epoch, "loss": epoch_loss / max(n_triples, 1), "valid_hr": hr}
+        raw = IdEmbeddingTable(user_ids, item_ids, emb[:nu].copy(), emb[nu:].copy())
+        table = propagate(raw, adjacency, layer_count)
+        scores = table.user_vecs @ table.item_vecs.T
+        metrics = full_ranking_eval(
+            scores, u_index, item_ids, train_items, split.valid, ks=[config.eval_k]
         )
-        if hr > best_hr:
-            best_hr = hr
-            best_epoch = epoch
-            best_params = emb.copy()
-            best_table = table
-        elif epoch - best_epoch >= config.patience:
-            logger.info("early stop at epoch %d (best %d)", epoch, best_epoch)
-            break
+        stats = {"loss": epoch_loss / n_triples, "valid_hr": metrics["HR"][config.eval_k]}
+        return stats, lambda: (table, raw)
 
-    assert best_table is not None and best_params is not None
-    raw = IdEmbeddingTable(user_ids, item_ids, best_params[:nu], best_params[nu:])
-    return PretrainResult(
-        table=best_table, raw=raw, history=history, best_epoch=best_epoch, best_hr=best_hr
+    history, best_epoch, best_hr, (table, raw) = fit_early_stopped(
+        run_epoch, config.epochs, config.patience
     )
+    return PretrainResult(table, raw, history, best_epoch, best_hr)

@@ -10,11 +10,12 @@ batches, composes its forward and backward passes from the `diffkit` ops
 (`softmax`/`softmax_backward`, `info_nce`, `sigmoid`, `scatter_rows`) and a
 few inline affine and tanh adjoints, and `diffkit.grad_check` validates the
 complete objective.  The transfer modes are rows of `TRANSFER_TABLE`.
+`train_target` runs its epoch body (negatives drawn once per epoch) in
+`diffkit.fit_early_stopped`.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -25,6 +26,8 @@ from .diffkit import (
     ParameterStore,
     AdamConfig,
     adam_step,
+    check_loop_settings,
+    fit_early_stopped,
     info_nce,
     init_normal,
     scatter_rows,
@@ -33,9 +36,7 @@ from .diffkit import (
     softmax_backward,
 )
 from .errors import DivergenceError
-from .evaluate import full_ranking_eval
-
-logger = logging.getLogger(__name__)
+from .evaluate import full_ranking_eval, train_items_by_user
 
 AGGREGATION_MODES = ("self_attn", "mean", "concat")
 
@@ -88,6 +89,7 @@ class TrainConfig:
             raise ValueError("tau must be positive")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError("dropout must lie in [0, 1)")
+        check_loop_settings(self, "max_epochs")
 
 
 @dataclass
@@ -442,27 +444,9 @@ def train_target(
     observed: list[set[int]] = [set() for _ in inputs.user_ids]
     for u, i in positives:
         observed[u].add(int(i))
-    train_item_sets = {
-        inputs.user_ids[u]: {inputs.item_ids[i] for i in rows}
-        for u, rows in enumerate(observed)
-    }
+    train_items = train_items_by_user(train_records)
 
-    def valid_metrics() -> dict:
-        scores = model.score_matrix()
-
-        def score_fn(user: str) -> np.ndarray:
-            return scores[u_rows[user]]
-
-        return full_ranking_eval(
-            score_fn, inputs.item_ids, train_item_sets, valid_records, ks=[config.eval_k]
-        )
-
-    best_hr = -1.0
-    best_epoch = -1
-    best_params: dict | None = None
-    history: list[dict] = []
-
-    for epoch in range(config.max_epochs):
+    def run_epoch(epoch: int):
         order = rng.permutation(positives.shape[0])
         users_all = np.repeat(positives[order, 0], config.negatives)
         pos_all = np.repeat(positives[order, 1], config.negatives)
@@ -481,25 +465,18 @@ def train_target(
             sum_dpl += l_dpl
             n_batches += 1
 
-        metrics = valid_metrics()
-        hr = metrics["HR"][config.eval_k]
-        history.append(
-            {
-                "epoch": epoch,
-                "l_rec": sum_rec / n_batches,
-                "l_dpl": sum_dpl / n_batches,
-                "valid_hr": hr,
-                "valid_ndcg": metrics["NDCG"][config.eval_k],
-            }
+        metrics = full_ranking_eval(
+            model.score_matrix(), u_rows, inputs.item_ids, train_items, valid_records,
+            ks=[config.eval_k],
         )
-        if hr > best_hr:
-            best_hr = hr
-            best_epoch = epoch
-            best_params = store.copy_params()
-        elif epoch - best_epoch >= config.patience:
-            logger.info("early stop at epoch %d (best %d)", epoch, best_epoch)
-            break
+        stats = {
+            "l_rec": sum_rec / n_batches,
+            "l_dpl": sum_dpl / n_batches,
+            "valid_hr": metrics["HR"][config.eval_k],
+            "valid_ndcg": metrics["NDCG"][config.eval_k],
+        }
+        return stats, store.copy_params
 
-    if best_params is not None:
-        store.load_params(best_params)
+    history, best_epoch, _, best = fit_early_stopped(run_epoch, config.max_epochs, config.patience)
+    store.load_params(best)
     return TrainResult(model=model, history=history, best_epoch=best_epoch)

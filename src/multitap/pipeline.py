@@ -37,7 +37,7 @@ from .corpus import (
 )
 from .diffkit import checkpoint_manifest_path, load_checkpoint, save_checkpoint
 from .errors import DependencyError
-from .evaluate import aggregate_seed_reports, full_ranking_eval
+from .evaluate import aggregate_seed_reports, full_ranking_eval, train_items_by_user
 from .gcn import GcnConfig, IdEmbeddingTable, pretrain_id_embeddings
 from .idh import Criterion, Label
 from .model import (
@@ -660,18 +660,11 @@ class Pipeline:
     ) -> dict:
         split = self._split("target")
         heldout = split.test if which_split == "test" else split.valid
-        scores = model.score_matrix()
-        train_items: dict[str, set[str]] = {}
-        for r in split.train:
-            train_items.setdefault(r.user_id, set()).add(r.item_id)
-
-        def score_fn(user: str) -> np.ndarray:
-            return scores[model.user_rows[user]]
-
         return full_ranking_eval(
-            score_fn,
+            model.score_matrix(),
+            model.user_rows,
             model.inputs.item_ids,
-            train_items,
+            train_items_by_user(split.train),
             heldout,
             ks=ks,
             average=self.config.eval_average,

@@ -6,7 +6,8 @@ is the evaluation protocol written directly on top of that full ranking.
 aggregation and transfer term written one user at a time with plain loops.
 `hashing_embed` is the feature-hashing encoder that hashes every feature
 occurrence, and `sample_negatives` the target trainer's negative sampler
-drawing one scalar at a time.  All are deliberately naive and slow.
+drawing one scalar at a time.  `early_stopping` is the fit loop's stopping
+rule read off prefix maxima.  All are deliberately naive and slow.
 """
 
 from __future__ import annotations
@@ -173,3 +174,19 @@ def sample_negatives(rng, users, observed, n_items):
                 draw = int(rng.integers(0, n_items))
         negs[t] = draw
     return negs
+
+
+def early_stopping(valid_hrs, epochs, patience):
+    """(epochs run, best epoch) of early stopping on validation HR.  Epoch
+    e >= 1 ends training when its HR does not exceed the maximum of epochs
+    0..e-1 and e lies `patience` or more epochs after the first epoch that
+    reached that maximum; the best epoch is the first maximum of the epochs
+    run."""
+    ran = epochs
+    for e in range(1, epochs):
+        top = max(valid_hrs[:e])
+        if valid_hrs[e] <= top and e - valid_hrs.index(top) >= patience:
+            ran = e + 1
+            break
+    run = valid_hrs[:ran]
+    return ran, run.index(max(run))

@@ -14,6 +14,7 @@ from multitap.diffkit import (
     AdamConfig,
     ParameterStore,
     adam_step,
+    fit_early_stopped,
     grad_check,
     info_nce,
     load_checkpoint,
@@ -285,6 +286,46 @@ class TestAdam:
         store.accumulate("bad", np.array([np.nan]))
         with pytest.raises(ValueError, match="bad"):
             adam_step(store, AdamConfig())
+
+
+class TestFitEarlyStopped:
+    """The shared fit loop against the prefix-maximum oracle, on scripted
+    validation HR sequences; coarse HR values make ties common."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hrs=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=12),
+        patience=st.integers(0, 5),
+        data=st.data(),
+    )
+    def test_matches_oracle(self, hrs, patience, data):
+        epochs = data.draw(st.integers(1, len(hrs)))
+        snapshots = []
+
+        def run_epoch(epoch):
+            def snapshot():
+                snapshots.append(epoch)
+                return ("state", epoch)
+
+            return {"loss": float(-epoch), "valid_hr": hrs[epoch]}, snapshot
+
+        history, best_epoch, best_hr, snapshot = fit_early_stopped(run_epoch, epochs, patience)
+        ran, best = oracles.early_stopping(hrs, epochs, patience)
+        assert history == [
+            {"epoch": e, "loss": float(-e), "valid_hr": hrs[e]} for e in range(ran)
+        ]
+        assert all(list(row) == ["epoch", "loss", "valid_hr"] for row in history)
+        assert (best_epoch, best_hr, snapshot) == (best, hrs[best], ("state", best))
+        # a snapshot is taken exactly at each strict improvement
+        assert snapshots == [e for e in range(ran) if all(hrs[e] > h for h in hrs[:e])]
+
+    def test_tie_does_not_replace_and_patience_counts_from_best(self):
+        hrs = [0.5, 0.5, 0.25, 0.5]
+        history, best_epoch, _, snapshot = fit_early_stopped(
+            lambda e: ({"valid_hr": hrs[e]}, lambda: e), 10, 2
+        )
+        assert [row["epoch"] for row in history] == [0, 1, 2]
+        assert (best_epoch, snapshot) == (0, 0)
 
 
 class TestGradCheck:

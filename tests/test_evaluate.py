@@ -5,20 +5,30 @@ import math
 import numpy as np
 import pytest
 
-from multitap.evaluate import aggregate_seed_reports, full_ranking_eval
+from multitap.corpus import InteractionRecord
+from multitap.evaluate import aggregate_seed_reports, full_ranking_eval, train_items_by_user
 
 import oracles
 from oracles import rank_candidates
 
 
+def score_matrix(scores_by_user):
+    """(U, I) matrix and user -> row map of per-user score vectors."""
+    users = sorted(scores_by_user)
+    matrix = np.array([scores_by_user[u] for u in users], dtype=np.float64)
+    return matrix, {u: k for k, u in enumerate(users)}
+
+
+def one_user(scores):
+    """Matrix arguments ranking `scores` for the single user "u"."""
+    return np.asarray(scores, dtype=np.float64)[None, :], {"u": 0}
+
+
 def eval_single(scores_by_item, positive, exclude=frozenset(), ks=(5,)):
     item_ids = sorted(scores_by_item)
-
-    def score_fn(user):
-        return np.array([scores_by_item[i] for i in item_ids])
-
+    scores = [scores_by_item[i] for i in item_ids]
     return full_ranking_eval(
-        score_fn, item_ids, {"u": set(exclude)}, [("u", positive)], ks=ks
+        *one_user(scores), item_ids, {"u": set(exclude)}, [("u", positive)], ks=ks
     )
 
 
@@ -55,12 +65,29 @@ class TestProtocol:
         assert ranked == ["a", "b", "c"]
 
     def test_skipped_users_counted(self):
-        def score_fn(user):
-            raise KeyError(user)
+        matrix, rows = one_user([1.0, 0.0])
+        heldout = [("ghost", "a"), ("ghost", "b"), ("u", "a")]
+        out = full_ranking_eval(matrix, rows, ["a", "b"], {}, heldout, ks=(1,))
+        assert out["skipped"] == 2
+        assert out["units"] == 1
+        assert out["HR"][1] == 1.0
 
-        out = full_ranking_eval(score_fn, ["a"], {}, [("ghost", "a")], ks=(5,))
+    def test_unknown_positive_is_skipped_and_counted(self):
+        matrix, rows = one_user([1.0, 0.0])
+        heldout = [("u", "missing"), ("u", "b")]
+        out = full_ranking_eval(matrix, rows, ["a", "b"], {}, heldout, ks=(1, 2))
         assert out["skipped"] == 1
-        assert out["units"] == 0
+        assert out["units"] == 1
+        assert out["HR"] == {1: 0.0, 2: 1.0}
+
+    def test_train_items_by_user(self):
+        records = [
+            InteractionRecord("u", "a", 5.0, 1),
+            InteractionRecord("v", "b", 4.0, 2),
+            InteractionRecord("u", "c", 3.0, 3),
+            InteractionRecord("u", "a", 2.0, 4),
+        ]
+        assert train_items_by_user(records) == {"u": {"a", "c"}, "v": {"b"}}
 
 
 class TestInvariants:
@@ -75,11 +102,9 @@ class TestInvariants:
         for _ in range(30):
             item_ids, scores, positive = self._random_instance(rng)
             lookup = dict(zip(item_ids, scores))
-
-            def score_fn(user):
-                return np.array([lookup[i] for i in item_ids])
-
-            out = full_ranking_eval(score_fn, item_ids, {}, [("u", positive)], ks=(1, 3, 5, 10))
+            out = full_ranking_eval(
+                *one_user(scores), item_ids, {}, [("u", positive)], ks=(1, 3, 5, 10)
+            )
             # naive sort oracle
             order = sorted(item_ids, key=lambda i: (-lookup[i], i))
             rank = order.index(positive) + 1
@@ -91,12 +116,9 @@ class TestInvariants:
     def test_monotone_in_k(self):
         rng = np.random.default_rng(1)
         item_ids, scores, positive = self._random_instance(rng)
-        lookup = dict(zip(item_ids, scores))
-
-        def score_fn(user):
-            return np.array([lookup[i] for i in item_ids])
-
-        out = full_ranking_eval(score_fn, item_ids, {}, [("u", positive)], ks=(1, 2, 5, 10, 15))
+        out = full_ranking_eval(
+            *one_user(scores), item_ids, {}, [("u", positive)], ks=(1, 2, 5, 10, 15)
+        )
         hr = [out["HR"][k] for k in (1, 2, 5, 10, 15)]
         ndcg = [out["NDCG"][k] for k in (1, 2, 5, 10, 15)]
         assert hr == sorted(hr)
@@ -106,12 +128,7 @@ class TestInvariants:
         rng = np.random.default_rng(2)
         for _ in range(20):
             item_ids, scores, positive = self._random_instance(rng)
-            lookup = dict(zip(item_ids, scores))
-
-            def score_fn(user):
-                return np.array([lookup[i] for i in item_ids])
-
-            out = full_ranking_eval(score_fn, item_ids, {}, [("u", positive)], ks=(5,))
+            out = full_ranking_eval(*one_user(scores), item_ids, {}, [("u", positive)], ks=(5,))
             assert 0.0 <= out["NDCG"][5] <= out["HR"][5] <= 1.0
 
     def test_monotone_transform_invariance(self):
@@ -120,12 +137,9 @@ class TestInvariants:
         scores = rng.normal(size=20)
         heldout = [("u", item_ids[k]) for k in rng.integers(0, 20, size=6)]
 
-        def make_fn(vals):
-            return lambda user: vals
-
-        base = full_ranking_eval(make_fn(scores), item_ids, {}, heldout, ks=(5, 10))
+        base = full_ranking_eval(*one_user(scores), item_ids, {}, heldout, ks=(5, 10))
         warped = full_ranking_eval(
-            make_fn(np.exp(2.0 * scores + 1.0)), item_ids, {}, heldout, ks=(5, 10)
+            *one_user(np.exp(2.0 * scores + 1.0)), item_ids, {}, heldout, ks=(5, 10)
         )
         assert base["HR"] == warped["HR"]
         assert base["NDCG"] == warped["NDCG"]
@@ -157,29 +171,27 @@ class TestSortOracle:
         rng = np.random.default_rng(4)
         for _ in range(300):
             item_ids, scores, train, heldout = self._case(rng)
+            matrix, rows = score_matrix(scores)
 
-            def score_fn(user):
-                return scores[user]
+            def score_fn(user):  # the oracle's view of the same matrix
+                return matrix[rows[user]]
 
             for average in ("interaction", "user"):
-                args = (score_fn, item_ids, train, heldout)
                 kwargs = {"ks": (1, 3, 5, 10), "average": average}
-                assert repr(full_ranking_eval(*args, **kwargs)) == repr(
-                    oracles.full_ranking_eval(*args, **kwargs)
-                )
+                assert repr(
+                    full_ranking_eval(matrix, rows, item_ids, train, heldout, **kwargs)
+                ) == repr(oracles.full_ranking_eval(score_fn, item_ids, train, heldout, **kwargs))
 
     def test_nan_ranks_after_finite_then_by_id(self):
         item_ids = ["c", "a", "b", "d"]
         scores = np.array([np.nan, np.nan, -5.0, 1.0])
         assert rank_candidates(scores, item_ids, set()) == ["d", "b", "a", "c"]
-        out = full_ranking_eval(
-            lambda u: scores, item_ids, {}, [("u", "c")], ks=(3, 4)
-        )
+        out = full_ranking_eval(*one_user(scores), item_ids, {}, [("u", "c")], ks=(3, 4))
         assert out["HR"] == {3: 0.0, 4: 1.0}
 
     def test_duplicate_item_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicates"):
-            full_ranking_eval(lambda u: np.zeros(2), ["a", "a"], {}, [("u", "a")])
+            full_ranking_eval(*one_user(np.zeros(2)), ["a", "a"], {}, [("u", "a")])
 
 
 class TestSeedAggregation:
@@ -206,15 +218,13 @@ class TestAveragingModes:
         item_ids = ["i0", "i1", "i2", "i3", "i4", "i5", "i6"]
         scores = {"a": np.array([7.0, 6, 5, 4, 3, 2, 1]), "b": np.array([1.0, 2, 3, 4, 5, 6, 7])}
         heldout = [("a", "i0"), ("a", "i6"), ("b", "i6")]
-
-        def fn(user):
-            return scores[user]
-
-        inter = full_ranking_eval(fn, item_ids, {}, heldout, ks=(1,), average="interaction")
-        user = full_ranking_eval(fn, item_ids, {}, heldout, ks=(1,), average="user")
+        matrix, rows = score_matrix(scores)
+        args = (matrix, rows, item_ids, {}, heldout)
+        inter = full_ranking_eval(*args, ks=(1,), average="interaction")
+        user = full_ranking_eval(*args, ks=(1,), average="user")
         assert inter["HR"][1] == pytest.approx(2.0 / 3.0)
         assert user["HR"][1] == pytest.approx((0.5 + 1.0) / 2.0)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            full_ranking_eval(lambda u: np.zeros(1), ["a"], {}, [("u", "a")], average="nope")
+            full_ranking_eval(*one_user(np.zeros(1)), ["a"], {}, [("u", "a")], average="nope")

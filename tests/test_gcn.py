@@ -193,18 +193,23 @@ class TestPretrain:
         )
         result = pretrain_id_embeddings(split, config)
 
-        # popularity-ranking oracle on the same protocol
-        from multitap.evaluate import full_ranking_eval
+        # popularity-ranking oracle on the same protocol: every user's row
+        # of the score matrix holds the item counts
+        from multitap.evaluate import full_ranking_eval, train_items_by_user
 
         counts: dict[str, int] = {}
-        train_items: dict[str, set] = {}
         for r in split.train:
             counts[r.item_id] = counts.get(r.item_id, 0) + 1
-            train_items.setdefault(r.user_id, set()).add(r.item_id)
         item_ids = result.table.item_ids
+        user_ids = result.table.user_ids
         pop_scores = np.array([counts.get(i, 0) for i in item_ids], dtype=float)
         pop = full_ranking_eval(
-            lambda user: pop_scores, item_ids, train_items, split.valid, ks=[5]
+            np.tile(pop_scores, (len(user_ids), 1)),
+            {u: k for k, u in enumerate(user_ids)},
+            item_ids,
+            train_items_by_user(split.train),
+            split.valid,
+            ks=[5],
         )
         assert result.best_hr > pop["HR"][5]
 

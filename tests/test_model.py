@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from multitap.diffkit import grad_check, info_nce
 from multitap.errors import DivergenceError
+from multitap.gcn import GcnConfig
 from multitap.model import (
     AGGREGATION_MODES,
     TRANSFER_TABLE,
@@ -575,6 +576,22 @@ class TestTraining:
         total, l_rec, l_dpl = model.batch_loss_and_grads(users, pos, neg)
         assert l_dpl == 0.0
         assert total == l_rec
+
+
+class TestLoopSettings:
+    """Both trainers' configs reject loop settings that cannot train."""
+
+    @pytest.mark.parametrize(
+        "config_cls, epochs", [(GcnConfig, "epochs"), (TrainConfig, "max_epochs")]
+    )
+    @pytest.mark.parametrize(
+        "field, bound", [("epochs", 1), ("batch_size", 1), ("negatives", 1), ("patience", 0)]
+    )
+    def test_below_bound_rejected_and_bound_accepted(self, config_cls, epochs, field, bound):
+        name = epochs if field == "epochs" else field
+        with pytest.raises(ValueError, match=f"^{name} must be >= {bound}, got {bound - 1}$"):
+            config_cls(**{name: bound - 1})
+        assert getattr(config_cls(**{name: bound}), name) == bound
 
 
 class TestNegativeSampling:

@@ -539,6 +539,17 @@ class TestCliTables:
 class TestCliErrors:
     """Every failure, a usage error included, is one JSON object on stderr."""
 
+    # each rejected value's message names the form the flag expects
+    EXPECTED = {
+        "eval --k 5,x": "expected a comma list of integers, got '5,x'",
+        "train --seed x": "expected an integer seed, got 'x'",
+        "train --lambda x": "expected a number, got 'x'",
+        "ablate --sweep bad": "expected a sweep like name=start:stop:step, got 'bad'",
+        "pretrain --epochs 1.5": "expected an integer, got '1.5'",
+        "ablate --sweep lambda=a:1:1":
+            "expected a sweep like name=start:stop:step, got 'lambda=a:1:1'",
+    }
+
     @pytest.mark.parametrize(
         "argv, flag",
         [
@@ -546,6 +557,8 @@ class TestCliErrors:
             (["train", "--seed", "x"], "--seed"),
             (["train", "--lambda", "x"], "--lambda"),
             (["ablate", "--sweep", "bad"], "--sweep"),
+            (["pretrain", "--epochs", "1.5"], "--epochs"),
+            (["ablate", "--sweep", "lambda=a:1:1"], "--sweep"),
         ],
     )
     def test_rejected_flag_value_prints_json_error(self, capsys, argv, flag):
@@ -555,8 +568,35 @@ class TestCliErrors:
         captured = capsys.readouterr()
         error = json.loads(captured.err)["error"]
         assert error["type"] == "ArgumentError"
-        assert f"argument {flag}" in error["message"]
+        assert f"argument {flag}: {self.EXPECTED[' '.join(argv)]}" in error["message"]
+        # no converter's Python name ("invalid int value", "_one_seed")
+        assert "invalid" not in error["message"]
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, edit, field",
+        [
+            (["pretrain", "--epochs", "0"], None, "epochs"),
+            (["train"], lambda c: c["train"].update(negatives=0), "negatives"),
+            (["train"], lambda c: c["train"].update(max_epochs=0), "max_epochs"),
+            (["train"], lambda c: c["source_train"].update(batch_size=0), "batch_size"),
+            (["pretrain"], lambda c: c["gcn"].update(patience=-1), "patience"),
+        ],
+    )
+    def test_loop_setting_that_cannot_train_is_rejected(
+        self, small_fixture, tmp_path, capsys, argv, edit, field
+    ):
+        _, paths = small_fixture
+        config = small_config_dict(paths, tmp_path / "run")
+        if edit is not None:
+            edit(config)
+        write_json(tmp_path / "config.json", config)
+        code, captured = cli(capsys, argv[0], "--config", tmp_path / "config.json", *argv[1:])
+        assert code == 2
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith(f"{field} must be >= ")
+        assert not (tmp_path / "run").exists()
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
