@@ -16,12 +16,14 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
 from .errors import MultitapError
 from .fixtures import FixtureSpec, fixture_config_dict, write_fixture
-from .pipeline import STAGES, Pipeline, PipelineConfig, stages_through
+from .model import AGGREGATION_MODES, TRANSFER_MODES
+from .pipeline import EVAL_SPLITS, STAGES, Pipeline, PipelineConfig, stages_through
 from .util import write_json
 
 _FIELDS = {f.name for f in dataclasses.fields(PipelineConfig)}
@@ -42,11 +44,12 @@ class _JsonErrorParser(argparse.ArgumentParser):
 
 def _parse_sweep(text: str) -> tuple[str, list[float]]:
     """Parse 'lambda=0:2:0.2' into an axis name and an inclusive grid; a
-    malformed text raises ValueError."""
+    malformed text, a non-finite bound or step, a step that is not positive,
+    stop < start, or a grid count that overflows raises ValueError."""
     axis, _, rhs = text.partition("=")
     start, stop, step = (float(p) for p in rhs.split(":"))
-    if step <= 0 or stop < start:
-        raise argparse.ArgumentTypeError(f"invalid sweep bounds in '{text}'")
+    if not (0 < step < math.inf and start <= stop and math.isfinite(start + (stop - start) / step)):
+        raise ValueError(f"invalid sweep bounds in '{text}'")
     count = int(round((stop - start) / step)) + 1
     return axis.strip(), [round(start + k * step, 10) for k in range(count)]
 
@@ -152,14 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="domain id to use as the target")
     train.add_argument("--lambda", dest="train.lambda_dpl", type=_NUMBER, default=None)
     train.add_argument("--tau", dest="train.tau", type=_NUMBER, default=None)
-    train.add_argument("--aggregation", dest="train.aggregation",
-                       choices=("self_attn", "mean", "concat"), default=None)
-    train.add_argument(
-        "--transfer",
-        dest="train.transfer",
-        choices=("doppelganger", "direct_id", "direct_persona", "direct_both", "none"),
-        default=None,
-    )
+    train.add_argument("--aggregation", dest="train.aggregation", choices=AGGREGATION_MODES,
+                       default=None)
+    train.add_argument("--transfer", dest="train.transfer", choices=TRANSFER_MODES, default=None)
     train.add_argument("--seed", dest="seeds", default=None,
                        type=_expecting(lambda text: (int(text),), "an integer seed"))
 
@@ -168,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     evalp.add_argument("--k", dest="eval_ks", default=None,
                        type=_expecting(_comma_list(int), "a comma list of integers"),
                        help="comma list of cutoffs, e.g. 5,10")
-    evalp.add_argument("--split", dest="eval_split", default=None, choices=("valid", "test"))
+    evalp.add_argument("--split", dest="eval_split", default=None, choices=EVAL_SPLITS)
     evalp.add_argument("--checkpoint", default=None, help="evaluate one checkpoint file")
 
     ablate = sub.add_parser("ablate", help="aggregation/transfer/hyperparameter grids")

@@ -15,6 +15,8 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
+AVERAGES = ("interaction", "user")
+
 
 def _rank(
     scores: np.ndarray, nan: np.ndarray, keep: np.ndarray, id_rank: np.ndarray, pos: int
@@ -57,7 +59,7 @@ def full_ranking_eval(
     `average` is "interaction" (each positive is one unit) or "user"
     (per-user means, then averaged across users).
     """
-    if average not in ("interaction", "user"):
+    if average not in AVERAGES:
         raise ValueError(f"unknown averaging mode '{average}'")
     ks = sorted(ks)
     by_user: dict[str, list[str]] = {}

@@ -11,17 +11,8 @@ from .clients import (
     RemoteGenerator,
     TemplateGenerator,
 )
-from .database import (
-    PersonaDB,
-    build_all_persona_dbs,
-    build_persona_db,
-    category_diversity,
-    category_diversity_label,
-    category_familiarity_label,
-    familiarity_counts,
-)
+from .database import PersonaDB, build_all_persona_dbs
 from .encoding import (
-    PersonaEmbeddingSet,
     encode_item_batch,
     encode_personas,
     item_semantic_text,
@@ -49,7 +40,6 @@ __all__ = [
     "HashingEncoder",
     "JsonCache",
     "PersonaDB",
-    "PersonaEmbeddingSet",
     "PersonaText",
     "PromptAssets",
     "RemoteEncoder",
@@ -57,15 +47,10 @@ __all__ = [
     "TemplateGenerator",
     "build_all_persona_dbs",
     "build_domain_description",
-    "build_persona_db",
     "build_prompt_assets",
-    "category_diversity",
-    "category_diversity_label",
-    "category_familiarity_label",
     "description_payload",
     "encode_item_batch",
     "encode_personas",
-    "familiarity_counts",
     "generate_all_personas",
     "item_semantic_text",
     "parse_persona_response",

@@ -3,11 +3,11 @@
 Entries are written in shards, one file per batched write, so a cold persona
 stage writes a handful of files instead of one per user.  A shard is named
 by the sha256 of its bytes: writing the same entries again lands on the same
-name, and a rerun that finds every key writes nothing.  The layout follows
-the checkpoint container: an 8-byte magic, a little-endian uint32 header
-length, a JSON header, then raw little-endian float64 blobs.  The header maps
-each key either to its JSON value (under "json") or to the shape and byte
-offset of its vector (under "arrays").
+name, and a rerun that finds every key writes nothing.  A shard is an
+8-byte magic, a little-endian uint32 header length (no version word, unlike
+a checkpoint), a JSON header, then raw little-endian float64 blobs.  The
+header maps each key either to its JSON value (under "json") or to the shape
+and byte offset of its vector (under "arrays").
 
 Only `*.shard` files are read.  Temp files of an interrupted write and the
 per-key `*.json` files of the older layout are ignored, so a cache written by

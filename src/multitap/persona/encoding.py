@@ -1,41 +1,33 @@
 """Dense encoding of persona texts and item metadata.
 
-Each user yields one vector per criterion (a single batched encoder call per
-user); items are encoded from the domain description concatenated with their
-category, in configurable chunks.  Both paths cache on content hashes, with
-one cache read and at most one cache write per call.
+Vectors stay arrays from the encoder to the checkpoint.  `encode_personas`
+returns a (U, 5, d) array, one (5, d) stack per user in input order with its
+rows in `CRITERIA_ORDER`, from a single encoder call per uncached user.
+`encode_item_batch` returns an (I, d) array in input order; an item is
+encoded from the domain description concatenated with its category, in
+configurable chunks.  Both cache on content hashes, with one cache read and
+at most one cache write per call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..corpus import ItemMeta
-from ..idh import CRITERIA_ORDER, Criterion
+from ..idh import CRITERIA_ORDER
 from .cache import JsonCache, cache_batch, content_key
 from .clients import EncoderClient
 from .generation import PersonaText
 
 
-@dataclass
-class PersonaEmbeddingSet:
-    user_id: str
-    vectors: dict[Criterion, np.ndarray]
-    dim: int
-
-    def stacked(self) -> np.ndarray:
-        """(5, dim) matrix in canonical criterion order."""
-        return np.stack([self.vectors[c] for c in CRITERIA_ORDER])
-
-
 def encode_personas(
     texts: Sequence[PersonaText], encoder: EncoderClient, cache: JsonCache | None = None
-) -> list[PersonaEmbeddingSet]:
-    """Encode each user's five criterion texts, one encoder call per user
-    whose texts are not cached; one cache read and at most one write."""
+) -> np.ndarray:
+    """The (U, 5, d) vectors of each user's five criterion texts, one
+    encoder call per user whose texts are not cached; one cache read and at
+    most one write."""
     for text in texts:
         missing = [c.value for c in CRITERIA_ORDER if c not in text.texts]
         if missing:
@@ -54,14 +46,7 @@ def encode_personas(
                 )
             new[key] = matrix
     stored.update(new)
-    return [
-        PersonaEmbeddingSet(
-            text.user_id,
-            {c: stored[key][i] for i, c in enumerate(CRITERIA_ORDER)},
-            encoder.dim,
-        )
-        for text, key in zip(texts, keys)
-    ]
+    return np.stack([stored[key] for key in keys])
 
 
 def item_semantic_text(item: ItemMeta, domain_description: str) -> str:
@@ -75,9 +60,9 @@ def encode_item_batch(
     encoder: EncoderClient,
     chunk_size: int = 256,
     cache: JsonCache | None = None,
-) -> dict[str, np.ndarray]:
-    """Encode many items; those whose text is not cached go to the encoder
-    in calls of `chunk_size`.  The cache is keyed per item text."""
+) -> np.ndarray:
+    """The (I, d) vectors of `items`; those whose text is not cached go to
+    the encoder in calls of `chunk_size`.  The cache is keyed per item text."""
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
     texts = [item_semantic_text(m, domain_description) for m in items]
@@ -90,4 +75,4 @@ def encode_item_batch(
             for i, row in zip(chunk, matrix):
                 new[keys[i]] = row
     stored.update(new)
-    return {m.item_id: stored[key].copy() for m, key in zip(items, keys)}
+    return np.stack([stored[key] for key in keys])

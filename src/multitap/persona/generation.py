@@ -18,7 +18,7 @@ from ..idh import CRITERIA_ORDER, Criterion
 from .cache import JsonCache, cache_batch, content_key
 from .clients import GeneratorClient
 from .database import PersonaDB
-from .prompts import PROFILE_KEYS, PromptAssets, persona_payload
+from .prompts import PERSONA_SYSTEM_PROMPT, PROFILE_KEYS, PromptAssets, persona_payload
 
 
 @dataclass
@@ -103,7 +103,7 @@ def generate_all_personas(
     # payloads are rebuilt for the misses rather than all held at once
     keys = {
         u: content_key(
-            {"payload": payload(u), "client": client.identity, "instruction": assets.persona_instruction}
+            {"payload": payload(u), "client": client.identity, "instruction": PERSONA_SYSTEM_PROMPT}
         )
         for u in users
     }

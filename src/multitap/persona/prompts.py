@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..corpus import DomainDataset, InteractionRecord, ItemMeta
-from ..idh import BinAssignment, Criterion, Label
+from ..idh import Criterion, Label
 
 PERSONA_SYSTEM_PROMPT = (
     "You analyze e-commerce users. From the given domain, domain description, "
@@ -137,7 +137,6 @@ TEMPLATE_EMPTY_SENTENCES: dict[Criterion, str] = {
 class PromptAssets:
     domain_id: str
     domain_description: str
-    persona_instruction: str = PERSONA_SYSTEM_PROMPT
 
 
 def sample_description_items(dataset: DomainDataset, cap: int = 100) -> list[ItemMeta]:
@@ -220,10 +219,11 @@ def persona_payload(
 def recent_history(
     dataset: DomainDataset,
     user_id: str,
-    price_bins: Mapping[str, BinAssignment] | None = None,
+    price_bins: Mapping[str, Mapping[str, int]] | None = None,
     limit: int = 30,
 ) -> list[tuple[InteractionRecord, ItemMeta, str | None]]:
-    """The user's most recent `limit` interactions, newest first."""
+    """The user's most recent `limit` interactions, newest first, each with
+    its item's price tag from the PS bin maps `{category: {item: bin}}`."""
     rows = sorted(
         dataset.user_records.get(user_id, ()), key=lambda r: (-r.timestamp, r.item_id)
     )
@@ -232,7 +232,7 @@ def recent_history(
         meta = dataset.items[rec.item_id]
         tag = None
         if price_bins and meta.category in price_bins:
-            b = price_bins[meta.category].bins.get(rec.item_id)
+            b = price_bins[meta.category].get(rec.item_id)
             if b is not None:
                 tag = Label(b).code
         out.append((rec, meta, tag))

@@ -37,9 +37,9 @@ from .corpus import (
 )
 from .diffkit import checkpoint_manifest_path, load_checkpoint, save_checkpoint
 from .errors import DependencyError
-from .evaluate import aggregate_seed_reports, full_ranking_eval, train_items_by_user
+from .evaluate import AVERAGES, aggregate_seed_reports, full_ranking_eval, train_items_by_user
 from .gcn import GcnConfig, IdEmbeddingTable, pretrain_id_embeddings
-from .idh import Criterion, Label
+from .idh import METADATA_CRITERIA, Criterion, Label
 from .model import (
     ModelInputs,
     MultiTapModel,
@@ -128,6 +128,7 @@ class SplitConfig:
 
 
 ABLATE_AXES = ("aggregation", "transfer", "lambda", "tau")
+EVAL_SPLITS = ("valid", "test")
 
 
 @dataclass
@@ -152,12 +153,22 @@ class PipelineConfig:
     ablate: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        unknown = sorted(set(self.ablate) - set(ABLATE_AXES))
-        if unknown:
-            raise ValueError(
-                f"unknown ablate axis {', '.join(map(repr, unknown))}; "
-                f"known axes: {', '.join(ABLATE_AXES)}"
-            )
+        # closed vocabularies: what is checked -> (values, known values, their name)
+        vocabularies = {
+            "ablate axis": (self.ablate, ABLATE_AXES, "axes"),
+            "eval_split": ((self.eval_split,), EVAL_SPLITS, "splits"),
+            "eval_average": ((self.eval_average,), AVERAGES, "averages"),
+            "report label": (self.report_labels, tuple(x.name.lower() for x in reversed(Label)),
+                             "labels"),
+            "criterion": (self.criteria, tuple(c.value for c in METADATA_CRITERIA), "criteria"),
+        }
+        for name, (values, known, plural) in vocabularies.items():
+            unknown = sorted(set(values) - set(known))
+            if unknown:
+                raise ValueError(
+                    f"unknown {name} {', '.join(map(repr, unknown))}; "
+                    f"known {plural}: {', '.join(known)}"
+                )
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineConfig":
@@ -426,21 +437,11 @@ class Pipeline:
         self._mark_done("idh")
 
     def _load_idh(self, which: str):
+        """What persona reads of idh: the PS bin maps `{category: {item:
+        bin}}` and the label maps of every criterion."""
         base = self.run_dir / "idh" / which
-        raw_bins = read_json(base / "bins.json")
-        bins = {
-            Criterion(c): {
-                cat: idh_mod.BinAssignment(
-                    category=cat,
-                    criterion=Criterion(c),
-                    q13=entry["q13"],
-                    q23=entry["q23"],
-                    bins={k: int(v) for k, v in entry["bins"].items()},
-                )
-                for cat, entry in per_cat.items()
-            }
-            for c, per_cat in raw_bins.items()
-        }
+        raw_bins = read_json(base / "bins.json").get(Criterion.PS.value, {})
+        price_bins = {cat: entry["bins"] for cat, entry in raw_bins.items()}
         raw_labels = read_json(base / "labels.json")
         labels = {
             Criterion(c): {
@@ -449,7 +450,7 @@ class Pipeline:
             }
             for c, per_cat in raw_labels.items()
         }
-        return bins, labels
+        return price_bins, labels
 
     def stage_persona(self, phase: str = "encode") -> None:
         """Build databases, generate texts and encode vectors.
@@ -464,14 +465,13 @@ class Pipeline:
         generator, persona_encoder, item_encoder = self._clients()
         for which in ("source", "target"):
             train_ds = self._train_dataset(which)
-            bins, labels = self._load_idh(which)
+            price_bins, labels = self._load_idh(which)
             dbs = persona_mod.build_all_persona_dbs(train_ds, labels)
             base = self.run_dir / "persona" / which
             write_json(base / "db.json", [dbs[u].to_json_dict() for u in sorted(dbs)])
             if phase == "build":
                 continue
             assets = persona_mod.build_prompt_assets(train_ds, generator)
-            price_bins = bins.get(Criterion.PS, {})
             histories = {
                 u: persona_mod.recent_history(train_ds, u, price_bins)
                 for u in sorted(dbs)
@@ -492,16 +492,11 @@ class Pipeline:
             atomic_write_text(base / "description.txt", assets.domain_description + "\n")
             if phase == "generate":
                 continue
-            vectors = np.stack(
-                [
-                    e.stacked()
-                    for e in persona_mod.encode_personas(
-                        [texts[u] for u in user_ids], persona_encoder, cache=self.vector_cache
-                    )
-                ]
+            vectors = persona_mod.encode_personas(
+                [texts[u] for u in user_ids], persona_encoder, cache=self.vector_cache
             )
             items = [train_ds.items[i] for i in sorted(train_ds.items)]
-            item_vecs = persona_mod.encode_item_batch(
+            item_vectors = persona_mod.encode_item_batch(
                 items,
                 assets.domain_description,
                 item_encoder,
@@ -518,14 +513,13 @@ class Pipeline:
                     "dim": persona_encoder.dim,
                 },
             )
-            item_order = [m.item_id for m in items]
             save_checkpoint(
                 base / "item_vectors.ckpt",
-                {"vectors": np.stack([item_vecs[i] for i in item_order])},
+                {"vectors": item_vectors},
                 {
                     "stage_key": self.keys["persona"],
                     "seed": self.config.client.seed,
-                    "item_ids": item_order,
+                    "item_ids": [m.item_id for m in items],
                     "dim": item_encoder.dim,
                 },
             )
@@ -738,21 +732,19 @@ class Pipeline:
         self._ensure_source_tables("ablate")
         self._begin("ablate")
         inputs = self._target_inputs_with_transfer()
+        axes = self.config.ablate or {"transfer": ["doppelganger", "none"]}
         grids: list[tuple[str, object, dict]] = []
-        for mode in self.config.ablate.get("aggregation", []):
+        for mode in axes.get("aggregation", []):
             grids.append(("aggregation", mode, {"aggregation": mode}))
-        for mode in self.config.ablate.get("transfer", []):
+        for mode in axes.get("transfer", []):
             over = {"transfer": mode}
             if mode == "none":
                 over["lambda_dpl"] = 0.0
             grids.append(("transfer", mode, over))
-        for lam in self.config.ablate.get("lambda", []):
+        for lam in axes.get("lambda", []):
             grids.append(("lambda", lam, {"lambda_dpl": float(lam)}))
-        for tau in self.config.ablate.get("tau", []):
+        for tau in axes.get("tau", []):
             grids.append(("tau", tau, {"tau": float(tau)}))
-        if not grids:
-            grids = [("transfer", m, {"transfer": m, **({"lambda_dpl": 0.0} if m == "none" else {})})
-                     for m in ("doppelganger", "none")]
         k = self.config.train.eval_k
         rows = []
         for axis, value, overrides in grids:

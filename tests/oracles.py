@@ -7,7 +7,9 @@ aggregation and transfer term written one user at a time with plain loops.
 `hashing_embed` is the feature-hashing encoder that hashes every feature
 occurrence, and `sample_negatives` the target trainer's negative sampler
 drawing one scalar at a time.  `early_stopping` is the fit loop's stopping
-rule read off prefix maxima.  All are deliberately naive and slow.
+rule read off prefix maxima.  `build_persona_db` builds one user's persona
+database, re-sorting every distribution it labels against unless the caller
+passes it precomputed.  All are deliberately naive and slow.
 """
 
 from __future__ import annotations
@@ -15,8 +17,14 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from typing import Mapping, Sequence
 
 import numpy as np
+
+from multitap.corpus import DomainDataset
+from multitap.errors import MissingLabelError
+from multitap.idh import Criterion, Label, tertile_label, tertile_thresholds
+from multitap.persona import PersonaDB
 
 
 def rank_candidates(scores, item_ids, exclude) -> list[str]:
@@ -190,3 +198,79 @@ def early_stopping(valid_hrs, epochs, patience):
             break
     run = valid_hrs[:ran]
     return ran, run.index(max(run))
+
+
+def category_diversity(user_id: str, dataset: DomainDataset) -> int:
+    """Number of distinct categories the user has interacted with."""
+    per_cat = dataset.user_category_items.get(user_id)
+    if not per_cat:
+        raise ValueError(f"user '{user_id}' has no interactions in '{dataset.domain_id}'")
+    return len(per_cat)
+
+
+def category_diversity_label(
+    user_id: str, dataset: DomainDataset, all_diversities: Sequence[int] | None = None
+) -> tuple[int, Label]:
+    """Diversity count plus its label against the domain-wide distribution."""
+    x = category_diversity(user_id, dataset)
+    if all_diversities is None:
+        all_diversities = [len(dataset.user_category_items[u]) for u in sorted(dataset.users)]
+    q13, q23 = tertile_thresholds(all_diversities)
+    return x, tertile_label(x, q13, q23)
+
+
+def familiarity_counts(dataset: DomainDataset, category: str) -> dict[str, int]:
+    """Interaction counts |E_{u,c}| for every user active in the category."""
+    return {
+        u: dataset.interaction_count(u, category)
+        for u in dataset.users_in_category(category)
+    }
+
+
+def category_familiarity_label(
+    user_id: str, category: str, counts: Mapping[str, int]
+) -> Label:
+    """Label the user's interaction depth against the category's count distribution."""
+    if user_id not in counts or counts[user_id] < 1:
+        raise ValueError(f"user '{user_id}' has no interactions in category '{category}'")
+    q13, q23 = tertile_thresholds(counts.values())
+    return tertile_label(counts[user_id], q13, q23)
+
+
+def build_persona_db(
+    user_id: str,
+    dataset: DomainDataset,
+    idh_labels: Mapping[Criterion, Mapping[str, Mapping[str, Label]]],
+    familiarity: Mapping[str, Mapping[str, int]] | None = None,
+    all_diversities: Sequence[int] | None = None,
+) -> PersonaDB:
+    """Assemble one user's database from precomputed PS/QP/PB label maps.
+
+    CF and CD labels are derived here.  `familiarity` may carry precomputed
+    per-category count distributions to avoid rescanning the dataset.
+    """
+    per_cat = dataset.user_category_items.get(user_id)
+    if not per_cat:
+        raise ValueError(f"user '{user_id}' has no interactions in '{dataset.domain_id}'")
+    for criterion in (Criterion.PS, Criterion.QP, Criterion.PB):
+        if criterion not in idh_labels:
+            raise MissingLabelError(f"no label maps for criterion '{criterion.value}'")
+    labels: dict[Criterion, dict[str, Label]] = {}
+    for criterion in (Criterion.PS, Criterion.QP, Criterion.PB):
+        per_criterion: dict[str, Label] = {}
+        for category in sorted(per_cat):
+            cat_labels = idh_labels[criterion].get(category, {})
+            if user_id in cat_labels:
+                per_criterion[category] = cat_labels[user_id]
+        labels[criterion] = per_criterion
+    cf: dict[str, Label] = {}
+    for category in sorted(per_cat):
+        counts = (
+            familiarity[category]
+            if familiarity is not None
+            else familiarity_counts(dataset, category)
+        )
+        cf[category] = category_familiarity_label(user_id, category, counts)
+    labels[Criterion.CF] = cf
+    _, diversity = category_diversity_label(user_id, dataset, all_diversities)
+    return PersonaDB(user_id=user_id, labels=labels, diversity=diversity)

@@ -8,8 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from multitap.corpus import DomainDataset, InteractionRecord, ItemMeta
-from multitap.errors import ClientError, MalformedResponseError
-from multitap.idh import CRITERIA_ORDER, Criterion, Label, compute_domain_bins, compute_domain_labels
+from multitap.errors import ClientError, MalformedResponseError, MissingLabelError
+from multitap.idh import (
+    CRITERIA_ORDER,
+    METADATA_CRITERIA,
+    Criterion,
+    Label,
+    compute_domain_bins,
+    compute_domain_labels,
+)
 from multitap.persona import (
     HashingEncoder,
     JsonCache,
@@ -18,13 +25,9 @@ from multitap.persona import (
     TemplateGenerator,
     build_all_persona_dbs,
     build_domain_description,
-    build_persona_db,
-    category_diversity_label,
-    category_familiarity_label,
     encode_item_batch,
     encode_personas,
     generate_all_personas,
-    familiarity_counts,
     parse_persona_response,
     persona_payload,
     recent_history,
@@ -56,21 +59,26 @@ def make_domain(triples, item_meta=None):
     return DomainDataset.from_records("home", records, items)
 
 
+def behavioral_dbs(triples):
+    """The persona databases of a domain whose PS/QP/PB label maps are empty,
+    so only the behavioral labels (CF, CD) carry information."""
+    return build_all_persona_dbs(make_domain(triples), {c: {} for c in METADATA_CRITERIA})
+
+
 class TestBehavioralLabels:
     def test_diversity_distinct_count(self):
-        ds = make_domain(
+        dbs = behavioral_dbs(
             [("u", "i1", "A", 1), ("u", "i2", "A", 2), ("u", "i3", "B", 3)]
         )
-        x, _ = category_diversity_label("u", ds)
-        assert x == 2
+        assert sorted(dbs["u"].labels[Criterion.CF]) == ["A", "B"]
+        assert dbs["u"].diversity is Label.HIGH  # the sole user
 
     def test_diversity_degenerate_all_equal(self):
-        ds = make_domain(
+        dbs = behavioral_dbs(
             [("u1", "i1", "A", 1), ("u2", "i1", "A", 2), ("u3", "i1", "A", 3)]
         )
         for u in ("u1", "u2", "u3"):
-            _, label = category_diversity_label(u, ds)
-            assert label is Label.HIGH
+            assert dbs[u].diversity is Label.HIGH
 
     def test_diversity_matches_enumeration_oracle(self):
         rng = np.random.default_rng(5)
@@ -80,33 +88,40 @@ class TestBehavioralLabels:
             u = f"u{rng.integers(0, 30)}"
             c = cats[rng.integers(0, 5)]
             triples.append((u, f"{c}-i{rng.integers(0, 6)}", c, k))
-        ds = make_domain(triples)
-        xs = {u: len({t[2] for t in triples if t[0] == u}) for u in ds.users}
+        dbs = behavioral_dbs(triples)
+        xs = {u: len({t[2] for t in triples if t[0] == u}) for u in dbs}
         ordered = sorted(xs.values())
         import math
 
         q13 = ordered[max(1, math.ceil(len(ordered) / 3)) - 1]
         q23 = ordered[max(1, math.ceil(2 * len(ordered) / 3)) - 1]
-        for u in sorted(ds.users):
-            x, label = category_diversity_label(u, ds)
-            assert x == xs[u]
+        for u in sorted(dbs):
+            x = xs[u]
+            assert len(dbs[u].labels[Criterion.CF]) == x
             expected = (
                 Label.LOW if x < q13 else Label.MEDIUM if x < q23 else Label.HIGH
             )
-            assert label is expected
+            assert dbs[u].diversity is expected
 
     def test_familiarity_nearest_rank(self):
-        counts = {f"u{k}": k for k in range(1, 7)}  # 1..6
-        assert category_familiarity_label("u3", "c", counts) is Label.MEDIUM
-        assert category_familiarity_label("u1", "c", counts) is Label.LOW
-        assert category_familiarity_label("u4", "c", counts) is Label.HIGH  # == q23
+        # user u{k} interacts k times with category c, k = 1..6
+        dbs = behavioral_dbs(
+            [(f"u{k}", f"i{n}", "c", n) for k in range(1, 7) for n in range(k)]
+        )
+        assert dbs["u3"].labels[Criterion.CF]["c"] is Label.MEDIUM
+        assert dbs["u1"].labels[Criterion.CF]["c"] is Label.LOW
+        assert dbs["u4"].labels[Criterion.CF]["c"] is Label.HIGH  # == q23
 
     def test_familiarity_sole_user(self):
-        assert category_familiarity_label("u", "c", {"u": 2}) is Label.HIGH
+        dbs = behavioral_dbs([("u", "i1", "c", 1), ("u", "i2", "c", 2)])
+        assert dbs["u"].labels[Criterion.CF]["c"] is Label.HIGH
 
     def test_familiarity_absent_user_errors(self):
-        with pytest.raises(ValueError):
-            category_familiarity_label("ghost", "c", {"u": 2})
+        dbs = behavioral_dbs(
+            [("u", "i1", "c", 1), ("u", "i2", "c", 2), ("ghost", "i3", "d", 3)]
+        )
+        with pytest.raises(KeyError):
+            dbs["ghost"].labels[Criterion.CF]["c"]
 
 
 def domain_with_labels():
@@ -131,7 +146,7 @@ def domain_with_labels():
 class TestPersonaDB:
     def test_json_shape(self):
         ds, labels = domain_with_labels()
-        db = build_persona_db("u1", ds, labels)
+        db = build_all_persona_dbs(ds, labels)["u1"]
         obj = db.to_json_dict()
         assert obj["User ID"] == "u1"
         assert set(obj) == {
@@ -150,7 +165,7 @@ class TestPersonaDB:
         from multitap.persona.database import _JSON_KEYS
 
         ds, labels = domain_with_labels()
-        db = build_persona_db("u1", ds, labels)
+        db = build_all_persona_dbs(ds, labels)["u1"]
         obj = json.loads(json.dumps(db.to_json_dict()))
         again = PersonaDB(
             user_id=obj["User ID"],
@@ -164,16 +179,16 @@ class TestPersonaDB:
 
     def test_user_without_interactions_errors(self):
         ds, labels = domain_with_labels()
-        with pytest.raises(ValueError):
-            build_persona_db("ghost", ds, labels)
+        dbs = build_all_persona_dbs(ds, labels)
+        assert sorted(dbs) == ["u1", "u2", "u3"]
+        with pytest.raises(KeyError):
+            dbs["ghost"]
 
     def test_missing_criterion_errors(self):
         ds, labels = domain_with_labels()
         del labels[Criterion.PB]
-        from multitap.errors import MissingLabelError
-
         with pytest.raises(MissingLabelError, match="pb"):
-            build_persona_db("u1", ds, labels)
+            build_all_persona_dbs(ds, labels)
 
     def test_coverage_invariant(self):
         ds, labels = domain_with_labels()
@@ -182,6 +197,57 @@ class TestPersonaDB:
             for category in ds.user_category_items[user]:
                 for criterion in (Criterion.PS, Criterion.QP, Criterion.PB, Criterion.CF):
                     assert category in db.labels[criterion], (user, category, criterion)
+
+
+@st.composite
+def persona_domains(draw):
+    """A small domain plus PS/QP/PB label maps, some possibly dropped.
+
+    Counts are drawn from a narrow range so tertiles tie; a user may touch
+    a single category; catalog category Z is never touched; label maps may
+    name categories and users the builder must ignore."""
+    users = [f"u{k}" for k in range(draw(st.integers(1, 6)))]
+    touched = ["A", "B", "C"]
+    triples = draw(
+        st.lists(
+            st.tuples(st.sampled_from(users), st.sampled_from(touched), st.integers(0, 2)),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    items = {
+        f"{c}{k}": ItemMeta(f"{c}{k}", "t", c, 10.0, 4.0, 10)
+        for c in [*touched, "Z"]
+        for k in range(3)
+    }
+    records = [InteractionRecord(u, f"{c}{k}", 4.0, t) for t, (u, c, k) in enumerate(triples)]
+    ds = DomainDataset.from_records("home", records, items)
+    label_map = st.dictionaries(
+        st.sampled_from([*touched, "Z"]),
+        st.dictionaries(st.sampled_from([*users, "ghost"]), st.sampled_from(list(Label))),
+    )
+    kept = draw(st.sets(st.sampled_from(METADATA_CRITERIA), min_size=2))
+    return ds, {c: draw(label_map) for c in METADATA_CRITERIA if c in kept}
+
+
+class TestBatchedBuilder:
+    @settings(max_examples=150, deadline=None)
+    @given(persona_domains())
+    def test_matches_one_user_oracle(self, case):
+        ds, labels = case
+        if len(labels) < len(METADATA_CRITERIA):
+            with pytest.raises(MissingLabelError) as batched:
+                build_all_persona_dbs(ds, labels)
+            with pytest.raises(MissingLabelError) as one_user:
+                oracles.build_persona_db(sorted(ds.users)[0], ds, labels)
+            assert str(batched.value) == str(one_user.value)
+            return
+        dbs = build_all_persona_dbs(ds, labels)
+        assert list(dbs) == sorted(ds.users)
+        for user in dbs:
+            expected = oracles.build_persona_db(user, ds, labels)
+            assert dbs[user] == expected
+            assert json.dumps(dbs[user].to_json_dict()) == json.dumps(expected.to_json_dict())
 
 
 class TestDomainDescription:
@@ -213,7 +279,7 @@ class TestDomainDescription:
 class TestGeneratePersonas:
     def _setup(self):
         ds, labels = domain_with_labels()
-        db = build_persona_db("u1", ds, labels)
+        db = build_all_persona_dbs(ds, labels)["u1"]
         assets = PromptAssets(domain_id="home", domain_description="desc")
         history = recent_history(ds, "u1")
         return ds, db, assets, history
@@ -336,6 +402,15 @@ class TestGeneratePersonas:
         # newest first
         assert rows[0][0].timestamp == 44
 
+    def test_history_price_tags_from_bin_maps(self):
+        ds, _ = domain_with_labels()
+        rows = recent_history(ds, "u1", {"catA": {"i1": 1, "i2": 3}})
+        assert [(rec.item_id, tag) for rec, _, tag in rows] == [
+            ("i3", None),  # catB has no bin map
+            ("i2", "H"),
+            ("i1", "L"),
+        ]
+
 
 class TestEncoders:
     def test_identical_text_identical_vector(self):
@@ -352,25 +427,29 @@ class TestEncoders:
 
     def test_encode_personas_shape(self):
         ds, labels = domain_with_labels()
-        db = build_persona_db("u1", ds, labels)
+        dbs = build_all_persona_dbs(ds, labels)
         assets = PromptAssets(domain_id="home", domain_description="desc")
-        text = generate_personas("u1", db, assets, [], TemplateGenerator())
-        (out,) = encode_personas([text], HashingEncoder(dim=32, seed=1))
-        assert set(out.vectors) == set(CRITERIA_ORDER)
-        assert out.stacked().shape == (5, 32)
+        texts = [generate_personas(u, dbs[u], assets, [], TemplateGenerator()) for u in ("u2", "u1")]
+        out = encode_personas(texts, HashingEncoder(dim=32, seed=1))
+        assert out.shape == (2, 5, 32)
+        # one (5, d) stack per text, in input order, rows in criterion order
+        for text, stack in zip(texts, out):
+            expected = HashingEncoder(dim=32, seed=1).embed(text.ordered_texts())
+            assert stack.tobytes() == expected.tobytes()
 
     def test_item_semantics_ignore_title(self):
         ds, _ = domain_with_labels()
         enc = HashingEncoder(dim=32, seed=2)
         same_cat = ItemMeta("other", "completely different title", "catA", 9.9, 2.0, 1)
         out = encode_item_batch([ds.items["i1"], same_cat], "desc", enc)
-        np.testing.assert_array_equal(out["i1"], out["other"])
+        assert out.shape == (2, 32)
+        np.testing.assert_array_equal(out[0], out[1])
 
     def test_batch_call_count_matches_chunks(self):
         items = [ItemMeta(f"i{k}", "t", f"c{k % 7}", 1.0, 4.0, 1) for k in range(1000)]
         enc = HashingEncoder(dim=16, seed=4)
         out = encode_item_batch(items, "desc", enc, chunk_size=100)
-        assert len(out) == 1000
+        assert out.shape == (1000, 16)
         assert enc.calls == 10
 
     def test_embedding_cache_roundtrip(self, tmp_path):
@@ -381,8 +460,7 @@ class TestEncoders:
         calls = enc.calls
         second = encode_item_batch(items, "desc", enc, cache=cache)
         assert enc.calls == calls
-        for k in first:
-            np.testing.assert_allclose(first[k], second[k])
+        assert second.tobytes() == first.tobytes()
 
     ENCODER_TEXTS = [
         "This user prefers higher priced items in Kitchen, and budget priced items in Garden.",
@@ -539,8 +617,8 @@ class TestShardCache:
         item_vecs = encode_item_batch(items, "desc", encoder, chunk_size=2, cache=vectors)
         return (
             {u: t.texts for u, t in texts.items()},
-            [e.stacked().tobytes() for e in personas],
-            {i: v.tobytes() for i, v in item_vecs.items()},
+            personas.tobytes(),
+            item_vecs.tobytes(),
         )
 
     def _files(self, root):

@@ -548,6 +548,10 @@ class TestCliErrors:
         "pretrain --epochs 1.5": "expected an integer, got '1.5'",
         "ablate --sweep lambda=a:1:1":
             "expected a sweep like name=start:stop:step, got 'lambda=a:1:1'",
+        "ablate --sweep lambda=0:inf:1":
+            "expected a sweep like name=start:stop:step, got 'lambda=0:inf:1'",
+        "ablate --sweep lambda=0:1e300:1e-300":
+            "expected a sweep like name=start:stop:step, got 'lambda=0:1e300:1e-300'",
     }
 
     @pytest.mark.parametrize(
@@ -559,6 +563,8 @@ class TestCliErrors:
             (["ablate", "--sweep", "bad"], "--sweep"),
             (["pretrain", "--epochs", "1.5"], "--epochs"),
             (["ablate", "--sweep", "lambda=a:1:1"], "--sweep"),
+            (["ablate", "--sweep", "lambda=0:inf:1"], "--sweep"),
+            (["ablate", "--sweep", "lambda=0:1e300:1e-300"], "--sweep"),
         ],
     )
     def test_rejected_flag_value_prints_json_error(self, capsys, argv, flag):
@@ -596,6 +602,34 @@ class TestCliErrors:
         error = json.loads(captured.err)["error"]
         assert error["type"] == "ValueError"
         assert error["message"].startswith(f"{field} must be >= ")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "argv, edit, message",
+        [
+            (["idh", "--labels", "high,lo"], None,
+             "unknown report label 'lo'; known labels: high, medium, low"),
+            (["idh", "--criteria", "ps,cf"], None,
+             "unknown criterion 'cf'; known criteria: ps, qp, pb"),
+            (["eval"], lambda c: c.update(eval_split="tset"),
+             "unknown eval_split 'tset'; known splits: valid, test"),
+            (["eval"], lambda c: c.update(eval_average="users"),
+             "unknown eval_average 'users'; known averages: interaction, user"),
+        ],
+        ids=["report_labels", "criteria", "eval_split", "eval_average"],
+    )
+    def test_value_outside_closed_vocabulary_is_rejected(
+        self, small_fixture, tmp_path, capsys, argv, edit, message
+    ):
+        _, paths = small_fixture
+        config = small_config_dict(paths, tmp_path / "run")
+        if edit is not None:
+            edit(config)
+        write_json(tmp_path / "config.json", config)
+        code, captured = cli(capsys, argv[0], "--config", tmp_path / "config.json", *argv[1:])
+        assert code == 2
+        error = json.loads(captured.err)["error"]
+        assert error == {"type": "ValueError", "message": message}
         assert not (tmp_path / "run").exists()
 
     def test_help_still_exits_zero(self, capsys):
