@@ -1,14 +1,17 @@
 """Minimal differentiable-compute kernel.
 
 Dense float64 tensors (numpy arrays) plus the operations the
-recommendation model calls: `softmax` with `softmax_backward`, the batched
-cosine InfoNCE `info_nce` (forward and adjoints in one call), `sigmoid` and
+recommendation model and the graph backbone call: `softmax` with
+`softmax_backward`, the batched cosine InfoNCE `info_nce` and the mean BPR
+loss `bpr` (each returns its loss and adjoints in one call), the affine map
+`affine` of a stored weight/bias pair with `affine_backward`, `sigmoid` and
 `scatter_rows`, the adjoint of a row gather.
 Adjoints are hand-derived instead of built from a general expression graph;
-the model composes forward and backward passes explicitly and `grad_check`
+the callers compose forward and backward passes explicitly and `grad_check`
 verifies the composition against central finite differences.  The module
 also holds the parameter store, Adam, the early-stopped fit loop both
-trainers run and the checkpoint container.
+trainers run and the binary array container that checkpoints and the
+persona cache share.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable, Collection, Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -103,6 +106,28 @@ def sigmoid(x: Array) -> Array:
     e = np.exp(x[~pos])
     out[~pos] = e / (1.0 + e)
     return out
+
+
+def bpr(margin: Array) -> tuple[float, Array]:
+    """Mean BPR loss over the triples and its adjoint: returns
+    (mean of -log sigmoid(margin), dL/dmargin), where `margin` holds each
+    triple's positive score minus its negative score."""
+    return float(np.mean(np.logaddexp(0.0, -margin))), -sigmoid(-margin) / margin.size
+
+
+def affine(store: "ParameterStore", name: str, x: Array) -> Array:
+    """x @ W + b with W, b the parameters `name + "_w"`, `name + "_b"`."""
+    p = store.params
+    return x @ p[name + "_w"] + p[name + "_b"]
+
+
+def affine_backward(store: "ParameterStore", name: str, x: Array, dz: Array) -> Array:
+    """Adjoint of `affine` at input `x`: accumulates dL/dW and dL/db into
+    `store.grads` and returns dL/dx."""
+    g = store.grads
+    g[name + "_w"] += x.T @ dz
+    g[name + "_b"] += dz.sum(axis=0)
+    return dz @ store.params[name + "_w"].T
 
 
 def scatter_rows(index: Array, values: Array, n: int) -> Array:
@@ -280,8 +305,59 @@ def grad_check(
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: flat binary container of (name, shape, values) triples
+# the array container and checkpoints
 # ---------------------------------------------------------------------------
+
+
+def pack_container(arrays: Mapping[str, Array], values: Mapping[str, Any] | None = None) -> bytes:
+    """Deterministic bytes of named float64 arrays and JSON values: magic,
+    uint32 version and header length, a JSON header listing the arrays under
+    "tensors" and mapping names to values under "json" (omitted when there
+    are none), then the little-endian float64 blobs in name order."""
+    entries = []
+    blobs = []
+    offset = 0
+    for name in sorted(arrays):
+        arr = np.asarray(arrays[name], dtype="<f8")
+        raw = arr.tobytes()  # C order; unlike ascontiguousarray, keeps a 0-d shape
+        entries.append(
+            {"name": name, "shape": list(arr.shape), "offset": offset, "nbytes": len(raw)}
+        )
+        blobs.append(raw)
+        offset += len(raw)
+    header = json.dumps(
+        {"tensors": entries, **({"json": dict(values)} if values else {})}, sort_keys=True
+    ).encode("utf-8")
+    return b"".join(
+        [_CKPT_MAGIC, struct.pack("<II", _CKPT_VERSION, len(header)), header] + blobs
+    )
+
+
+def read_container(
+    path: str | Path, names: Collection[str] | None = None
+) -> tuple[dict[str, Array], dict[str, Any]]:
+    """The arrays and JSON values of the container at `path`, only those
+    named in `names` when given; only the wanted arrays are read from disk."""
+    with open(path, "rb") as fh:
+        prefix = fh.read(len(_CKPT_MAGIC) + 8)
+        if prefix[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
+            raise ValueError(f"{path} is not a multitap checkpoint")
+        ver, hlen = struct.unpack_from("<II", prefix, len(_CKPT_MAGIC))
+        if ver != _CKPT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {ver}")
+        header = json.loads(fh.read(hlen).decode("utf-8"))
+        base = len(prefix) + hlen
+        values = {
+            key: value for key, value in header.get("json", {}).items()
+            if names is None or key in names
+        }
+        arrays: dict[str, Array] = {}
+        for entry in header["tensors"]:
+            if names is None or entry["name"] in names:
+                fh.seek(base + entry["offset"])
+                flat = np.fromfile(fh, dtype="<f8", count=entry["nbytes"] // 8)
+                arrays[entry["name"]] = flat.reshape(entry["shape"]).astype(np.float64, copy=False)
+    return arrays, values
 
 
 def checkpoint_manifest_path(path: str | Path) -> Path:
@@ -290,44 +366,11 @@ def checkpoint_manifest_path(path: str | Path) -> Path:
 
 
 def save_checkpoint(path: str | Path, arrays: dict[str, Array], manifest: dict) -> None:
-    """Write arrays to a deterministic binary container plus a JSON manifest."""
-    path = Path(path)
-    entries = []
-    blobs = []
-    offset = 0
-    for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
-        raw = arr.tobytes()
-        entries.append(
-            {"name": name, "shape": list(arr.shape), "offset": offset, "nbytes": len(raw)}
-        )
-        blobs.append(raw)
-        offset += len(raw)
-    header = json.dumps({"tensors": entries}, sort_keys=True).encode("utf-8")
-    payload = b"".join(
-        [_CKPT_MAGIC, struct.pack("<II", _CKPT_VERSION, len(header)), header] + blobs
-    )
-    atomic_write_bytes(path, payload)
+    """Write arrays to the binary container plus a JSON manifest beside it."""
+    atomic_write_bytes(Path(path), pack_container(arrays))
     write_json(checkpoint_manifest_path(path), manifest)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Array], dict]:
-    path = Path(path)
-    data = path.read_bytes()
-    if data[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
-        raise ValueError(f"{path} is not a multitap checkpoint")
-    ver, hlen = struct.unpack_from("<II", data, len(_CKPT_MAGIC))
-    if ver != _CKPT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {ver}")
-    hstart = len(_CKPT_MAGIC) + 8
-    header = json.loads(data[hstart : hstart + hlen].decode("utf-8"))
-    base = hstart + hlen
-    arrays: dict[str, Array] = {}
-    for entry in header["tensors"]:
-        start = base + entry["offset"]
-        raw = data[start : start + entry["nbytes"]]
-        arrays[entry["name"]] = np.frombuffer(raw, dtype=np.float64).reshape(
-            entry["shape"]
-        ).copy()
-    manifest = read_json(checkpoint_manifest_path(path))
-    return arrays, manifest
+    arrays, _ = read_container(path)
+    return arrays, read_json(checkpoint_manifest_path(path))

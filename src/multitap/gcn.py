@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import InteractionRecord, SplitBundle
-from .diffkit import AdamConfig, ParameterStore, adam_step, init_normal, scatter_rows, sigmoid
+from .diffkit import AdamConfig, ParameterStore, adam_step, bpr, init_normal, scatter_rows
 from .diffkit import check_loop_settings, fit_early_stopped
 from .errors import DivergenceError
 from .evaluate import full_ranking_eval, train_items_by_user
@@ -166,6 +166,7 @@ class PretrainResult:
     best_hr: float = 0.0
 
 
+# Kept apart from model's sampler, which redraws before the next draw: another RNG stream.
 def _sample_negatives(
     rng: np.random.Generator, users: np.ndarray, observed: list[set[int]], n_items: int
 ) -> np.ndarray:
@@ -227,17 +228,15 @@ def pretrain_id_embeddings(
             p_u = prop[users]
             q_pos = prop[nu + pos]
             q_neg = prop[nu + neg]
-            margin = np.sum(p_u * (q_pos - q_neg), axis=1)
-            loss = float(np.mean(np.logaddexp(0.0, -margin)))
+            loss, coeff = bpr(np.sum(p_u * (q_pos - q_neg), axis=1))
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite BPR loss at epoch {epoch}, batch start {start}"
                 )
-            epoch_loss += loss * margin.size
-            n_triples += margin.size
+            epoch_loss += loss * coeff.size
+            n_triples += coeff.size
 
             # backward through the propagation (adjacency is symmetric)
-            coeff = -sigmoid(-margin) / margin.size
             grad_pos = coeff[:, None] * p_u
             grad_prop = scatter_rows(
                 np.concatenate([users, nu + pos, nu + neg]),

@@ -7,9 +7,10 @@ the aggregation mask token, the aggregator FFN/Proj, the two fusion heads
 and the ID embeddings (initialized from the pretrained graph backbone).
 `MultiTapModel` is the only implementation of this maths: it works on whole
 batches, composes its forward and backward passes from the `diffkit` ops
-(`softmax`/`softmax_backward`, `info_nce`, `sigmoid`, `scatter_rows`) and a
-few inline affine and tanh adjoints, and `diffkit.grad_check` validates the
-complete objective.  The transfer modes are rows of `TRANSFER_TABLE`.
+(`affine`/`affine_backward` for the aggregator FFN/Proj and both fusion
+heads, `softmax`/`softmax_backward`, `info_nce`, `bpr`, `scatter_rows`) and
+an inline tanh adjoint, and `diffkit.grad_check` validates the complete
+objective.  The transfer modes are rows of `TRANSFER_TABLE`.
 `train_target` runs its epoch body (negatives drawn once per epoch) in
 `diffkit.fit_early_stopped`.
 """
@@ -26,12 +27,14 @@ from .diffkit import (
     ParameterStore,
     AdamConfig,
     adam_step,
+    affine,
+    affine_backward,
+    bpr,
     check_loop_settings,
     fit_early_stopped,
     info_nce,
     init_normal,
     scatter_rows,
-    sigmoid,
     softmax,
     softmax_backward,
 )
@@ -195,7 +198,7 @@ class MultiTapModel:
             pooled = E.mean(axis=1)
         else:
             pooled = E.reshape(E.shape[0], -1)
-        hid = np.tanh(pooled @ p["agg.ffn_w"] + p["agg.ffn_b"])
+        hid = np.tanh(affine(self.store, "agg.ffn", pooled))
         drop_mask = None
         if dropout_rng is not None and self.config.dropout > 0.0:
             keep = 1.0 - self.config.dropout
@@ -203,57 +206,35 @@ class MultiTapModel:
             hid_d = hid * drop_mask
         else:
             hid_d = hid
-        h = hid_d @ p["agg.proj_w"] + p["agg.proj_b"]
+        h = affine(self.store, "agg.proj", hid_d)
         cache.update(pooled=pooled, hid=hid, hid_d=hid_d, drop_mask=drop_mask, h=h)
         return cache
 
     def _persona_backward(self, cache: dict, dh: np.ndarray) -> None:
-        p, g = self.store.params, self.store.grads
-        hid_d, hid, pooled, E = cache["hid_d"], cache["hid"], cache["pooled"], cache["E"]
-        g["agg.proj_w"] += hid_d.T @ dh
-        g["agg.proj_b"] += dh.sum(axis=0)
-        dhid_d = dh @ p["agg.proj_w"].T
+        hid, E = cache["hid"], cache["E"]
+        dhid_d = affine_backward(self.store, "agg.proj", cache["hid_d"], dh)
         dhid = dhid_d * cache["drop_mask"] if cache["drop_mask"] is not None else dhid_d
         dhid_pre = dhid * (1.0 - hid * hid)
-        g["agg.ffn_w"] += pooled.T @ dhid_pre
-        g["agg.ffn_b"] += dhid_pre.sum(axis=0)
-        dpooled = dhid_pre @ p["agg.ffn_w"].T
+        dpooled = affine_backward(self.store, "agg.ffn", cache["pooled"], dhid_pre)
         if cache["mode"] == "self_attn":
             dA = np.einsum("bn,bkn->bk", dpooled, E)
             dlogits = softmax_backward(dA, cache["A"], axis=1)
-            g["agg.mask"] += np.einsum("bk,bkn->n", dlogits, E) / np.sqrt(self.n)
+            self.store.grads["agg.mask"] += np.einsum("bk,bkn->n", dlogits, E) / np.sqrt(self.n)
         # mean/concat pooling has no trainable parameters and E is frozen
 
-    def _fuse_users(self, user_rows: np.ndarray, h: np.ndarray) -> dict:
-        p = self.store.params
-        v = p["id.user"][user_rows]
-        x = np.concatenate([h, v], axis=1)
-        z = x @ p["fuse.user_w"] + p["fuse.user_b"]
-        return {"x": x, "z": z, "rows": user_rows}
+    def _fuse(self, side: str, features: np.ndarray, rows: np.ndarray) -> dict:
+        """Fusion head of `side` ("user" or "item"): the affine map
+        "fuse.<side>" of [features, ID embedding] for the table rows `rows`."""
+        x = np.concatenate([features, self.store.params[f"id.{side}"][rows]], axis=1)
+        z = affine(self.store, f"fuse.{side}", x)
+        return {"x": x, "z": z, "rows": rows, "side": side, "width": features.shape[1]}
 
-    def _fuse_users_backward(self, cache: dict, dz: np.ndarray) -> np.ndarray:
-        p, g = self.store.params, self.store.grads
-        g["fuse.user_w"] += cache["x"].T @ dz
-        g["fuse.user_b"] += dz.sum(axis=0)
-        dx = dz @ p["fuse.user_w"].T
-        dh = dx[:, : self.h_dim]
-        g["id.user"][cache["rows"]] += dx[:, self.h_dim :]
-        return dh
-
-    def _fuse_items(self, item_rows: np.ndarray) -> dict:
-        p = self.store.params
-        sem = self.inputs.item_semantics[item_rows]
-        v = p["id.item"][item_rows]
-        x = np.concatenate([sem, v], axis=1)
-        z = x @ p["fuse.item_w"] + p["fuse.item_b"]
-        return {"x": x, "z": z, "rows": item_rows}
-
-    def _fuse_items_backward(self, cache: dict, dz: np.ndarray) -> None:
-        p, g = self.store.params, self.store.grads
-        g["fuse.item_w"] += cache["x"].T @ dz
-        g["fuse.item_b"] += dz.sum(axis=0)
-        dx = dz @ p["fuse.item_w"].T
-        g["id.item"][cache["rows"]] += dx[:, self.sem_dim :]
+    def _fuse_backward(self, cache: dict, dz: np.ndarray) -> np.ndarray:
+        """Accumulates the head's and the ID rows' gradients; returns dL/dfeatures."""
+        side, width = cache["side"], cache["width"]
+        dx = affine_backward(self.store, f"fuse.{side}", cache["x"], dz)
+        self.store.grads[f"id.{side}"][cache["rows"]] += dx[:, width:]
+        return dx[:, :width]
 
     def doppelganger_weights(self, H: np.ndarray) -> np.ndarray:
         """(M, |U_o|) attention of target persona rows `H` over the source
@@ -321,16 +302,14 @@ class MultiTapModel:
         neg_local = item_inv[T:]
 
         pcache = self._persona_forward(batch_users, dropout_rng)
-        ucache = self._fuse_users(batch_users, pcache["h"])
-        icache = self._fuse_items(batch_items)
+        ucache = self._fuse("user", pcache["h"], batch_users)
+        icache = self._fuse("item", self.inputs.item_semantics[batch_items], batch_items)
         zu, zi = ucache["z"], icache["z"]
 
         margin = np.einsum(
             "td,td->t", zu[user_inv], zi[pos_local] - zi[neg_local]
         )
-        l_rec = float(np.mean(np.logaddexp(0.0, -margin)))
-
-        dmargin = -sigmoid(-margin) / T
+        l_rec, dmargin = bpr(margin)
         dzu = scatter_rows(
             user_inv, dmargin[:, None] * (zi[pos_local] - zi[neg_local]), zu.shape[0]
         )
@@ -353,8 +332,8 @@ class MultiTapModel:
                     anchors_local, anchor_users, pcache["h"]
                 )
 
-        dh = self._fuse_users_backward(ucache, dzu)
-        self._fuse_items_backward(icache, dzi)
+        dh = self._fuse_backward(ucache, dzu)
+        self._fuse_backward(icache, dzi)
         if dh_extra is not None:
             dh = dh + cfg.lambda_dpl * dh_extra
         if id_grads:
@@ -377,8 +356,9 @@ class MultiTapModel:
         """(U, I) preference scores from the fused representations."""
         rows = np.arange(len(self.inputs.user_ids))
         h = self._persona_forward(rows, None)["h"]
-        zu = self._fuse_users(rows, h)["z"]
-        zi = self._fuse_items(np.arange(len(self.inputs.item_ids)))["z"]
+        zu = self._fuse("user", h, rows)["z"]
+        items = np.arange(len(self.inputs.item_ids))
+        zi = self._fuse("item", self.inputs.item_semantics, items)["z"]
         return zu @ zi.T
 
 
@@ -386,6 +366,7 @@ def _join(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
+# Kept apart from gcn's sampler, which draws the whole batch first: another RNG stream.
 def _sample_negatives(
     rng: np.random.Generator, users: np.ndarray, observed: list[set[int]], n_items: int
 ) -> np.ndarray:

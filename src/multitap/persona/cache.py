@@ -3,71 +3,30 @@
 Entries are written in shards, one file per batched write, so a cold persona
 stage writes a handful of files instead of one per user.  A shard is named
 by the sha256 of its bytes: writing the same entries again lands on the same
-name, and a rerun that finds every key writes nothing.  A shard is an
-8-byte magic, a little-endian uint32 header length (no version word, unlike
-a checkpoint), a JSON header, then raw little-endian float64 blobs.  The
-header maps each key either to its JSON value (under "json") or to the shape
-and byte offset of its vector (under "arrays").
+name, and a rerun that finds every key writes nothing.  A shard is the
+checkpoint container of `diffkit.pack_container`: vectors are its named
+float64 arrays and every other value sits in its "json" header map, so a
+lookup reads the header and seeks only the vectors it wants.
 
-Only `*.shard` files are read.  Temp files of an interrupted write and the
-per-key `*.json` files of the older layout are ignored, so a cache written by
-that layout is rebuilt once.
+Only `*.pack` files are read.  Temp files of an interrupted write, the
+`*.shard` files of the previous shard format and the per-key `*.json` files
+of the layout before it are ignored, so a cache written by either older
+layout is rebuilt once.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import math
-import struct
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
+from ..diffkit import pack_container, read_container
 from ..util import atomic_write_bytes, content_key
 
-_MAGIC = b"MTAPSHRD"
-_SUFFIX = ".shard"
-
-
-def _encode(entries: Mapping[str, Any]) -> bytes:
-    values: dict[str, Any] = {}
-    arrays: dict[str, dict] = {}
-    blobs: list[bytes] = []
-    offset = 0
-    for key in sorted(entries):
-        value = entries[key]
-        if isinstance(value, np.ndarray):
-            raw = np.ascontiguousarray(value, dtype="<f8").tobytes()
-            arrays[key] = {"shape": list(value.shape), "offset": offset}
-            blobs.append(raw)
-            offset += len(raw)
-        else:
-            values[key] = value
-    header = json.dumps({"arrays": arrays, "json": values}, sort_keys=True).encode("utf-8")
-    return b"".join([_MAGIC, struct.pack("<I", len(header)), header, *blobs])
-
-
-def _read(path: Path, keys: set[str]) -> dict[str, Any]:
-    """The entries of one shard whose key is in `keys`; only their vectors
-    are read from disk."""
-    with open(path, "rb") as fh:
-        prefix = fh.read(len(_MAGIC) + 4)
-        if prefix[: len(_MAGIC)] != _MAGIC:
-            raise ValueError(f"{path} is not a multitap cache shard")
-        (length,) = struct.unpack_from("<I", prefix, len(_MAGIC))
-        header = json.loads(fh.read(length).decode("utf-8"))
-        base = len(prefix) + length
-        found = {key: value for key, value in header["json"].items() if key in keys}
-        for key, entry in header["arrays"].items():
-            if key in keys:
-                shape = entry["shape"]
-                fh.seek(base + entry["offset"])
-                vector = np.fromfile(fh, dtype="<f8", count=math.prod(shape))
-                found[key] = vector.reshape(shape).astype(np.float64, copy=False)
-    return found
+_SUFFIX = ".pack"
 
 
 class JsonCache:
@@ -89,7 +48,9 @@ class JsonCache:
         for path in sorted(self.directory.glob("*" + _SUFFIX)):
             if len(found) == len(wanted):
                 break
-            found.update(_read(path, wanted - found.keys()))
+            arrays, values = read_container(path, wanted - found.keys())
+            found.update(values)
+            found.update(arrays)
         return found or None
 
     def put(self, entries: Mapping[str, Any]) -> None:
@@ -97,7 +58,8 @@ class JsonCache:
         vectors, every other value as JSON.  An empty batch writes nothing."""
         if not entries:
             return
-        data = _encode(entries)
+        arrays = {key: value for key, value in entries.items() if isinstance(value, np.ndarray)}
+        data = pack_container(arrays, {k: v for k, v in entries.items() if k not in arrays})
         name = hashlib.sha256(data).hexdigest() + _SUFFIX
         atomic_write_bytes(self.directory / name, data)
 

@@ -25,6 +25,7 @@ from ..errors import ClientError
 from ..idh import CRITERIA_ORDER, Criterion
 from .prompts import (
     DESCRIPTION_SYSTEM_PROMPT,
+    LEVEL_MAP_KEYS,
     PERSONA_SYSTEM_PROMPT,
     PROFILE_KEYS,
     TEMPLATE_EMPTY_SENTENCES,
@@ -39,12 +40,7 @@ ATTEMPTS = 3
 BACKOFF_S = 1.0
 TIMEOUT_S = 60.0
 
-_LEVEL_MAP_KEYS: dict[Criterion, str] = {
-    Criterion.PS: "category_price_level",
-    Criterion.QP: "category_rating_level",
-    Criterion.PB: "category_popularity_level",
-    Criterion.CF: "category_familiarity_level",
-}
+CLIENT_MODES = ("offline", "remote")
 
 
 @dataclass
@@ -103,7 +99,7 @@ class TemplateGenerator:
             if not code:
                 return f"This user {TEMPLATE_EMPTY_SENTENCES[criterion]}."
             return f"This user {TEMPLATE_SENTENCES[criterion][code]}."
-        levels = payload.get(_LEVEL_MAP_KEYS[criterion]) or {}
+        levels = payload.get(LEVEL_MAP_KEYS[criterion]) or {}
         if not levels:
             return f"This user {TEMPLATE_EMPTY_SENTENCES[criterion]}."
         parts = [

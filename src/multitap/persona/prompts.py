@@ -1,8 +1,7 @@
 """Prompt assets: system prompts, domain descriptions and payload builders.
 
-The generation payloads use a fixed key vocabulary (`category_price_level`,
-`category_rating_level`, `category_popularity_level`,
-`category_familiarity_level`, `overall_category_diversity`, `History`) and
+The generation payloads use a fixed key vocabulary (the per-criterion level
+map keys of `LEVEL_MAP_KEYS`, `overall_category_diversity`, `History`) and
 the structured output carries exactly five named persona fields.  The same
 payloads drive both the remote chat client and the deterministic template
 client, so the parser downstream is shared.
@@ -38,6 +37,14 @@ DESCRIPTION_SYSTEM_PROMPT = (
     "and what buyers care about. "
     'Answer as JSON: {"Domain": "...", "Domain Profile": {"Domain Description": "..."}}'
 )
+
+# Payload key of each criterion's per-category level map, in payload order.
+LEVEL_MAP_KEYS: dict[Criterion, str] = {
+    Criterion.PS: "category_price_level",
+    Criterion.QP: "category_rating_level",
+    Criterion.PB: "category_popularity_level",
+    Criterion.CF: "category_familiarity_level",
+}
 
 # Output keys in criterion order; CF historically appears under two names.
 PROFILE_KEYS: dict[Criterion, tuple[str, ...]] = {
@@ -196,10 +203,7 @@ def persona_payload(
         "Domain": domain_id,
         "Domain description": domain_description,
         "User ID": user_id,
-        "category_price_level": levels(Criterion.PS),
-        "category_rating_level": levels(Criterion.QP),
-        "category_popularity_level": levels(Criterion.PB),
-        "category_familiarity_level": levels(Criterion.CF),
+        **{key: levels(criterion) for criterion, key in LEVEL_MAP_KEYS.items()},
         "overall_category_diversity": diversity.code,
         "History": [
             {

@@ -46,7 +46,7 @@ from .model import (
     TrainConfig,
     train_target,
 )
-from .persona.clients import ClientSettings
+from .persona.clients import CLIENT_MODES, ClientSettings
 from .util import atomic_write_text, content_key, read_json, write_json
 
 logger = logging.getLogger(__name__)
@@ -127,8 +127,24 @@ class SplitConfig:
         return _parse_boundary(self.boundary)
 
 
-ABLATE_AXES = ("aggregation", "transfer", "lambda", "tau")
+# ablate axis -> the TrainConfig overrides of one of its values
+_ABLATE_OVERRIDES = {
+    "aggregation": lambda mode: {"aggregation": mode},
+    "transfer": lambda mode: {"transfer": mode, "lambda_dpl": 0.0} if mode == "none"
+    else {"transfer": mode},
+    "lambda": lambda lam: {"lambda_dpl": float(lam)},
+    "tau": lambda tau: {"tau": float(tau)},
+}
+ABLATE_AXES = tuple(_ABLATE_OVERRIDES)
 EVAL_SPLITS = ("valid", "test")
+
+
+def ablation_grid(ablate: dict) -> list[tuple[str, object, dict]]:
+    """The (axis, value, TrainConfig overrides) points of an ablate grid,
+    axis by axis in `ABLATE_AXES` order; no axes means doppelganger vs none."""
+    axes = ablate or {"transfer": ["doppelganger", "none"]}
+    return [(axis, value, over(value)) for axis, over in _ABLATE_OVERRIDES.items()
+            for value in axes.get(axis, [])]
 
 
 @dataclass
@@ -156,6 +172,7 @@ class PipelineConfig:
         # closed vocabularies: what is checked -> (values, known values, their name)
         vocabularies = {
             "ablate axis": (self.ablate, ABLATE_AXES, "axes"),
+            "client mode": ((self.client.mode,), CLIENT_MODES, "modes"),
             "eval_split": ((self.eval_split,), EVAL_SPLITS, "splits"),
             "eval_average": ((self.eval_average,), AVERAGES, "averages"),
             "report label": (self.report_labels, tuple(x.name.lower() for x in reversed(Label)),
@@ -169,6 +186,9 @@ class PipelineConfig:
                     f"unknown {name} {', '.join(map(repr, unknown))}; "
                     f"known {plural}: {', '.join(known)}"
                 )
+        # every ablate point must make a valid trainer before any stage runs
+        for _, _, overrides in ablation_grid(self.ablate):
+            dataclasses.replace(self.train, **overrides)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineConfig":
@@ -344,13 +364,11 @@ class Pipeline:
                 persona_mod.HashingEncoder(cs.persona_dim, cs.seed),
                 persona_mod.HashingEncoder(cs.item_dim, cs.seed),
             )
-        if cs.mode == "remote":
-            return (
-                persona_mod.RemoteGenerator(cs),
-                persona_mod.RemoteEncoder(cs, cs.remote_persona_dim),
-                persona_mod.RemoteEncoder(cs, cs.remote_item_dim),
-            )
-        raise ValueError(f"unknown client mode '{cs.mode}'")
+        return (
+            persona_mod.RemoteGenerator(cs),
+            persona_mod.RemoteEncoder(cs, cs.remote_persona_dim),
+            persona_mod.RemoteEncoder(cs, cs.remote_item_dim),
+        )
 
     # -- stages -------------------------------------------------------------
 
@@ -732,22 +750,9 @@ class Pipeline:
         self._ensure_source_tables("ablate")
         self._begin("ablate")
         inputs = self._target_inputs_with_transfer()
-        axes = self.config.ablate or {"transfer": ["doppelganger", "none"]}
-        grids: list[tuple[str, object, dict]] = []
-        for mode in axes.get("aggregation", []):
-            grids.append(("aggregation", mode, {"aggregation": mode}))
-        for mode in axes.get("transfer", []):
-            over = {"transfer": mode}
-            if mode == "none":
-                over["lambda_dpl"] = 0.0
-            grids.append(("transfer", mode, over))
-        for lam in axes.get("lambda", []):
-            grids.append(("lambda", lam, {"lambda_dpl": float(lam)}))
-        for tau in axes.get("tau", []):
-            grids.append(("tau", tau, {"tau": float(tau)}))
         k = self.config.train.eval_k
         rows = []
-        for axis, value, overrides in grids:
+        for axis, value, overrides in ablation_grid(self.config.ablate):
             for seed in self.config.seeds:
                 result = self._train_one(inputs, seed, overrides)
                 report = self._test_report(result.model, [k])

@@ -1,8 +1,10 @@
 """Kernel tests: closed-form values, brute-force oracles and gradient checks.
 
-The model's affine maps, attention and tanh have no kernel op of their own;
-their forward and adjoint contracts are checked here on `MultiTapModel`."""
+The model's attention and tanh have no kernel op of their own; their forward
+and adjoint contracts are checked here on `MultiTapModel`."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -14,10 +16,15 @@ from multitap.diffkit import (
     AdamConfig,
     ParameterStore,
     adam_step,
+    affine,
+    affine_backward,
+    bpr,
     fit_early_stopped,
     grad_check,
     info_nce,
     load_checkpoint,
+    pack_container,
+    read_container,
     save_checkpoint,
     scatter_rows,
     softmax,
@@ -29,13 +36,12 @@ from multitap.model import MultiTapModel
 from test_model import persona_of, to_generic_point, toy_config, toy_inputs
 
 
-def fusion_model(sem_dim=2, id_dim=3, fused_dim=4, seed=0):
-    """A model whose item fusion head maps [semantics, ID] -> fused_dim."""
-    rng = np.random.default_rng(seed)
-    inputs = toy_inputs(rng, sem_dim=sem_dim, id_dim=id_dim)
-    model = MultiTapModel(inputs, toy_config(fused_dim=fused_dim))
-    to_generic_point(model, seed=seed)
-    return model
+def affine_store(rng, d_in, d_out, name="head"):
+    """A store holding the weight and bias of one affine map `name`."""
+    store = ParameterStore()
+    store.add(f"{name}_w", rng.normal(size=(d_in, d_out)))
+    store.add(f"{name}_b", rng.normal(size=d_out))
+    return store
 
 
 def attention_model(source):
@@ -46,26 +52,26 @@ def attention_model(source):
 
 
 class TestAffine:
-    """The fusion heads are the model's affine maps: [x, v] @ W + b."""
+    """`affine` is x @ W + b over a stored weight/bias pair."""
 
     def test_identity_weights(self):
-        model = fusion_model(sem_dim=2, id_dim=2, fused_dim=4)
-        model.store.params["fuse.item_w"][...] = np.eye(4)
-        model.store.params["fuse.item_b"][...] = 0.0
-        cache = model._fuse_items(np.arange(6))
-        np.testing.assert_array_equal(cache["z"], cache["x"])
+        store = affine_store(np.random.default_rng(0), 4, 4)
+        store.params["head_w"][...] = np.eye(4)
+        store.params["head_b"][...] = 0.0
+        x = np.random.default_rng(1).normal(size=(6, 4))
+        np.testing.assert_array_equal(affine(store, "head", x), x)
 
     def test_scalar_case(self):
-        model = fusion_model(sem_dim=1, id_dim=1, fused_dim=1)
-        model.inputs.item_semantics[0] = 2.0
-        model.store.params["fuse.item_w"][...] = [[3.0], [0.0]]
-        model.store.params["fuse.item_b"][...] = 1.0
-        np.testing.assert_allclose(model._fuse_items(np.array([0]))["z"], [[7.0]])
+        store = affine_store(np.random.default_rng(0), 1, 1)
+        store.params["head_w"][...] = 3.0
+        store.params["head_b"][...] = 1.0
+        np.testing.assert_allclose(affine(store, "head", np.array([[2.0]])), [[7.0]])
 
     def test_matches_triple_loop_oracle(self):
-        model = fusion_model()
-        x = np.concatenate([model.inputs.item_semantics, model.store.params["id.item"]], axis=1)
-        w, b = model.store.params["fuse.item_w"], model.store.params["fuse.item_b"]
+        rng = np.random.default_rng(2)
+        store = affine_store(rng, 5, 4)
+        x = rng.normal(size=(6, 5))
+        w, b = store.params["head_w"], store.params["head_b"]
         expected = np.zeros((6, 4))
         for i in range(6):
             for j in range(4):
@@ -73,11 +79,26 @@ class TestAffine:
                 for k in range(5):
                     acc += x[i, k] * w[k, j]
                 expected[i, j] = acc
-        np.testing.assert_allclose(model._fuse_items(np.arange(6))["z"], expected, atol=1e-12)
+        np.testing.assert_allclose(affine(store, "head", x), expected, atol=1e-12)
 
     def test_shape_mismatch(self):
+        store = affine_store(np.random.default_rng(0), 5, 4)
         with pytest.raises(ValueError):
-            fusion_model().store.load_params({"fuse.item_w": np.zeros((4, 4))})
+            store.load_params({"head_w": np.zeros((4, 4))})
+        with pytest.raises(ValueError):
+            affine(store, "head", np.zeros((2, 4)))
+
+
+class TestBpr:
+    def test_equal_scores_give_log_two(self):
+        loss, dmargin = bpr(np.zeros(4))
+        assert loss == pytest.approx(math.log(2.0), abs=1e-15)
+        np.testing.assert_array_equal(dmargin, np.full(4, -0.125))
+
+    def test_extreme_margins_stay_finite(self):
+        loss, dmargin = bpr(np.array([-800.0, 800.0]))
+        assert loss == pytest.approx(400.0)
+        np.testing.assert_allclose(dmargin, [-0.5, 0.0], atol=1e-300)
 
 
 class TestSoftmax:
@@ -392,14 +413,40 @@ def _persona_param_check(aggregation, name):
 
 class TestOperationAdjoints:
     def test_affine_backward(self):
-        # the user fusion head's adjoint w.r.t. the persona input h
+        # adjoints w.r.t. the input, the weight and the bias
+        rng = np.random.default_rng(8)
+        store = affine_store(rng, 5, 3)
+
+        def backward(g, x, _w, _b):
+            store.zero_grads()
+            dx = affine_backward(store, "head", x, g)
+            return dx, store.grads["head_w"].copy(), store.grads["head_b"].copy()
+
+        _fd_check(
+            lambda x, _w, _b: affine(store, "head", x),
+            backward,
+            [rng.normal(size=(4, 5)), store.params["head_w"], store.params["head_b"]],
+        )
+
+    @pytest.mark.parametrize("side", ["user", "item"])
+    def test_fusion_head_backward(self, side):
+        # a fusion head's adjoint w.r.t. its features (persona h or item semantics)
         model = MultiTapModel(toy_inputs(np.random.default_rng(8)), toy_config())
         to_generic_point(model)
         rows = np.arange(4)
+        width = 8 if side == "user" else 5
         _fd_check(
-            lambda h: model._fuse_users(rows, h)["z"],
-            lambda g, h: (model._fuse_users_backward(model._fuse_users(rows, h), g),),
-            [np.random.default_rng(8).normal(size=(4, 8))],
+            lambda f: model._fuse(side, f, rows)["z"],
+            lambda g, f: (model._fuse_backward(model._fuse(side, f, rows), g),),
+            [np.random.default_rng(8).normal(size=(4, width))],
+        )
+
+    def test_bpr_backward(self):
+        margin = np.random.default_rng(10).normal(scale=3.0, size=7)
+        _fd_check(
+            lambda m: np.array(bpr(m)[0]),
+            lambda g, m: (float(g) * bpr(m)[1],),
+            [margin],
         )
 
     def test_softmax_backward(self):
@@ -456,9 +503,66 @@ class TestDeterminismAndCheckpoints:
         for name in arrays:
             np.testing.assert_array_equal(loaded[name], arrays[name])
 
+    def test_checkpoint_bytes_pinned(self, tmp_path):
+        # the container format is fixed: a refactor must not change its bytes
+        path = tmp_path / "small.ckpt"
+        arrays = {"b": np.array([-0.0, np.inf, 5e-324]), "a": np.arange(6.0).reshape(2, 3)}
+        save_checkpoint(path, arrays, {"seed": 1})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "0a21eee0f952505647ea4e22a78e1533d5e354100702418aad20b848115e195c"
+        )
+
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         arrays = {"a": np.arange(6, dtype=np.float64).reshape(2, 3)}
         p1, p2 = tmp_path / "one.ckpt", tmp_path / "two.ckpt"
         save_checkpoint(p1, arrays, {"seed": 1, "config_hash": "x"})
         save_checkpoint(p2, arrays, {"seed": 1, "config_hash": "x"})
         assert p1.read_bytes() == p2.read_bytes()
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True, width=64)
+_names = st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=6)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | _floats | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_arrays = st.lists(st.integers(0, 3), max_size=3).flatmap(
+    lambda shape: st.lists(
+        st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2e-308]) | _floats,
+        min_size=math.prod(shape), max_size=math.prod(shape),
+    ).map(lambda xs: np.array(xs, dtype=np.float64).reshape(shape))
+)
+
+
+class TestContainer:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.dictionaries(_names, _arrays, max_size=4),
+        st.dictionaries(_names, _json, max_size=4),
+        st.data(),
+    )
+    def test_round_trip_with_name_filter(self, tmp_path_factory, arrays, values, data):
+        values = {k: v for k, v in values.items() if k not in arrays}
+        names = data.draw(
+            st.none() | st.sets(st.sampled_from(sorted({*arrays, *values, "absent"})))
+        )
+        path = tmp_path_factory.mktemp("container") / "c.bin"
+        path.write_bytes(pack_container(arrays, values))
+        got_arrays, got_values = read_container(path, names)
+        keep = (lambda k: True) if names is None else (lambda k: k in names)
+        assert sorted(got_arrays) == sorted(k for k in arrays if keep(k))
+        for name, arr in got_arrays.items():
+            assert arr.dtype == np.float64 and arr.shape == arrays[name].shape
+            assert arr.tobytes() == arrays[name].tobytes()
+        expected = {k: v for k, v in values.items() if keep(k)}
+        assert json.dumps(got_values, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    def test_empty_name_set_reads_nothing(self, tmp_path):
+        path = tmp_path / "c.bin"
+        path.write_bytes(pack_container({"v": np.ones(3)}, {"t": "x"}))
+        assert read_container(path, set()) == ({}, {})
+
+    def test_values_key_omitted_when_empty(self):
+        assert pack_container({"a": np.ones(2)}) == pack_container({"a": np.ones(2)}, {})
+        assert b'"json"' not in pack_container({"a": np.ones(2)})

@@ -312,19 +312,19 @@ class TestFusion:
         model = MultiTapModel(inputs, toy_config(persona_out_dim=256, fused_dim=128))
         h = rng.normal(size=(4, 256))
         assert model.store.params["fuse.user_w"].shape == (384, 128)
-        assert model._fuse_users(np.arange(4), h)["z"].shape == (4, 128)
+        assert model._fuse("user", h, np.arange(4))["z"].shape == (4, 128)
 
     def test_zero_weights_zero_output(self):
         model = MultiTapModel(toy_inputs(np.random.default_rng(0)), toy_config())
         model.store.params["fuse.user_w"][...] = 0.0
-        z = model._fuse_users(np.arange(4), np.ones((4, 8)))["z"]
+        z = model._fuse("user", np.ones((4, 8)), np.arange(4))["z"]
         np.testing.assert_array_equal(z, np.zeros((4, 6)))
 
     def test_identity_block_selects_id_vector(self):
         inputs = toy_inputs(np.random.default_rng(0), n=2, id_dim=3)
         model = MultiTapModel(inputs, toy_config(fused_dim=3))
         model.store.params["fuse.user_w"][...] = np.vstack([np.zeros((2, 3)), np.eye(3)])
-        z = model._fuse_users(np.arange(4), np.full((4, 2), 9.0))["z"]
+        z = model._fuse("user", np.full((4, 2), 9.0), np.arange(4))["z"]
         np.testing.assert_allclose(z, inputs.backbone_user)
 
 

@@ -372,7 +372,8 @@ class TestGeneratePersonas:
         payload = persona_payload(
             "u1", "home", "desc", db.labels, db.diversity, history
         )
-        assert set(payload) == {
+        # in order: a remote request sends the payload as unsorted JSON
+        assert list(payload) == [
             "Domain",
             "Domain description",
             "User ID",
@@ -382,7 +383,7 @@ class TestGeneratePersonas:
             "category_familiarity_level",
             "overall_category_diversity",
             "History",
-        }
+        ]
         entry = payload["History"][0]
         assert set(entry) == {
             "item_id",
@@ -636,7 +637,7 @@ class TestShardCache:
         self._stage(tmp_path, TemplateGenerator(), HashingEncoder(dim=16, seed=5), parallelism=3)
         files = self._files(tmp_path)
         assert sorted(p.parent.name for p in files) == ["texts", "vectors", "vectors"]
-        assert all(p.suffix == ".shard" for p in files)
+        assert all(p.suffix == ".pack" for p in files)
         self._stage(tmp_path, TemplateGenerator(), HashingEncoder(dim=16, seed=5), parallelism=3)
         assert self._files(tmp_path) == files
 
@@ -645,9 +646,11 @@ class TestShardCache:
         key = generate_personas("u1", dbs["u1"], assets, histories["u1"], TemplateGenerator()).cache_key
         texts_dir = tmp_path / "texts"
         texts_dir.mkdir()
-        # a per-key file of the older layout and a temp file an interrupted write left
+        # a per-key file and a shard of the two older layouts, and a temp
+        # file an interrupted write left
         (texts_dir / f"{key}.json").write_text(json.dumps({"user_id": "u1", "texts": {}, "provenance": "x"}))
-        (texts_dir / "0123.shard.tmpab12").write_bytes(b"partial")
+        (texts_dir / "0123.shard").write_bytes(b"MTAPSHRD\x02\x00\x00\x00{}")
+        (texts_dir / "0123.pack.tmpab12").write_bytes(b"partial")
         assert JsonCache(texts_dir).get([key]) is None
         generator = TemplateGenerator()
         cold = self._stage(tmp_path, generator, HashingEncoder(dim=16, seed=5))

@@ -482,7 +482,7 @@ def captured_runs(small_fixture, tmp_path, monkeypatch):
     _, paths = small_fixture
     config = small_config_dict(paths, tmp_path / "run")
     config["client"]["mode"] = "remote"
-    config["ablate"] = {"transfer": ["none"]}
+    config["ablate"] = {"transfer": ["none"], "tau": [0.1]}
     config_path = tmp_path / "config.json"
     write_json(config_path, config)
     runs = []
@@ -512,9 +512,9 @@ OVERRIDES = [
     (["eval", "--k", "5,10"], "eval_ks", (5, 10)),
     (["eval", "--split", "valid"], "eval_split", "valid"),
     (["run", "--sweep", "lambda=0:1:0.5"], "ablate",
-     {"transfer": ["none"], "lambda": [0.0, 0.5, 1.0]}),
-    (["ablate", "--sweep", "lambda=0:1:0.5", "--sweep", "transfer=0:0:1"], "ablate",
-     {"transfer": [0.0], "lambda": [0.0, 0.5, 1.0]}),
+     {"transfer": ["none"], "tau": [0.1], "lambda": [0.0, 0.5, 1.0]}),
+    (["ablate", "--sweep", "lambda=0:1:0.5", "--sweep", "tau=0.5:1:0.5"], "ablate",
+     {"transfer": ["none"], "tau": [0.5, 1.0], "lambda": [0.0, 0.5, 1.0]}),
 ]
 
 
@@ -615,8 +615,10 @@ class TestCliErrors:
              "unknown eval_split 'tset'; known splits: valid, test"),
             (["eval"], lambda c: c.update(eval_average="users"),
              "unknown eval_average 'users'; known averages: interaction, user"),
+            (["run"], lambda c: c["client"].update(mode="ofline"),
+             "unknown client mode 'ofline'; known modes: offline, remote"),
         ],
-        ids=["report_labels", "criteria", "eval_split", "eval_average"],
+        ids=["report_labels", "criteria", "eval_split", "eval_average", "client_mode"],
     )
     def test_value_outside_closed_vocabulary_is_rejected(
         self, small_fixture, tmp_path, capsys, argv, edit, message
@@ -649,6 +651,19 @@ class TestCliErrors:
         assert "'lamda'" in error["message"]
         assert "aggregation, transfer, lambda, tau" in error["message"]
         assert not (tmp_path / "run").exists()
+
+    def test_bad_ablate_value_fails_before_the_done_stage_is_touched(self, completed_copy, capsys):
+        run_dir, config_path = completed_copy
+        assert cli(capsys, "ablate", "--config", config_path)[0] == 0
+        before = snapshot(run_dir)
+        for sweep, message in [
+            ("transfer=0:0:1", "unknown transfer mode '0.0'"),
+            ("tau=0:0:1", "tau must be positive"),
+        ]:
+            code, captured = cli(capsys, "ablate", "--config", config_path, "--sweep", sweep)
+            assert code == 2
+            assert json.loads(captured.err)["error"] == {"type": "ValueError", "message": message}
+            assert snapshot(run_dir) == before  # the done ablate's manifest included
 
     def test_unknown_ablate_axis_in_config_is_rejected(self, small_fixture, tmp_path):
         _, paths = small_fixture
