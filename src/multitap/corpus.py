@@ -105,10 +105,17 @@ def index_views(dataset: DomainDataset) -> DomainDataset:
             raise UnknownItemError(
                 dataset.domain_id, 0, f"interaction references unknown item '{rec.item_id}'"
             )
-        per_cat = user_category_items.setdefault(rec.user_id, {})
-        per_cat.setdefault(meta.category, Counter())[rec.item_id] += 1
-        user_items.setdefault(rec.user_id, Counter())[rec.item_id] += 1
-        user_records.setdefault(rec.user_id, []).append(rec)
+        user = rec.user_id
+        if user not in user_items:
+            user_items[user] = Counter()
+            user_category_items[user] = {}
+            user_records[user] = []
+        per_cat = user_category_items[user]
+        if meta.category not in per_cat:
+            per_cat[meta.category] = Counter()
+        per_cat[meta.category][rec.item_id] += 1
+        user_items[user][rec.item_id] += 1
+        user_records[user].append(rec)
     dataset.users = frozenset(user_items)
     dataset.item_ids = frozenset(dataset.items)
     dataset.categories = frozenset(m.category for m in dataset.items.values())

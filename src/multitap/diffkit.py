@@ -210,6 +210,9 @@ class ParameterStore:
 def adam_step(store: ParameterStore, config: AdamConfig) -> None:
     """Bias-corrected Adam update with decoupled L2 weight decay.
 
+    Each parameter is updated in place through two scratch arrays, in the
+    operation order of `m = b1 m + (1 - b1) g`, `v = b2 v + (1 - b2) g g`,
+    `p -= lr (m / bc1) / (sqrt(v / bc2) + eps)`, then `p -= lr wd p`.
     Gradients are zeroed after the update.
     """
     store.step_count += 1
@@ -219,19 +222,31 @@ def adam_step(store: ParameterStore, config: AdamConfig) -> None:
     bc2 = 1.0 - b2**t
     for name in store.names():
         g = store.grads[name]
-        if not np.all(np.isfinite(g)):
+        # a non-finite entry makes the sum non-finite; an overflowing sum alone does not count
+        if not np.isfinite(g.sum()) and not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient for parameter '{name}'")
         m = store._m[name]
         v = store._v[name]
+        a = np.empty_like(g)
+        b = np.empty_like(g)
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(1.0 - b1, g, out=a)
+        m += a
         v *= b2
-        v += (1.0 - b2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + config.epsilon)
+        np.multiply(1.0 - b2, g, out=a)
+        a *= g
+        v += a
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += config.epsilon
+        np.divide(m, bc1, out=b)
+        b /= a
+        b *= config.learning_rate
         p = store.params[name]
-        p -= config.learning_rate * update
+        p -= b
         if config.weight_decay > 0.0:
-            p -= config.learning_rate * config.weight_decay * p
+            np.multiply(config.learning_rate * config.weight_decay, p, out=b)
+            p -= b
     store.zero_grads()
 
 

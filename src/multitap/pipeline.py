@@ -186,6 +186,9 @@ class PipelineConfig:
                     f"unknown {name} {', '.join(map(repr, unknown))}; "
                     f"known {plural}: {', '.join(known)}"
                 )
+        for axis, values in self.ablate.items():
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"ablate axis '{axis}' must be a list of values, got {values!r}")
         # every ablate point must make a valid trainer before any stage runs
         for _, _, overrides in ablation_grid(self.ablate):
             dataclasses.replace(self.train, **overrides)
@@ -278,6 +281,7 @@ class Pipeline:
         self.vector_cache = persona_mod.JsonCache(Path(cache_dir) / "vectors")
         self._domains: dict[str, DomainDataset] = {}
         self._splits: dict[str, SplitBundle] = {}
+        self._train_datasets: dict[str, DomainDataset] = {}
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -354,7 +358,11 @@ class Pipeline:
         return self._splits[which]
 
     def _train_dataset(self, which: str) -> DomainDataset:
-        return self._dataset(which).restricted_to(self._split(which).train)
+        if which not in self._train_datasets:
+            self._train_datasets[which] = self._dataset(which).restricted_to(
+                self._split(which).train
+            )
+        return self._train_datasets[which]
 
     def _clients(self):
         cs = self.config.client
@@ -408,6 +416,7 @@ class Pipeline:
                 },
             )
             self._splits[which] = bundle
+            self._train_datasets.pop(which, None)
         self._mark_done("split")
 
     def stage_idh(self) -> None:
@@ -483,6 +492,8 @@ class Pipeline:
         generator, persona_encoder, item_encoder = self._clients()
         for which in ("source", "target"):
             train_ds = self._train_dataset(which)
+            # no later stage reads the train slice: do not hold it through training
+            self._train_datasets.pop(which)
             price_bins, labels = self._load_idh(which)
             dbs = persona_mod.build_all_persona_dbs(train_ds, labels)
             base = self.run_dir / "persona" / which

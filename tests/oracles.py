@@ -7,7 +7,8 @@ aggregation and transfer term written one user at a time with plain loops.
 `hashing_embed` is the feature-hashing encoder that hashes every feature
 occurrence, and `sample_negatives` the target trainer's negative sampler
 drawing one scalar at a time.  `early_stopping` is the fit loop's stopping
-rule read off prefix maxima.  `build_persona_db` builds one user's persona
+rule read off prefix maxima.  `adam_step` is the Adam update written as
+whole-array expressions, one temporary per operation.  `build_persona_db` builds one user's persona
 database, re-sorting every distribution it labels against unless the caller
 passes it precomputed.  All are deliberately naive and slow.
 """
@@ -198,6 +199,32 @@ def early_stopping(valid_hrs, epochs, patience):
             break
     run = valid_hrs[:ran]
     return ran, run.index(max(run))
+
+
+def adam_step(store, config):
+    """Bias-corrected Adam with decoupled weight decay on a
+    `multitap.diffkit.ParameterStore`, expression by expression."""
+    store.step_count += 1
+    t = store.step_count
+    b1, b2 = config.beta1, config.beta2
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    for name in store.names():
+        g = store.grads[name]
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"non-finite gradient for parameter '{name}'")
+        m = store._m[name]
+        v = store._v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + config.epsilon)
+        p = store.params[name]
+        p -= config.learning_rate * update
+        if config.weight_decay > 0.0:
+            p -= config.learning_rate * config.weight_decay * p
+    store.zero_grads()
 
 
 def category_diversity(user_id: str, dataset: DomainDataset) -> int:

@@ -308,6 +308,51 @@ class TestAdam:
         with pytest.raises(ValueError, match="bad"):
             adam_step(store, AdamConfig())
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_bit_equal_to_expression_oracle_over_50_steps(self, weight_decay):
+        rng = np.random.default_rng(7)
+        shapes = {"table": (40, 8), "bias": (8,), "scalar": ()}
+        stores = (ParameterStore(), ParameterStore())
+        for name, shape in shapes.items():
+            init = rng.normal(size=shape)
+            for store in stores:
+                store.add(name, init.copy())
+        config = AdamConfig(learning_rate=0.03, weight_decay=weight_decay)
+        for _ in range(50):
+            for name, shape in shapes.items():
+                # magnitudes from 1e-6 to 1e6, with exact zeros
+                g = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+                g = np.where(rng.random(size=shape) < 0.1, 0.0, g)
+                for store in stores:
+                    store.accumulate(name, g)
+            adam_step(stores[0], config)
+            oracles.adam_step(stores[1], config)
+        for attr in ("params", "_m", "_v", "grads"):
+            for name in shapes:
+                got, want = getattr(stores[0], attr)[name], getattr(stores[1], attr)[name]
+                assert got.tobytes() == want.tobytes(), (attr, name)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_any_non_finite_entry_raises(self, bad):
+        store = ParameterStore()
+        store.add("w", np.zeros(5))
+        store.accumulate("w", np.array([1.0, -2.0, bad, 3.0, 4.0]))
+        with pytest.raises(ValueError, match="non-finite gradient for parameter 'w'"):
+            adam_step(store, AdamConfig())
+
+    def test_finite_gradient_with_overflowing_sum_steps(self):
+        store, reference = ParameterStore(), ParameterStore()
+        g = np.array([1e308, 1e308, -1e308, 1e308])
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(g.sum())
+        for s in (store, reference):
+            s.add("w", np.ones(4))
+            s.accumulate("w", g)
+        with np.errstate(over="ignore"):  # g * g overflows on both sides
+            adam_step(store, AdamConfig())
+            oracles.adam_step(reference, AdamConfig())
+        assert store.params["w"].tobytes() == reference.params["w"].tobytes()
+
 
 class TestFitEarlyStopped:
     """The shared fit loop against the prefix-maximum oracle, on scripted

@@ -1,10 +1,13 @@
 """Full-ranking evaluation tests: closed forms, oracle equivalence, invariances."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from multitap import evaluate
 from multitap.corpus import InteractionRecord
 from multitap.evaluate import aggregate_seed_reports, full_ranking_eval, train_items_by_user
 
@@ -181,6 +184,50 @@ class TestSortOracle:
                 assert repr(
                     full_ranking_eval(matrix, rows, item_ids, train, heldout, **kwargs)
                 ) == repr(oracles.full_ranking_eval(score_fn, item_ids, train, heldout, **kwargs))
+
+    @pytest.mark.parametrize("block_cells", [1, 7, evaluate._BLOCK_CELLS])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_blocked_eval_repr_equals_oracle(self, block_cells, data):
+        """Blocks of 1 and 7 cells split the units across users and inside one
+        user; the default block holds every unit of a small case."""
+        n_items = data.draw(st.integers(0, 12))
+        item_ids = data.draw(st.permutations([f"i{k}" for k in range(n_items)]))
+        users = [f"u{k}" for k in range(data.draw(st.integers(1, 5)))]
+        # rounded scores make ties common; NaN and +-inf candidates and positives
+        value = st.one_of(
+            st.integers(-3, 3).map(lambda x: x / 2.0),
+            st.sampled_from([np.nan, np.inf, -np.inf]),
+        )
+        matrix = np.array(
+            [data.draw(st.lists(value, min_size=n_items, max_size=n_items))
+             for _ in range(len(users) + 1)],  # the last row is nobody's
+            dtype=np.float64,
+        )
+        rows = dict(zip(users, data.draw(st.permutations(range(len(users) + 1)))))
+        # exclusion sets: none, some (with an id outside the catalog), or all
+        train = {
+            u: data.draw(st.one_of(
+                st.just(set(item_ids)),
+                st.sets(st.sampled_from(item_ids + ["stale"])),
+            ))
+            for u in users if data.draw(st.booleans())
+        }
+        heldout = data.draw(st.lists(
+            st.tuples(st.sampled_from(users + ["ghost"]),
+                      st.sampled_from(item_ids + ["unknown"])),
+            min_size=1, max_size=14,
+        ))
+        ks = data.draw(st.sampled_from([(1, 3, 5, 10), (5,), (10, 2)]))
+        average = data.draw(st.sampled_from(evaluate.AVERAGES))
+
+        def score_fn(user):  # the oracle's view of the same matrix
+            return matrix[rows[user]]
+
+        with mock.patch.object(evaluate, "_BLOCK_CELLS", block_cells):
+            got = full_ranking_eval(matrix, rows, item_ids, train, heldout, ks=ks, average=average)
+        want = oracles.full_ranking_eval(score_fn, item_ids, train, heldout, ks=ks, average=average)
+        assert repr(got) == repr(want)
 
     def test_nan_ranks_after_finite_then_by_id(self):
         item_ids = ["c", "a", "b", "d"]

@@ -665,6 +665,19 @@ class TestCliErrors:
             assert json.loads(captured.err)["error"] == {"type": "ValueError", "message": message}
             assert snapshot(run_dir) == before  # the done ablate's manifest included
 
+    def test_ablate_axis_that_is_not_a_list_is_rejected(self, small_fixture, tmp_path, capsys):
+        _, paths = small_fixture
+        config = small_config_dict(paths, tmp_path / "run")
+        config["ablate"] = {"lambda": 0.5}
+        write_json(tmp_path / "config.json", config)
+        code, captured = cli(capsys, "ablate", "--config", tmp_path / "config.json")
+        assert code == 2
+        assert json.loads(captured.err)["error"] == {
+            "type": "ValueError",
+            "message": "ablate axis 'lambda' must be a list of values, got 0.5",
+        }
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_ablate_axis_in_config_is_rejected(self, small_fixture, tmp_path):
         _, paths = small_fixture
         config = small_config_dict(paths, tmp_path / "run")
