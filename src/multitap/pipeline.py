@@ -1,27 +1,34 @@
 """Config-driven pipeline: ingest, split, idh, persona, pretrain, train, eval,
 ablate.
 
-Each stage has its own cache key: the content key of the config sections it
-reads plus the keys of the stages it consumes (`PipelineConfig.stage_keys`).
-The source-domain model that train and ablate build on is keyed the same
-way, as the node "source".  A stage counts as done only when its manifest
-records its current key, its artifacts exist and every upstream node is
+`NODES` declares each node of the stage graph once: the nodes it consumes,
+the key sections it reads and the run-dir artifacts it writes.  A node's
+cache key is the content key of those sections plus the keys of its upstream
+nodes (`PipelineConfig.stage_keys`).  Ingest's sections include the sha256 of
+each input file, so an input edited in place changes every key.  The
+source-domain model that train and ablate build on is keyed the same way, as
+the node "source".  A node counts as done only when its manifest records its
+current key, every artifact it declares exists and every upstream node is
 done, so a train-only change reruns train and eval and serves everything
-upstream from disk.  Keys come from the config alone, never from the input
-files.  Every stage manifest, checkpoint manifest and report records the key
-of the stage that wrote it, and artifacts never embed absolute paths or
-timestamps, so a reused artifact is byte-identical to one built cold.
+upstream from disk.  A declared directory is cleared when its node starts,
+so a rebuilt one holds only what the current config writes.  "Done" checks
+that artifacts exist, not their bytes: one edited or truncated in place is
+not noticed.  Every stage manifest, checkpoint manifest and report records
+the key of the stage that wrote it, and artifacts never embed absolute paths
+or timestamps, so a reused artifact is byte-identical to one built cold.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
+import shutil
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,26 +54,44 @@ from .model import (
     train_target,
 )
 from .persona.clients import CLIENT_MODES, ClientSettings
-from .util import atomic_write_text, content_key, read_json, write_json
+from .util import atomic_write_text, content_key, file_sha256, read_json, write_json
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("ingest", "split", "idh", "persona", "pretrain", "train", "eval", "ablate")
+SIDES = ("source", "target")
 
-# Upstream nodes of every node, in topological order.  "source" is the
-# source-domain model: keyed and checked like a stage, but built inside train
-# and ablate (`_ensure_source_tables`), never requested on its own.
-_UPSTREAM = {
-    "ingest": (),
-    "split": ("ingest",),
-    "idh": ("split",),
-    "persona": ("idh",),
-    "pretrain": ("split",),
-    "source": ("persona", "pretrain"),
-    "train": ("source",),
-    "eval": ("train",),
-    "ablate": ("source",),
+
+class Node(NamedTuple):
+    upstream: tuple[str, ...]  # the nodes it consumes
+    reads: tuple[str, ...]  # the key sections (`PipelineConfig.stage_keys`) it hashes
+    # run-dir paths it writes, "{side}" and "{seed}" expanded over both domains
+    # and the configured seeds; a trailing "/" declares a directory it owns whole
+    artifacts: tuple[str, ...]
+    stage: bool = True
+
+
+# Every node in run order.  "source" is the source-domain model: keyed and
+# checked like a stage, but built inside train and ablate
+# (`_ensure_source_tables`), never requested on its own; its record is the
+# manifest of its last artifact, which is written last.
+NODES = {
+    "ingest": Node((), ("source", "target", "inputs"), ("ingest/summary.json",)),
+    "split": Node(("ingest",), ("split",), ("split/{side}.json",)),
+    "idh": Node(("split",), ("criteria", "report_labels"),
+                ("idh/{side}/bins.json", "idh/{side}/labels.json", "idh/{side}/report/")),
+    "persona": Node(("idh",), ("client",), tuple(
+        f"persona/{{side}}/{f}" for f in ("db.json", "texts.json", "description.txt",
+                                          "user_vectors.ckpt", "item_vectors.ckpt"))),
+    "pretrain": Node(("split",), ("gcn",), ("backbone/{side}.ckpt",)),
+    "source": Node(("persona", "pretrain"), ("source_train",),
+                   ("model/source_model.ckpt", "model/source_tables.ckpt"), stage=False),
+    "train": Node(("source",), ("train", "seeds"),
+                  ("model/target_seed{seed}.ckpt", "model/metrics_seed{seed}.jsonl")),
+    "eval": Node(("train",), ("eval_ks", "eval_split", "eval_average"), ("eval/report.json",)),
+    "ablate": Node(("source",), ("ablate", "train", "seeds", "eval_average"),
+                   ("ablation/results.csv",)),
 }
+STAGES = tuple(name for name, node in NODES.items() if node.stage)
 
 
 def stages_through(stage: str) -> list[str]:
@@ -75,30 +100,8 @@ def stages_through(stage: str) -> list[str]:
     while pending:
         node = pending.pop()
         needed.add(node)
-        pending.extend(_UPSTREAM[node])
+        pending.extend(NODES[node].upstream)
     return [s for s in STAGES if s in needed]
-
-
-def _artifacts(node: str, seeds: Sequence[int]) -> list[str]:
-    """Run-dir paths a done node must have (checkpoint manifests aside)."""
-    sides = ("source", "target")
-    return {
-        "ingest": ["ingest/summary.json"],
-        "split": [f"split/{w}.json" for w in sides],
-        "idh": [f"idh/{w}/{f}" for w in sides for f in ("bins.json", "labels.json")],
-        "persona": [
-            f"persona/{w}/{f}"
-            for w in sides
-            for f in ("db.json", "texts.json", "description.txt",
-                      "user_vectors.ckpt", "item_vectors.ckpt")
-        ],
-        "pretrain": [f"backbone/{w}.ckpt" for w in sides],
-        "source": ["model/source_model.ckpt", "model/source_tables.ckpt"],
-        "train": [f"model/{f}{s}{ext}" for s in seeds
-                  for f, ext in (("target_seed", ".ckpt"), ("metrics_seed", ".jsonl"))],
-        "eval": ["eval/report.json"],
-        "ablate": ["ablation/results.csv"],
-    }[node]
 
 
 def _parse_boundary(value) -> int:
@@ -233,29 +236,25 @@ class PipelineConfig:
         return dataclasses.replace(base, transfer="none", lambda_dpl=0.0, seed=self.seeds[0])
 
     def stage_keys(self) -> dict[str, str]:
-        """The cache key of every node in `_UPSTREAM`: the config sections
-        it reads plus the keys of its upstream nodes."""
-        c = self.semantic_dict()
-
-        def pick(*names: str) -> dict:
-            return {name: c[name] for name in names}
-
-        slices = {
-            "ingest": pick("source", "target"),
-            "split": pick("split"),
-            "idh": pick("criteria", "report_labels"),
-            "persona": pick("client"),
-            "pretrain": pick("gcn"),
-            "source": {"source_train": dataclasses.asdict(self.source_train_config())},
-            "train": pick("train", "seeds"),
-            "eval": pick("eval_ks", "eval_split", "eval_average"),
-            "ablate": pick("ablate", "train", "seeds", "eval_average"),
+        """The cache key of every node in `NODES`: the sections it reads plus
+        the keys of its upstream nodes.  The sections are the config's own,
+        with "source_train" standing for the source model's trainer, plus
+        "inputs": the sha256 of each input file, so that an input edited in
+        place changes every key.  A missing input raises the loader's
+        FileNotFoundError."""
+        sections = self.semantic_dict()
+        sections["source_train"] = dataclasses.asdict(self.source_train_config())
+        sections["inputs"] = {
+            f"{side}.{kind}": file_sha256(getattr(getattr(self, side), kind))
+            for side in SIDES for kind in ("interactions", "metadata")
         }
         keys: dict[str, str] = {}
-        for node, upstream in _UPSTREAM.items():
-            keys[node] = content_key(
-                {"node": node, "config": slices[node], "upstream": [keys[u] for u in upstream]}
-            )
+        for name, node in NODES.items():
+            keys[name] = content_key({
+                "node": name,
+                "config": {section: sections[section] for section in node.reads},
+                "upstream": [keys[u] for u in node.upstream],
+            })
         return keys
 
 
@@ -273,7 +272,6 @@ class Pipeline:
         self.run_dir = Path(config.run_dir)
         # whole-config hash; run and cache locations do not enter it
         self.hash = config.config_hash()
-        self.keys = config.stage_keys()
         # `_is_done` results, memoised only while `run` executes
         self._done: dict[str, bool] | None = None
         cache_dir = config.cache_dir or str(self.run_dir / "cache")
@@ -285,14 +283,22 @@ class Pipeline:
 
     # -- bookkeeping --------------------------------------------------------
 
-    def _manifest_path(self, stage: str) -> Path:
-        return self.run_dir / stage / "manifest.json"
+    @functools.cached_property
+    def keys(self) -> dict[str, str]:
+        """Every node's key, hashed from the input files on first use."""
+        return self.config.stage_keys()
+
+    def artifact_paths(self, node: str) -> list[Path]:
+        """The run-dir paths `node` declares in `NODES`, expanded."""
+        rels = (a.format(side=w, seed=s) for a in NODES[node].artifacts
+                for w in SIDES for s in self.config.seeds)
+        return [self.run_dir / rel for rel in dict.fromkeys(rels)]
 
     def _record_path(self, node: str) -> Path:
         """The manifest that records `node`'s key."""
-        if node == "source":
-            return checkpoint_manifest_path(self._source_tables_path())
-        return self._manifest_path(node)
+        if NODES[node].stage:
+            return self.run_dir / node / "manifest.json"
+        return checkpoint_manifest_path(self.artifact_paths(node)[-1])
 
     def _is_done(self, node: str) -> bool:
         """True when `node`'s manifest records its current key, its artifacts
@@ -300,13 +306,13 @@ class Pipeline:
         if self._done is not None and node in self._done:
             return self._done[node]
         record = self._record_path(node)
-        paths = [self.run_dir / rel for rel in _artifacts(node, self.config.seeds)]
+        paths = self.artifact_paths(node)
         paths += [checkpoint_manifest_path(p) for p in paths if p.suffix == ".ckpt"]
         done = (
             record.exists()
             and read_json(record).get("stage_key") == self.keys[node]
             and all(p.exists() for p in paths)
-            and all(self._is_done(up) for up in _UPSTREAM[node])
+            and all(self._is_done(up) for up in NODES[node].upstream)
         )
         if self._done is not None:
             self._done[node] = done
@@ -320,18 +326,23 @@ class Pipeline:
         manifest = {"stage": stage, "stage_key": self.keys[stage]}
         if extra:
             manifest.update(extra)
-        write_json(self._manifest_path(stage), manifest)
+        write_json(self._record_path(stage), manifest)
         self._set_done(stage)
 
     def _begin(self, stage: str, node: str | None = None) -> None:
         """Start building `node` (default `stage`): raise unless every
         upstream node is done, then drop `node`'s record, so a build that
-        fails part-way never leaves an old key beside new artifacts."""
+        fails part-way never leaves an old key beside new artifacts, and
+        clear the directories it owns, so none keeps a file it no longer
+        writes."""
         node = node or stage
-        for needed in _UPSTREAM[node]:
+        for needed in NODES[node].upstream:
             if not self._is_done(needed):
                 raise DependencyError(stage, needed)
         self._record_path(node).unlink(missing_ok=True)
+        for path in self.artifact_paths(node):
+            if path.is_dir():
+                shutil.rmtree(path)
 
     # -- shared loaders -----------------------------------------------------
 
@@ -459,8 +470,7 @@ class Pipeline:
                         matrices.append(
                             idh_mod.preservation_matrix(labels[crit], crit, lab)
                         )
-            if matrices:
-                idh_mod.export_idh_report(matrices, base / "report")
+            idh_mod.export_idh_report(matrices, base / "report")
         self._mark_done("idh")
 
     def _load_idh(self, which: str):
@@ -626,9 +636,6 @@ class Pipeline:
             source_user_backbone=source_backbone,
         )
 
-    def _source_tables_path(self) -> Path:
-        return self.run_dir / "model" / "source_tables.ckpt"
-
     def _ensure_source_tables(self, stage: str = "train") -> None:
         """Unless they are done under the current source key, train the
         source-domain model (no transfer) and export the overlap-aligned
@@ -648,14 +655,15 @@ class Pipeline:
         rows = [result.model.user_rows[u] for u in overlap]
         backbone = self._load_backbone("source")
         key = self.keys["source"]
+        model_path, tables_path = self.artifact_paths("source")
         save_checkpoint(
-            self.run_dir / "model" / "source_model.ckpt",
+            model_path,
             result.model.store.params,
             {"stage_key": key, "seed": cfg.seed, "best_epoch": result.best_epoch},
         )
         # written last: its manifest is the record `_is_done("source")` reads
         save_checkpoint(
-            self._source_tables_path(),
+            tables_path,
             {
                 "h_users": h_all[rows],
                 "v_users": backbone.user_vecs[rows],
@@ -665,7 +673,7 @@ class Pipeline:
         self._set_done("source")
 
     def _target_inputs_with_transfer(self) -> ModelInputs:
-        arrays, manifest = load_checkpoint(self._source_tables_path())
+        arrays, manifest = load_checkpoint(self.artifact_paths("source")[-1])
         return self._model_inputs(
             "target",
             overlap=manifest["overlap_users"],

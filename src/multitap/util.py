@@ -19,6 +19,11 @@ def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def file_sha256(path: str | Path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def content_key(obj: Any) -> str:
     """Content-address an arbitrary JSON-serializable object."""
     return sha256_hex(canonical_json(obj))

@@ -14,7 +14,7 @@ from multitap import cli as cli_mod
 from multitap.cli import main
 from multitap.diffkit import checkpoint_manifest_path
 from multitap.errors import ClientError, DependencyError
-from multitap.pipeline import Pipeline, PipelineConfig, STAGES, stages_through
+from multitap.pipeline import NODES, Pipeline, PipelineConfig, STAGES, stages_through
 from multitap.util import read_json, write_json
 
 from conftest import small_config_dict
@@ -436,6 +436,95 @@ class TestStageReuse:
         assert json.loads(captured.out)["stages"] == {"eval": "ran"}
         assert (run_dir / "eval" / "report.json").read_bytes() == aggregate
         assert read_json(run_dir / "eval" / "checkpoint_target_seed0.json")["checkpoint"] == ckpt.name
+
+
+class TestNodeTable:
+    def test_every_run_dir_file_is_declared(self, small_fixture, tmp_path):
+        """After a run plus ablate, every file outside cache/ is a manifest
+        or lies under exactly one node's declared artifacts."""
+        _, paths = small_fixture
+        pipe = build_pipeline(paths, tmp_path / "run")
+        pipe.run(RUN_STAGES + ["ablate"])
+        declared = {node: pipe.artifact_paths(node) for node in NODES}
+        manifests = {pipe.run_dir / stage / "manifest.json" for stage in STAGES} | {
+            checkpoint_manifest_path(p) for ps in declared.values() for p in ps if p.suffix == ".ckpt"
+        }
+        files = [p for p in pipe.run_dir.rglob("*")
+                 if p.is_file() and p.relative_to(pipe.run_dir).parts[0] != "cache"]
+        assert any(p.parent.name == "report" for p in files)
+        owners = {
+            str(p.relative_to(pipe.run_dir)): [
+                node for node, ps in declared.items() if any(a == p or a in p.parents for a in ps)
+            ]
+            for p in files if p not in manifests
+        }
+        assert {rel: nodes for rel, nodes in owners.items() if len(nodes) != 1} == {}
+
+    def test_deleted_report_reruns_idh_alone(self, completed_copy, small_fixture):
+        _, paths = small_fixture
+        run_dir, _ = completed_copy
+        report = run_dir / "idh" / "source" / "report"
+        original = snapshot(report)
+        assert "preservation_summary.json" in original
+        shutil.rmtree(report)
+        status = Pipeline(PipelineConfig.from_dict(small_config_dict(paths, run_dir))).run(RUN_STAGES)
+        assert status == {**{s: "cached" for s in RUN_STAGES}, "idh": "ran"}
+        assert snapshot(report) == original
+
+    def test_dropped_criterion_leaves_no_stale_report(
+        self, completed_copy, small_fixture, tmp_path, capsys
+    ):
+        _, paths = small_fixture
+        run_dir, config_path = completed_copy
+        assert (run_dir / "idh" / "source" / "report" / "preservation_pb_high.csv").exists()
+        cold_path = tmp_path / "cold.json"
+        write_json(cold_path, small_config_dict(paths, tmp_path / "cold"))
+        for path in (config_path, cold_path):
+            code, captured = cli(capsys, "idh", "--config", path, "--criteria", "ps,qp")
+            assert code == 0, captured.err
+        reused = snapshot(run_dir / "idh")
+        assert reused == snapshot(tmp_path / "cold" / "idh")
+        assert not [rel for rel in reused if "_pb_" in rel]
+
+
+class TestInputsInKey:
+    @pytest.fixture
+    def own_inputs(self, small_fixture, tmp_path):
+        """A completed run on private copies of the input files."""
+        _, paths = small_fixture
+        copies = {}
+        for f in dataclasses.fields(paths):
+            copies[f.name] = tmp_path / "inputs" / Path(getattr(paths, f.name)).name
+            copies[f.name].parent.mkdir(exist_ok=True)
+            shutil.copyfile(getattr(paths, f.name), copies[f.name])
+        own = type(paths)(**copies)
+        config_path = tmp_path / "config.json"
+        write_json(config_path, small_config_dict(own, tmp_path / "run"))
+        Pipeline(PipelineConfig.from_json(config_path)).run(RUN_STAGES)
+        return own, config_path, tmp_path / "run"
+
+    def test_input_edited_in_place_reruns_every_stage(self, own_inputs, capsys):
+        own, config_path, _ = own_inputs
+        lines = own.target_interactions.read_text().splitlines()
+        row = json.loads(lines[0])
+        row["rating"] = 2.0 if row["rating"] == 1.0 else 1.0
+        lines[0] = json.dumps(row)
+        own.target_interactions.write_text("\n".join(lines) + "\n")
+        code, captured = cli(capsys, "run", "--config", config_path, "--stages", ",".join(RUN_STAGES))
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["stages"] == {s: "ran" for s in RUN_STAGES}
+
+    def test_missing_input_fails_before_any_stage_runs(self, own_inputs, capsys):
+        own, config_path, run_dir = own_inputs
+        before = snapshot(run_dir)
+        own.source_metadata.unlink()
+        code, captured = cli(capsys, "run", "--config", config_path, "--stages", ",".join(RUN_STAGES))
+        assert code == 2
+        assert json.loads(captured.err)["error"] == {
+            "type": "FileNotFoundError",
+            "message": f"[Errno 2] No such file or directory: '{own.source_metadata}'",
+        }
+        assert snapshot(run_dir) == before
 
 
 class TestPersonaPhaseAfterDoneStage:
