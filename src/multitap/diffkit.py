@@ -251,8 +251,10 @@ def adam_step(store: ParameterStore, config: AdamConfig) -> None:
 
 
 def check_loop_settings(config, epochs_field: str) -> None:
-    """Reject loop settings that cannot train, each below its least value."""
-    for name, least in {epochs_field: 1, "batch_size": 1, "negatives": 1, "patience": 0}.items():
+    """Reject loop settings that cannot train or validate, each below its
+    least value."""
+    least_values = {epochs_field: 1, "batch_size": 1, "negatives": 1, "patience": 0, "eval_k": 1}
+    for name, least in least_values.items():
         if getattr(config, name) < least:
             raise ValueError(f"{name} must be >= {least}, got {getattr(config, name)!r}")
 

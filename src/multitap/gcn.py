@@ -1,17 +1,18 @@
 """LightGCN backbone: ID embeddings pretrained per domain with BPR.
 
-The bipartite graph indexes only users and items that appear in train
-edges; the embedding table may additionally cover catalog items that never
-occur in train (they receive no propagation mass and are reachable only as
-sampled negatives or ranking candidates).  Propagation is the layer mean of
-repeated normalized-adjacency applications, including layer 0.  Pretraining
-runs its epoch body (negatives drawn per batch) in `diffkit.fit_early_stopped`.
+The bipartite graph indexes the users and items of the train edges, sorted,
+then any catalog-only items, sorted, after the train items: those have
+degree 0 and no edges, so they receive no propagation mass and are reachable
+only as sampled negatives or ranking candidates.  Propagation is the layer
+mean of repeated normalized-adjacency applications, including layer 0.
+Pretraining runs its epoch body (negatives drawn per batch) in
+`diffkit.fit_early_stopped`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,12 +33,15 @@ class BipartiteGraph:
     item_degrees: np.ndarray
 
     @classmethod
-    def from_interactions(cls, records: Iterable[InteractionRecord]) -> "BipartiteGraph":
+    def from_interactions(
+        cls, records: Iterable[InteractionRecord], catalog_items: Iterable[str] = ()
+    ) -> "BipartiteGraph":
         pairs = sorted({(r.user_id, r.item_id) for r in records})
         if not pairs:
             raise ValueError("cannot build a graph from zero interactions")
         users = sorted({u for u, _ in pairs})
         items = sorted({i for _, i in pairs})
+        items += sorted(set(catalog_items) - set(items))
         user_index = {u: k for k, u in enumerate(users)}
         item_index = {i: k for k, i in enumerate(items)}
         edges = np.array([(user_index[u], item_index[i]) for u, i in pairs], dtype=np.int64)
@@ -61,53 +65,23 @@ class IdEmbeddingTable:
         if self.user_vecs.shape[1] != self.item_vecs.shape[1]:
             raise ValueError("user and item embedding dimensions differ")
 
-    @property
-    def dim(self) -> int:
-        return self.user_vecs.shape[1]
-
     def stacked(self) -> np.ndarray:
         return np.vstack([self.user_vecs, self.item_vecs])
 
 
-def normalized_adjacency(
-    graph: BipartiteGraph,
-    user_order: Sequence[str] | None = None,
-    item_order: Sequence[str] | None = None,
-) -> sp.csr_matrix:
-    """Symmetric bipartite adjacency with entries 1/sqrt(deg(u) * deg(i)).
-
-    Optional orderings re-index rows onto a superset of nodes (extra rows
-    stay zero); by default the graph's own index maps are used, for which
-    every row has degree >= 1.
-    """
-    if user_order is None:
-        u_map = graph.user_index
-        nu = len(graph.user_index)
-    else:
-        u_map = {u: k for k, u in enumerate(user_order)}
-        nu = len(user_order)
-    if item_order is None:
-        i_map = graph.item_index
-        ni = len(graph.item_index)
-    else:
-        i_map = {i: k for k, i in enumerate(item_order)}
-        ni = len(item_order)
-    inv_user = {v: k for k, v in graph.user_index.items()}
-    inv_item = {v: k for k, v in graph.item_index.items()}
-    rows, cols, vals = [], [], []
-    for u_row, i_row in graph.edges:
-        u = inv_user[int(u_row)]
-        i = inv_item[int(i_row)]
-        if u not in u_map or i not in i_map:
-            continue
-        weight = 1.0 / np.sqrt(graph.user_degrees[u_row] * graph.item_degrees[i_row])
-        ui = u_map[u]
-        ii = nu + i_map[i]
-        rows.extend([ui, ii])
-        cols.extend([ii, ui])
-        vals.extend([weight, weight])
-    n = nu + ni
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+def normalized_adjacency(graph: BipartiteGraph) -> sp.csr_matrix:
+    """Symmetric bipartite adjacency over the graph's users then items, with
+    entries 1/sqrt(deg(u) * deg(i)); a catalog-only item's row and column
+    stay zero."""
+    users, items = graph.edges[:, 0], graph.edges[:, 1]
+    weights = 1.0 / np.sqrt(graph.user_degrees[users] * graph.item_degrees[items])
+    nu = len(graph.user_index)
+    n = nu + len(graph.item_index)
+    return sp.csr_matrix(
+        (np.concatenate([weights, weights]),
+         (np.concatenate([users, nu + items]), np.concatenate([nu + items, users]))),
+        shape=(n, n),
+    )
 
 
 def _layer_mean(x: np.ndarray, adjacency: sp.spmatrix, layers: int) -> np.ndarray:
@@ -160,7 +134,6 @@ class GcnConfig:
 @dataclass
 class PretrainResult:
     table: IdEmbeddingTable  # propagated embeddings at the best epoch
-    raw: IdEmbeddingTable  # unpropagated parameters at the best epoch
     history: list[dict] = field(default_factory=list)
     best_epoch: int = 0
     best_hr: float = 0.0
@@ -183,16 +156,12 @@ def _sample_negatives(
 def pretrain_id_embeddings(
     split: SplitBundle,
     config: GcnConfig,
-    catalog_items: Sequence[str] | None = None,
+    catalog_items: Iterable[str] = (),
 ) -> PretrainResult:
     """Train LightGCN with BPR on the train part, early-stopped on valid HR@K."""
-    graph = BipartiteGraph.from_interactions(split.train)
-    user_ids = sorted(graph.user_index)
-    item_ids = sorted(graph.item_index)
-    if catalog_items is not None:
-        extra = sorted(set(catalog_items) - set(item_ids))
-        item_ids = item_ids + extra
-    adjacency = normalized_adjacency(graph, user_order=user_ids, item_order=item_ids)
+    graph = BipartiteGraph.from_interactions(split.train, catalog_items)
+    user_ids, item_ids = list(graph.user_index), list(graph.item_index)
+    adjacency = normalized_adjacency(graph)
 
     rng = np.random.default_rng(config.seed)
     nu, ni = len(user_ids), len(item_ids)
@@ -202,10 +171,9 @@ def pretrain_id_embeddings(
         learning_rate=config.learning_rate, weight_decay=config.weight_decay
     )
 
-    u_index = {u: k for k, u in enumerate(user_ids)}
-    i_index = {i: k for k, i in enumerate(item_ids)}
     pos_pairs = np.array(
-        [(u_index[r.user_id], i_index[r.item_id]) for r in split.train], dtype=np.int64
+        [(graph.user_index[r.user_id], graph.item_index[r.item_id]) for r in split.train],
+        dtype=np.int64,
     )
     observed: list[set[int]] = [set() for _ in range(nu)]
     for u_row, i_row in pos_pairs:
@@ -246,16 +214,17 @@ def pretrain_id_embeddings(
             store.accumulate("emb", _layer_mean(grad_prop, adjacency, layer_count))
             adam_step(store, adam)
 
-        raw = IdEmbeddingTable(user_ids, item_ids, emb[:nu].copy(), emb[nu:].copy())
-        table = propagate(raw, adjacency, layer_count)
+        table = propagate(
+            IdEmbeddingTable(user_ids, item_ids, emb[:nu], emb[nu:]), adjacency, layer_count
+        )
         scores = table.user_vecs @ table.item_vecs.T
         metrics = full_ranking_eval(
-            scores, u_index, item_ids, train_items, split.valid, ks=[config.eval_k]
+            scores, graph.user_index, item_ids, train_items, split.valid, ks=[config.eval_k]
         )
         stats = {"loss": epoch_loss / n_triples, "valid_hr": metrics["HR"][config.eval_k]}
-        return stats, lambda: (table, raw)
+        return stats, lambda: table
 
-    history, best_epoch, best_hr, (table, raw) = fit_early_stopped(
+    history, best_epoch, best_hr, table = fit_early_stopped(
         run_epoch, config.epochs, config.patience
     )
-    return PretrainResult(table, raw, history, best_epoch, best_hr)
+    return PretrainResult(table, history, best_epoch, best_hr)

@@ -24,7 +24,7 @@ from typing import Any, Iterable, Iterator, Mapping
 import numpy as np
 
 from ..diffkit import pack_container, read_container
-from ..util import atomic_write_bytes, content_key
+from ..util import atomic_write_bytes
 
 _SUFFIX = ".pack"
 
@@ -82,4 +82,4 @@ def cache_batch(
             cache.put(new)
 
 
-__all__ = ["JsonCache", "cache_batch", "content_key"]
+__all__ = ["JsonCache", "cache_batch"]

@@ -17,7 +17,8 @@ import numpy as np
 
 from ..corpus import ItemMeta
 from ..idh import CRITERIA_ORDER
-from .cache import JsonCache, cache_batch, content_key
+from ..util import content_key
+from .cache import JsonCache, cache_batch
 from .clients import EncoderClient
 from .generation import PersonaText
 

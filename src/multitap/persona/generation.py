@@ -15,7 +15,8 @@ from typing import Mapping, Sequence
 
 from ..errors import MalformedResponseError
 from ..idh import CRITERIA_ORDER, Criterion
-from .cache import JsonCache, cache_batch, content_key
+from ..util import content_key
+from .cache import JsonCache, cache_batch
 from .clients import GeneratorClient
 from .database import PersonaDB
 from .prompts import PERSONA_SYSTEM_PROMPT, PROFILE_KEYS, PromptAssets, persona_payload

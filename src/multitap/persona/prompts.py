@@ -9,10 +9,12 @@ client, so the parser downstream is shared.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..corpus import DomainDataset, InteractionRecord, ItemMeta
+from ..errors import MalformedResponseError
 from ..idh import Criterion, Label
 
 PERSONA_SYSTEM_PROMPT = (
@@ -245,10 +247,6 @@ def recent_history(
 
 def build_domain_description(dataset: DomainDataset, client) -> str:
     """Generate the domain description via the client and parse it out."""
-    import json
-
-    from ..errors import MalformedResponseError
-
     payload = description_payload(dataset, sample_description_items(dataset))
     raw = client.domain_description(payload)
     try:

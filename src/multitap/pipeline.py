@@ -105,9 +105,15 @@ def stages_through(stage: str) -> list[str]:
 
 
 def _parse_boundary(value) -> int:
-    if isinstance(value, int):
+    """An integer timestamp (not a bool) or an ISO date, as a UTC timestamp."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
-    dt = datetime.fromisoformat(str(value))
+    try:
+        dt = datetime.fromisoformat(str(value))
+    except ValueError:
+        raise ValueError(
+            f"split boundary must be an integer timestamp or an ISO date, got {value!r}"
+        ) from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
@@ -124,6 +130,12 @@ class DomainPathsConfig:
 class SplitConfig:
     boundary: str | int = "2019-01-01"
     valid_fraction: float = 0.5
+
+    def __post_init__(self):
+        # checked here, not at split time, so a bad value never touches a run dir
+        _parse_boundary(self.boundary)
+        if not 0.0 < self.valid_fraction < 1.0:
+            raise ValueError(f"valid_fraction must lie in (0, 1), got {self.valid_fraction!r}")
 
     @property
     def boundary_ts(self) -> int:
@@ -189,6 +201,10 @@ class PipelineConfig:
                     f"unknown {name} {', '.join(map(repr, unknown))}; "
                     f"known {plural}: {', '.join(known)}"
                 )
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be nonempty and distinct, got {list(self.seeds)}")
+        if not self.eval_ks or any(k < 1 for k in self.eval_ks):
+            raise ValueError(f"eval_ks must be nonempty, each >= 1, got {list(self.eval_ks)}")
         for axis, values in self.ablate.items():
             if not isinstance(values, (list, tuple)):
                 raise ValueError(f"ablate axis '{axis}' must be a list of values, got {values!r}")
@@ -577,8 +593,6 @@ class Pipeline:
                 {
                     "user_vecs": result.table.user_vecs,
                     "item_vecs": result.table.item_vecs,
-                    "raw_user_vecs": result.raw.user_vecs,
-                    "raw_item_vecs": result.raw.item_vecs,
                 },
                 {
                     "stage_key": self.keys["pretrain"],

@@ -10,7 +10,9 @@ drawing one scalar at a time.  `early_stopping` is the fit loop's stopping
 rule read off prefix maxima.  `adam_step` is the Adam update written as
 whole-array expressions, one temporary per operation.  `build_persona_db` builds one user's persona
 database, re-sorting every distribution it labels against unless the caller
-passes it precomputed.  All are deliberately naive and slow.
+passes it precomputed.  `normalized_adjacency` is the graph backbone's
+adjacency built one edge at a time through id-keyed maps, optionally onto
+wider user and item orderings.  All are deliberately naive and slow.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ import re
 from typing import Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from multitap.corpus import DomainDataset
 from multitap.errors import MissingLabelError
+from multitap.gcn import BipartiteGraph
 from multitap.idh import Criterion, Label, tertile_label, tertile_thresholds
 from multitap.persona import PersonaDB
 
@@ -301,3 +305,42 @@ def build_persona_db(
     labels[Criterion.CF] = cf
     _, diversity = category_diversity_label(user_id, dataset, all_diversities)
     return PersonaDB(user_id=user_id, labels=labels, diversity=diversity)
+
+
+def normalized_adjacency(
+    graph: BipartiteGraph,
+    user_order: Sequence[str] | None = None,
+    item_order: Sequence[str] | None = None,
+) -> sp.csr_matrix:
+    """Symmetric bipartite adjacency with entries 1/sqrt(deg(u) * deg(i)).
+
+    Optional orderings re-index rows onto a superset of nodes (extra rows
+    stay zero); by default the graph's own index maps are used."""
+    if user_order is None:
+        u_map = graph.user_index
+        nu = len(graph.user_index)
+    else:
+        u_map = {u: k for k, u in enumerate(user_order)}
+        nu = len(user_order)
+    if item_order is None:
+        i_map = graph.item_index
+        ni = len(graph.item_index)
+    else:
+        i_map = {i: k for k, i in enumerate(item_order)}
+        ni = len(item_order)
+    inv_user = {v: k for k, v in graph.user_index.items()}
+    inv_item = {v: k for k, v in graph.item_index.items()}
+    rows, cols, vals = [], [], []
+    for u_row, i_row in graph.edges:
+        u = inv_user[int(u_row)]
+        i = inv_item[int(i_row)]
+        if u not in u_map or i not in i_map:
+            continue
+        weight = 1.0 / np.sqrt(graph.user_degrees[u_row] * graph.item_degrees[i_row])
+        ui = u_map[u]
+        ii = nu + i_map[i]
+        rows.extend([ui, ii])
+        cols.extend([ii, ui])
+        vals.extend([weight, weight])
+    n = nu + ni
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))

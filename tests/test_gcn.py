@@ -1,7 +1,10 @@
 """Graph backbone tests: adjacency, propagation oracles, BPR pretraining."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multitap.corpus import InteractionRecord, SplitBundle
 from multitap.gcn import (
@@ -12,6 +15,8 @@ from multitap.gcn import (
     pretrain_id_embeddings,
     propagate,
 )
+
+import oracles
 
 
 def rec(user, item, ts=0):
@@ -232,3 +237,78 @@ class TestPretrain:
         config = GcnConfig(dim=8, layers=1, epochs=4, patience=4, seed=1)
         result = pretrain_id_embeddings(split, config)
         assert all(row["loss"] > 0 for row in result.history)
+
+
+@st.composite
+def records_and_catalog(draw):
+    """Train records over small id pools, duplicates allowed, and a catalog
+    that may repeat train items and adds items no record touches."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 8)), min_size=1, max_size=30))
+    records = [rec(f"u{u}", f"i{i}", ts) for ts, (u, i) in enumerate(pairs)]
+    catalog = draw(st.lists(st.integers(0, 12).map(lambda i: f"i{i}"), max_size=10))
+    return records, catalog
+
+
+class TestCatalogGraph:
+    @settings(max_examples=300, deadline=None)
+    @given(records_and_catalog())
+    def test_csr_matches_edge_loop_oracle_byte_for_byte(self, case):
+        records, catalog = case
+        train_only = BipartiteGraph.from_interactions(records)
+        extra = sorted(set(catalog) - set(train_only.item_index))
+        want = oracles.normalized_adjacency(
+            train_only, sorted(train_only.user_index), sorted(train_only.item_index) + extra
+        )
+        got = normalized_adjacency(BipartiteGraph.from_interactions(records, catalog))
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_catalog_only_items_follow_train_items_with_zero_rows(self):
+        records = [rec("u1", "i2"), rec("u2", "i1"), rec("u2", "i2")]
+        g = BipartiteGraph.from_interactions(records, ["i3", "i1", "i0"])
+        assert list(g.item_index) == ["i1", "i2", "i0", "i3"]
+        np.testing.assert_array_equal(g.item_degrees, [1.0, 2.0, 0.0, 0.0])
+        a = normalized_adjacency(g).toarray()
+        nu = len(g.user_index)
+        for row in (nu + 2, nu + 3):
+            assert not a[row].any() and not a[:, row].any()
+        np.testing.assert_array_equal(a[: nu + 2, : nu + 2], dense_adjacency(
+            BipartiteGraph.from_interactions(records)
+        ))
+
+
+def pinned_split():
+    """Sixteen users, each drawing four items of its parity's half of twelve;
+    the first record is repeated, so train holds a duplicate."""
+    rng = np.random.default_rng(11)
+    train, valid = [], []
+    ts = 0
+    for u in range(16):
+        items = rng.choice(6, size=4, replace=False) + (6 if u % 2 else 0)
+        for k, i in enumerate(items):
+            (train if k < 3 else valid).append(
+                InteractionRecord(f"u{u:02d}", f"i{int(i):02d}", 5.0, ts)
+            )
+            ts += 1
+    train.append(train[0])
+    return SplitBundle(tuple(train), tuple(valid), tuple(valid), boundary_time=10**9)
+
+
+class TestPretrainPinned:
+    def test_tables_match_pinned_digests(self):
+        """The propagated tables of a small run with catalog-only items,
+        digests recorded before the adjacency was vectorised."""
+        config = GcnConfig(dim=8, layers=2, epochs=6, patience=6, seed=5, learning_rate=0.05,
+                           eval_k=3)
+        result = pretrain_id_embeddings(pinned_split(), config, catalog_items=["i99", "i03", "i98"])
+        assert result.table.item_ids[-2:] == ["i98", "i99"]
+        assert result.best_epoch == 1
+        digests = [hashlib.sha256(a.tobytes()).hexdigest()
+                   for a in (result.table.user_vecs, result.table.item_vecs)]
+        assert digests == [
+            "8733ba87e7880517dfc94924256a0e5ba3720223c387e9c2538e6dd2cd305b8c",
+            "1296a07bffe335bbcb96d1023f1d334c18ff70fa09214e9cba7314988e2d122b",
+        ]

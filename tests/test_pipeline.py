@@ -12,7 +12,7 @@ import pytest
 
 from multitap import cli as cli_mod
 from multitap.cli import main
-from multitap.diffkit import checkpoint_manifest_path
+from multitap.diffkit import checkpoint_manifest_path, load_checkpoint
 from multitap.errors import ClientError, DependencyError
 from multitap.pipeline import NODES, Pipeline, PipelineConfig, STAGES, stages_through
 from multitap.util import read_json, write_json
@@ -773,6 +773,89 @@ class TestCliErrors:
         config["ablate"] = {"lambda": [0.0], "taus": [0.1], "lamda": [1.0]}
         with pytest.raises(ValueError, match=r"unknown ablate axis 'lamda', 'taus'; known axes"):
             PipelineConfig.from_dict(config)
+
+
+class TestConfigChecks:
+    """Config values no stage can use fail at load, with exit 2, before any
+    stage runs or any file of a run dir is touched."""
+
+    @pytest.mark.parametrize(
+        "argv, edit, message",
+        [
+            (["train"], lambda c: c.update(seeds=[]), "seeds must be nonempty and distinct, got []"),
+            (["train"], lambda c: c.update(seeds=[0, 0]),
+             "seeds must be nonempty and distinct, got [0, 0]"),
+            (["eval"], lambda c: c.update(eval_ks=[0, -3]),
+             "eval_ks must be nonempty, each >= 1, got [0, -3]"),
+            (["eval"], lambda c: c.update(eval_ks=[]), "eval_ks must be nonempty, each >= 1, got []"),
+            (["eval", "--k", "5,0"], None, "eval_ks must be nonempty, each >= 1, got [5, 0]"),
+            (["train"], lambda c: c["train"].update(eval_k=0), "eval_k must be >= 1, got 0"),
+            (["train"], lambda c: c["source_train"].update(eval_k=-1),
+             "eval_k must be >= 1, got -1"),
+            (["pretrain"], lambda c: c["gcn"].update(eval_k=0), "eval_k must be >= 1, got 0"),
+            (["split", "--boundary", "garbage"], None,
+             "split boundary must be an integer timestamp or an ISO date, got 'garbage'"),
+            (["split"], lambda c: c["split"].update(boundary=True),
+             "split boundary must be an integer timestamp or an ISO date, got True"),
+            (["split", "--valid-fraction", "1.5"], None,
+             "valid_fraction must lie in (0, 1), got 1.5"),
+            (["split"], lambda c: c["split"].update(valid_fraction=0.0),
+             "valid_fraction must lie in (0, 1), got 0.0"),
+        ],
+        ids=["no_seeds", "repeated_seed", "eval_ks", "no_eval_ks", "eval_k_flag", "train_eval_k",
+             "source_train_eval_k", "gcn_eval_k", "boundary_flag", "boundary_bool",
+             "valid_fraction_flag", "valid_fraction_zero"],
+    )
+    def test_unusable_value_is_rejected_before_any_stage(
+        self, small_fixture, tmp_path, capsys, argv, edit, message
+    ):
+        _, paths = small_fixture
+        config = small_config_dict(paths, tmp_path / "run")
+        if edit is not None:
+            edit(config)
+        write_json(tmp_path / "config.json", config)
+        code, captured = cli(capsys, argv[0], "--config", tmp_path / "config.json", *argv[1:])
+        assert code == 2
+        assert json.loads(captured.err)["error"] == {"type": "ValueError", "message": message}
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "argv, edit",
+        [
+            (["split", "--boundary", "garbage"], None),
+            (["split", "--valid-fraction", "1.5"], None),
+            (["eval"], lambda c: c["split"].update(boundary=True)),
+        ],
+        ids=["boundary_flag", "valid_fraction_flag", "boundary_bool"],
+    )
+    def test_rejected_split_leaves_a_completed_run_untouched(
+        self, completed_copy, capsys, argv, edit
+    ):
+        run_dir, config_path = completed_copy
+        before = snapshot(run_dir)
+        config = read_json(config_path)
+        if edit is not None:
+            edit(config)
+        write_json(config_path.with_name("edited.json"), config)
+        code, captured = cli(
+            capsys, argv[0], "--config", config_path.with_name("edited.json"), *argv[1:]
+        )
+        assert code == 2
+        assert json.loads(captured.err)["error"]["type"] == "ValueError"
+        assert snapshot(run_dir) == before
+        # the next unrelated command finds every stage still done
+        code, captured = cli(capsys, "eval", "--config", config_path)
+        assert code == 0, captured.err
+        assert set(json.loads(captured.out)["stages"].values()) == {"cached"}
+
+
+class TestBackboneCheckpoint:
+    def test_holds_the_propagated_tables_only(self, completed_run):
+        _, run_dir, _ = completed_run
+        for side in ("source", "target"):
+            arrays, manifest = load_checkpoint(run_dir / "backbone" / f"{side}.ckpt")
+            assert sorted(arrays) == ["item_vecs", "user_vecs"]
+            assert arrays["item_vecs"].shape[0] == len(manifest["item_ids"])
 
 
 class TestRemoteClients:
