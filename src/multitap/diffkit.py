@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DivergenceError
-from .util import atomic_write_bytes, write_json, read_json
+from .util import atomic_write_bytes, read_json, require_at_least, write_json
 
 Array = np.ndarray
 
@@ -250,13 +250,13 @@ def adam_step(store: ParameterStore, config: AdamConfig) -> None:
     store.zero_grads()
 
 
-def check_loop_settings(config, epochs_field: str) -> None:
-    """Reject loop settings that cannot train or validate, each below its
-    least value."""
+def check_loop_settings(config, epochs_field: str, **sizes: int) -> None:
+    """Reject loop settings that cannot train or validate: a count or one of
+    the config's own `sizes` below its least value, or a learning rate or
+    weight decay that `AdamConfig` rejects."""
     least_values = {epochs_field: 1, "batch_size": 1, "negatives": 1, "patience": 0, "eval_k": 1}
-    for name, least in least_values.items():
-        if getattr(config, name) < least:
-            raise ValueError(f"{name} must be >= {least}, got {getattr(config, name)!r}")
+    require_at_least(config, {**least_values, **sizes})
+    AdamConfig(learning_rate=config.learning_rate, weight_decay=config.weight_decay)
 
 
 def fit_early_stopped(

@@ -128,7 +128,7 @@ class GcnConfig:
     eval_k: int = 5
 
     def __post_init__(self):
-        check_loop_settings(self, "epochs")
+        check_loop_settings(self, "epochs", dim=1, layers=0)
 
 
 @dataclass

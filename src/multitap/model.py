@@ -92,7 +92,7 @@ class TrainConfig:
             raise ValueError("tau must be positive")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError("dropout must lie in [0, 1)")
-        check_loop_settings(self, "max_epochs")
+        check_loop_settings(self, "max_epochs", fused_dim=1, persona_out_dim=1)
 
 
 @dataclass

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..errors import ClientError
 from ..idh import CRITERIA_ORDER, Criterion
+from ..util import require_at_least
 from .prompts import (
     DESCRIPTION_SYSTEM_PROMPT,
     LEVEL_MAP_KEYS,
@@ -58,6 +59,12 @@ class ClientSettings:
     description_temperature: float = 1.0
     remote_persona_dim: int = 3072
     remote_item_dim: int = 512
+
+    def __post_init__(self):
+        # sizes that cannot embed or batch anything, rejected before any stage runs
+        require_at_least(self, dict.fromkeys(
+            ("persona_dim", "item_dim", "chunk_size", "parallelism", "remote_persona_dim",
+             "remote_item_dim"), 1))
 
 
 class GeneratorClient(Protocol):

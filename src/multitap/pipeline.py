@@ -7,15 +7,15 @@ cache key is the content key of those sections plus the keys of its upstream
 nodes (`PipelineConfig.stage_keys`).  Ingest's sections include the sha256 of
 each input file, so an input edited in place changes every key.  The
 source-domain model that train and ablate build on is keyed the same way, as
-the node "source".  A node counts as done only when its manifest records its
-current key, every artifact it declares exists and every upstream node is
-done, so a train-only change reruns train and eval and serves everything
-upstream from disk.  A declared directory is cleared when its node starts,
-so a rebuilt one holds only what the current config writes.  "Done" checks
-that artifacts exist, not their bytes: one edited or truncated in place is
-not noticed.  Every stage manifest, checkpoint manifest and report records
-the key of the stage that wrote it, and artifacts never embed absolute paths
-or timestamps, so a reused artifact is byte-identical to one built cold.
+the node "source".  A node's record, written last, holds its key and the
+size of every file it owns; the node is done only when both match the disk
+and every upstream node is done, so a train-only change reruns train and
+eval, and a deleted or truncated file reruns its node alone.  Sizes, not
+digests: an edit that keeps a file's size is not noticed.  A declared
+directory is cleared when its node starts, so a rebuilt one holds only what
+the current config writes.  Every record, checkpoint manifest and report
+holds the key of the stage that wrote it, and artifacts never embed absolute
+paths or timestamps, so a reused artifact is byte-identical to one built cold.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ import dataclasses
 import functools
 import json
 import logging
+import os
 import shutil
+import typing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -45,7 +47,7 @@ from .corpus import (
 from .diffkit import checkpoint_manifest_path, load_checkpoint, save_checkpoint
 from .errors import DependencyError
 from .evaluate import AVERAGES, aggregate_seed_reports, full_ranking_eval, train_items_by_user
-from .gcn import GcnConfig, IdEmbeddingTable, pretrain_id_embeddings
+from .gcn import GcnConfig, pretrain_id_embeddings
 from .idh import METADATA_CRITERIA, Criterion, Label
 from .model import (
     ModelInputs,
@@ -73,7 +75,7 @@ class Node(NamedTuple):
 # Every node in run order.  "source" is the source-domain model: keyed and
 # checked like a stage, but built inside train and ablate
 # (`_ensure_source_tables`), never requested on its own; its record is the
-# manifest of its last artifact, which is written last.
+# manifest of its last artifact.
 NODES = {
     "ingest": Node((), ("source", "target", "inputs"), ("ingest/summary.json",)),
     "split": Node(("ingest",), ("split",), ("split/{side}.json",)),
@@ -214,23 +216,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineConfig":
-        obj = dict(obj)
-        obj["source"] = DomainPathsConfig(**obj["source"])
-        obj["target"] = DomainPathsConfig(**obj["target"])
-        if "split" in obj:
-            obj["split"] = SplitConfig(**obj["split"])
-        if "client" in obj:
-            obj["client"] = ClientSettings(**obj["client"])
-        if "gcn" in obj:
-            obj["gcn"] = GcnConfig(**obj["gcn"])
-        if "train" in obj:
-            obj["train"] = TrainConfig(**obj["train"])
-        if obj.get("source_train") is not None:
-            obj["source_train"] = TrainConfig(**obj["source_train"])
-        for key in ("seeds", "eval_ks", "report_labels", "criteria"):
-            if key in obj:
-                obj[key] = tuple(obj[key])
-        return cls(**obj)
+        return _from_fields(cls, obj)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":
@@ -274,6 +260,50 @@ class PipelineConfig:
         return keys
 
 
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
+
+
+def _from_fields(cls, obj, path: str = ""):
+    """`cls(**obj)`, every field of `obj` first checked against the type `cls`
+    declares for it; a dataclass-typed field is built from its object the
+    same way.  A field `cls` does not declare, a required one left out, or a
+    value of another type raises ValueError naming it (`train.lambda_dpl`)."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path or 'the config'} must be an object, got {obj!r}")
+    prefix = f"{path}." if path else ""
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(obj) - set(hints))
+    if unknown:
+        raise ValueError(f"unknown config field {', '.join(repr(prefix + u) for u in unknown)}; "
+                         f"known fields: {', '.join(hints)}")
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in obj
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"missing config field {', '.join(repr(prefix + m) for m in missing)}")
+    return cls(**{name: _typed(value, hints[name], prefix + name) for name, value in obj.items()})
+
+
+def _typed(value, hint, path: str):
+    """`value` as the config field at `path`, declared `hint`, takes it.  A
+    bool is neither an int nor a float; an int in a float field is kept as
+    it is, so no stage key changes; a list stands for a tuple.  A field of
+    two kinds (`split.boundary`) is left to its class's own check."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:  # tuple[T, ...]
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{path} must be a list, got {value!r}")
+        return tuple(_typed(v, args[0], f"{path}[{k}]") for k, v in enumerate(value))
+    kinds = [kind for kind in args or (hint,) if kind is not type(None)]
+    if (value is None and len(kinds) < len(args)) or len(kinds) > 1:
+        return value
+    kind = kinds[0]
+    if dataclasses.is_dataclass(kind):
+        return _from_fields(kind, value, path)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"{path} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
 def _records_to_rows(records: Sequence[InteractionRecord]) -> list[list]:
     return [[r.user_id, r.item_id, r.rating, r.timestamp] for r in records]
 
@@ -288,8 +318,10 @@ class Pipeline:
         self.run_dir = Path(config.run_dir)
         # whole-config hash; run and cache locations do not enter it
         self.hash = config.config_hash()
-        # `_is_done` results, memoised only while `run` executes
-        self._done: dict[str, bool] | None = None
+        # each node's run-dir paths as `NODES` declares them, expanded; a directory's ends in "/"
+        self._declared = {name: list(dict.fromkeys(a.format(side=w, seed=s) for a in node.artifacts
+                                                   for w in SIDES for s in config.seeds))
+                          for name, node in NODES.items()}
         cache_dir = config.cache_dir or str(self.run_dir / "cache")
         self.text_cache = persona_mod.JsonCache(Path(cache_dir) / "texts")
         self.vector_cache = persona_mod.JsonCache(Path(cache_dir) / "vectors")
@@ -306,44 +338,48 @@ class Pipeline:
 
     def artifact_paths(self, node: str) -> list[Path]:
         """The run-dir paths `node` declares in `NODES`, expanded."""
-        rels = (a.format(side=w, seed=s) for a in NODES[node].artifacts
-                for w in SIDES for s in self.config.seeds)
-        return [self.run_dir / rel for rel in dict.fromkeys(rels)]
+        return [self.run_dir / rel for rel in self._declared[node]]
 
-    def _record_path(self, node: str) -> Path:
-        """The manifest that records `node`'s key."""
+    def _record_path(self, node: str) -> str:
+        """The run-dir path of `node`'s record: its key and the files it owns."""
         if NODES[node].stage:
-            return self.run_dir / node / "manifest.json"
-        return checkpoint_manifest_path(self.artifact_paths(node)[-1])
+            return f"{node}/manifest.json"
+        return os.fspath(checkpoint_manifest_path(self._declared[node][-1]))
+
+    def _files(self, node: str) -> dict[str, int]:
+        """Run-dir path -> size of every file `node` owns, which raises
+        FileNotFoundError if one is missing: its declared files, their
+        checkpoint manifests and every entry of its declared (flat)
+        directories, its record left out.  Plain `os` calls, as `run` lists a
+        node often."""
+        root = os.fspath(self.run_dir)
+        owned = []
+        for rel in self._declared[node]:
+            if rel.endswith("/"):
+                owned += [rel + name for name in os.listdir(f"{root}/{rel}")]
+            elif rel.endswith(".ckpt"):
+                owned += [rel, os.fspath(checkpoint_manifest_path(rel))]
+            else:
+                owned.append(rel)
+        record = self._record_path(node)
+        return {rel: os.stat(f"{root}/{rel}").st_size for rel in owned if rel != record}
 
     def _is_done(self, node: str) -> bool:
-        """True when `node`'s manifest records its current key, its artifacts
-        exist and every upstream node is done."""
-        if self._done is not None and node in self._done:
-            return self._done[node]
-        record = self._record_path(node)
-        paths = self.artifact_paths(node)
-        paths += [checkpoint_manifest_path(p) for p in paths if p.suffix == ".ckpt"]
-        done = (
-            record.exists()
-            and read_json(record).get("stage_key") == self.keys[node]
-            and all(p.exists() for p in paths)
-            and all(self._is_done(up) for up in NODES[node].upstream)
-        )
-        if self._done is not None:
-            self._done[node] = done
-        return done
+        """True when `node`'s record holds its current key and the files it
+        owns, each at its size on disk, and every upstream node is done."""
+        key = self.keys[node]  # a missing input file raises here
+        try:
+            record = read_json(os.path.join(self.run_dir, self._record_path(node)))
+            files = self._files(node)
+        except (FileNotFoundError, ValueError):  # a file missing, or the record cut short
+            return False
+        return (record.get("stage_key") == key and record.get("files") == files
+                and all(self._is_done(up) for up in NODES[node].upstream))
 
-    def _set_done(self, node: str) -> None:
-        if self._done is not None:
-            self._done[node] = True
-
-    def _mark_done(self, stage: str, extra: dict | None = None) -> None:
-        manifest = {"stage": stage, "stage_key": self.keys[stage]}
-        if extra:
-            manifest.update(extra)
-        write_json(self._record_path(stage), manifest)
-        self._set_done(stage)
+    def _mark_done(self, node: str, extra: dict | None = None) -> None:
+        """Write `node`'s record, after every file it owns."""
+        record = {"stage": node, "stage_key": self.keys[node], "files": self._files(node)}
+        write_json(self.run_dir / self._record_path(node), {**record, **(extra or {})})
 
     def _begin(self, stage: str, node: str | None = None) -> None:
         """Start building `node` (default `stage`): raise unless every
@@ -355,19 +391,16 @@ class Pipeline:
         for needed in NODES[node].upstream:
             if not self._is_done(needed):
                 raise DependencyError(stage, needed)
-        self._record_path(node).unlink(missing_ok=True)
+        (self.run_dir / self._record_path(node)).unlink(missing_ok=True)
         for path in self.artifact_paths(node):
             if path.is_dir():
                 shutil.rmtree(path)
 
     # -- shared loaders -----------------------------------------------------
 
-    def _domain_config(self, which: str) -> DomainPathsConfig:
-        return self.config.source if which == "source" else self.config.target
-
     def _dataset(self, which: str) -> DomainDataset:
         if which not in self._domains:
-            spec = self._domain_config(which)
+            spec = getattr(self.config, which)
             self._domains[which] = load_domain(
                 spec.interactions, spec.metadata, spec.domain_id
             )
@@ -607,44 +640,26 @@ class Pipeline:
 
     # -- model assembly -----------------------------------------------------
 
-    def _load_backbone(self, which: str) -> IdEmbeddingTable:
-        arrays, manifest = load_checkpoint(self.run_dir / "backbone" / f"{which}.ckpt")
-        return IdEmbeddingTable(
-            user_ids=manifest["user_ids"],
-            item_ids=manifest["item_ids"],
-            user_vecs=arrays["user_vecs"],
-            item_vecs=arrays["item_vecs"],
-        )
-
-    def _load_persona_vectors(self, which: str):
-        base = self.run_dir / "persona" / which
-        users, umanifest = load_checkpoint(base / "user_vectors.ckpt")
-        items, imanifest = load_checkpoint(base / "item_vectors.ckpt")
-        return (
-            umanifest["user_ids"],
-            users["vectors"],
-            imanifest["item_ids"],
-            items["vectors"],
-        )
-
     def _model_inputs(
         self, which: str, overlap: list[str] | None = None,
         source_personas: np.ndarray | None = None,
         source_backbone: np.ndarray | None = None,
     ) -> ModelInputs:
-        backbone = self._load_backbone(which)
-        p_users, p_vecs, s_items, s_vecs = self._load_persona_vectors(which)
-        urow = {u: k for k, u in enumerate(p_users)}
-        irow = {i: k for k, i in enumerate(s_items)}
-        persona_inputs = np.stack([p_vecs[urow[u]] for u in backbone.user_ids])
-        item_semantics = np.stack([s_vecs[irow[i]] for i in backbone.item_ids])
+        """The backbone of `which` with its persona and item vectors in
+        backbone row order."""
+        backbone, ids = load_checkpoint(self.run_dir / "backbone" / f"{which}.ckpt")
+        base = self.run_dir / "persona" / which
+        personas, pmanifest = load_checkpoint(base / "user_vectors.ckpt")
+        semantics, smanifest = load_checkpoint(base / "item_vectors.ckpt")
+        urow = {u: k for k, u in enumerate(pmanifest["user_ids"])}
+        irow = {i: k for k, i in enumerate(smanifest["item_ids"])}
         return ModelInputs(
-            user_ids=backbone.user_ids,
-            item_ids=backbone.item_ids,
-            persona_inputs=persona_inputs,
-            item_semantics=item_semantics,
-            backbone_user=backbone.user_vecs,
-            backbone_item=backbone.item_vecs,
+            user_ids=ids["user_ids"],
+            item_ids=ids["item_ids"],
+            persona_inputs=np.stack([personas["vectors"][urow[u]] for u in ids["user_ids"]]),
+            item_semantics=np.stack([semantics["vectors"][irow[i]] for i in ids["item_ids"]]),
+            backbone_user=backbone["user_vecs"],
+            backbone_item=backbone["item_vecs"],
             overlap_users=overlap or [],
             source_user_personas=source_personas,
             source_user_backbone=source_backbone,
@@ -667,24 +682,17 @@ class Pipeline:
         target_train_users = {r.user_id for r in self._split("target").train}
         overlap = sorted(source_users & target_train_users)
         rows = [result.model.user_rows[u] for u in overlap]
-        backbone = self._load_backbone("source")
-        key = self.keys["source"]
         model_path, tables_path = self.artifact_paths("source")
         save_checkpoint(
             model_path,
             result.model.store.params,
-            {"stage_key": key, "seed": cfg.seed, "best_epoch": result.best_epoch},
+            {"stage_key": self.keys["source"], "seed": cfg.seed, "best_epoch": result.best_epoch},
         )
-        # written last: its manifest is the record `_is_done("source")` reads
+        # the tables' manifest is this node's record, which `_mark_done` writes
         save_checkpoint(
-            tables_path,
-            {
-                "h_users": h_all[rows],
-                "v_users": backbone.user_vecs[rows],
-            },
-            {"stage_key": key, "overlap_users": overlap, "seed": cfg.seed},
+            tables_path, {"h_users": h_all[rows], "v_users": inputs.backbone_user[rows]}, {}
         )
-        self._set_done("source")
+        self._mark_done("source", {"overlap_users": overlap, "seed": cfg.seed})
 
     def _target_inputs_with_transfer(self) -> ModelInputs:
         arrays, manifest = load_checkpoint(self.artifact_paths("source")[-1])
@@ -812,19 +820,14 @@ class Pipeline:
         if unknown:
             raise ValueError(f"unknown stages: {unknown}")
         status: dict[str, str] = {}
-        self._done = {}
-        try:
-            for stage in STAGES:
-                if stage not in stages:
-                    continue
-                if self._is_done(stage):
-                    logger.info("stage %s cached", stage)
-                    status[stage] = "cached"
-                    continue
-                logger.info("stage %s running", stage)
-                getattr(self, f"stage_{stage}")()
-                status[stage] = "ran"
-        finally:
-            self._done = None
+        for stage in STAGES:
+            if stage not in stages:
+                continue
+            if self._is_done(stage):
+                logger.info("stage %s cached", stage)
+                status[stage] = "cached"
+                continue
+            logger.info("stage %s running", stage)
+            getattr(self, f"stage_{stage}")()
+            status[stage] = "ran"
         return status
-

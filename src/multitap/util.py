@@ -1,4 +1,5 @@
-"""Small shared helpers: canonical JSON, hashing, atomic file writes."""
+"""Small shared helpers: canonical JSON, hashing, atomic file writes, least
+values of settings."""
 
 from __future__ import annotations
 
@@ -53,5 +54,14 @@ def write_json(path: str | Path, obj: Any, indent: int | None = 2) -> None:
 
 
 def read_json(path: str | Path) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    with open(path, "rb") as fh:
+        return json.loads(fh.read())
+
+
+def require_at_least(settings: Any, least_values: dict[str, int]) -> None:
+    """Raise ValueError for the first field of `settings` below its least
+    value; a None field (one that falls back to a default) is not checked."""
+    for name, least in least_values.items():
+        value = getattr(settings, name)
+        if value is not None and value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value!r}")

@@ -394,6 +394,35 @@ class TestStageReuse:
         assert status == {**{s: "cached" for s in RUN_STAGES}, "pretrain": "ran"}
         assert (run_dir / "backbone" / "target.ckpt").read_bytes() == original
 
+    def test_truncated_checkpoint_reruns_its_stage(self, completed_copy, small_fixture):
+        _, paths = small_fixture
+        run_dir, _ = completed_copy
+        original = snapshot(run_dir)
+        with open(run_dir / "backbone" / "target.ckpt", "r+b") as fh:
+            fh.truncate(100)
+        pipe = Pipeline(PipelineConfig.from_dict(small_config_dict(paths, run_dir)))
+        assert not pipe._is_done("pretrain") and not pipe._is_done("eval")
+        status = pipe.run(RUN_STAGES)
+        assert status == {**{s: "cached" for s in RUN_STAGES}, "pretrain": "ran"}
+        assert snapshot(run_dir) == original
+
+    @pytest.mark.parametrize(
+        "record", ["train/manifest.json", "model/source_tables.ckpt.manifest.json"],
+        ids=["stage", "source"],
+    )
+    def test_record_without_file_list_is_rebuilt(self, completed_copy, small_fixture, record):
+        """A record an older version wrote holds no file list: its node is
+        rebuilt, here inside train, and comes back byte-identical."""
+        _, paths = small_fixture
+        run_dir, _ = completed_copy
+        original = snapshot(run_dir)
+        old = read_json(run_dir / record)
+        del old["files"]
+        write_json(run_dir / record, old)
+        status = Pipeline(PipelineConfig.from_dict(small_config_dict(paths, run_dir))).run(RUN_STAGES)
+        assert status == {**{s: "cached" for s in RUN_STAGES}, "train": "ran"}
+        assert snapshot(run_dir) == original
+
     def test_interrupted_rebuild_is_never_served_as_cached(
         self, completed_copy, small_fixture, monkeypatch
     ):
@@ -470,6 +499,16 @@ class TestNodeTable:
         status = Pipeline(PipelineConfig.from_dict(small_config_dict(paths, run_dir))).run(RUN_STAGES)
         assert status == {**{s: "cached" for s in RUN_STAGES}, "idh": "ran"}
         assert snapshot(report) == original
+
+    def test_one_deleted_report_file_reruns_idh_alone(self, completed_copy, small_fixture):
+        _, paths = small_fixture
+        run_dir, _ = completed_copy
+        report = run_dir / "idh" / "source" / "report"
+        original = snapshot(run_dir)
+        (report / "preservation_pb_low.csv").unlink()
+        status = Pipeline(PipelineConfig.from_dict(small_config_dict(paths, run_dir))).run(RUN_STAGES)
+        assert status == {**{s: "cached" for s in RUN_STAGES}, "idh": "ran"}
+        assert snapshot(run_dir) == original
 
     def test_dropped_criterion_leaves_no_stale_report(
         self, completed_copy, small_fixture, tmp_path, capsys
@@ -801,10 +840,49 @@ class TestConfigChecks:
              "valid_fraction must lie in (0, 1), got 1.5"),
             (["split"], lambda c: c["split"].update(valid_fraction=0.0),
              "valid_fraction must lie in (0, 1), got 0.0"),
+            # each field is checked against the type its section declares
+            (["run"], lambda c: c["split"].update(valid_fraction="0.5"),
+             "split.valid_fraction must be a number, got '0.5'"),
+            (["run"], lambda c: c["gcn"].update(epochs="2"), "gcn.epochs must be an integer, got '2'"),
+            (["run"], lambda c: c["train"].update(max_epochs=True),
+             "train.max_epochs must be an integer, got True"),
+            (["run"], lambda c: c["source_train"].update(tau=False),
+             "source_train.tau must be a number, got False"),
+            (["run"], lambda c: c["gcn"].update(epochs=2.0), "gcn.epochs must be an integer, got 2.0"),
+            (["run"], lambda c: c["client"].update(mode=1), "client.mode must be a string, got 1"),
+            (["run"], lambda c: c.update(seeds=[0, "1"]), "seeds[1] must be an integer, got '1'"),
+            (["run"], lambda c: c.update(eval_ks=5), "eval_ks must be a list, got 5"),
+            (["run"], lambda c: c.update(gcn=[]), "gcn must be an object, got []"),
+            (["run"], lambda c: c["train"].update(lamda_dpl=1.0),
+             "unknown config field 'train.lamda_dpl'; known fields: aggregation, transfer, "
+             "lambda_dpl, tau, batch_size, negatives, learning_rate, weight_decay, dropout, "
+             "max_epochs, patience, seed, eval_k, persona_out_dim, fused_dim, persona_space_seed"),
+            (["run"], lambda c: c.pop("target"), "missing config field 'target'"),
+            (["run"], lambda c: c["source"].pop("metadata"), "missing config field 'source.metadata'"),
+            # sizes and rates that cannot train
+            (["run"], lambda c: c["gcn"].update(dim=0), "dim must be >= 1, got 0"),
+            (["run"], lambda c: c["gcn"].update(layers=-1), "layers must be >= 0, got -1"),
+            (["run"], lambda c: c["train"].update(fused_dim=0), "fused_dim must be >= 1, got 0"),
+            (["run"], lambda c: c["source_train"].update(persona_out_dim=0),
+             "persona_out_dim must be >= 1, got 0"),
+            (["run"], lambda c: c["client"].update(parallelism=0), "parallelism must be >= 1, got 0"),
+            (["run"], lambda c: c["client"].update(chunk_size=0), "chunk_size must be >= 1, got 0"),
+            (["run"], lambda c: c["client"].update(persona_dim=0), "persona_dim must be >= 1, got 0"),
+            (["run"], lambda c: c["train"].update(learning_rate=0),
+             "learning_rate and epsilon must be positive"),
+            (["run"], lambda c: c["gcn"].update(learning_rate=-0.1),
+             "learning_rate and epsilon must be positive"),
+            (["run"], lambda c: c["train"].update(weight_decay=-1e-4),
+             "weight_decay must be nonnegative"),
         ],
         ids=["no_seeds", "repeated_seed", "eval_ks", "no_eval_ks", "eval_k_flag", "train_eval_k",
              "source_train_eval_k", "gcn_eval_k", "boundary_flag", "boundary_bool",
-             "valid_fraction_flag", "valid_fraction_zero"],
+             "valid_fraction_flag", "valid_fraction_zero",
+             "number_as_string", "integer_as_string", "bool_as_integer", "bool_as_number",
+             "float_as_integer", "string_as_number", "seed_as_string", "list_as_integer",
+             "section_as_list", "misspelt_field", "missing_section", "missing_field",
+             "gcn_dim", "gcn_layers", "fused_dim", "persona_out_dim", "parallelism", "chunk_size",
+             "persona_dim", "train_learning_rate", "gcn_learning_rate", "weight_decay"],
     )
     def test_unusable_value_is_rejected_before_any_stage(
         self, small_fixture, tmp_path, capsys, argv, edit, message
@@ -818,6 +896,15 @@ class TestConfigChecks:
         assert code == 2
         assert json.loads(captured.err)["error"] == {"type": "ValueError", "message": message}
         assert not (tmp_path / "run").exists()
+
+    def test_int_in_float_field_is_kept_as_written(self, small_fixture, tmp_path):
+        """Made a float, it would change the stage keys of a config that
+        earlier versions read."""
+        _, paths = small_fixture
+        config = small_config_dict(paths, tmp_path / "run")
+        config["train"]["lambda_dpl"] = 1
+        lambda_dpl = PipelineConfig.from_dict(config).train.lambda_dpl
+        assert lambda_dpl == 1 and type(lambda_dpl) is int
 
     @pytest.mark.parametrize(
         "argv, edit",
