@@ -95,8 +95,9 @@ def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> Pipeli
 
 
 def _run_stages(config: PipelineConfig, stages: list[str]) -> dict:
-    status = Pipeline(config).run(stages)
-    print(json.dumps({"run_dir": config.run_dir, "stages": status}))
+    pipe = Pipeline(config)
+    status = pipe.run(stages)
+    print(json.dumps({"run_dir": config.run_dir, "config_hash": pipe.hash, "stages": status}))
     return status
 
 

@@ -1,7 +1,8 @@
 """Content-addressed on-disk cache for generated texts and embeddings.
 
 Entries are written in shards, one file per batched write, so a cold persona
-stage writes a handful of files instead of one per user.  A shard is named
+stage writes four per domain (its description, its persona texts, their
+vectors and its item vectors) instead of one per entry.  A shard is named
 by the sha256 of its bytes: writing the same entries again lands on the same
 name, and a rerun that finds every key writes nothing.  A shard is the
 checkpoint container of `diffkit.pack_container`: vectors are its named

@@ -203,8 +203,9 @@ class _RemoteBase:
         self._session = session
 
     def _post(self, path: str, body: dict) -> dict:
-        """POST with retries on network errors, 429 and 5xx; any other 4xx
-        fails at once.  Backoff doubles between attempts, none after the last."""
+        """POST with retries on network errors, 429 and 5xx; any other 4xx,
+        and a request that cannot be sent (a malformed URL or header), fails
+        at once.  Backoff doubles between attempts, none after the last."""
         url = self.settings.endpoint.rstrip("/") + path
         headers = {"Authorization": f"Bearer {_api_key()}"}
         last_error: Exception | None = None
@@ -214,6 +215,8 @@ class _RemoteBase:
             try:
                 resp = self._session.post(url, json=body, headers=headers, timeout=TIMEOUT_S)
             except OSError as exc:  # requests' exceptions are OSErrors too
+                if isinstance(exc, ValueError):  # requests' InvalidURL, MissingSchema, ...
+                    raise ClientError(f"request to {url} cannot be sent: {exc}") from exc
                 last_error = exc
                 continue
             if resp.status_code == 429 or resp.status_code >= 500:

@@ -1,12 +1,10 @@
 """Dense encoding of persona texts and item metadata.
 
-Vectors stay arrays from the encoder to the checkpoint.  `encode_personas`
-returns a (U, 5, d) array, one (5, d) stack per user in input order with its
-rows in `CRITERIA_ORDER`, from a single encoder call per uncached user.
-`encode_item_batch` returns an (I, d) array in input order; an item is
-encoded from the domain description concatenated with its category, in
-configurable chunks.  Both cache on content hashes, with one cache read and
-at most one cache write per call.
+`encode_texts` is the one encoder path: each distinct text is keyed by its
+content and the encoder identity, and encoded and cached once.
+`encode_personas` returns a (U, 5, d) array, each user's rows in
+`CRITERIA_ORDER`; `encode_item_batch` an (I, d) array, each item encoded
+from the domain description concatenated with its category.
 """
 
 from __future__ import annotations
@@ -23,31 +21,43 @@ from .clients import EncoderClient
 from .generation import PersonaText
 
 
+def encode_texts(texts: Sequence[str], encoder: EncoderClient, chunk_size: int = 256,
+                 cache: JsonCache | None = None) -> np.ndarray:
+    """The (N, d) vectors of `texts`, in input order.  A text repeated in
+    `texts` or already cached is not sent again: the distinct uncached texts
+    reach the encoder once, in calls of `chunk_size`, and are written, in
+    first-seen order, as one shard."""
+    if chunk_size <= 0:
+        raise ValueError("chunk_size must be positive")
+    keys = [content_key({"text": t, "encoder": encoder.identity}) for t in texts]
+    distinct = dict(zip(keys, texts))
+    with cache_batch(cache, distinct) as (stored, new):
+        todo = [key for key in distinct if key not in stored]
+        for start in range(0, len(todo), chunk_size):
+            chunk = todo[start : start + chunk_size]
+            matrix = encoder.embed([distinct[key] for key in chunk])
+            if matrix.shape != (len(chunk), encoder.dim):
+                raise ValueError(f"encoder returned shape {matrix.shape}, "
+                                 f"expected ({len(chunk)}, {encoder.dim})")
+            new.update(zip(chunk, matrix))
+    stored.update(new)
+    return np.array([stored[key] for key in keys]).reshape(len(keys), encoder.dim)
+
+
 def encode_personas(
-    texts: Sequence[PersonaText], encoder: EncoderClient, cache: JsonCache | None = None
+    texts: Sequence[PersonaText],
+    encoder: EncoderClient,
+    cache: JsonCache | None = None,
+    chunk_size: int = 256,
 ) -> np.ndarray:
-    """The (U, 5, d) vectors of each user's five criterion texts, one
-    encoder call per user whose texts are not cached; one cache read and at
-    most one write."""
+    """The (U, 5, d) vectors of each user's five criterion texts."""
     for text in texts:
         missing = [c.value for c in CRITERIA_ORDER if c not in text.texts]
         if missing:
             raise ValueError(f"persona texts missing criteria: {missing}")
-    keys = [
-        content_key({"texts": t.ordered_texts(), "encoder": encoder.identity}) for t in texts
-    ]
-    with cache_batch(cache, keys) as (stored, new):
-        for text, key in zip(texts, keys):
-            if key in stored or key in new:
-                continue
-            matrix = encoder.embed(text.ordered_texts())
-            if matrix.shape != (len(CRITERIA_ORDER), encoder.dim):
-                raise ValueError(
-                    f"encoder returned shape {matrix.shape}, expected (5, {encoder.dim})"
-                )
-            new[key] = matrix
-    stored.update(new)
-    return np.stack([stored[key] for key in keys])
+    flat = [s for text in texts for s in text.ordered_texts()]
+    vectors = encode_texts(flat, encoder, chunk_size, cache)
+    return vectors.reshape(len(texts), len(CRITERIA_ORDER), encoder.dim)
 
 
 def item_semantic_text(item: ItemMeta, domain_description: str) -> str:
@@ -62,18 +72,6 @@ def encode_item_batch(
     chunk_size: int = 256,
     cache: JsonCache | None = None,
 ) -> np.ndarray:
-    """The (I, d) vectors of `items`; those whose text is not cached go to
-    the encoder in calls of `chunk_size`.  The cache is keyed per item text."""
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
+    """The (I, d) vectors of `items`, in input order."""
     texts = [item_semantic_text(m, domain_description) for m in items]
-    keys = [content_key({"text": t, "encoder": encoder.identity}) for t in texts]
-    with cache_batch(cache, keys) as (stored, new):
-        todo = [i for i, key in enumerate(keys) if key not in stored]
-        for start in range(0, len(todo), chunk_size):
-            chunk = todo[start : start + chunk_size]
-            matrix = encoder.embed([texts[i] for i in chunk])
-            for i, row in zip(chunk, matrix):
-                new[keys[i]] = row
-    stored.update(new)
-    return np.stack([stored[key] for key in keys])
+    return encode_texts(texts, encoder, chunk_size, cache)

@@ -3,7 +3,8 @@
 Responses are parsed against the fixed output schema (five named profile
 fields, each with a `persona` string); a malformed response gets exactly one
 regeneration attempt.  Results are cached on disk keyed by a content hash of
-the payload and client identity, so repeated runs make zero client calls.
+the payload, client identity and instruction, as the domain description is
+(`prompts.build_domain_description`), so repeated runs make zero client calls.
 """
 
 from __future__ import annotations
@@ -90,9 +91,8 @@ def generate_all_personas(
     The cache is read once; users it lacks go to the client, and their texts
     are written back as one batch from the calling thread."""
     users = sorted(dbs)
-
-    def payload(u: str) -> dict:
-        return persona_payload(
+    payloads = {
+        u: persona_payload(
             user_id=u,
             domain_id=assets.domain_id,
             domain_description=assets.domain_description,
@@ -100,11 +100,11 @@ def generate_all_personas(
             diversity=dbs[u].diversity,
             history=histories.get(u, ())[:30],
         )
-
-    # payloads are rebuilt for the misses rather than all held at once
+        for u in users
+    }
     keys = {
         u: content_key(
-            {"payload": payload(u), "client": client.identity, "instruction": PERSONA_SYSTEM_PROMPT}
+            {"payload": payloads[u], "client": client.identity, "instruction": PERSONA_SYSTEM_PROMPT}
         )
         for u in users
     }
@@ -124,7 +124,7 @@ def generate_all_personas(
                 )
 
         def generate(u: str) -> PersonaText:
-            return _generate(u, payload(u), keys[u], client)
+            return _generate(u, payloads[u], keys[u], client)
 
         def keep(text: PersonaText) -> None:
             out[text.user_id] = text

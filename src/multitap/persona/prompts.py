@@ -16,6 +16,8 @@ from typing import Mapping, Sequence
 from ..corpus import DomainDataset, InteractionRecord, ItemMeta
 from ..errors import MalformedResponseError
 from ..idh import Criterion, Label
+from ..util import content_key
+from .cache import JsonCache, cache_batch
 
 PERSONA_SYSTEM_PROMPT = (
     "You analyze e-commerce users. From the given domain, domain description, "
@@ -245,25 +247,36 @@ def recent_history(
     return out
 
 
-def build_domain_description(dataset: DomainDataset, client) -> str:
-    """Generate the domain description via the client and parse it out."""
+def build_domain_description(dataset: DomainDataset, client, cache: JsonCache | None = None) -> str:
+    """Generate the domain description via the client and parse it out.  It
+    is cached like persona texts, keyed by the payload, the client identity
+    and the instruction, so a sampling client is asked once per domain."""
     payload = description_payload(dataset, sample_description_items(dataset))
-    raw = client.domain_description(payload)
-    try:
-        obj = json.loads(raw)
-        description = obj["Domain Profile"]["Domain Description"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise MalformedResponseError(
-            f"domain description response for '{dataset.domain_id}' is malformed: {exc}"
-        ) from exc
-    if not isinstance(description, str) or not description.strip():
-        raise MalformedResponseError(f"empty domain description for '{dataset.domain_id}'")
-    return description.strip()
+    key = content_key(
+        {"payload": payload, "client": client.identity, "instruction": DESCRIPTION_SYSTEM_PROMPT}
+    )
+    with cache_batch(cache, [key]) as (stored, new):
+        if key in stored:
+            return stored[key]
+        raw = client.domain_description(payload)
+        try:
+            obj = json.loads(raw)
+            description = obj["Domain Profile"]["Domain Description"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise MalformedResponseError(
+                f"domain description response for '{dataset.domain_id}' is malformed: {exc}"
+            ) from exc
+        if not isinstance(description, str) or not description.strip():
+            raise MalformedResponseError(f"empty domain description for '{dataset.domain_id}'")
+        new[key] = description.strip()
+    return new[key]
 
 
-def build_prompt_assets(dataset: DomainDataset, client) -> PromptAssets:
+def build_prompt_assets(
+    dataset: DomainDataset, client, cache: JsonCache | None = None
+) -> PromptAssets:
     """Assemble all prompt inputs for one domain."""
     return PromptAssets(
         domain_id=dataset.domain_id,
-        domain_description=build_domain_description(dataset, client),
+        domain_description=build_domain_description(dataset, client, cache),
     )

@@ -222,15 +222,12 @@ class PipelineConfig:
     def from_json(cls, path: str | Path) -> "PipelineConfig":
         return cls.from_dict(read_json(path))
 
-    def semantic_dict(self) -> dict:
-        """Everything that affects outputs; run/cache locations excluded."""
-        obj = dataclasses.asdict(self)
-        obj.pop("run_dir")
-        obj.pop("cache_dir")
-        return obj
-
     def config_hash(self) -> str:
-        return content_key(self.semantic_dict())
+        """The content key of everything that affects outputs; run/cache
+        locations excluded."""
+        return content_key({f.name: _json_data(getattr(self, f.name))
+                            for f in dataclasses.fields(self)
+                            if f.name not in ("run_dir", "cache_dir")})
 
     def source_train_config(self) -> TrainConfig:
         """The source-domain model's trainer: no transfer, the first seed."""
@@ -244,8 +241,9 @@ class PipelineConfig:
         "inputs": the sha256 of each input file, so that an input edited in
         place changes every key.  A missing input raises the loader's
         FileNotFoundError."""
-        sections = self.semantic_dict()
-        sections["source_train"] = dataclasses.asdict(self.source_train_config())
+        sections = {f.name: _json_data(getattr(self, f.name)) for f in dataclasses.fields(self)
+                    if f.name != "source_train"}
+        sections["source_train"] = _json_data(self.source_train_config())
         sections["inputs"] = {
             f"{side}.{kind}": file_sha256(getattr(getattr(self, side), kind))
             for side in SIDES for kind in ("interactions", "metadata")
@@ -258,6 +256,14 @@ class PipelineConfig:
                 "upstream": [keys[u] for u in node.upstream],
             })
         return keys
+
+
+def _json_data(value):
+    """A config value as JSON data: a dataclass as the dict of its fields,
+    recursively; any other value as it is."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _json_data(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value
 
 
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
@@ -316,8 +322,6 @@ class Pipeline:
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.run_dir = Path(config.run_dir)
-        # whole-config hash; run and cache locations do not enter it
-        self.hash = config.config_hash()
         # each node's run-dir paths as `NODES` declares them, expanded; a directory's ends in "/"
         self._declared = {name: list(dict.fromkeys(a.format(side=w, seed=s) for a in node.artifacts
                                                    for w in SIDES for s in config.seeds))
@@ -335,6 +339,11 @@ class Pipeline:
     def keys(self) -> dict[str, str]:
         """Every node's key, hashed from the input files on first use."""
         return self.config.stage_keys()
+
+    @functools.cached_property
+    def hash(self) -> str:
+        """The whole-config hash, run and cache locations excluded."""
+        return self.config.config_hash()
 
     def artifact_paths(self, node: str) -> list[Path]:
         """The run-dir paths `node` declares in `NODES`, expanded."""
@@ -559,7 +568,7 @@ class Pipeline:
             write_json(base / "db.json", [dbs[u].to_json_dict() for u in sorted(dbs)])
             if phase == "build":
                 continue
-            assets = persona_mod.build_prompt_assets(train_ds, generator)
+            assets = persona_mod.build_prompt_assets(train_ds, generator, self.text_cache)
             histories = {
                 u: persona_mod.recent_history(train_ds, u, price_bins)
                 for u in sorted(dbs)
@@ -581,7 +590,8 @@ class Pipeline:
             if phase == "generate":
                 continue
             vectors = persona_mod.encode_personas(
-                [texts[u] for u in user_ids], persona_encoder, cache=self.vector_cache
+                [texts[u] for u in user_ids], persona_encoder, self.vector_cache,
+                self.config.client.chunk_size,
             )
             items = [train_ds.items[i] for i in sorted(train_ds.items)]
             item_vectors = persona_mod.encode_item_batch(

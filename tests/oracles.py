@@ -12,11 +12,16 @@ whole-array expressions, one temporary per operation.  `build_persona_db` builds
 database, re-sorting every distribution it labels against unless the caller
 passes it precomputed.  `normalized_adjacency` is the graph backbone's
 adjacency built one edge at a time through id-keyed maps, optionally onto
-wider user and item orderings.  All are deliberately naive and slow.
+wider user and item orderings.  `encode_personas` and `encode_item_batch`
+are the two encoders before they shared one path: one cache key and one
+encoder call per user, and one key per item text.  `stage_keys` and
+`config_hash` compute the stage keys and the whole-config hash from a deep
+copy of the whole config.  All are deliberately naive and slow.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import re
@@ -28,8 +33,11 @@ import scipy.sparse as sp
 from multitap.corpus import DomainDataset
 from multitap.errors import MissingLabelError
 from multitap.gcn import BipartiteGraph
-from multitap.idh import Criterion, Label, tertile_label, tertile_thresholds
-from multitap.persona import PersonaDB
+from multitap.idh import CRITERIA_ORDER, Criterion, Label, tertile_label, tertile_thresholds
+from multitap.persona import PersonaDB, item_semantic_text
+from multitap.persona.cache import cache_batch
+from multitap.pipeline import NODES, SIDES
+from multitap.util import content_key, file_sha256
 
 
 def rank_candidates(scores, item_ids, exclude) -> list[str]:
@@ -344,3 +352,78 @@ def normalized_adjacency(
         vals.extend([weight, weight])
     n = nu + ni
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def encode_personas(texts, encoder, cache=None) -> np.ndarray:
+    """The (U, 5, d) vectors of each user's five criterion texts, one
+    encoder call per user whose texts are not cached; one cache read and at
+    most one write."""
+    for text in texts:
+        missing = [c.value for c in CRITERIA_ORDER if c not in text.texts]
+        if missing:
+            raise ValueError(f"persona texts missing criteria: {missing}")
+    keys = [
+        content_key({"texts": t.ordered_texts(), "encoder": encoder.identity}) for t in texts
+    ]
+    with cache_batch(cache, keys) as (stored, new):
+        for text, key in zip(texts, keys):
+            if key in stored or key in new:
+                continue
+            matrix = encoder.embed(text.ordered_texts())
+            if matrix.shape != (len(CRITERIA_ORDER), encoder.dim):
+                raise ValueError(
+                    f"encoder returned shape {matrix.shape}, expected (5, {encoder.dim})"
+                )
+            new[key] = matrix
+    stored.update(new)
+    return np.stack([stored[key] for key in keys])
+
+
+def encode_item_batch(items, domain_description, encoder, chunk_size=256, cache=None) -> np.ndarray:
+    """The (I, d) vectors of `items`; those whose text is not cached go to
+    the encoder in calls of `chunk_size`.  The cache is keyed per item text."""
+    if chunk_size <= 0:
+        raise ValueError("chunk_size must be positive")
+    texts = [item_semantic_text(m, domain_description) for m in items]
+    keys = [content_key({"text": t, "encoder": encoder.identity}) for t in texts]
+    with cache_batch(cache, keys) as (stored, new):
+        todo = [i for i, key in enumerate(keys) if key not in stored]
+        for start in range(0, len(todo), chunk_size):
+            chunk = todo[start : start + chunk_size]
+            matrix = encoder.embed([texts[i] for i in chunk])
+            for i, row in zip(chunk, matrix):
+                new[keys[i]] = row
+    stored.update(new)
+    return np.stack([stored[key] for key in keys])
+
+
+def semantic_dict(config) -> dict:
+    """Everything that affects outputs; run/cache locations excluded."""
+    obj = dataclasses.asdict(config)
+    obj.pop("run_dir")
+    obj.pop("cache_dir")
+    return obj
+
+
+def config_hash(config) -> str:
+    """`Pipeline(config).hash`: the content key of the whole config."""
+    return content_key(semantic_dict(config))
+
+
+def stage_keys(config) -> dict[str, str]:
+    """`config.stage_keys()`: every node's key from a deep copy of the whole
+    config, the source trainer converted once more."""
+    sections = semantic_dict(config)
+    sections["source_train"] = dataclasses.asdict(config.source_train_config())
+    sections["inputs"] = {
+        f"{side}.{kind}": file_sha256(getattr(getattr(config, side), kind))
+        for side in SIDES for kind in ("interactions", "metadata")
+    }
+    keys: dict[str, str] = {}
+    for name, node in NODES.items():
+        keys[name] = content_key({
+            "node": name,
+            "config": {section: sections[section] for section in node.reads},
+            "upstream": [keys[u] for u in node.upstream],
+        })
+    return keys

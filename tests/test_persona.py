@@ -21,6 +21,7 @@ from multitap.persona import (
     HashingEncoder,
     JsonCache,
     PersonaDB,
+    PersonaText,
     PromptAssets,
     TemplateGenerator,
     build_all_persona_dbs,
@@ -28,11 +29,13 @@ from multitap.persona import (
     encode_item_batch,
     encode_personas,
     generate_all_personas,
+    item_semantic_text,
     parse_persona_response,
     persona_payload,
     recent_history,
     sample_description_items,
 )
+from multitap.persona.encoding import encode_texts
 
 
 def generate_personas(user_id, db, assets, history, client, cache=None):
@@ -447,7 +450,7 @@ class TestEncoders:
         np.testing.assert_array_equal(out[0], out[1])
 
     def test_batch_call_count_matches_chunks(self):
-        items = [ItemMeta(f"i{k}", "t", f"c{k % 7}", 1.0, 4.0, 1) for k in range(1000)]
+        items = [ItemMeta(f"i{k}", "t", f"c{k}", 1.0, 4.0, 1) for k in range(1000)]
         enc = HashingEncoder(dim=16, seed=4)
         out = encode_item_batch(items, "desc", enc, chunk_size=100)
         assert out.shape == (1000, 16)
@@ -487,6 +490,105 @@ class TestEncoders:
     def test_embed_matches_oracle_on_random_texts(self, texts, dim, seed):
         expected = oracles.hashing_embed(texts, dim, seed)
         assert HashingEncoder(dim=dim, seed=seed).embed(texts).tobytes() == expected.tobytes()
+
+
+class _RecordingEncoder(HashingEncoder):
+    """A hashing encoder that records the texts of every `embed` call."""
+
+    def __init__(self, dim, seed):
+        super().__init__(dim, seed)
+        self.batches = []
+
+    def embed(self, texts):
+        self.batches.append(list(texts))
+        return super().embed(texts)
+
+
+def _persona_text(user_id, texts):
+    return PersonaText(user_id, dict(zip(CRITERIA_ORDER, texts)), "template", f"key-{user_id}")
+
+
+# a small pool, so that users and items share texts often
+TEXT_POOL = ["budget priced", "higher priced items", "", "a a b", "prefers Kitchen", "?!"]
+
+
+class TestOneEncoderPath:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        users=st.lists(st.lists(st.sampled_from(TEXT_POOL), min_size=5, max_size=5),
+                       min_size=1, max_size=6),
+        warm=st.lists(st.booleans(), min_size=6, max_size=6),
+        categories=st.lists(st.sampled_from(TEXT_POOL), min_size=1, max_size=8),
+        chunk_size=st.sampled_from([1, 2, 256]),
+    )
+    def test_same_bytes_as_the_oracles_and_each_text_sent_once(
+        self, tmp_path_factory, users, warm, categories, chunk_size
+    ):
+        texts = [_persona_text(f"u{k}", ts) for k, ts in enumerate(users)]
+        items = [ItemMeta(f"i{k}", "t", c, 1.0, 4.0, 1) for k, c in enumerate(categories)]
+        item_texts = [item_semantic_text(m, "desc") for m in items]
+        flat = [t for ts in users for t in ts]
+        cache = JsonCache(tmp_path_factory.mktemp("vectors"))
+        # part of the texts cached beforehand: the users flagged warm
+        cached = [t for ts, w in zip(users, warm) for t in ts if w]
+        encode_texts(cached, HashingEncoder(dim=8, seed=3), cache=cache)
+
+        encoder = _RecordingEncoder(dim=8, seed=3)
+        got = encode_personas(texts, encoder, cache, chunk_size)
+        assert got.tobytes() == oracles.encode_personas(texts, HashingEncoder(8, 3)).tobytes()
+        sent = [t for batch in encoder.batches for t in batch]
+        todo = [t for t in dict.fromkeys(flat) if t not in cached]
+        assert sent == todo
+        assert len(encoder.batches) == -(-len(todo) // chunk_size)
+
+        encoder = _RecordingEncoder(dim=8, seed=3)
+        got = encode_item_batch(items, "desc", encoder, chunk_size, cache)
+        want = oracles.encode_item_batch(items, "desc", HashingEncoder(8, 3), chunk_size)
+        assert got.tobytes() == want.tobytes()
+        todo = [t for t in dict.fromkeys(item_texts) if t not in flat]
+        assert [t for batch in encoder.batches for t in batch] == todo
+        assert len(encoder.batches) == -(-len(todo) // chunk_size)
+
+        mixed = flat + item_texts
+        got = encode_texts(mixed, HashingEncoder(8, 3), chunk_size, cache)
+        assert got.tobytes() == oracles.hashing_embed(mixed, 8, 3).tobytes()
+
+    def test_no_texts_make_no_call(self):
+        encoder = HashingEncoder(8, 3)
+        assert encode_texts([], encoder).shape == (0, 8)
+        assert encode_personas([], encoder).shape == (0, 5, 8)
+        assert encoder.calls == 0
+
+    def test_wrong_shape_from_the_encoder_is_rejected(self):
+        class ShortEncoder(HashingEncoder):
+            def embed(self, texts):
+                return super().embed(texts)[:-1]
+
+        with pytest.raises(ValueError, match=r"shape \(1, 8\), expected \(2, 8\)"):
+            encode_texts(["a", "b"], ShortEncoder(8, 3))
+
+    def test_remote_encoder_receives_only_distinct_uncached_texts(self, monkeypatch, tmp_path):
+        from multitap.persona import clients
+
+        monkeypatch.setenv("MULTITAP_API_KEY", "k")
+
+        class EmbeddingSession:
+            def __init__(self):
+                self.inputs = []
+
+            def post(self, url, json, headers, timeout):
+                self.inputs.append(json["input"])
+                rows = [{"index": k, "embedding": [float(len(t))] * json["dimensions"]}
+                        for k, t in enumerate(json["input"])]
+                return TestRemoteRetries._Response(200, {"data": rows})
+
+        session = EmbeddingSession()
+        encoder = clients.RemoteEncoder(clients.ClientSettings(), dim=3, session=session)
+        cache = JsonCache(tmp_path)
+        encode_texts(["b", "cc"], encoder, cache=cache)
+        got = encode_texts(["a", "b", "a", "dddd", "cc", "dddd", "eeeee"], encoder, 2, cache)
+        assert session.inputs == [["b", "cc"], ["a", "dddd"], ["eeeee"]]
+        np.testing.assert_array_equal(got[:, 0], [1, 1, 1, 4, 2, 4, 5])
 
 
 class TestRemoteRetries:
@@ -569,6 +671,16 @@ class TestRemoteRetries:
             client.personas({"User ID": "u"})
         assert session.calls == 3
         assert sleeps == [1.0, 2.0]
+
+    @pytest.mark.parametrize("name", ["MissingSchema", "InvalidURL", "InvalidSchema", "InvalidHeader"])
+    def test_request_that_cannot_be_sent_fails_at_once(self, monkeypatch, name):
+        exceptions = pytest.importorskip("requests.exceptions")
+        error = getattr(exceptions, name)("bad request")
+        client, session, sleeps = self._client(monkeypatch, [error, self._ok()])
+        with pytest.raises(ClientError, match="api.openai.com/v1/chat/completions cannot be sent"):
+            client.personas({"User ID": "u"})
+        assert session.calls == 1
+        assert sleeps == []
 
     def test_missing_api_key(self, monkeypatch):
         from multitap.persona.clients import ClientSettings, RemoteGenerator

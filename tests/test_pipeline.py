@@ -17,6 +17,7 @@ from multitap.errors import ClientError, DependencyError
 from multitap.pipeline import NODES, Pipeline, PipelineConfig, STAGES, stages_through
 from multitap.util import read_json, write_json
 
+import oracles
 from conftest import small_config_dict
 
 GOLDEN = Path(__file__).parent / "golden" / "smoke_report.json"
@@ -1033,3 +1034,52 @@ class TestRemoteClients:
             item_encoder.embed(["a"])
         assert len(session.posts) == 6
         assert sleeps == [1.0, 2.0, 1.0, 2.0]
+
+
+class TestKeysAndHash:
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"source_train": None},
+        {"ablate": {"lambda": [0.0, 1.0], "transfer": ["none"]}, "seeds": [3, 1]},
+        {"client": {"mode": "remote", "chunk_size": 7}, "split": {"boundary": 1546300800}},
+    ], ids=["fixture", "no-source-trainer", "ablate", "client-split"])
+    def test_match_the_whole_config_oracle(self, small_fixture, tmp_path, overrides):
+        _, paths = small_fixture
+        config = PipelineConfig.from_dict({**small_config_dict(paths, tmp_path / "run"), **overrides})
+        pipe = Pipeline(config)
+        assert pipe.keys == oracles.stage_keys(config)
+        assert pipe.hash == oracles.config_hash(config)
+
+
+class TestSharedCache:
+    def test_sampled_description_is_served_to_a_second_run(self, small_fixture, tmp_path, monkeypatch):
+        """A generator that draws a new description on every call, as a remote
+        one sampling at temperature 1.0 does: a second run dir sharing the
+        cache makes no generator call and writes the same persona files."""
+        from multitap.persona import HashingEncoder, TemplateGenerator
+
+        class SamplingGenerator(TemplateGenerator):
+            def domain_description(self, payload):
+                raw = json.loads(super().domain_description(payload))
+                raw["Domain Profile"]["Domain Description"] += f" Draw {self.calls}."
+                return json.dumps(raw)
+
+        generators = []
+
+        def clients(pipe):
+            cs = pipe.config.client
+            generators.append(SamplingGenerator())
+            return generators[-1], HashingEncoder(cs.persona_dim, cs.seed), HashingEncoder(
+                cs.item_dim, cs.seed)
+
+        monkeypatch.setattr(Pipeline, "_clients", clients)
+        _, paths = small_fixture
+        for name in ("a", "b"):
+            build_pipeline(paths, tmp_path / name, tmp_path / "cache").run(
+                ["ingest", "split", "idh", "persona"])
+        assert generators[0].calls > 0
+        assert generators[1].calls == 0
+        persona = {name: {p.relative_to(tmp_path / name): p.read_bytes()
+                          for p in (tmp_path / name / "persona").rglob("*") if p.is_file()}
+                   for name in ("a", "b")}
+        assert persona["a"] == persona["b"]
