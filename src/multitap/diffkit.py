@@ -84,10 +84,11 @@ def info_nce(X: Array, Y: Array, tau: float) -> tuple[float, Array, Array]:
     Yn = Y / ny[:, None]
     C = Xn @ Yn.T
     logits = C / tau
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    P = np.exp(shifted)
-    P /= P.sum(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
+    top = logits.max(axis=1, keepdims=True)
+    P = np.exp(logits - top)
+    total = P.sum(axis=1, keepdims=True)
+    P /= total
+    lse = (np.log(total) + top)[:, 0]
     loss = float(np.mean(lse - np.diag(logits)))
 
     G = (P - np.eye(M)) / (tau * M)
@@ -357,7 +358,7 @@ def read_container(
     named in `names` when given; only the wanted arrays are read from disk."""
     with open(path, "rb") as fh:
         prefix = fh.read(len(_CKPT_MAGIC) + 8)
-        if prefix[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
+        if len(prefix) < len(_CKPT_MAGIC) + 8 or prefix[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
             raise ValueError(f"{path} is not a multitap checkpoint")
         ver, hlen = struct.unpack_from("<II", prefix, len(_CKPT_MAGIC))
         if ver != _CKPT_VERSION:

@@ -8,9 +8,10 @@ so rankings are deterministic across runs.  Users are ranked from rows of a
 `full_ranking_eval` ranks every unit in one blocked pass: it resolves all
 units to (score row, candidate column, user) first, then counts the kept
 candidates ahead of each positive for blocks of at most `_BLOCK_CELLS` cells
-(one row when a row alone is larger).  Memory is bounded by the block, never
-by users x items.  Ranks are integer counts, and hits and gains are summed
-per user in held-out order, so the result does not depend on the block size.
+(one row when a row alone is larger).  Only the ranking is blocked: every
+caller passes a dense (U, I) score matrix.  Ranks are integer counts, and
+hits and gains are summed per user in held-out order, so the result does not
+depend on the block size.
 """
 
 from __future__ import annotations

@@ -12,12 +12,14 @@ lookup reads the header and seeks only the vectors it wants.
 Only `*.pack` files are read.  Temp files of an interrupted write, the
 `*.shard` files of the previous shard format and the per-key `*.json` files
 of the layout before it are ignored, so a cache written by either older
-layout is rebuilt once.
+layout is rebuilt once.  A damaged shard holds nothing: a warning names it,
+and its batch, run again, rewrites it whole under its name.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
@@ -26,6 +28,8 @@ import numpy as np
 
 from ..diffkit import pack_container, read_container
 from ..util import atomic_write_bytes
+
+logger = logging.getLogger(__name__)
 
 _SUFFIX = ".pack"
 
@@ -43,13 +47,17 @@ class JsonCache:
         """The stored entries among `keys`, or None when none is stored.
 
         Vectors come back as float64 arrays.  A key stored in several
-        shards is read from the first one in name order."""
+        shards is read from the first readable one in name order."""
         wanted = set(keys)
         found: dict[str, Any] = {}
         for path in sorted(self.directory.glob("*" + _SUFFIX)):
             if len(found) == len(wanted):
                 break
-            arrays, values = read_container(path, wanted - found.keys())
+            try:
+                arrays, values = read_container(path, wanted - found.keys())
+            except ValueError as exc:  # bad magic, a header or arrays cut short
+                logger.warning("cache shard %s cannot be read, recomputing: %s", path, exc)
+                continue
             found.update(values)
             found.update(arrays)
         return found or None

@@ -3,8 +3,9 @@
 Two implementations of each interface: a remote chat/embedding API client
 (OpenAI-style endpoints, key from an environment variable, a fixed retry
 policy with exponential backoff) and a deterministic offline fallback that
-needs no network.  `ClientSettings`, the `client` section of the pipeline
-config, selects and configures both.  The offline generator verbalizes the
+needs no network.  `build_clients` builds both from `ClientSettings`, the
+`client` section of the pipeline config; a client's `identity` names the
+settings that change its output.  The offline generator verbalizes the
 structured evidence through fixed sentence templates; the offline encoder is
 a seeded feature-hashing bag-of-words embedder with unit L2 norm.
 """
@@ -236,7 +237,8 @@ class RemoteGenerator(_RemoteBase):
 
     def __init__(self, settings: ClientSettings, session=None):
         super().__init__(settings, session)
-        self.identity = f"remote-{settings.chat_model}"
+        self.identity = (f"remote-{settings.chat_model}-t{float(settings.persona_temperature)}"
+                         f"-{float(settings.description_temperature)}")
 
     def _chat(self, system_prompt: str, payload: dict, temperature: float) -> str:
         body = {
@@ -284,3 +286,14 @@ class RemoteEncoder(_RemoteBase):
         if out.shape != (len(texts), self.dim):
             raise ClientError(f"embedding shape {out.shape} != ({len(texts)}, {self.dim})")
         return out
+
+
+def build_clients(settings: ClientSettings) -> tuple[GeneratorClient, EncoderClient, EncoderClient]:
+    """The persona stage's generator, persona encoder and item encoder.  Their
+    identities name every setting that changes what they return, and nothing
+    else: `chunk_size`, `parallelism` and `endpoint` only deploy them."""
+    if settings.mode == "offline":
+        return (TemplateGenerator(), HashingEncoder(settings.persona_dim, settings.seed),
+                HashingEncoder(settings.item_dim, settings.seed))
+    return (RemoteGenerator(settings), RemoteEncoder(settings, settings.remote_persona_dim),
+            RemoteEncoder(settings, settings.remote_item_dim))

@@ -4,18 +4,18 @@ ablate.
 `NODES` declares each node of the stage graph once: the nodes it consumes,
 the key sections it reads and the run-dir artifacts it writes.  A node's
 cache key is the content key of those sections plus the keys of its upstream
-nodes (`PipelineConfig.stage_keys`).  Ingest's sections include the sha256 of
-each input file, so an input edited in place changes every key.  The
-source-domain model that train and ablate build on is keyed the same way, as
-the node "source".  A node's record, written last, holds its key and the
-size of every file it owns; the node is done only when both match the disk
-and every upstream node is done, so a train-only change reruns train and
-eval, and a deleted or truncated file reruns its node alone.  Sizes, not
-digests: an edit that keeps a file's size is not noticed.  A declared
-directory is cleared when its node starts, so a rebuilt one holds only what
-the current config writes.  Every record, checkpoint manifest and report
-holds the key of the stage that wrote it, and artifacts never embed absolute
-paths or timestamps, so a reused artifact is byte-identical to one built cold.
+nodes (`PipelineConfig.stage_keys`).  Ingest hashes its inputs' content, not
+their paths, and persona its clients' identities.  The source-domain model
+that train and ablate build on is keyed the same way, as the node "source".
+A node's record, written last, holds its key and the size of every file it
+owns; the node is done only when both match the disk and every upstream node
+is done, so a train-only change reruns train and eval, and a deleted or
+truncated file reruns its node alone.  Sizes, not digests: an edit that keeps
+a file's size is not noticed.  A declared directory is cleared when its node
+starts, so a rebuilt one holds only what the current config writes.  Every
+record, checkpoint manifest and report holds the key of the stage that wrote
+it, and artifacts never embed absolute paths or timestamps, so a reused
+artifact is byte-identical to one built cold.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .model import (
     TrainConfig,
     train_target,
 )
-from .persona.clients import CLIENT_MODES, ClientSettings
+from .persona.clients import CLIENT_MODES, ClientSettings, build_clients
 from .util import atomic_write_text, content_key, file_sha256, read_json, write_json
 
 logger = logging.getLogger(__name__)
@@ -77,11 +77,11 @@ class Node(NamedTuple):
 # (`_ensure_source_tables`), never requested on its own; its record is the
 # manifest of its last artifact.
 NODES = {
-    "ingest": Node((), ("source", "target", "inputs"), ("ingest/summary.json",)),
+    "ingest": Node((), ("inputs",), ("ingest/summary.json",)),
     "split": Node(("ingest",), ("split",), ("split/{side}.json",)),
     "idh": Node(("split",), ("criteria", "report_labels"),
                 ("idh/{side}/bins.json", "idh/{side}/labels.json", "idh/{side}/report/")),
-    "persona": Node(("idh",), ("client",), tuple(
+    "persona": Node(("idh",), ("clients",), tuple(
         f"persona/{{side}}/{f}" for f in ("db.json", "texts.json", "description.txt",
                                           "user_vectors.ckpt", "item_vectors.ckpt"))),
     "pretrain": Node(("split",), ("gcn",), ("backbone/{side}.ckpt",)),
@@ -238,16 +238,17 @@ class PipelineConfig:
         """The cache key of every node in `NODES`: the sections it reads plus
         the keys of its upstream nodes.  The sections are the config's own,
         with "source_train" standing for the source model's trainer, plus
-        "inputs": the sha256 of each input file, so that an input edited in
-        place changes every key.  A missing input raises the loader's
-        FileNotFoundError."""
+        "inputs", each side's domain id and the sha256 of its two input files
+        (not their paths), and "clients", the persona clients' identities.  A
+        missing input raises the loader's FileNotFoundError."""
         sections = {f.name: _json_data(getattr(self, f.name)) for f in dataclasses.fields(self)
                     if f.name != "source_train"}
         sections["source_train"] = _json_data(self.source_train_config())
-        sections["inputs"] = {
-            f"{side}.{kind}": file_sha256(getattr(getattr(self, side), kind))
-            for side in SIDES for kind in ("interactions", "metadata")
-        }
+        sections["inputs"] = {side: {"domain_id": spec.domain_id,
+                                     "interactions": file_sha256(spec.interactions),
+                                     "metadata": file_sha256(spec.metadata)}
+                              for side, spec in zip(SIDES, (self.source, self.target))}
+        sections["clients"] = [client.identity for client in build_clients(self.client)]
         keys: dict[str, str] = {}
         for name, node in NODES.items():
             keys[name] = content_key({
@@ -433,20 +434,6 @@ class Pipeline:
             )
         return self._train_datasets[which]
 
-    def _clients(self):
-        cs = self.config.client
-        if cs.mode == "offline":
-            return (
-                persona_mod.TemplateGenerator(),
-                persona_mod.HashingEncoder(cs.persona_dim, cs.seed),
-                persona_mod.HashingEncoder(cs.item_dim, cs.seed),
-            )
-        return (
-            persona_mod.RemoteGenerator(cs),
-            persona_mod.RemoteEncoder(cs, cs.remote_persona_dim),
-            persona_mod.RemoteEncoder(cs, cs.remote_item_dim),
-        )
-
     # -- stages -------------------------------------------------------------
 
     def stage_ingest(self) -> None:
@@ -557,7 +544,7 @@ class Pipeline:
         if phase != "encode" and self._is_done("persona"):
             return
         self._begin("persona")
-        generator, persona_encoder, item_encoder = self._clients()
+        generator, persona_encoder, item_encoder = build_clients(self.config.client)
         for which in ("source", "target"):
             train_ds = self._train_dataset(which)
             # no later stage reads the train slice: do not hold it through training
@@ -606,9 +593,8 @@ class Pipeline:
                 {"vectors": vectors},
                 {
                     "stage_key": self.keys["persona"],
-                    "seed": self.config.client.seed,
+                    "encoder": persona_encoder.identity,
                     "user_ids": user_ids,
-                    "dim": persona_encoder.dim,
                 },
             )
             save_checkpoint(
@@ -616,9 +602,8 @@ class Pipeline:
                 {"vectors": item_vectors},
                 {
                     "stage_key": self.keys["persona"],
-                    "seed": self.config.client.seed,
+                    "encoder": item_encoder.identity,
                     "item_ids": [m.item_id for m in items],
-                    "dim": item_encoder.dim,
                 },
             )
         if phase == "encode":

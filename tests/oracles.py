@@ -16,7 +16,8 @@ wider user and item orderings.  `encode_personas` and `encode_item_batch`
 are the two encoders before they shared one path: one cache key and one
 encoder call per user, and one key per item text.  `stage_keys` and
 `config_hash` compute the stage keys and the whole-config hash from a deep
-copy of the whole config.  All are deliberately naive and slow.
+copy of the whole config and the identities of freshly built clients.  All
+are deliberately naive and slow.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from multitap.gcn import BipartiteGraph
 from multitap.idh import CRITERIA_ORDER, Criterion, Label, tertile_label, tertile_thresholds
 from multitap.persona import PersonaDB, item_semantic_text
 from multitap.persona.cache import cache_batch
+from multitap.persona.clients import build_clients
 from multitap.pipeline import NODES, SIDES
 from multitap.util import content_key, file_sha256
 
@@ -412,13 +414,19 @@ def config_hash(config) -> str:
 
 def stage_keys(config) -> dict[str, str]:
     """`config.stage_keys()`: every node's key from a deep copy of the whole
-    config, the source trainer converted once more."""
+    config, the source trainer converted once more, the input files hashed
+    side by side and the persona clients built anew."""
     sections = semantic_dict(config)
     sections["source_train"] = dataclasses.asdict(config.source_train_config())
-    sections["inputs"] = {
-        f"{side}.{kind}": file_sha256(getattr(getattr(config, side), kind))
-        for side in SIDES for kind in ("interactions", "metadata")
-    }
+    sections["inputs"] = {}
+    for side in SIDES:
+        spec = sections[side]
+        sections["inputs"][side] = {
+            "domain_id": spec["domain_id"],
+            "interactions": file_sha256(spec["interactions"]),
+            "metadata": file_sha256(spec["metadata"]),
+        }
+    sections["clients"] = [client.identity for client in build_clients(config.client)]
     keys: dict[str, str] = {}
     for name, node in NODES.items():
         keys[name] = content_key({

@@ -1,6 +1,7 @@
 """Persona database, generation, encoding and client tests."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -341,6 +342,31 @@ class TestGeneratePersonas:
         assert client.calls == calls_after_first
         assert second.texts == first.texts
         assert second.cache_key == first.cache_key
+
+    def test_texts_sampled_at_another_temperature_are_not_served(self, monkeypatch, tmp_path):
+        from multitap.persona import clients
+
+        monkeypatch.setenv("MULTITAP_API_KEY", "k")
+
+        class TemplateSession:
+            """Answers each chat post with the template generator's response."""
+
+            def __init__(self):
+                self.posts = 0
+
+            def post(self, url, **kwargs):
+                self.posts += 1
+                payload = json.loads(kwargs["json"]["messages"][1]["content"])
+                content = TemplateGenerator().personas(payload)
+                return TestRemoteRetries._Response(200, {"choices": [{"message": {"content": content}}]})
+
+        _, db, assets, history = self._setup()
+        cache, session = JsonCache(tmp_path), TemplateSession()
+        for temperature, posts in ((0.7, 1), (0.7, 1), (0.2, 2)):
+            settings = clients.ClientSettings(mode="remote", persona_temperature=temperature)
+            generator = clients.RemoteGenerator(settings, session=session)
+            generate_personas("u1", db, assets, history, generator, cache)
+            assert session.posts == posts
 
     def test_cached_equals_fresh(self, tmp_path):
         _, db, assets, history = self._setup()
@@ -777,6 +803,25 @@ class TestShardCache:
         assert set(got) == {"v", "t"}
         assert got["v"].dtype == np.float64 and got["v"].tobytes() == vec.tobytes()
         assert got["t"] == {"texts": ["\u00e9t\u00e9"], "n": 1}
+
+    @pytest.mark.parametrize("damage", [
+        lambda data: b"NOTACKPT" + data[8:],
+        lambda data: data[:12],
+        lambda data: data[:20],
+        lambda data: data[:-8],
+    ], ids=["magic", "prefix", "header", "arrays"])
+    def test_damaged_shard_is_recomputed_with_a_warning(self, tmp_path, caplog, damage):
+        cold = self._stage(tmp_path, TemplateGenerator(), HashingEncoder(dim=16, seed=5))
+        files = self._files(tmp_path)
+        for shard in sorted((tmp_path / "vectors").glob("*.pack")):
+            shard.write_bytes(damage(shard.read_bytes()))
+            encoder = HashingEncoder(dim=16, seed=5)
+            with caplog.at_level(logging.WARNING, logger="multitap.persona.cache"):
+                assert self._stage(tmp_path, TemplateGenerator(), encoder) == cold
+            assert encoder.calls > 0
+            assert str(shard) in caplog.text
+            # the batch that wrote the shard writes the same bytes to its name again
+            assert self._files(tmp_path) == files
 
     def test_failed_batch_keeps_finished_entries(self, tmp_path):
         dbs, assets, histories, _ = self._inputs()

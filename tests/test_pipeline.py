@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import os
 import shutil
 from pathlib import Path
@@ -10,10 +11,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import multitap.pipeline as pipeline_mod
 from multitap import cli as cli_mod
 from multitap.cli import main
 from multitap.diffkit import checkpoint_manifest_path, load_checkpoint
 from multitap.errors import ClientError, DependencyError
+from multitap.persona.clients import build_clients
 from multitap.pipeline import NODES, Pipeline, PipelineConfig, STAGES, stages_through
 from multitap.util import read_json, write_json
 
@@ -27,6 +30,16 @@ RUN_STAGES = ["ingest", "split", "idh", "persona", "pretrain", "train", "eval"]
 def build_pipeline(paths, run_dir, cache_dir=None) -> Pipeline:
     config = PipelineConfig.from_dict(small_config_dict(paths, run_dir, cache_dir))
     return Pipeline(config)
+
+
+def copy_inputs(paths, directory: Path):
+    """Copies of the four input files under `directory`, as fixture paths."""
+    directory.mkdir(parents=True)
+    copies = {}
+    for f in dataclasses.fields(paths):
+        copies[f.name] = directory / Path(getattr(paths, f.name)).name
+        shutil.copyfile(getattr(paths, f.name), copies[f.name])
+    return type(paths)(**copies)
 
 
 class TestDependencies:
@@ -296,6 +309,7 @@ class TestStageKeys:
     @pytest.mark.parametrize(
         "edit, changed",
         [
+            (lambda c: c["target"].update(domain_id="other"), ALL_KEYED | {"ingest"}),
             (lambda c: c["split"].update(valid_fraction=0.4), ALL_KEYED),
             (lambda c: c.update(criteria=["ps", "qp"]),
              {"idh", "persona", "source", "train", "eval", "ablate"}),
@@ -306,7 +320,7 @@ class TestStageKeys:
             (lambda c: c.update(eval_ks=[5, 10]), {"eval"}),
             (lambda c: c.update(ablate={"lambda": [0.0, 1.0]}), {"ablate"}),
         ],
-        ids=["split.valid_fraction", "criteria", "client.seed", "gcn.epochs",
+        ids=["target.domain_id", "split.valid_fraction", "criteria", "client.seed", "gcn.epochs",
              "source_train.max_epochs", "train.lambda_dpl", "eval_ks", "ablate"],
     )
     def test_field_changes_exactly_its_downstream_keys(self, small_fixture, tmp_path, edit, changed):
@@ -316,6 +330,61 @@ class TestStageKeys:
         edit(config)
         keys = PipelineConfig.from_dict(config).stage_keys()
         assert {node for node in keys if keys[node] != base[node]} == changed
+
+
+PERSONA_ON = {"persona", "source", "train", "eval", "ablate"}
+# deployment settings: how the clients are reached and batched, never what they return
+DEPLOYMENT = [("parallelism", 2), ("chunk_size", 7), ("endpoint", "http://localhost:9/v2")]
+REMOTE_OUTPUT = [("chat_model", "chat-x"), ("persona_temperature", 0.2),
+                 ("description_temperature", 0.9), ("embed_model", "emb-y"),
+                 ("remote_persona_dim", 6), ("remote_item_dim", 4)]
+OFFLINE_OUTPUT = [("mode", "remote"), ("persona_dim", 64), ("item_dim", 64), ("seed", 8)]
+CLIENT_KEY_CASES = [
+    *[("offline", f, v, PERSONA_ON) for f, v in OFFLINE_OUTPUT],
+    *[("remote", f, v, PERSONA_ON) for f, v in REMOTE_OUTPUT],
+    *[("offline", f, v, set()) for f, v in DEPLOYMENT + REMOTE_OUTPUT],
+    *[("remote", f, v, set()) for f, v in DEPLOYMENT + OFFLINE_OUTPUT[1:]],
+    # a temperature written as an integer is the same temperature
+    ("remote", "description_temperature", 1, set()),
+]
+
+
+class TestClientSettingsInKeys:
+    @pytest.mark.parametrize("mode, field, value, changed", CLIENT_KEY_CASES,
+                             ids=[f"{m}-{f}={v!r}" for m, f, v, _ in CLIENT_KEY_CASES])
+    def test_only_settings_that_change_outputs_key_persona(
+        self, small_fixture, tmp_path, mode, field, value, changed
+    ):
+        _, paths = small_fixture
+        config = small_config_dict(paths, tmp_path / "run")
+        config["client"]["mode"] = mode
+        base = PipelineConfig.from_dict(config).stage_keys()
+        config["client"][field] = value
+        keys = PipelineConfig.from_dict(config).stage_keys()
+        assert {node for node in keys if keys[node] != base[node]} == changed
+
+    @pytest.mark.parametrize("field, value", DEPLOYMENT + REMOTE_OUTPUT[:2],
+                             ids=[f for f, _ in DEPLOYMENT + REMOTE_OUTPUT[:2]])
+    def test_offline_run_is_served_whole_after_a_setting_it_ignores(
+        self, completed_copy, small_fixture, field, value
+    ):
+        _, paths = small_fixture
+        run_dir, _ = completed_copy
+        before = snapshot(run_dir)
+        config = small_config_dict(paths, run_dir)
+        config["client"][field] = value
+        status = Pipeline(PipelineConfig.from_dict(config)).run(RUN_STAGES)
+        assert status == {s: "cached" for s in RUN_STAGES}
+        assert snapshot(run_dir) == before
+
+    def test_moved_inputs_keep_every_stage_cached(self, completed_copy, small_fixture, tmp_path):
+        _, paths = small_fixture
+        run_dir, _ = completed_copy
+        before = snapshot(run_dir)
+        moved = copy_inputs(paths, tmp_path / "moved")
+        status = Pipeline(PipelineConfig.from_dict(small_config_dict(moved, run_dir))).run(RUN_STAGES)
+        assert status == {s: "cached" for s in RUN_STAGES}
+        assert snapshot(run_dir) == before
 
 
 class TestStageReuse:
@@ -407,6 +476,23 @@ class TestStageReuse:
         assert status == {**{s: "cached" for s in RUN_STAGES}, "pretrain": "ran"}
         assert snapshot(run_dir) == original
 
+    def test_damaged_cache_shard_is_recomputed(self, completed_copy, small_fixture, caplog):
+        """A cut-short vector shard holds nothing: persona encodes its entries
+        again and writes the shard back whole."""
+        _, paths = small_fixture
+        run_dir, _ = completed_copy
+        original = snapshot(run_dir)
+        shard = sorted((run_dir / "cache" / "vectors").glob("*.pack"))[0]
+        with open(shard, "r+b") as fh:
+            fh.truncate(100)
+        (run_dir / "persona" / "manifest.json").unlink()
+        with caplog.at_level(logging.WARNING, logger="multitap.persona.cache"):
+            status = Pipeline(PipelineConfig.from_dict(small_config_dict(paths, run_dir))).run(
+                RUN_STAGES)
+        assert status == {**{s: "cached" for s in RUN_STAGES}, "persona": "ran"}
+        assert str(shard) in caplog.text
+        assert snapshot(run_dir) == original
+
     @pytest.mark.parametrize(
         "record", ["train/manifest.json", "model/source_tables.ckpt.manifest.json"],
         ids=["stage", "source"],
@@ -427,8 +513,6 @@ class TestStageReuse:
     def test_interrupted_rebuild_is_never_served_as_cached(
         self, completed_copy, small_fixture, monkeypatch
     ):
-        import multitap.pipeline as pipeline_mod
-
         _, paths = small_fixture
         run_dir, _ = completed_copy
         original = snapshot(run_dir)
@@ -532,12 +616,7 @@ class TestInputsInKey:
     def own_inputs(self, small_fixture, tmp_path):
         """A completed run on private copies of the input files."""
         _, paths = small_fixture
-        copies = {}
-        for f in dataclasses.fields(paths):
-            copies[f.name] = tmp_path / "inputs" / Path(getattr(paths, f.name)).name
-            copies[f.name].parent.mkdir(exist_ok=True)
-            shutil.copyfile(getattr(paths, f.name), copies[f.name])
-        own = type(paths)(**copies)
+        own = copy_inputs(paths, tmp_path / "inputs")
         config_path = tmp_path / "config.json"
         write_json(config_path, small_config_dict(own, tmp_path / "run"))
         Pipeline(PipelineConfig.from_json(config_path)).run(RUN_STAGES)
@@ -981,7 +1060,7 @@ class TestRemoteClients:
             "target": {"domain_id": "t", "interactions": "t.jsonl", "metadata": "tm.jsonl"},
             "client": {"mode": "remote", **settings},
         })
-        return config.client, Pipeline(config)._clients(), sleeps
+        return config.client, build_clients(config.client), sleeps
 
     @pytest.mark.parametrize(
         "settings",
@@ -996,10 +1075,11 @@ class TestRemoteClients:
             monkeypatch, tmp_path, session, **settings
         )
         if not settings:
-            assert generator.identity == "remote-gpt-4o"
+            assert generator.identity == "remote-gpt-4o-t0.7-1.0"
             assert persona_encoder.identity == "remote-text-embedding-3-large-d3072"
             assert item_encoder.identity == "remote-text-embedding-3-large-d512"
-        assert generator.identity == f"remote-{cs.chat_model}"
+        assert generator.identity == (
+            f"remote-{cs.chat_model}-t{cs.persona_temperature}-{cs.description_temperature}")
         assert persona_encoder.identity == f"remote-{cs.embed_model}-d{cs.remote_persona_dim}"
         assert item_encoder.identity == f"remote-{cs.embed_model}-d{cs.remote_item_dim}"
         assert generator.personas({"User ID": "u"}) == "text"
@@ -1066,19 +1146,21 @@ class TestSharedCache:
 
         generators = []
 
-        def clients(pipe):
-            cs = pipe.config.client
+        def clients(cs):
             generators.append(SamplingGenerator())
             return generators[-1], HashingEncoder(cs.persona_dim, cs.seed), HashingEncoder(
                 cs.item_dim, cs.seed)
 
-        monkeypatch.setattr(Pipeline, "_clients", clients)
+        monkeypatch.setattr(pipeline_mod, "build_clients", clients)
         _, paths = small_fixture
+        calls = []  # per run, over every generator built (the stage keys build one too)
         for name in ("a", "b"):
+            generators.clear()
             build_pipeline(paths, tmp_path / name, tmp_path / "cache").run(
                 ["ingest", "split", "idh", "persona"])
-        assert generators[0].calls > 0
-        assert generators[1].calls == 0
+            calls.append(sum(g.calls for g in generators))
+        assert calls[0] > 0
+        assert calls[1] == 0
         persona = {name: {p.relative_to(tmp_path / name): p.read_bytes()
                           for p in (tmp_path / name / "persona").rglob("*") if p.is_file()}
                    for name in ("a", "b")}
