@@ -3,12 +3,15 @@
 Every item the user has not touched in train is a candidate.  Each held-out
 interaction is one evaluation unit; ties in score break by ascending item id
 so rankings are deterministic across runs.  Users are ranked from rows of a
-(U, I) score matrix; `train_items_by_user` builds their exclusion sets.
+(U, I) score matrix.
 
-`full_ranking_eval` ranks every unit in one blocked pass: it resolves all
-units to (score row, candidate column, user) first, then counts the kept
-candidates ahead of each positive for blocks of at most `_BLOCK_CELLS` cells
-(one row when a row alone is larger).  Only the ranking is blocked: every
+`pair_index` indexes a split's train pairs by row, with each user row's
+observed items (the trainers' negative-sampling sets and the users'
+exclusion sets), and `heldout_units` resolves its held-out interactions to
+(score row, candidate column, user) units once per run, so each epoch's
+validation only ranks: `full_ranking_eval` counts the kept candidates ahead
+of each positive for blocks of at most `_BLOCK_CELLS` cells (one row when a
+row alone is larger).  Only the ranking is blocked: every
 caller passes a dense (U, I) score matrix.  Ranks are integer counts, and
 hits and gains are summed per user in held-out order, so the result does not
 depend on the block size.
@@ -17,7 +20,7 @@ depend on the block size.
 from __future__ import annotations
 
 import logging
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,20 +32,86 @@ AVERAGES = ("interaction", "user")
 _BLOCK_CELLS = 1 << 18
 
 
-def _block_ranks(
-    scores: np.ndarray,
-    id_rank: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    slots: np.ndarray,
-    excluded: np.ndarray,
-    excluded_ptr: np.ndarray,
-) -> list[int]:
+class HeldoutUnits(NamedTuple):
+    """Held-out units of one split: users sorted, units in held-out order."""
+
+    rows: np.ndarray  # score row of each unit
+    cols: np.ndarray  # candidate column of each unit
+    slots: np.ndarray  # ranked user of each unit
+    excluded: np.ndarray  # each ranked user's excluded columns, concatenated
+    excluded_ptr: np.ndarray  # user s excludes excluded[excluded_ptr[s]:excluded_ptr[s + 1]]
+    id_rank: np.ndarray  # position of each column's id in ascending order, the tie-break
+    per_user: list[int]  # units of each ranked user
+    skipped: int
+
+
+def pair_index(
+    records: Iterable, user_rows: Mapping[str, int], item_rows: Mapping[str, int]
+) -> tuple[np.ndarray, list[set[int]]]:
+    """The (E, 2) int64 (user row, item row) pairs of the records
+    (`.user_id`/`.item_id`) whose user and item both have rows, in record
+    order, and each user row's set of item rows."""
+    pairs = [
+        (user_rows[r.user_id], item_rows[r.item_id])
+        for r in records
+        if r.user_id in user_rows and r.item_id in item_rows
+    ]
+    observed: list[set[int]] = [set() for _ in range(max(user_rows.values(), default=-1) + 1)]
+    for u, i in pairs:
+        observed[u].add(i)
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2), observed
+
+
+def heldout_units(
+    user_rows: Mapping[str, int],
+    item_ids: Sequence[str],
+    observed: Sequence[set[int]],
+    heldout: Iterable,
+) -> HeldoutUnits:
+    """Resolve the `heldout` records to units: row `user_rows[user]` of a
+    score matrix, aligned with `item_ids` (which must be distinct), ranks
+    every column outside `observed[row]`.  Users without a row or without
+    candidates, and positives outside the catalog or observed in train, are
+    skipped and counted."""
+    by_user: dict[str, list[str]] = {}
+    for r in heldout:
+        by_user.setdefault(r.user_id, []).append(r.item_id)
+    id_index = {item: i for i, item in enumerate(item_ids)}
+    if len(id_index) != len(item_ids):
+        raise ValueError("item_ids contains duplicates")
+    id_rank = np.empty(len(item_ids), dtype=np.int64)
+    id_rank[np.argsort(np.asarray(item_ids), kind="stable")] = np.arange(len(item_ids))
+
+    skipped = 0
+    rows, cols, excluded, excluded_ptr, per_user = [], [], [], [0], []
+    for user, items in sorted(by_user.items()):
+        row = user_rows.get(user)
+        if row is None or len(observed[row]) == len(item_ids):  # no candidate left
+            skipped += len(items)
+            continue
+        seen = observed[row]
+        u_cols = [id_index[i] for i in items if i in id_index and id_index[i] not in seen]
+        skipped += len(items) - len(u_cols)
+        if u_cols:
+            rows += [row] * len(u_cols)
+            cols += u_cols
+            excluded += seen
+            excluded_ptr.append(len(excluded))
+            per_user.append(len(u_cols))
+    rows, cols, excluded, excluded_ptr = (
+        np.asarray(v, dtype=np.int64) for v in (rows, cols, excluded, excluded_ptr)
+    )
+    slots = np.repeat(np.arange(len(per_user)), per_user)
+    return HeldoutUnits(rows, cols, slots, excluded, excluded_ptr, id_rank, per_user, skipped)
+
+
+def _block_ranks(scores: np.ndarray, units: HeldoutUnits) -> list[int]:
     """1-based rank of candidate `cols[j]` in score row `rows[j]` for each
     unit j, among the columns its user keeps: all but
     `excluded[excluded_ptr[s]:excluded_ptr[s + 1]]` for `s = slots[j]`.
     Candidates are ordered by descending score, then ascending id rank; NaN
     scores come after every other score, as in a sort on the negated scores."""
+    rows, cols, slots, excluded, excluded_ptr, id_rank = units[:6]
     per_block = max(1, _BLOCK_CELLS // max(len(id_rank), 1))
     ranks: list[int] = []
     for a in range(0, len(rows), per_block):
@@ -64,91 +133,26 @@ def _block_ranks(
     return ranks
 
 
-def train_items_by_user(records: Iterable) -> dict[str, set[str]]:
-    """The items each user touched in `records` (`.user_id`/`.item_id`)."""
-    items: dict[str, set[str]] = {}
-    for r in records:
-        items.setdefault(r.user_id, set()).add(r.item_id)
-    return items
-
-
 def full_ranking_eval(
     scores: np.ndarray,
-    user_rows: Mapping[str, int],
-    item_ids: Sequence[str],
-    train_items: Mapping[str, set[str]],
-    heldout: Sequence,
+    units: HeldoutUnits,
     ks: Sequence[int] = (5,),
     average: str = "interaction",
 ) -> dict:
-    """Evaluate held-out positives under the full-ranking protocol.
-
-    Row `user_rows[user]` of the (U, I) matrix `scores` holds the user's
-    scores, aligned with `item_ids`, which must be distinct.  `heldout`
-    entries expose `.user_id` and `.item_id` (or are (user, item) pairs).
-    Users without a row or without candidates are skipped and counted.
-    `average` is "interaction" (each positive is one unit) or "user"
-    (per-user means, then averaged across users).
-    """
+    """HR@K and NDCG@K of `units` (from `heldout_units`) under the
+    full-ranking protocol on the (U, I) matrix `scores`.  `average` is
+    "interaction" (each positive is one unit) or "user" (per-user means,
+    then averaged across users)."""
     if average not in AVERAGES:
         raise ValueError(f"unknown averaging mode '{average}'")
     ks = sorted(ks)
-    by_user: dict[str, list[str]] = {}
-    for entry in heldout:
-        if hasattr(entry, "user_id"):
-            user, item = entry.user_id, entry.item_id
-        else:
-            user, item = entry
-        by_user.setdefault(user, []).append(item)
-
-    skipped = 0
-    id_index = {item: i for i, item in enumerate(item_ids)}
-    if len(id_index) != len(item_ids):
-        raise ValueError("item_ids contains duplicates")
-    # position of each id in ascending string order, the tie-break key
-    id_rank = np.empty(len(item_ids), dtype=np.int64)
-    id_rank[np.argsort(np.asarray(item_ids), kind="stable")] = np.arange(len(item_ids))
-    scores = np.asarray(scores, dtype=np.float64)
-
-    # resolve every unit to (score row, candidate column, user slot)
-    unit_rows: list[int] = []
-    unit_cols: list[int] = []
-    excluded: list[int] = []  # each ranked user's excluded columns, concatenated
-    excluded_ptr = [0]
-    per_user_units: list[int] = []
-    for user in sorted(by_user):
-        if user not in user_rows:
-            skipped += len(by_user[user])
-            continue
-        exclude = train_items.get(user, set())
-        u_excluded = {id_index[i] for i in exclude if i in id_index}
-        if len(u_excluded) == len(item_ids):  # no candidate left
-            skipped += len(by_user[user])
-            continue
-        u_units = 0
-        for item in by_user[user]:
-            if item not in id_index or item in exclude:
-                skipped += 1
-                continue
-            unit_cols.append(id_index[item])
-            u_units += 1
-        if u_units:
-            unit_rows += [user_rows[user]] * u_units
-            excluded += u_excluded
-            excluded_ptr.append(len(excluded))
-            per_user_units.append(u_units)
-    units = len(unit_cols)
-
-    rows, cols, excluded_cols, excluded_ptr = (
-        np.asarray(v, dtype=np.int64) for v in (unit_rows, unit_cols, excluded, excluded_ptr)
-    )
-    slots = np.repeat(np.arange(len(per_user_units)), per_user_units)
-    ranks = _block_ranks(scores, id_rank, rows, cols, slots, excluded_cols, excluded_ptr)
+    ranks = _block_ranks(np.asarray(scores, dtype=np.float64), units)
+    n_units = len(ranks)
 
     per_user_hits: list[dict[int, float]] = []
     per_user_gains: list[dict[int, float]] = []
     start = 0
-    for u_units in per_user_units:
+    for u_units in units.per_user:
         u_hits = {k: 0.0 for k in ks}
         u_gains = {k: 0.0 for k in ks}
         for rank in ranks[start:start + u_units]:
@@ -159,21 +163,19 @@ def full_ranking_eval(
         start += u_units
         per_user_hits.append(u_hits)
         per_user_gains.append(u_gains)
-    if skipped:
-        logger.warning("full_ranking_eval skipped %d held-out units", skipped)
+    if units.skipped:
+        logger.warning("full_ranking_eval skipped %d held-out units", units.skipped)
 
     def reduce(per_user: list[dict[int, float]], k: int) -> float:
         if not per_user:
             return 0.0
         if average == "interaction":
-            return sum(d[k] for d in per_user) / units
-        return float(
-            np.mean([d[k] / n for d, n in zip(per_user, per_user_units)])
-        )
+            return sum(d[k] for d in per_user) / n_units
+        return float(np.mean([d[k] / n for d, n in zip(per_user, units.per_user)]))
 
     return {
-        "units": units,
-        "skipped": skipped,
+        "units": n_units,
+        "skipped": units.skipped,
         "HR": {k: reduce(per_user_hits, k) for k in ks},
         "NDCG": {k: reduce(per_user_gains, k) for k in ks},
     }

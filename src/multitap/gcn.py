@@ -21,7 +21,7 @@ from .corpus import InteractionRecord, SplitBundle
 from .diffkit import AdamConfig, ParameterStore, adam_step, bpr, init_normal, scatter_rows
 from .diffkit import check_loop_settings, fit_early_stopped
 from .errors import DivergenceError
-from .evaluate import full_ranking_eval, train_items_by_user
+from .evaluate import full_ranking_eval, heldout_units, pair_index
 
 
 @dataclass
@@ -171,14 +171,8 @@ def pretrain_id_embeddings(
         learning_rate=config.learning_rate, weight_decay=config.weight_decay
     )
 
-    pos_pairs = np.array(
-        [(graph.user_index[r.user_id], graph.item_index[r.item_id]) for r in split.train],
-        dtype=np.int64,
-    )
-    observed: list[set[int]] = [set() for _ in range(nu)]
-    for u_row, i_row in pos_pairs:
-        observed[u_row].add(int(i_row))
-    train_items = train_items_by_user(split.train)
+    pos_pairs, observed = pair_index(split.train, graph.user_index, graph.item_index)
+    units = heldout_units(graph.user_index, item_ids, observed, split.valid)
     layer_count = config.layers
 
     def run_epoch(epoch: int):
@@ -218,9 +212,7 @@ def pretrain_id_embeddings(
             IdEmbeddingTable(user_ids, item_ids, emb[:nu], emb[nu:]), adjacency, layer_count
         )
         scores = table.user_vecs @ table.item_vecs.T
-        metrics = full_ranking_eval(
-            scores, graph.user_index, item_ids, train_items, split.valid, ks=[config.eval_k]
-        )
+        metrics = full_ranking_eval(scores, units, ks=[config.eval_k])
         stats = {"loss": epoch_loss / n_triples, "valid_hr": metrics["HR"][config.eval_k]}
         return stats, lambda: table
 

@@ -39,7 +39,7 @@ from .diffkit import (
     softmax_backward,
 )
 from .errors import DivergenceError
-from .evaluate import full_ranking_eval, train_items_by_user
+from .evaluate import full_ranking_eval, heldout_units, pair_index
 
 AGGREGATION_MODES = ("self_attn", "mean", "concat")
 
@@ -127,7 +127,9 @@ class MultiTapModel:
         self.rng = np.random.default_rng(config.seed)
         self.user_rows = {u: k for k, u in enumerate(inputs.user_ids)}
         self.item_rows = {i: k for k, i in enumerate(inputs.item_ids)}
-        self.overlap_index = {u: k for k, u in enumerate(inputs.overlap_users)}
+        # each user row's row in the source tables, -1 outside the overlap
+        overlap = {u: k for k, u in enumerate(inputs.overlap_users)}
+        self.source_rows = np.array([overlap.get(u, -1) for u in inputs.user_ids], dtype=np.int64)
         # per transfer part: its source table and its width
         self.source_tables = {
             "persona": inputs.source_user_personas,
@@ -244,16 +246,16 @@ class MultiTapModel:
         return softmax(H @ S.T / np.sqrt(self.h_dim), axis=1)
 
     def _transfer_term(
-        self, anchors_local: np.ndarray, anchor_users: list[str], h: np.ndarray
+        self, anchors_local: np.ndarray, rows: np.ndarray, h: np.ndarray
     ) -> tuple[float, np.ndarray, dict]:
-        """Mean InfoNCE over the batch anchors.
+        """Mean InfoNCE over the batch anchors: local rows `anchors_local` of
+        `h`, user rows `rows`, which must lie in the overlap.
 
         Returns (loss, dL/dh for all batch users, id-gradient scatter info).
         The doppelganger path recomputes the attention inside the loss so the
         gradient flows through both the anchor and the query."""
         anchor_parts, positive_parts = TRANSFER_TABLE[self.config.transfer]
-        rows = np.array([self.user_rows[u] for u in anchor_users])
-        src_rows = [self.overlap_index[u] for u in anchor_users]
+        src_rows = self.source_rows[rows]
         anchor_tables = {"persona": h[anchors_local], "id": self.store.params["id.user"][rows]}
         X = _join([anchor_tables[part] for part in anchor_parts])
         if positive_parts == "doppelganger":
@@ -320,16 +322,10 @@ class MultiTapModel:
         dh_extra = None
         id_grads: dict = {}
         if cfg.transfer != "none" and cfg.lambda_dpl > 0:
-            anchor_mask = np.array(
-                [self.inputs.user_ids[r] in self.overlap_index for r in batch_users]
-            )
-            anchors_local = np.nonzero(anchor_mask)[0]
+            anchors_local = np.nonzero(self.source_rows[batch_users] >= 0)[0]
             if anchors_local.size >= 2:
-                anchor_users = [
-                    self.inputs.user_ids[batch_users[k]] for k in anchors_local
-                ]
                 l_dpl, dh_extra, id_grads = self._transfer_term(
-                    anchors_local, anchor_users, pcache["h"]
+                    anchors_local, batch_users[anchors_local], pcache["h"]
                 )
 
         dh = self._fuse_backward(ucache, dzu)
@@ -409,23 +405,11 @@ def train_target(
     )
     rng = model.rng
 
-    u_rows = model.user_rows
-    i_rows = model.item_rows
-    positives = np.array(
-        [
-            (u_rows[r.user_id], i_rows[r.item_id])
-            for r in train_records
-            if r.user_id in u_rows and r.item_id in i_rows
-        ],
-        dtype=np.int64,
-    )
+    positives, observed = pair_index(train_records, model.user_rows, model.item_rows)
     if positives.size == 0:
         raise ValueError("no usable training interactions")
     n_items = len(inputs.item_ids)
-    observed: list[set[int]] = [set() for _ in inputs.user_ids]
-    for u, i in positives:
-        observed[u].add(int(i))
-    train_items = train_items_by_user(train_records)
+    units = heldout_units(model.user_rows, inputs.item_ids, observed, valid_records)
 
     def run_epoch(epoch: int):
         order = rng.permutation(positives.shape[0])
@@ -446,10 +430,7 @@ def train_target(
             sum_dpl += l_dpl
             n_batches += 1
 
-        metrics = full_ranking_eval(
-            model.score_matrix(), u_rows, inputs.item_ids, train_items, valid_records,
-            ks=[config.eval_k],
-        )
+        metrics = full_ranking_eval(model.score_matrix(), units, ks=[config.eval_k])
         stats = {
             "l_rec": sum_rec / n_batches,
             "l_dpl": sum_dpl / n_batches,

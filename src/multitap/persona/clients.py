@@ -70,6 +70,7 @@ class ClientSettings:
 
 class GeneratorClient(Protocol):
     identity: str
+    description_identity: str  # the settings that change `domain_description` alone
 
     def personas(self, payload: dict) -> str: ...
 
@@ -90,7 +91,7 @@ class TemplateGenerator:
     provenance = "template"
 
     def __init__(self):
-        self.identity = "template-v1"
+        self.identity = self.description_identity = "template-v1"
         self.calls = 0
 
     def personas(self, payload: dict) -> str:
@@ -239,6 +240,8 @@ class RemoteGenerator(_RemoteBase):
         super().__init__(settings, session)
         self.identity = (f"remote-{settings.chat_model}-t{float(settings.persona_temperature)}"
                          f"-{float(settings.description_temperature)}")
+        self.description_identity = (
+            f"remote-{settings.chat_model}-t{float(settings.description_temperature)}")
 
     def _chat(self, system_prompt: str, payload: dict, temperature: float) -> str:
         body = {

@@ -4,7 +4,8 @@ Responses are parsed against the fixed output schema (five named profile
 fields, each with a `persona` string); a malformed response gets exactly one
 regeneration attempt.  Results are cached on disk keyed by a content hash of
 the payload, client identity and instruction, as the domain description is
-(`prompts.build_domain_description`), so repeated runs make zero client calls.
+(`prompts.build_domain_description`, by the settings that sample it), so
+repeated runs make zero client calls.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def generate_all_personas(
             domain_description=assets.domain_description,
             level_maps=dbs[u].labels,
             diversity=dbs[u].diversity,
-            history=histories.get(u, ())[:30],
+            history=histories.get(u, ()),
         )
         for u in users
     }

@@ -144,17 +144,22 @@ TEMPLATE_EMPTY_SENTENCES: dict[Criterion, str] = {
 }
 
 
+# Items sampled for the domain description, and history rows per persona payload.
+DESCRIPTION_ITEMS = 100
+HISTORY_LIMIT = 30
+
+
 @dataclass
 class PromptAssets:
     domain_id: str
     domain_description: str
 
 
-def sample_description_items(dataset: DomainDataset, cap: int = 100) -> list[ItemMeta]:
+def sample_description_items(dataset: DomainDataset) -> list[ItemMeta]:
     """Representative items: 50 most-interacted plus 50 top-rated, deduped.
 
     If the two lists overlap, further items are backfilled by interaction
-    rank until `cap` (or the catalog) is exhausted.
+    rank until `DESCRIPTION_ITEMS` (or the catalog) is exhausted.
     """
     counts: dict[str, int] = {i: 0 for i in dataset.items}
     for user_counter in dataset.user_items.values():
@@ -164,13 +169,13 @@ def sample_description_items(dataset: DomainDataset, cap: int = 100) -> list[Ite
     by_rating = sorted(
         dataset.items.values(), key=lambda m: (-m.avg_rating, -m.rating_count, m.item_id)
     )
-    half = cap // 2
+    half = DESCRIPTION_ITEMS // 2
     chosen: dict[str, ItemMeta] = {}
     for meta in by_interactions[:half]:
         chosen[meta.item_id] = meta
     for meta in by_rating[:half]:
         chosen.setdefault(meta.item_id, meta)
-    target = min(cap, len(dataset.items))
+    target = min(DESCRIPTION_ITEMS, len(dataset.items))
     for meta in by_interactions:
         if len(chosen) >= target:
             break
@@ -228,15 +233,14 @@ def recent_history(
     dataset: DomainDataset,
     user_id: str,
     price_bins: Mapping[str, Mapping[str, int]] | None = None,
-    limit: int = 30,
 ) -> list[tuple[InteractionRecord, ItemMeta, str | None]]:
-    """The user's most recent `limit` interactions, newest first, each with
-    its item's price tag from the PS bin maps `{category: {item: bin}}`."""
+    """The user's most recent `HISTORY_LIMIT` interactions, newest first, each
+    with its item's price tag from the PS bin maps `{category: {item: bin}}`."""
     rows = sorted(
         dataset.user_records.get(user_id, ()), key=lambda r: (-r.timestamp, r.item_id)
     )
     out = []
-    for rec in rows[:limit]:
+    for rec in rows[:HISTORY_LIMIT]:
         meta = dataset.items[rec.item_id]
         tag = None
         if price_bins and meta.category in price_bins:
@@ -249,12 +253,13 @@ def recent_history(
 
 def build_domain_description(dataset: DomainDataset, client, cache: JsonCache | None = None) -> str:
     """Generate the domain description via the client and parse it out.  It
-    is cached like persona texts, keyed by the payload, the client identity
-    and the instruction, so a sampling client is asked once per domain."""
+    is cached like persona texts, keyed by the payload, the instruction and
+    the client's `description_identity` (a remote client's chat model and
+    description temperature), so a sampling client is asked once per domain
+    and a change to the persona settings alone keeps the description."""
     payload = description_payload(dataset, sample_description_items(dataset))
-    key = content_key(
-        {"payload": payload, "client": client.identity, "instruction": DESCRIPTION_SYSTEM_PROMPT}
-    )
+    key = content_key({"payload": payload, "client": client.description_identity,
+                       "instruction": DESCRIPTION_SYSTEM_PROMPT})
     with cache_batch(cache, [key]) as (stored, new):
         if key in stored:
             return stored[key]

@@ -15,7 +15,10 @@ a file's size is not noticed.  A declared directory is cleared when its node
 starts, so a rebuilt one holds only what the current config writes.  Every
 record, checkpoint manifest and report holds the key of the stage that wrote
 it, and artifacts never embed absolute paths or timestamps, so a reused
-artifact is byte-identical to one built cold.
+artifact is byte-identical to one built cold.  Run dirs are byte-identical
+across BLAS thread counts when the BLAS variables are unset or 1 (the
+package sets unset ones to 1); a caller that imported numpy before multitap,
+or set a variable to another count, keeps its own threads and its own bytes.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .corpus import (
 )
 from .diffkit import checkpoint_manifest_path, load_checkpoint, save_checkpoint
 from .errors import DependencyError
-from .evaluate import AVERAGES, aggregate_seed_reports, full_ranking_eval, train_items_by_user
+from .evaluate import AVERAGES, aggregate_seed_reports, full_ranking_eval, heldout_units, pair_index
 from .gcn import GcnConfig, pretrain_id_embeddings
 from .idh import METADATA_CRITERIA, Criterion, Label
 from .model import (
@@ -708,15 +711,9 @@ class Pipeline:
     ) -> dict:
         split = self._split("target")
         heldout = split.test if which_split == "test" else split.valid
-        return full_ranking_eval(
-            model.score_matrix(),
-            model.user_rows,
-            model.inputs.item_ids,
-            train_items_by_user(split.train),
-            heldout,
-            ks=ks,
-            average=self.config.eval_average,
-        )
+        _, observed = pair_index(split.train, model.user_rows, model.item_rows)
+        units = heldout_units(model.user_rows, model.inputs.item_ids, observed, heldout)
+        return full_ranking_eval(model.score_matrix(), units, ks, self.config.eval_average)
 
     def stage_train(self) -> None:
         self._ensure_source_tables("train")

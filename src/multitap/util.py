@@ -49,8 +49,8 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def write_json(path: str | Path, obj: Any, indent: int | None = 2) -> None:
-    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=indent) + "\n")
+def write_json(path: str | Path, obj: Any) -> None:
+    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def read_json(path: str | Path) -> Any:

@@ -7,7 +7,10 @@ re-exports of a package `__init__.py`, do not count.  Every method and
 property of a module-level class must have its name read as an attribute
 somewhere in product code (of any object: the scan does not infer types), or
 match the constant prefix of a `getattr(obj, f"prefix{...}")` dispatch.
-Dunder methods are called by the language and exempt.  Code that only tests
+Dunder methods are called by the language and exempt.  Every defaulted
+parameter of a module-level function must be passed by at least one product
+call of that function (by keyword, by position, or through `*`/`**`
+unpacking); one that no caller sets is a constant.  Code that only tests
 call belongs in the tests.
 """
 
@@ -20,6 +23,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "multitap"
 ALLOWED = {
     "multitap.cli.main",  # the console script
     "multitap.diffkit.grad_check",  # the gradient gate of the test suite
+}
+
+# Defaulted parameters that only callers outside the package pass.
+OUTSIDE_PARAMETERS = {
+    "multitap.cli.main.argv",  # the tests drive the CLI in-process
+    "multitap.diffkit.grad_check.eps",  # the gradient gate of the test suite
+    "multitap.fixtures.fixture_config_dict.seeds",  # perfbench and the tests
+    "multitap.fixtures.fixture_config_dict.cache_dir",
 }
 
 
@@ -41,17 +52,17 @@ def _source_module(module: str, is_package: bool, node: ast.ImportFrom) -> str:
     return ".".join(base + ([node.module] if node.module else []))
 
 
-def unreferenced_definitions(root: Path) -> list[str]:
-    """Qualified names of the module-level definitions under `root` that no
-    module of `root` references."""
-    modules = _parse(root)
-    defined = set()
+def _names(modules: dict[str, tuple[bool, ast.Module]]):
+    """The module-level definitions of `modules` (qualified name -> node),
+    each module's local name -> qualified name bindings, and `canonical`,
+    which follows a qualified name through re-exports to its definition."""
+    defined = {}
     bindings: dict[str, dict[str, str]] = {}  # module -> local name -> qualified name
     for module, (is_package, tree) in modules.items():
         local = bindings[module] = {}
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.add(f"{module}.{node.name}")
+                defined[f"{module}.{node.name}"] = node
                 local[node.name] = f"{module}.{node.name}"
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
@@ -72,18 +83,63 @@ def unreferenced_definitions(root: Path) -> list[str]:
             qualified = target
         return qualified
 
+    return defined, bindings, canonical
+
+
+def _target(node: ast.AST, local: dict[str, str], canonical, modules) -> str | None:
+    """The qualified name that a `name` or `module.name` expression loads."""
+    if isinstance(node, ast.Name) and node.id in local:
+        return canonical(local[node.id])
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        base = local.get(node.value.id)
+        if base is not None and canonical(base) in modules:
+            return canonical(f"{canonical(base)}.{node.attr}")
+    return None
+
+
+def unreferenced_definitions(root: Path) -> list[str]:
+    """Qualified names of the module-level definitions under `root` that no
+    module of `root` references."""
+    modules = _parse(root)
+    defined, bindings, canonical = _names(modules)
     referenced = set()
     for module, (_, tree) in modules.items():
-        local = bindings[module]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                if node.id in local:
-                    referenced.add(canonical(local[node.id]))
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                base = local.get(node.value.id)
-                if base is not None and canonical(base) in modules:
-                    referenced.add(canonical(f"{canonical(base)}.{node.attr}"))
-    return sorted(defined - referenced)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+                continue
+            referenced.add(_target(node, bindings[module], canonical, modules))
+    return sorted(set(defined) - referenced)
+
+
+def unpassed_defaults(root: Path) -> list[str]:
+    """`module.function.parameter` for every defaulted parameter of a
+    module-level function under `root` that no call in `root` passes."""
+    modules = _parse(root)
+    defined, bindings, canonical = _names(modules)
+    functions = {q: node.args for q, node in defined.items()
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    passed: dict[str, set[str]] = {q: set() for q in functions}
+    for module, (_, tree) in modules.items():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            qualified = _target(call.func, bindings[module], canonical, modules)
+            if qualified not in functions:
+                continue
+            args = functions[qualified]
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            if (any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(k.arg is None for k in call.keywords)):
+                passed[qualified].update(positional + [a.arg for a in args.kwonlyargs])
+            passed[qualified].update(positional[: len(call.args)])
+            passed[qualified].update(k.arg for k in call.keywords if k.arg)
+    unpassed = []
+    for qualified, args in functions.items():
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):] + [
+            a for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+        unpassed += [f"{qualified}.{a.arg}" for a in defaulted if a.arg not in passed[qualified]]
+    return sorted(unpassed)
 
 
 def _dispatch_prefix(node: ast.AST) -> str | None:
@@ -131,6 +187,18 @@ class TestNoDeadProductCode:
         dead = [name for name in unreferenced_definitions(SRC) if name not in ALLOWED]
         assert dead == [], f"never referenced from product code: {dead}"
 
+    def test_every_defaulted_parameter_is_passed(self):
+        dead = [name for name in unpassed_defaults(SRC) if name not in OUTSIDE_PARAMETERS]
+        assert dead == [], f"no product call passes: {dead}"
+
+    def test_outside_parameters_exist(self):
+        modules = _parse(SRC)
+        defined, _, _ = _names(modules)
+        for qualified in OUTSIDE_PARAMETERS:
+            function, _, name = qualified.rpartition(".")
+            args = defined[function].args
+            assert name in [a.arg for a in args.args + args.kwonlyargs], qualified
+
     def test_every_method_is_read(self):
         dead = unread_methods(SRC)
         assert dead == [], f"never read from product code: {dead}"
@@ -169,3 +237,20 @@ class TestNoDeadProductCode:
             "    return box.used() + box.size + getattr(box, f'step_{name}')()\n"
         )
         assert unread_methods(pkg) == ["pkg.a.Box.build", "pkg.a.Box.unused"]
+
+    def test_defaults_count_only_when_a_call_passes_them(self, tmp_path):
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text("from .a import f\n")
+        (pkg / "a.py").write_text(
+            "def f(x, by_position=1, by_keyword=2, unset=3):\n    return x\n\n"
+            "def g(x=1, *, y=2):\n    return x\n\n"
+            "def h(a=1, b=2):\n    return a\n\n"
+            "def unused(z=1):\n    return z\n"
+        )
+        (pkg / "b.py").write_text(
+            "from . import a\nfrom pkg import f\n\n"
+            "def run(args, kwargs):\n"
+            "    return f(0, 1) + f(0, by_keyword=2) + a.g(**kwargs) + a.h(*args)\n"
+        )
+        assert unpassed_defaults(pkg) == ["pkg.a.f.unset", "pkg.a.unused.z"]

@@ -9,10 +9,24 @@ from hypothesis import given, settings, strategies as st
 
 from multitap import evaluate
 from multitap.corpus import InteractionRecord
-from multitap.evaluate import aggregate_seed_reports, full_ranking_eval, train_items_by_user
+from multitap.evaluate import aggregate_seed_reports, full_ranking_eval, heldout_units, pair_index
 
 import oracles
 from oracles import rank_candidates
+
+
+def records(pairs):
+    return [InteractionRecord(user, item, 5.0, 0) for user, item in pairs]
+
+
+def run_eval(scores, user_rows, item_ids, train, heldout, **kwargs):
+    """`full_ranking_eval` of the (user, item) pairs `heldout` with `train`
+    ({user: items}) as the users' observed items."""
+    item_rows = {i: k for k, i in enumerate(item_ids)}
+    train_records = records((u, i) for u in train for i in train[u])
+    _, observed = pair_index(train_records, user_rows, item_rows)
+    units = heldout_units(user_rows, item_ids, observed, records(heldout))
+    return full_ranking_eval(scores, units, **kwargs)
 
 
 def score_matrix(scores_by_user):
@@ -30,7 +44,7 @@ def one_user(scores):
 def eval_single(scores_by_item, positive, exclude=frozenset(), ks=(5,)):
     item_ids = sorted(scores_by_item)
     scores = [scores_by_item[i] for i in item_ids]
-    return full_ranking_eval(
+    return run_eval(
         *one_user(scores), item_ids, {"u": set(exclude)}, [("u", positive)], ks=ks
     )
 
@@ -70,7 +84,7 @@ class TestProtocol:
     def test_skipped_users_counted(self):
         matrix, rows = one_user([1.0, 0.0])
         heldout = [("ghost", "a"), ("ghost", "b"), ("u", "a")]
-        out = full_ranking_eval(matrix, rows, ["a", "b"], {}, heldout, ks=(1,))
+        out = run_eval(matrix, rows, ["a", "b"], {}, heldout, ks=(1,))
         assert out["skipped"] == 2
         assert out["units"] == 1
         assert out["HR"][1] == 1.0
@@ -78,19 +92,27 @@ class TestProtocol:
     def test_unknown_positive_is_skipped_and_counted(self):
         matrix, rows = one_user([1.0, 0.0])
         heldout = [("u", "missing"), ("u", "b")]
-        out = full_ranking_eval(matrix, rows, ["a", "b"], {}, heldout, ks=(1, 2))
+        out = run_eval(matrix, rows, ["a", "b"], {}, heldout, ks=(1, 2))
         assert out["skipped"] == 1
         assert out["units"] == 1
         assert out["HR"] == {1: 0.0, 2: 1.0}
 
-    def test_train_items_by_user(self):
+    def test_pair_index(self):
         records = [
             InteractionRecord("u", "a", 5.0, 1),
             InteractionRecord("v", "b", 4.0, 2),
-            InteractionRecord("u", "c", 3.0, 3),
-            InteractionRecord("u", "a", 2.0, 4),
+            InteractionRecord("ghost", "a", 1.0, 3),
+            InteractionRecord("u", "c", 3.0, 4),
+            InteractionRecord("u", "stale", 1.0, 5),
+            InteractionRecord("u", "a", 2.0, 6),
         ]
-        assert train_items_by_user(records) == {"u": {"a", "c"}, "v": {"b"}}
+        pairs, observed = pair_index(records, {"u": 1, "v": 0}, {"a": 0, "b": 1, "c": 2})
+        assert pairs.dtype == np.int64
+        assert pairs.tolist() == [[1, 0], [0, 1], [1, 2], [1, 0]]
+        assert observed == [{1}, {0, 2}]
+        pairs, observed = pair_index([], {"u": 0}, {"a": 0})
+        assert pairs.shape == (0, 2)
+        assert observed == [set()]
 
 
 class TestInvariants:
@@ -105,7 +127,7 @@ class TestInvariants:
         for _ in range(30):
             item_ids, scores, positive = self._random_instance(rng)
             lookup = dict(zip(item_ids, scores))
-            out = full_ranking_eval(
+            out = run_eval(
                 *one_user(scores), item_ids, {}, [("u", positive)], ks=(1, 3, 5, 10)
             )
             # naive sort oracle
@@ -119,7 +141,7 @@ class TestInvariants:
     def test_monotone_in_k(self):
         rng = np.random.default_rng(1)
         item_ids, scores, positive = self._random_instance(rng)
-        out = full_ranking_eval(
+        out = run_eval(
             *one_user(scores), item_ids, {}, [("u", positive)], ks=(1, 2, 5, 10, 15)
         )
         hr = [out["HR"][k] for k in (1, 2, 5, 10, 15)]
@@ -131,7 +153,7 @@ class TestInvariants:
         rng = np.random.default_rng(2)
         for _ in range(20):
             item_ids, scores, positive = self._random_instance(rng)
-            out = full_ranking_eval(*one_user(scores), item_ids, {}, [("u", positive)], ks=(5,))
+            out = run_eval(*one_user(scores), item_ids, {}, [("u", positive)], ks=(5,))
             assert 0.0 <= out["NDCG"][5] <= out["HR"][5] <= 1.0
 
     def test_monotone_transform_invariance(self):
@@ -140,8 +162,8 @@ class TestInvariants:
         scores = rng.normal(size=20)
         heldout = [("u", item_ids[k]) for k in rng.integers(0, 20, size=6)]
 
-        base = full_ranking_eval(*one_user(scores), item_ids, {}, heldout, ks=(5, 10))
-        warped = full_ranking_eval(
+        base = run_eval(*one_user(scores), item_ids, {}, heldout, ks=(5, 10))
+        warped = run_eval(
             *one_user(np.exp(2.0 * scores + 1.0)), item_ids, {}, heldout, ks=(5, 10)
         )
         assert base["HR"] == warped["HR"]
@@ -182,7 +204,7 @@ class TestSortOracle:
             for average in ("interaction", "user"):
                 kwargs = {"ks": (1, 3, 5, 10), "average": average}
                 assert repr(
-                    full_ranking_eval(matrix, rows, item_ids, train, heldout, **kwargs)
+                    run_eval(matrix, rows, item_ids, train, heldout, **kwargs)
                 ) == repr(oracles.full_ranking_eval(score_fn, item_ids, train, heldout, **kwargs))
 
     @pytest.mark.parametrize("block_cells", [1, 7, evaluate._BLOCK_CELLS])
@@ -225,7 +247,7 @@ class TestSortOracle:
             return matrix[rows[user]]
 
         with mock.patch.object(evaluate, "_BLOCK_CELLS", block_cells):
-            got = full_ranking_eval(matrix, rows, item_ids, train, heldout, ks=ks, average=average)
+            got = run_eval(matrix, rows, item_ids, train, heldout, ks=ks, average=average)
         want = oracles.full_ranking_eval(score_fn, item_ids, train, heldout, ks=ks, average=average)
         assert repr(got) == repr(want)
 
@@ -233,12 +255,12 @@ class TestSortOracle:
         item_ids = ["c", "a", "b", "d"]
         scores = np.array([np.nan, np.nan, -5.0, 1.0])
         assert rank_candidates(scores, item_ids, set()) == ["d", "b", "a", "c"]
-        out = full_ranking_eval(*one_user(scores), item_ids, {}, [("u", "c")], ks=(3, 4))
+        out = run_eval(*one_user(scores), item_ids, {}, [("u", "c")], ks=(3, 4))
         assert out["HR"] == {3: 0.0, 4: 1.0}
 
     def test_duplicate_item_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicates"):
-            full_ranking_eval(*one_user(np.zeros(2)), ["a", "a"], {}, [("u", "a")])
+            run_eval(*one_user(np.zeros(2)), ["a", "a"], {}, [("u", "a")])
 
 
 class TestSeedAggregation:
@@ -267,11 +289,53 @@ class TestAveragingModes:
         heldout = [("a", "i0"), ("a", "i6"), ("b", "i6")]
         matrix, rows = score_matrix(scores)
         args = (matrix, rows, item_ids, {}, heldout)
-        inter = full_ranking_eval(*args, ks=(1,), average="interaction")
-        user = full_ranking_eval(*args, ks=(1,), average="user")
+        inter = run_eval(*args, ks=(1,), average="interaction")
+        user = run_eval(*args, ks=(1,), average="user")
         assert inter["HR"][1] == pytest.approx(2.0 / 3.0)
         assert user["HR"][1] == pytest.approx((0.5 + 1.0) / 2.0)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            full_ranking_eval(*one_user(np.zeros(1)), ["a"], {}, [("u", "a")], average="nope")
+            run_eval(*one_user(np.zeros(1)), ["a"], {}, [("u", "a")], average="nope")
+
+
+class TestOneResolutionPerRun:
+    """A trainer indexes its split and resolves its validation units once per
+    run; each epoch's validation only ranks."""
+
+    def _count(self, monkeypatch, module):
+        calls = {"heldout_units": 0, "full_ranking_eval": 0}
+        for name in calls:
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_pretrain(self, monkeypatch):
+        from multitap import gcn
+        from test_gcn import blocked_split
+
+        calls = self._count(monkeypatch, gcn)
+        split = blocked_split(np.random.default_rng(0), n_users=12, n_items=10, per_user=4)
+        config = gcn.GcnConfig(dim=4, layers=1, epochs=3, patience=3, seed=0)
+        result = gcn.pretrain_id_embeddings(split, config)
+        assert len(result.history) == 3
+        assert calls == {"heldout_units": 1, "full_ranking_eval": 3}
+
+    def test_train_target(self, monkeypatch):
+        from multitap import model
+        from test_model import toy_config, toy_inputs, toy_records
+
+        calls = self._count(monkeypatch, model)
+        rng = np.random.default_rng(0)
+        inputs = toy_inputs(rng)
+        train, valid = toy_records(rng, inputs)
+        result = model.train_target(
+            inputs, train, valid, toy_config(max_epochs=3, patience=3)
+        )
+        assert len(result.history) == 3
+        assert calls == {"heldout_units": 1, "full_ranking_eval": 3}

@@ -200,7 +200,7 @@ class TestPretrain:
 
         # popularity-ranking oracle on the same protocol: every user's row
         # of the score matrix holds the item counts
-        from multitap.evaluate import full_ranking_eval, train_items_by_user
+        from multitap.evaluate import full_ranking_eval, heldout_units, pair_index
 
         counts: dict[str, int] = {}
         for r in split.train:
@@ -208,12 +208,13 @@ class TestPretrain:
         item_ids = result.table.item_ids
         user_ids = result.table.user_ids
         pop_scores = np.array([counts.get(i, 0) for i in item_ids], dtype=float)
+        user_rows = {u: k for k, u in enumerate(user_ids)}
+        _, observed = pair_index(
+            split.train, user_rows, {i: k for k, i in enumerate(item_ids)}
+        )
         pop = full_ranking_eval(
             np.tile(pop_scores, (len(user_ids), 1)),
-            {u: k for k, u in enumerate(user_ids)},
-            item_ids,
-            train_items_by_user(split.train),
-            split.valid,
+            heldout_units(user_rows, item_ids, observed, split.valid),
             ks=[5],
         )
         assert result.best_hr > pop["HR"][5]

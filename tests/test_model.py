@@ -102,8 +102,8 @@ def persona_of(model, rows=None):
 
 def transfer_loss(model, h):
     """The model's mean transfer term over all users, with `h` as their persona rows."""
-    users = list(model.inputs.user_ids)
-    return model._transfer_term(np.arange(len(users)), users, h)[0]
+    rows = np.arange(len(model.inputs.user_ids))
+    return model._transfer_term(rows, rows, h)[0]
 
 
 class TestAggregation:
@@ -210,14 +210,13 @@ class TestDoppelganger:
             assert np.all(W @ S <= S.max(axis=0) + 1e-12)
             assert np.all(np.abs(W.sum(axis=1) - 1.0) < 1e-6)
 
-    def test_non_overlap_user_errors(self):
+    def test_non_overlap_user_is_never_anchored(self):
         rng = np.random.default_rng(9)
         inputs = toy_inputs(rng, n=4)
         inputs.overlap_users = inputs.user_ids[:3]
         inputs.source_user_personas = inputs.source_user_personas[:3]
         model = MultiTapModel(inputs, toy_config())
-        with pytest.raises(KeyError, match="u3"):
-            transfer_loss(model, rng.normal(size=(4, 4)))
+        assert model.source_rows.tolist() == [0, 1, 2, -1]
         # so a batch only anchors its overlapping users
         items = np.array([0, 1, 2, 3])
         with_u3 = model.batch_loss_and_grads(np.array([0, 1, 2, 3]), items, items[::-1])

@@ -272,6 +272,34 @@ class TestDomainDescription:
         ds = self._bulk_domain(40)
         assert len(sample_description_items(ds)) == 40
 
+    def test_persona_temperature_alone_keeps_the_cached_description(self, monkeypatch, tmp_path):
+        from multitap.persona import clients
+
+        monkeypatch.setenv("MULTITAP_API_KEY", "k")
+
+        class TemplateSession:
+            """Answers each chat post with the template generator's description."""
+
+            def __init__(self):
+                self.posts = 0
+
+            def post(self, url, **kwargs):
+                self.posts += 1
+                payload = json.loads(kwargs["json"]["messages"][1]["content"])
+                content = TemplateGenerator().domain_description(payload)
+                return TestRemoteRetries._Response(200, {"choices": [{"message": {"content": content}}]})
+
+        ds = self._bulk_domain(60)
+        cache, session = JsonCache(tmp_path), TemplateSession()
+        descriptions = []
+        for settings in ({"persona_temperature": 0.7}, {"persona_temperature": 0.2},
+                         {"persona_temperature": 0.2, "description_temperature": 0.5}):
+            generator = clients.RemoteGenerator(
+                clients.ClientSettings(mode="remote", **settings), session=session)
+            descriptions.append(build_domain_description(ds, generator, cache))
+        assert session.posts == 2
+        assert descriptions[0] == descriptions[1] == descriptions[2]
+
     def test_fallback_description_deterministic(self):
         ds = self._bulk_domain(60)
         one = build_domain_description(ds, TemplateGenerator())

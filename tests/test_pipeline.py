@@ -259,6 +259,26 @@ class TestEvalOptions:
         assert read_json(out)["checkpoint"] == "target_seed0.ckpt"
 
 
+class TestReportPaths:
+    def test_checkpoint_eval_and_ablate_reproduce_the_eval_report(self, completed_copy):
+        """Eval, a checkpoint eval and ablate's doppelganger row all score the
+        seed-0 model through `_test_report`, and agree to the last bit."""
+        run_dir, config_path = completed_copy
+        pipe = Pipeline(PipelineConfig.from_json(config_path))
+        report = read_json(run_dir / "eval" / "report.json")
+        want = {m["metric"]: m["per_seed"][0] for m in report["metrics"] if m["K"] == 5}
+        ckpt = run_dir / "model" / "target_seed0.ckpt"
+        pipe.stage_eval(checkpoint=str(ckpt))
+        single = read_json(pipe.checkpoint_report_path(ckpt))
+        assert {"HR": single["HR"]["5"], "NDCG": single["NDCG"]["5"]} == want
+        assert pipe.run(["ablate"]) == {"ablate": "ran"}
+        lines = (run_dir / "ablation" / "results.csv").read_text().splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        row = next(r for r in rows if (r["axis"], r["value"], r["seed"]) == (
+            "transfer", "doppelganger", "0"))
+        assert {"HR": float(row["hr@5"]), "NDCG": float(row["ndcg@5"])} == want
+
+
 class TestCliStandaloneIngest:
     def test_ingest_without_config(self, small_fixture, tmp_path, capsys):
         from multitap.cli import main
