@@ -43,14 +43,15 @@ class _JsonErrorParser(argparse.ArgumentParser):
 
 
 def _parse_sweep(text: str) -> tuple[str, list[float]]:
-    """Parse 'lambda=0:2:0.2' into an axis name and an inclusive grid; a
-    malformed text, a non-finite bound or step, a step that is not positive,
-    stop < start, or a grid count that overflows raises ValueError."""
+    """Parse 'lambda=0:2:0.2' into an axis name and the grid from start by
+    step that ends at or before stop; a malformed text, a non-finite bound
+    or step, a step that is not positive, stop < start, or a grid count that
+    overflows raises ValueError."""
     axis, _, rhs = text.partition("=")
     start, stop, step = (float(p) for p in rhs.split(":"))
     if not (0 < step < math.inf and start <= stop and math.isfinite(start + (stop - start) / step)):
         raise ValueError(f"invalid sweep bounds in '{text}'")
-    count = int(round((stop - start) / step)) + 1
+    count = math.floor((stop - start) / step + 1e-9) + 1
     return axis.strip(), [round(start + k * step, 10) for k in range(count)]
 
 
@@ -94,11 +95,15 @@ def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> Pipeli
     return config
 
 
-def _run_stages(config: PipelineConfig, stages: list[str]) -> dict:
+def _run_stages(config: PipelineConfig, stages: list[str], persona_phase: str | None = None):
+    """Run `stages`, then persona up to `persona_phase` if one is given, and
+    print one JSON object of what ran."""
     pipe = Pipeline(config)
-    status = pipe.run(stages)
-    print(json.dumps({"run_dir": config.run_dir, "config_hash": pipe.hash, "stages": status}))
-    return status
+    out = {"run_dir": config.run_dir, "config_hash": pipe.hash, "stages": pipe.run(stages)}
+    if persona_phase:
+        pipe.stage_persona(phase=persona_phase)
+        out["persona_phase"] = persona_phase
+    print(json.dumps(out))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,9 +236,7 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps({"checkpoint": args.checkpoint, "report": str(report)}))
             return 0
         if args.command == "persona" and args.action != "encode":
-            _run_stages(config, stages_through("persona")[:-1])
-            Pipeline(config).stage_persona(phase=args.action)
-            print(json.dumps({"run_dir": config.run_dir, "persona_phase": args.action}))
+            _run_stages(config, stages_through("persona")[:-1], persona_phase=args.action)
             return 0
         if args.command == "run":
             stages = [s.strip() for s in args.stages.split(",") if s.strip()]

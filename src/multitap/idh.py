@@ -57,10 +57,6 @@ class Label(Enum):
     def code(self) -> str:
         return {"LOW": "L", "MEDIUM": "M", "HIGH": "H"}[self.name]
 
-    @classmethod
-    def from_code(cls, code: str) -> "Label":
-        return {"L": cls.LOW, "M": cls.MEDIUM, "H": cls.HIGH}[code]
-
 
 def nearest_rank(sorted_values: Sequence[float], q: float) -> float:
     """q-th quantile by the nearest-rank rule: element at 1-based index ceil(qN)."""

@@ -7,10 +7,12 @@ cache key is the content key of those sections plus the keys of its upstream
 nodes (`PipelineConfig.stage_keys`).  Ingest hashes its inputs' content, not
 their paths, and persona its clients' identities.  The source-domain model
 that train and ablate build on is keyed the same way, as the node "source".
-A node's record, written last, holds its key and the size of every file it
-owns; the node is done only when both match the disk and every upstream node
-is done, so a train-only change reruns train and eval, and a deleted or
-truncated file reruns its node alone.  Sizes, not digests: an edit that keeps
+Persona labels users from the train split itself, as idh does, so idh is a
+leaf: its `criteria` and `report_labels` reach no other key.  A node's
+record, written last, holds its key and the size of every file it owns; the
+node is done only when both match the disk and every upstream node is done,
+so a train-only change reruns train and eval, and a deleted or truncated
+file reruns its node alone.  Sizes, not digests: an edit that keeps
 a file's size is not noticed.  A declared directory is cleared when its node
 starts, so a rebuilt one holds only what the current config writes.  Every
 record, checkpoint manifest and report holds the key of the stage that wrote
@@ -84,7 +86,7 @@ NODES = {
     "split": Node(("ingest",), ("split",), ("split/{side}.json",)),
     "idh": Node(("split",), ("criteria", "report_labels"),
                 ("idh/{side}/bins.json", "idh/{side}/labels.json", "idh/{side}/report/")),
-    "persona": Node(("idh",), ("clients",), tuple(
+    "persona": Node(("split",), ("clients",), tuple(
         f"persona/{{side}}/{f}" for f in ("db.json", "texts.json", "description.txt",
                                           "user_vectors.ckpt", "item_vectors.ckpt"))),
     "pretrain": Node(("split",), ("gcn",), ("backbone/{side}.ckpt",)),
@@ -210,6 +212,10 @@ class PipelineConfig:
             raise ValueError(f"seeds must be nonempty and distinct, got {list(self.seeds)}")
         if not self.eval_ks or any(k < 1 for k in self.eval_ks):
             raise ValueError(f"eval_ks must be nonempty, each >= 1, got {list(self.eval_ks)}")
+        for name in ("eval_ks", "criteria", "report_labels"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must be distinct, got {list(values)}")
         for axis, values in self.ablate.items():
             if not isinstance(values, (list, tuple)):
                 raise ValueError(f"ablate axis '{axis}' must be a list of values, got {values!r}")
@@ -521,25 +527,11 @@ class Pipeline:
             idh_mod.export_idh_report(matrices, base / "report")
         self._mark_done("idh")
 
-    def _load_idh(self, which: str):
-        """What persona reads of idh: the PS bin maps `{category: {item:
-        bin}}` and the label maps of every criterion."""
-        base = self.run_dir / "idh" / which
-        raw_bins = read_json(base / "bins.json").get(Criterion.PS.value, {})
-        price_bins = {cat: entry["bins"] for cat, entry in raw_bins.items()}
-        raw_labels = read_json(base / "labels.json")
-        labels = {
-            Criterion(c): {
-                cat: {u: Label.from_code(code) for u, code in per_user.items()}
-                for cat, per_user in per_cat.items()
-            }
-            for c, per_cat in raw_labels.items()
-        }
-        return price_bins, labels
-
     def stage_persona(self, phase: str = "encode") -> None:
         """Build databases, generate texts and encode vectors.
 
+        The labels of all three metadata criteria and the PS price bins come
+        from the train split, as idh computes them, whatever idh reports on.
         `phase` stops early after "build" (databases only) or "generate"
         (plus texts); only the full "encode" pass marks the stage done.  An
         early phase leaves a done stage alone: its databases and texts are
@@ -552,7 +544,9 @@ class Pipeline:
             train_ds = self._train_dataset(which)
             # no later stage reads the train slice: do not hold it through training
             self._train_datasets.pop(which)
-            price_bins, labels = self._load_idh(which)
+            bins = idh_mod.compute_domain_bins(train_ds)
+            labels = idh_mod.compute_domain_labels(train_ds, bins)
+            price_bins = {cat: a.bins for cat, a in bins[Criterion.PS].items()}
             dbs = persona_mod.build_all_persona_dbs(train_ds, labels)
             base = self.run_dir / "persona" / which
             write_json(base / "db.json", [dbs[u].to_json_dict() for u in sorted(dbs)])

@@ -44,6 +44,11 @@ def generate_personas(user_id, db, assets, history, client, cache=None):
     return generate_all_personas({user_id: db}, assets, {user_id: history}, client, cache)[user_id]
 
 
+def label_from_code(code):
+    """The label a persona database writes as `code` (H, M or L)."""
+    return {label.code: label for label in Label}[code]
+
+
 def make_domain(triples, item_meta=None):
     """triples: (user, item, category, ts)"""
     items = {}
@@ -174,10 +179,10 @@ class TestPersonaDB:
         again = PersonaDB(
             user_id=obj["User ID"],
             labels={
-                criterion: {cat: Label.from_code(code) for cat, code in obj[key].items()}
+                criterion: {cat: label_from_code(code) for cat, code in obj[key].items()}
                 for criterion, key in _JSON_KEYS.items()
             },
-            diversity=Label.from_code(obj["cats_interaction_diversity"]),
+            diversity=label_from_code(obj["cats_interaction_diversity"]),
         )
         assert again == db
 

@@ -195,6 +195,16 @@ class TestCli:
         assert len(values) == 11
         assert values[0] == 0.0 and values[-1] == 2.0
 
+    @pytest.mark.parametrize(
+        "text, grid",
+        [("lambda=0:1:0.6", [0.0, 0.6]), ("lambda=0:1:0.3", [0.0, 0.3, 0.6, 0.9]),
+         ("lambda=0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]), ("tau=0.5:1:0.5", [0.5, 1.0])],
+    )
+    def test_sweep_grid_ends_at_or_before_stop(self, text, grid):
+        from multitap.cli import _parse_sweep
+
+        assert _parse_sweep(text)[1] == grid
+
     def test_cli_ingest_and_split(self, small_fixture, tmp_path, capsys):
         from multitap.cli import main
         from multitap.util import write_json
@@ -224,6 +234,20 @@ class TestPersonaPhases:
         pipe.stage_persona(phase="encode")
         assert (base / "user_vectors.ckpt").exists()
         assert pipe._is_done("persona")
+
+    @pytest.mark.parametrize("phase", ["build", "generate"])
+    def test_early_phase_prints_one_object(self, small_fixture, tmp_path, capsys, phase):
+        _, paths = small_fixture
+        config_path = tmp_path / "config.json"
+        write_json(config_path, small_config_dict(paths, tmp_path / "run"))
+        code, captured = cli(capsys, "persona", phase, "--config", config_path)
+        assert code == 0, captured.err
+        assert json.loads(captured.out) == {
+            "run_dir": str(tmp_path / "run"),
+            "config_hash": PipelineConfig.from_json(config_path).config_hash(),
+            "stages": {"ingest": "ran", "split": "ran"},
+            "persona_phase": phase,
+        }
 
 
 class TestEvalOptions:
@@ -331,8 +355,8 @@ class TestStageKeys:
         [
             (lambda c: c["target"].update(domain_id="other"), ALL_KEYED | {"ingest"}),
             (lambda c: c["split"].update(valid_fraction=0.4), ALL_KEYED),
-            (lambda c: c.update(criteria=["ps", "qp"]),
-             {"idh", "persona", "source", "train", "eval", "ablate"}),
+            (lambda c: c.update(criteria=["ps", "qp"]), {"idh"}),
+            (lambda c: c.update(report_labels=["high"]), {"idh"}),
             (lambda c: c["client"].update(seed=8), {"persona", "source", "train", "eval", "ablate"}),
             (lambda c: c["gcn"].update(epochs=3), {"pretrain", "source", "train", "eval", "ablate"}),
             (lambda c: c["source_train"].update(max_epochs=3), {"source", "train", "eval", "ablate"}),
@@ -340,7 +364,8 @@ class TestStageKeys:
             (lambda c: c.update(eval_ks=[5, 10]), {"eval"}),
             (lambda c: c.update(ablate={"lambda": [0.0, 1.0]}), {"ablate"}),
         ],
-        ids=["target.domain_id", "split.valid_fraction", "criteria", "client.seed", "gcn.epochs",
+        ids=["target.domain_id", "split.valid_fraction", "criteria", "report_labels",
+             "client.seed", "gcn.epochs",
              "source_train.max_epochs", "train.lambda_dpl", "eval_ks", "ablate"],
     )
     def test_field_changes_exactly_its_downstream_keys(self, small_fixture, tmp_path, edit, changed):
@@ -631,6 +656,47 @@ class TestNodeTable:
         assert not [rel for rel in reused if "_pb_" in rel]
 
 
+class TestIdhIsALeaf:
+    """Persona labels users from the split itself, so what idh reports on
+    reaches idh alone."""
+
+    def test_train_does_not_request_idh(self):
+        assert "idh" not in stages_through("train")
+
+    @pytest.mark.parametrize(
+        "edit", [lambda c: c.update(report_labels=["high"]), lambda c: c.update(criteria=["ps"])],
+        ids=["report_labels", "criteria"],
+    )
+    def test_report_setting_reruns_idh_alone(self, completed_copy, small_fixture, edit):
+        _, paths = small_fixture
+        run_dir, _ = completed_copy
+        before = snapshot(run_dir)
+        config = small_config_dict(paths, run_dir)
+        edit(config)
+        status = Pipeline(PipelineConfig.from_dict(config)).run(RUN_STAGES)
+        assert status == {**{s: "cached" for s in RUN_STAGES}, "idh": "ran"}
+        after = snapshot(run_dir)
+        assert {rel for rel in before.keys() | after.keys()
+                if before.get(rel) != after.get(rel) and not rel.startswith("idh/")} == set()
+
+    def test_single_criterion_run_matches_the_default_outside_idh(
+        self, completed_run, small_fixture, tmp_path
+    ):
+        _, paths = small_fixture
+        _, run_dir, _ = completed_run
+        config = small_config_dict(paths, tmp_path / "ps")
+        config["criteria"] = ["ps"]
+        status = Pipeline(PipelineConfig.from_dict(config)).run(RUN_STAGES)
+        assert status == {s: "ran" for s in RUN_STAGES}
+        single, default = snapshot(tmp_path / "ps"), snapshot(run_dir)
+        assert {rel: data for rel, data in single.items() if rel.startswith("persona/")} == {
+            rel: data for rel, data in default.items() if rel.startswith("persona/")}
+        assert "eval/report.json" in single
+        for rel, data in single.items():
+            if not rel.startswith("idh/"):
+                assert default[rel] == data, f"{rel} differs from the default-criteria run"
+
+
 class TestInputsInKey:
     @pytest.fixture
     def own_inputs(self, small_fixture, tmp_path):
@@ -679,16 +745,16 @@ class TestPersonaPhaseAfterDoneStage:
         assert snapshot(run_dir / "persona") == before
 
 
-# What each subcommand ran before its stage list came from the stage graph.
+# The stages each subcommand requests: its own and every stage upstream of it.
 SUBCOMMAND_STAGES = {
     "ingest": ["ingest"],
     "split": ["ingest", "split"],
     "idh": ["ingest", "split", "idh"],
-    "persona": ["ingest", "split", "idh", "persona"],
+    "persona": ["ingest", "split", "persona"],
     "pretrain": ["ingest", "split", "pretrain"],
-    "train": ["ingest", "split", "idh", "persona", "pretrain", "train"],
-    "eval": ["ingest", "split", "idh", "persona", "pretrain", "train", "eval"],
-    "ablate": ["ingest", "split", "idh", "persona", "pretrain", "ablate"],
+    "train": ["ingest", "split", "persona", "pretrain", "train"],
+    "eval": ["ingest", "split", "persona", "pretrain", "train", "eval"],
+    "ablate": ["ingest", "split", "persona", "pretrain", "ablate"],
 }
 
 
@@ -928,6 +994,12 @@ class TestConfigChecks:
              "eval_ks must be nonempty, each >= 1, got [0, -3]"),
             (["eval"], lambda c: c.update(eval_ks=[]), "eval_ks must be nonempty, each >= 1, got []"),
             (["eval", "--k", "5,0"], None, "eval_ks must be nonempty, each >= 1, got [5, 0]"),
+            (["eval"], lambda c: c.update(eval_ks=[5, 5]), "eval_ks must be distinct, got [5, 5]"),
+            (["eval", "--k", "10,5,10"], None, "eval_ks must be distinct, got [10, 5, 10]"),
+            (["idh"], lambda c: c.update(criteria=["ps", "ps"]),
+             "criteria must be distinct, got ['ps', 'ps']"),
+            (["idh", "--labels", "high,high"], None,
+             "report_labels must be distinct, got ['high', 'high']"),
             (["train"], lambda c: c["train"].update(eval_k=0), "eval_k must be >= 1, got 0"),
             (["train"], lambda c: c["source_train"].update(eval_k=-1),
              "eval_k must be >= 1, got -1"),
@@ -975,7 +1047,9 @@ class TestConfigChecks:
             (["run"], lambda c: c["train"].update(weight_decay=-1e-4),
              "weight_decay must be nonnegative"),
         ],
-        ids=["no_seeds", "repeated_seed", "eval_ks", "no_eval_ks", "eval_k_flag", "train_eval_k",
+        ids=["no_seeds", "repeated_seed", "eval_ks", "no_eval_ks", "eval_k_flag",
+             "repeated_eval_k", "repeated_eval_k_flag", "repeated_criterion",
+             "repeated_label_flag", "train_eval_k",
              "source_train_eval_k", "gcn_eval_k", "boundary_flag", "boundary_bool",
              "valid_fraction_flag", "valid_fraction_zero",
              "number_as_string", "integer_as_string", "bool_as_integer", "bool_as_number",
