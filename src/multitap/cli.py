@@ -65,11 +65,13 @@ def _comma_list(convert=str):
 
 
 def _expecting(convert, expected: str):
-    """A flag type whose usage error names the form it expects, not `convert`."""
+    """A flag type whose usage error names the form it expects; NaN and infinities fail too."""
 
     def parse(text: str):
         try:
-            return convert(text)
+            if isinstance(value := convert(text), float) and not math.isfinite(value):
+                raise ValueError(text)
+            return value
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
 

@@ -200,11 +200,15 @@ class ParameterStore:
         return {k: v.copy() for k, v in self.params.items()}
 
     def load_params(self, params: dict[str, Array]) -> None:
+        """Set every parameter from `params` once it holds each, at its shape, and no other."""
         for name, value in params.items():
             if name not in self.params:
                 raise KeyError(f"unknown parameter '{name}'")
             if self.params[name].shape != value.shape:
                 raise ValueError(f"shape mismatch loading '{name}'")
+        if missing := sorted(self.params.keys() - params.keys()):
+            raise KeyError(f"missing parameter {', '.join(map(repr, missing))}")
+        for name, value in params.items():
             self.params[name][...] = value
 
 
@@ -355,26 +359,28 @@ def read_container(
     path: str | Path, names: Collection[str] | None = None
 ) -> tuple[dict[str, Array], dict[str, Any]]:
     """The arrays and JSON values of the container at `path`, only those
-    named in `names` when given; only the wanted arrays are read from disk."""
+    named in `names` when given; only the wanted arrays are read from disk.
+    Each ValueError (a wrong magic or version, data cut short) names the file."""
     with open(path, "rb") as fh:
-        prefix = fh.read(len(_CKPT_MAGIC) + 8)
-        if len(prefix) < len(_CKPT_MAGIC) + 8 or prefix[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
-            raise ValueError(f"{path} is not a multitap checkpoint")
-        ver, hlen = struct.unpack_from("<II", prefix, len(_CKPT_MAGIC))
-        if ver != _CKPT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {ver}")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        base = len(prefix) + hlen
-        values = {
-            key: value for key, value in header.get("json", {}).items()
-            if names is None or key in names
-        }
-        arrays: dict[str, Array] = {}
-        for entry in header["tensors"]:
-            if names is None or entry["name"] in names:
-                fh.seek(base + entry["offset"])
-                flat = np.fromfile(fh, dtype="<f8", count=entry["nbytes"] // 8)
-                arrays[entry["name"]] = flat.reshape(entry["shape"]).astype(np.float64, copy=False)
+        try:
+            prefix = fh.read(len(_CKPT_MAGIC) + 8)
+            if len(prefix) < len(_CKPT_MAGIC) + 8 or prefix[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
+                raise ValueError("not a multitap checkpoint")
+            ver, hlen = struct.unpack_from("<II", prefix, len(_CKPT_MAGIC))
+            if ver != _CKPT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {ver}")
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+            base = len(prefix) + hlen
+            values = {key: value for key, value in header.get("json", {}).items()
+                      if names is None or key in names}
+            arrays: dict[str, Array] = {}
+            for entry in header["tensors"]:
+                if names is None or entry["name"] in names:
+                    fh.seek(base + entry["offset"])
+                    flat = np.fromfile(fh, dtype="<f8", count=entry["nbytes"] // 8)
+                    arrays[entry["name"]] = flat.reshape(entry["shape"]).astype(float, copy=False)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     return arrays, values
 
 

@@ -56,7 +56,7 @@ class JsonCache:
             try:
                 arrays, values = read_container(path, wanted - found.keys())
             except ValueError as exc:  # bad magic, a header or arrays cut short
-                logger.warning("cache shard %s cannot be read, recomputing: %s", path, exc)
+                logger.warning("cache shard cannot be read, recomputing: %s", exc)
                 continue
             found.update(values)
             found.update(arrays)

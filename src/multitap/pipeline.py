@@ -7,6 +7,9 @@ cache key is the content key of those sections plus the keys of its upstream
 nodes (`PipelineConfig.stage_keys`).  Ingest hashes its inputs' content, not
 their paths, and persona its clients' identities.  The source-domain model
 that train and ablate build on is keyed the same way, as the node "source".
+Both take each target run from `_runs`, which serves it from the run store
+(`cache/runs/`, keyed by the source key and the trainer, seed included) or
+trains and stores it, so ablate reuses train's runs.
 Persona labels users from the train split itself, as idh does, so idh is a
 leaf: its `criteria` and `report_labels` reach no other key.  A node's
 record, written last, holds its key and the size of every file it owns; the
@@ -60,6 +63,7 @@ from .model import (
     TrainConfig,
     train_target,
 )
+from .persona.cache import cache_batch
 from .persona.clients import CLIENT_MODES, ClientSettings, build_clients
 from .util import atomic_write_text, content_key, file_sha256, read_json, write_json
 
@@ -300,10 +304,10 @@ def _from_fields(cls, obj, path: str = ""):
 
 
 def _typed(value, hint, path: str):
-    """`value` as the config field at `path`, declared `hint`, takes it.  A
-    bool is neither an int nor a float; an int in a float field is kept as
-    it is, so no stage key changes; a list stands for a tuple.  A field of
-    two kinds (`split.boundary`) is left to its class's own check."""
+    """`value` as the config field at `path`, declared `hint`, takes it.  A bool is
+    neither an int nor a float, and NaN and the infinities are no number; an int in
+    a float field is kept as it is, so no stage key changes; a list stands for a
+    tuple.  A field of two kinds (`split.boundary`) is left to its class's own check."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:  # tuple[T, ...]
         if not isinstance(value, (list, tuple)):
@@ -317,6 +321,8 @@ def _typed(value, hint, path: str):
         return _from_fields(kind, value, path)
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise ValueError(f"{path} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ValueError(f"{path} must be a finite number, got {value!r}")
     return value
 
 
@@ -339,6 +345,7 @@ class Pipeline:
         cache_dir = config.cache_dir or str(self.run_dir / "cache")
         self.text_cache = persona_mod.JsonCache(Path(cache_dir) / "texts")
         self.vector_cache = persona_mod.JsonCache(Path(cache_dir) / "vectors")
+        self.run_cache = persona_mod.JsonCache(Path(cache_dir) / "runs")
         self._domains: dict[str, DomainDataset] = {}
         self._splits: dict[str, SplitBundle] = {}
         self._train_datasets: dict[str, DomainDataset] = {}
@@ -700,6 +707,33 @@ class Pipeline:
         split = self._split("target")
         return train_target(inputs, split.train, split.valid, cfg)
 
+    def _runs(self, inputs: ModelInputs, points: Sequence[tuple[int, dict]]) -> list:
+        """Each (seed, overrides) point's trainer, parameters and run record
+        ("history", "best_epoch"), served from the run store under the key of
+        the source model and the trainer, or trained and stored in one shard."""
+        configs = [dataclasses.replace(self.config.train, seed=s, **over) for s, over in points]
+        keys = [content_key({"source": self.keys["source"], "run": _json_data(c)}) for c in configs]
+        with cache_batch(self.run_cache, keys) as (stored, new):
+            served = [f"{k}/{n}" for k in set(keys) & stored.keys() for n in stored[k]["params"]]
+            if served:  # the stored runs' tensors, in one more read
+                stored.update(self.run_cache.get(served) or {})
+            for key, (seed, overrides) in zip(keys, points):
+                if key not in stored:
+                    result = self._train_one(inputs, seed, overrides)
+                    new[key] = {"params": sorted(result.model.store.params),
+                                "history": result.history, "best_epoch": result.best_epoch}
+                    new.update((f"{key}/{n}", v) for n, v in result.model.store.params.items())
+                    stored.update(new)
+                    del result  # one model alive at a time
+        return [(cfg, {n: stored[f"{key}/{n}"] for n in stored[key]["params"]}, stored[key])
+                for key, cfg in zip(keys, configs)]
+
+    def _model(self, inputs: ModelInputs, cfg: TrainConfig, params: dict) -> MultiTapModel:
+        """The target model under `cfg` holding `params`, all of them checked."""
+        model = MultiTapModel(inputs, cfg)
+        model.store.load_params(params)
+        return model
+
     def _test_report(
         self, model: MultiTapModel, ks: Sequence[int], which_split: str = "test"
     ) -> dict:
@@ -713,30 +747,19 @@ class Pipeline:
         self._ensure_source_tables("train")
         self._begin("train")
         inputs = self._target_inputs_with_transfer()
-        for seed in self.config.seeds:
-            result = self._train_one(inputs, seed)
-            save_checkpoint(
-                self.run_dir / "model" / f"target_seed{seed}.ckpt",
-                result.model.store.params,
-                {
-                    "stage_key": self.keys["train"],
-                    "seed": seed,
-                    "best_epoch": result.best_epoch,
-                },
-            )
-            lines = [json.dumps(row, sort_keys=True) for row in result.history]
-            atomic_write_text(
-                self.run_dir / "model" / f"metrics_seed{seed}.jsonl",
-                "\n".join(lines) + "\n",
-            )
+        for cfg, params, run in self._runs(inputs, [(seed, {}) for seed in self.config.seeds]):
+            save_checkpoint(self.run_dir / "model" / f"target_seed{cfg.seed}.ckpt", params,
+                            {"stage_key": self.keys["train"], "seed": cfg.seed,
+                             "best_epoch": run["best_epoch"]})
+            lines = [json.dumps(row, sort_keys=True) for row in run["history"]]
+            atomic_write_text(self.run_dir / "model" / f"metrics_seed{cfg.seed}.jsonl",
+                              "\n".join(lines) + "\n")
         self._mark_done("train")
 
     def _eval_checkpoint(self, path: Path, inputs: ModelInputs, ks, which_split: str) -> dict:
         arrays, manifest = load_checkpoint(path)
         cfg = dataclasses.replace(self.config.train, seed=manifest.get("seed", 0))
-        model = MultiTapModel(inputs, cfg)
-        model.store.load_params(arrays)
-        return self._test_report(model, ks, which_split)
+        return self._test_report(self._model(inputs, cfg, arrays), ks, which_split)
 
     def checkpoint_report_path(self, checkpoint: str | Path) -> Path:
         return self.run_dir / "eval" / f"checkpoint_{Path(checkpoint).stem}.json"
@@ -778,26 +801,15 @@ class Pipeline:
         self._begin("ablate")
         inputs = self._target_inputs_with_transfer()
         k = self.config.train.eval_k
-        rows = []
-        for axis, value, overrides in ablation_grid(self.config.ablate):
-            for seed in self.config.seeds:
-                result = self._train_one(inputs, seed, overrides)
-                report = self._test_report(result.model, [k])
-                rows.append(
-                    {
-                        "axis": axis,
-                        "value": value,
-                        "seed": seed,
-                        f"hr@{k}": report["HR"][k],
-                        f"ndcg@{k}": report["NDCG"][k],
-                    }
-                )
-        header = ["axis", "value", "seed", f"hr@{k}", f"ndcg@{k}"]
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(str(row[h]) for h in header))
+        grid = [(axis, value, seed, over) for axis, value, over in ablation_grid(self.config.ablate)
+                for seed in self.config.seeds]
+        runs = self._runs(inputs, [(seed, over) for *_, seed, over in grid])
+        lines = [f"axis,value,seed,hr@{k},ndcg@{k}"]
+        for (*row, _), (cfg, params, _) in zip(grid, runs):
+            report = self._test_report(self._model(inputs, cfg, params), [k])
+            lines.append(",".join(map(str, (*row, report["HR"][k], report["NDCG"][k]))))
         atomic_write_text(self.run_dir / "ablation" / "results.csv", "\n".join(lines) + "\n")
-        self._mark_done("ablate", {"runs": len(rows)})
+        self._mark_done("ablate", {"runs": len(runs)})
 
     # -- runner ---------------------------------------------------------------
 

@@ -6,6 +6,8 @@ and adjoint contracts are checked here on `MultiTapModel`."""
 import hashlib
 import json
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -87,6 +89,33 @@ class TestAffine:
             store.load_params({"head_w": np.zeros((4, 4))})
         with pytest.raises(ValueError):
             affine(store, "head", np.zeros((2, 4)))
+
+
+class TestLoadParams:
+    """`load_params` sets every parameter or, when one is unknown, misshapen or
+    missing, none."""
+
+    @pytest.mark.parametrize("params, error, message", [
+        ({"head_w": np.ones((5, 4))}, KeyError, "missing parameter 'head_b'"),
+        ({"head_w": np.ones((5, 4)), "head_b": np.ones(3)}, ValueError,
+         "shape mismatch loading 'head_b'"),
+        ({"head_w": np.ones((5, 4)), "other": np.ones(2)}, KeyError, "unknown parameter 'other'"),
+    ], ids=["missing", "shape-before-any-write", "unknown-before-missing"])
+    def test_rejected_dict_sets_nothing(self, params, error, message):
+        store = affine_store(np.random.default_rng(0), 5, 4)
+        before = store.copy_params()
+        with pytest.raises(error, match=re.escape(message)):
+            store.load_params(params)
+        for name, value in before.items():
+            np.testing.assert_array_equal(store.params[name], value)
+
+    def test_model_checkpoint_without_a_mask_is_rejected(self):
+        """What aggregation `mean` saves lacks `agg.mask`: a `self_attn` model
+        does not keep its random mask in its place."""
+        inputs = toy_inputs(np.random.default_rng(4), n=4)
+        mean = MultiTapModel(inputs, toy_config(aggregation="mean")).store.copy_params()
+        with pytest.raises(KeyError, match="agg.mask"):
+            MultiTapModel(inputs, toy_config()).store.load_params(mean)
 
 
 class TestBpr:
@@ -607,6 +636,21 @@ class TestContainer:
         path = tmp_path / "c.bin"
         path.write_bytes(pack_container({"v": np.ones(3)}, {"t": "x"}))
         assert read_container(path, set()) == ({}, {})
+
+    @pytest.mark.parametrize("damage", ["cut-in-tensor", "cut-in-header", "version", "magic"])
+    def test_every_value_error_names_the_file(self, tmp_path, damage):
+        data = pack_container({"w": np.ones((64, 64))}, {"t": "x"})
+        header_end = 16 + struct.unpack_from("<I", data, 12)[0]
+        damaged = {
+            "cut-in-tensor": data[: header_end + 13 * 8],
+            "cut-in-header": data[: header_end - 5],
+            "version": data[:8] + struct.pack("<I", 2) + data[12:],
+            "magic": b"NOTACKPT" + data[8:],
+        }[damage]
+        path = tmp_path / "damaged.ckpt"
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_container(path)
 
     def test_values_key_omitted_when_empty(self):
         assert pack_container({"a": np.ones(2)}) == pack_container({"a": np.ones(2)}, {})

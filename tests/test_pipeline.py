@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import logging
+import math
 import os
 import shutil
 from pathlib import Path
@@ -597,6 +598,87 @@ class TestStageReuse:
         assert read_json(run_dir / "eval" / "checkpoint_target_seed0.json")["checkpoint"] == ckpt.name
 
 
+def count_target_runs(monkeypatch) -> list:
+    """The trainer of every target run the pipeline's `train_target` trains
+    from now on; the source model, trained on inputs without source tables,
+    is left out."""
+    calls = []
+    train = pipeline_mod.train_target
+
+    def counted(inputs, *args):
+        if inputs.source_user_personas is not None:
+            calls.append(args[-1])
+        return train(inputs, *args)
+
+    monkeypatch.setattr(pipeline_mod, "train_target", counted)
+    return calls
+
+
+def model_files(run_dir: Path) -> dict[str, bytes]:
+    return {rel: data for rel, data in snapshot(run_dir).items() if rel.startswith("model/")}
+
+
+class TestRunStore:
+    """Train and ablate take their target runs from one run store under cache/runs/."""
+
+    def test_ablate_after_train_trains_only_the_runs_train_did_not(
+        self, small_fixture, tmp_path, monkeypatch
+    ):
+        _, paths = small_fixture
+        config = small_config_dict(paths, tmp_path / "run")
+        config["seeds"] = [0, 1, 2, 3, 4]
+        pipe = Pipeline(PipelineConfig.from_dict(config))
+        calls = count_target_runs(monkeypatch)
+        pipe.run(RUN_STAGES)
+        assert len(calls) == 5
+        calls.clear()
+        assert pipe.run(["ablate"]) == {"ablate": "ran"}
+        # the default grid is doppelganger vs none: train made every doppelganger run
+        assert [(cfg.transfer, cfg.seed) for cfg in calls] == [("none", s) for s in range(5)]
+        report = read_json(tmp_path / "run" / "eval" / "report.json")
+        per_seed = next(m["per_seed"] for m in report["metrics"]
+                        if (m["metric"], m["K"]) == ("HR", 5))
+        lines = (tmp_path / "run" / "ablation" / "results.csv").read_text().splitlines()
+        served = [float(line.split(",")[3]) for line in lines[1:] if ",doppelganger," in line]
+        assert served == per_seed
+
+    def test_train_moved_back_to_an_earlier_lambda_trains_nothing(
+        self, completed_copy, capsys, monkeypatch
+    ):
+        run_dir, config_path = completed_copy
+        assert read_json(config_path)["train"]["lambda_dpl"] == 1.4
+        first = model_files(run_dir)
+        code, captured = cli(capsys, "train", "--config", config_path, "--lambda", "1.0")
+        assert code == 0, captured.err
+        assert model_files(run_dir) != first
+        calls = count_target_runs(monkeypatch)
+        code, captured = cli(capsys, "train", "--config", config_path, "--lambda", "1.4")
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["stages"]["train"] == "ran"
+        assert calls == []
+        assert model_files(run_dir) == first
+
+    def test_damaged_run_shard_is_trained_again(
+        self, completed_copy, small_fixture, tmp_path, caplog, monkeypatch
+    ):
+        _, paths = small_fixture
+        run_dir, config_path = completed_copy
+        intact = tmp_path / "intact"
+        shutil.copytree(run_dir, intact)
+        Pipeline(PipelineConfig.from_dict(small_config_dict(paths, intact))).run(["ablate"])
+        (shard,) = (run_dir / "cache" / "runs").glob("*.pack")  # train's one run
+        with open(shard, "r+b") as fh:
+            fh.truncate(100)
+        calls = count_target_runs(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="multitap.persona.cache"):
+            assert Pipeline(PipelineConfig.from_json(config_path)).run(["ablate"]) == {
+                "ablate": "ran"}
+        assert [(cfg.transfer, cfg.seed) for cfg in calls] == [("doppelganger", 0), ("none", 0)]
+        assert str(shard) in caplog.text
+        results = "ablation/results.csv"
+        assert (run_dir / results).read_bytes() == (intact / results).read_bytes()
+
+
 class TestNodeTable:
     def test_every_run_dir_file_is_declared(self, small_fixture, tmp_path):
         """After a run plus ablate, every file outside cache/ is a manifest
@@ -846,6 +928,9 @@ class TestCliErrors:
             "expected a sweep like name=start:stop:step, got 'lambda=0:inf:1'",
         "ablate --sweep lambda=0:1e300:1e-300":
             "expected a sweep like name=start:stop:step, got 'lambda=0:1e300:1e-300'",
+        "train --lambda nan": "expected a number, got 'nan'",
+        "train --tau inf": "expected a number, got 'inf'",
+        "split --valid-fraction=-Infinity": "expected a number, got '-Infinity'",
     }
 
     @pytest.mark.parametrize(
@@ -859,6 +944,9 @@ class TestCliErrors:
             (["ablate", "--sweep", "lambda=a:1:1"], "--sweep"),
             (["ablate", "--sweep", "lambda=0:inf:1"], "--sweep"),
             (["ablate", "--sweep", "lambda=0:1e300:1e-300"], "--sweep"),
+            (["train", "--lambda", "nan"], "--lambda"),
+            (["train", "--tau", "inf"], "--tau"),
+            (["split", "--valid-fraction=-Infinity"], "--valid-fraction"),
         ],
     )
     def test_rejected_flag_value_prints_json_error(self, capsys, argv, flag):
@@ -1046,6 +1134,19 @@ class TestConfigChecks:
              "learning_rate and epsilon must be positive"),
             (["run"], lambda c: c["train"].update(weight_decay=-1e-4),
              "weight_decay must be nonnegative"),
+            # JSON NaN and Infinity parse as floats; a number field rejects them
+            (["run"], lambda c: c["train"].update(lambda_dpl=math.nan),
+             "train.lambda_dpl must be a finite number, got nan"),
+            (["run"], lambda c: c["train"].update(learning_rate=math.nan),
+             "train.learning_rate must be a finite number, got nan"),
+            (["run"], lambda c: c["client"].update(persona_temperature=math.nan),
+             "client.persona_temperature must be a finite number, got nan"),
+            (["run"], lambda c: c["train"].update(tau=math.inf),
+             "train.tau must be a finite number, got inf"),
+            (["run"], lambda c: c["gcn"].update(learning_rate=math.inf),
+             "gcn.learning_rate must be a finite number, got inf"),
+            (["run"], lambda c: c["source_train"].update(weight_decay=-math.inf),
+             "source_train.weight_decay must be a finite number, got -inf"),
         ],
         ids=["no_seeds", "repeated_seed", "eval_ks", "no_eval_ks", "eval_k_flag",
              "repeated_eval_k", "repeated_eval_k_flag", "repeated_criterion",
@@ -1056,7 +1157,9 @@ class TestConfigChecks:
              "float_as_integer", "string_as_number", "seed_as_string", "list_as_integer",
              "section_as_list", "misspelt_field", "missing_section", "missing_field",
              "gcn_dim", "gcn_layers", "fused_dim", "persona_out_dim", "parallelism", "chunk_size",
-             "persona_dim", "train_learning_rate", "gcn_learning_rate", "weight_decay"],
+             "persona_dim", "train_learning_rate", "gcn_learning_rate", "weight_decay",
+             "nan_lambda", "nan_learning_rate", "nan_persona_temperature", "inf_tau",
+             "inf_gcn_learning_rate", "minus_inf_weight_decay"],
     )
     def test_unusable_value_is_rejected_before_any_stage(
         self, small_fixture, tmp_path, capsys, argv, edit, message
