@@ -86,10 +86,13 @@ class TrainConfig:
             raise ValueError(f"unknown aggregation mode '{self.aggregation}'")
         if self.transfer not in TRANSFER_MODES:
             raise ValueError(f"unknown transfer mode '{self.transfer}'")
-        if self.lambda_dpl < 0:
+        # written so that NaN fails each check
+        if not self.lambda_dpl >= 0:
             raise ValueError("lambda must be nonnegative")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError("tau must be positive")
+        if not self.tau < np.inf:
+            raise ValueError("tau must be finite")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError("dropout must lie in [0, 1)")
         check_loop_settings(self, "max_epochs", fused_dim=1, persona_out_dim=1)

@@ -18,14 +18,11 @@ from .encoding import (
     item_semantic_text,
 )
 from .generation import (
-    PersonaText,
+    build_domain_description,
     generate_all_personas,
     parse_persona_response,
 )
 from .prompts import (
-    PromptAssets,
-    build_domain_description,
-    build_prompt_assets,
     description_payload,
     persona_payload,
     recent_history,
@@ -40,14 +37,11 @@ __all__ = [
     "HashingEncoder",
     "JsonCache",
     "PersonaDB",
-    "PersonaText",
-    "PromptAssets",
     "RemoteEncoder",
     "RemoteGenerator",
     "TemplateGenerator",
     "build_all_persona_dbs",
     "build_domain_description",
-    "build_prompt_assets",
     "description_payload",
     "encode_item_batch",
     "encode_personas",

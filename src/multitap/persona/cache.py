@@ -13,7 +13,9 @@ Only `*.pack` files are read.  Temp files of an interrupted write, the
 `*.shard` files of the previous shard format and the per-key `*.json` files
 of the layout before it are ignored, so a cache written by either older
 layout is rebuilt once.  A damaged shard holds nothing: a warning names it,
-and its batch, run again, rewrites it whole under its name.
+the shard is deleted, and the entries looked up in it are computed and
+written again.  A batch that writes the same entries writes the same bytes,
+so such a shard comes back whole under its own name.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ class JsonCache:
             try:
                 arrays, values = read_container(path, wanted - found.keys())
             except ValueError as exc:  # bad magic, a header or arrays cut short
-                logger.warning("cache shard cannot be read, recomputing: %s", exc)
+                logger.warning("cache shard cannot be read, deleting it and recomputing: %s", exc)
+                path.unlink(missing_ok=True)
                 continue
             found.update(values)
             found.update(arrays)

@@ -88,8 +88,6 @@ class TemplateGenerator:
     """Offline verbalizer: maps each (criterion, category, label) to a fixed
     sentence, so identical inputs always produce identical texts."""
 
-    provenance = "template"
-
     def __init__(self):
         self.identity = self.description_identity = "template-v1"
         self.calls = 0
@@ -234,8 +232,6 @@ class _RemoteBase:
 
 
 class RemoteGenerator(_RemoteBase):
-    provenance = "llm"
-
     def __init__(self, settings: ClientSettings, session=None):
         super().__init__(settings, session)
         self.identity = (f"remote-{settings.chat_model}-t{float(settings.persona_temperature)}"

@@ -2,14 +2,16 @@
 
 `encode_texts` is the one encoder path: each distinct text is keyed by its
 content and the encoder identity, and encoded and cached once.
-`encode_personas` returns a (U, 5, d) array, each user's rows in
-`CRITERIA_ORDER`; `encode_item_batch` an (I, d) array, each item encoded
-from the domain description concatenated with its category.
+`encode_personas` flattens each user's `{criterion value: text}` map, as
+`generation.generate_all_personas` returns it, into a (U, 5, d) array, each
+user's rows in `CRITERIA_ORDER`; `encode_item_batch` returns an (I, d)
+array, each item encoded from the domain description concatenated with its
+category.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -18,7 +20,6 @@ from ..idh import CRITERIA_ORDER
 from ..util import content_key
 from .cache import JsonCache, cache_batch
 from .clients import EncoderClient
-from .generation import PersonaText
 
 
 def encode_texts(texts: Sequence[str], encoder: EncoderClient, chunk_size: int = 256,
@@ -45,17 +46,17 @@ def encode_texts(texts: Sequence[str], encoder: EncoderClient, chunk_size: int =
 
 
 def encode_personas(
-    texts: Sequence[PersonaText],
+    texts: Sequence[Mapping[str, str]],
     encoder: EncoderClient,
     cache: JsonCache | None = None,
     chunk_size: int = 256,
 ) -> np.ndarray:
     """The (U, 5, d) vectors of each user's five criterion texts."""
     for text in texts:
-        missing = [c.value for c in CRITERIA_ORDER if c not in text.texts]
+        missing = [c.value for c in CRITERIA_ORDER if c.value not in text]
         if missing:
             raise ValueError(f"persona texts missing criteria: {missing}")
-    flat = [s for text in texts for s in text.ordered_texts()]
+    flat = [text[c.value] for text in texts for c in CRITERIA_ORDER]
     vectors = encode_texts(flat, encoder, chunk_size, cache)
     return vectors.reshape(len(texts), len(CRITERIA_ORDER), encoder.dim)
 

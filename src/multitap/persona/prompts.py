@@ -1,23 +1,20 @@
-"""Prompt assets: system prompts, domain descriptions and payload builders.
+"""Prompt inputs: system prompts, offline templates and payload builders.
 
 The generation payloads use a fixed key vocabulary (the per-criterion level
 map keys of `LEVEL_MAP_KEYS`, `overall_category_diversity`, `History`) and
 the structured output carries exactly five named persona fields.  The same
 payloads drive both the remote chat client and the deterministic template
-client, so the parser downstream is shared.
+client, so one parser reads both (`generation.parse_persona_response`).
+The description payload samples a domain's items
+(`sample_description_items`); `generation` asks for and caches both texts.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..corpus import DomainDataset, InteractionRecord, ItemMeta
-from ..errors import MalformedResponseError
 from ..idh import Criterion, Label
-from ..util import content_key
-from .cache import JsonCache, cache_batch
 
 PERSONA_SYSTEM_PROMPT = (
     "You analyze e-commerce users. From the given domain, domain description, "
@@ -149,12 +146,6 @@ DESCRIPTION_ITEMS = 100
 HISTORY_LIMIT = 30
 
 
-@dataclass
-class PromptAssets:
-    domain_id: str
-    domain_description: str
-
-
 def sample_description_items(dataset: DomainDataset) -> list[ItemMeta]:
     """Representative items: 50 most-interacted plus 50 top-rated, deduped.
 
@@ -249,39 +240,3 @@ def recent_history(
                 tag = Label(b).code
         out.append((rec, meta, tag))
     return out
-
-
-def build_domain_description(dataset: DomainDataset, client, cache: JsonCache | None = None) -> str:
-    """Generate the domain description via the client and parse it out.  It
-    is cached like persona texts, keyed by the payload, the instruction and
-    the client's `description_identity` (a remote client's chat model and
-    description temperature), so a sampling client is asked once per domain
-    and a change to the persona settings alone keeps the description."""
-    payload = description_payload(dataset, sample_description_items(dataset))
-    key = content_key({"payload": payload, "client": client.description_identity,
-                       "instruction": DESCRIPTION_SYSTEM_PROMPT})
-    with cache_batch(cache, [key]) as (stored, new):
-        if key in stored:
-            return stored[key]
-        raw = client.domain_description(payload)
-        try:
-            obj = json.loads(raw)
-            description = obj["Domain Profile"]["Domain Description"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise MalformedResponseError(
-                f"domain description response for '{dataset.domain_id}' is malformed: {exc}"
-            ) from exc
-        if not isinstance(description, str) or not description.strip():
-            raise MalformedResponseError(f"empty domain description for '{dataset.domain_id}'")
-        new[key] = description.strip()
-    return new[key]
-
-
-def build_prompt_assets(
-    dataset: DomainDataset, client, cache: JsonCache | None = None
-) -> PromptAssets:
-    """Assemble all prompt inputs for one domain."""
-    return PromptAssets(
-        domain_id=dataset.domain_id,
-        domain_description=build_domain_description(dataset, client, cache),
-    )

@@ -153,13 +153,13 @@ class SplitConfig:
         return _parse_boundary(self.boundary)
 
 
-# ablate axis -> the TrainConfig overrides of one of its values
+# ablate axis -> the type of the TrainConfig field it sets, and the overrides of one of its values
 _ABLATE_OVERRIDES = {
-    "aggregation": lambda mode: {"aggregation": mode},
-    "transfer": lambda mode: {"transfer": mode, "lambda_dpl": 0.0} if mode == "none"
-    else {"transfer": mode},
-    "lambda": lambda lam: {"lambda_dpl": float(lam)},
-    "tau": lambda tau: {"tau": float(tau)},
+    "aggregation": (str, lambda mode: {"aggregation": mode}),
+    "transfer": (str, lambda mode: {"transfer": mode, "lambda_dpl": 0.0} if mode == "none"
+                 else {"transfer": mode}),
+    "lambda": (float, lambda lam: {"lambda_dpl": float(lam)}),
+    "tau": (float, lambda tau: {"tau": float(tau)}),
 }
 ABLATE_AXES = tuple(_ABLATE_OVERRIDES)
 EVAL_SPLITS = ("valid", "test")
@@ -169,7 +169,7 @@ def ablation_grid(ablate: dict) -> list[tuple[str, object, dict]]:
     """The (axis, value, TrainConfig overrides) points of an ablate grid,
     axis by axis in `ABLATE_AXES` order; no axes means doppelganger vs none."""
     axes = ablate or {"transfer": ["doppelganger", "none"]}
-    return [(axis, value, over(value)) for axis, over in _ABLATE_OVERRIDES.items()
+    return [(axis, value, over(value)) for axis, (_, over) in _ABLATE_OVERRIDES.items()
             for value in axes.get(axis, [])]
 
 
@@ -223,6 +223,8 @@ class PipelineConfig:
         for axis, values in self.ablate.items():
             if not isinstance(values, (list, tuple)):
                 raise ValueError(f"ablate axis '{axis}' must be a list of values, got {values!r}")
+            for k, value in enumerate(values):
+                _typed(value, _ABLATE_OVERRIDES[axis][0], f"ablate.{axis}[{k}]")
         # every ablate point must make a valid trainer before any stage runs
         for _, _, overrides in ablation_grid(self.ablate):
             dataclasses.replace(self.train, **overrides)
@@ -559,25 +561,17 @@ class Pipeline:
             write_json(base / "db.json", [dbs[u].to_json_dict() for u in sorted(dbs)])
             if phase == "build":
                 continue
-            assets = persona_mod.build_prompt_assets(train_ds, generator, self.text_cache)
+            description = persona_mod.build_domain_description(train_ds, generator, self.text_cache)
             histories = {
                 u: persona_mod.recent_history(train_ds, u, price_bins)
                 for u in sorted(dbs)
             }
             texts = persona_mod.generate_all_personas(
-                dbs,
-                assets,
-                histories,
-                generator,
-                cache=self.text_cache,
-                parallelism=self.config.client.parallelism,
-            )
+                dbs, train_ds.domain_id, description, histories, generator,
+                cache=self.text_cache, parallelism=self.config.client.parallelism)
             user_ids = sorted(texts)
-            write_json(
-                base / "texts.json",
-                {u: {c.value: t for c, t in texts[u].texts.items()} for u in user_ids},
-            )
-            atomic_write_text(base / "description.txt", assets.domain_description + "\n")
+            write_json(base / "texts.json", texts)
+            atomic_write_text(base / "description.txt", description + "\n")
             if phase == "generate":
                 continue
             vectors = persona_mod.encode_personas(
@@ -587,7 +581,7 @@ class Pipeline:
             items = [train_ds.items[i] for i in sorted(train_ds.items)]
             item_vectors = persona_mod.encode_item_batch(
                 items,
-                assets.domain_description,
+                description,
                 item_encoder,
                 chunk_size=self.config.client.chunk_size,
                 cache=self.vector_cache,
@@ -759,7 +753,12 @@ class Pipeline:
     def _eval_checkpoint(self, path: Path, inputs: ModelInputs, ks, which_split: str) -> dict:
         arrays, manifest = load_checkpoint(path)
         cfg = dataclasses.replace(self.config.train, seed=manifest.get("seed", 0))
-        return self._test_report(self._model(inputs, cfg, arrays), ks, which_split)
+        try:
+            model = self._model(inputs, cfg, arrays)
+        except KeyError as exc:  # a parameter the checkpoint lacks, or one the model has no slot for
+            raise ValueError(f"checkpoint {path} does not fit the configured model: "
+                             f"{exc.args[0]}") from exc
+        return self._test_report(model, ks, which_split)
 
     def checkpoint_report_path(self, checkpoint: str | Path) -> Path:
         return self.run_dir / "eval" / f"checkpoint_{Path(checkpoint).stem}.json"

@@ -357,21 +357,20 @@ def normalized_adjacency(
 
 
 def encode_personas(texts, encoder, cache=None) -> np.ndarray:
-    """The (U, 5, d) vectors of each user's five criterion texts, one
+    """The (U, 5, d) vectors of each user's `{criterion value: text}` map, one
     encoder call per user whose texts are not cached; one cache read and at
     most one write."""
     for text in texts:
-        missing = [c.value for c in CRITERIA_ORDER if c not in text.texts]
+        missing = [c.value for c in CRITERIA_ORDER if c.value not in text]
         if missing:
             raise ValueError(f"persona texts missing criteria: {missing}")
-    keys = [
-        content_key({"texts": t.ordered_texts(), "encoder": encoder.identity}) for t in texts
-    ]
+    ordered = [[text[c.value] for c in CRITERIA_ORDER] for text in texts]
+    keys = [content_key({"texts": t, "encoder": encoder.identity}) for t in ordered]
     with cache_batch(cache, keys) as (stored, new):
-        for text, key in zip(texts, keys):
+        for text, key in zip(ordered, keys):
             if key in stored or key in new:
                 continue
-            matrix = encoder.embed(text.ordered_texts())
+            matrix = encoder.embed(text)
             if matrix.shape != (len(CRITERIA_ORDER), encoder.dim):
                 raise ValueError(
                     f"encoder returned shape {matrix.shape}, expected (5, {encoder.dim})"

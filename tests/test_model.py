@@ -4,6 +4,7 @@ joint training and the full-objective gradient check.
 Every test drives `MultiTapModel` or a `diffkit` op; the unbatched
 references the batched paths are compared with live in `tests/oracles.py`."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -591,6 +592,16 @@ class TestLoopSettings:
         with pytest.raises(ValueError, match=f"^{name} must be >= {bound}, got {bound - 1}$"):
             config_cls(**{name: bound - 1})
         assert getattr(config_cls(**{name: bound}), name) == bound
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("lambda_dpl", math.nan, "lambda must be nonnegative"),
+        ("tau", math.nan, "tau must be positive"),
+        ("tau", math.inf, "tau must be finite"),
+    ])
+    def test_nan_and_inf_fail_the_transfer_checks(self, field, value, message):
+        """Checked in the class, so a `dataclasses.replace` cannot pass them."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataclasses.replace(TrainConfig(), **{field: value})
 
 
 class TestNegativeSampling:

@@ -22,8 +22,6 @@ from multitap.persona import (
     HashingEncoder,
     JsonCache,
     PersonaDB,
-    PersonaText,
-    PromptAssets,
     TemplateGenerator,
     build_all_persona_dbs,
     build_domain_description,
@@ -37,11 +35,19 @@ from multitap.persona import (
     sample_description_items,
 )
 from multitap.persona.encoding import encode_texts
+from multitap.persona.prompts import PERSONA_SYSTEM_PROMPT
+from multitap.util import content_key
 
 
 def generate_personas(user_id, db, assets, history, client, cache=None):
-    """`generate_all_personas` for a single user."""
-    return generate_all_personas({user_id: db}, assets, {user_id: history}, client, cache)[user_id]
+    """`generate_all_personas` for a single user; `assets` is (domain id, description)."""
+    return generate_all_personas({user_id: db}, *assets, {user_id: history}, client, cache)[user_id]
+
+
+def persona_key(payload, identity="template-v1"):
+    """The text cache key of a persona payload."""
+    return content_key({"payload": payload, "client": identity,
+                        "instruction": PERSONA_SYSTEM_PROMPT})
 
 
 def label_from_code(code):
@@ -312,12 +318,38 @@ class TestDomainDescription:
         assert one == two
         assert "home" in one
 
+    def test_malformed_description_is_asked_once_more(self, tmp_path):
+        class MalformedFirst(TemplateGenerator):
+            def domain_description(self, payload):
+                valid = super().domain_description(payload)
+                return "not json" if self.calls == 1 else valid
+
+        ds = self._bulk_domain(60)
+        generator = MalformedFirst()
+        description = build_domain_description(ds, generator, JsonCache(tmp_path))
+        assert generator.calls == 2
+        assert description == build_domain_description(ds, TemplateGenerator())
+        # the valid answer is the one cached
+        assert build_domain_description(ds, generator, JsonCache(tmp_path)) == description
+        assert generator.calls == 2
+
+    def test_two_malformed_descriptions_fail(self):
+        class Malformed(TemplateGenerator):
+            def domain_description(self, payload):
+                super().domain_description(payload)
+                return json.dumps({"Domain": "home", "Domain Profile": {}})
+
+        generator = Malformed()
+        with pytest.raises(MalformedResponseError, match="domain description response for 'home'"):
+            build_domain_description(self._bulk_domain(60), generator)
+        assert generator.calls == 2
+
 
 class TestGeneratePersonas:
     def _setup(self):
         ds, labels = domain_with_labels()
         db = build_all_persona_dbs(ds, labels)["u1"]
-        assets = PromptAssets(domain_id="home", domain_description="desc")
+        assets = ("home", "desc")
         history = recent_history(ds, "u1")
         return ds, db, assets, history
 
@@ -325,14 +357,13 @@ class TestGeneratePersonas:
         _, db, assets, history = self._setup()
         db.labels[Criterion.PS]["Women"] = Label.HIGH
         text = generate_personas("u1", db, assets, history, TemplateGenerator())
-        assert "prefers higher-priced items in Women" in text.texts[Criterion.PS]
-        assert text.provenance == "template"
+        assert "prefers higher-priced items in Women" in text[Criterion.PS]
 
     def test_all_five_texts_present(self):
         _, db, assets, history = self._setup()
         text = generate_personas("u1", db, assets, history, TemplateGenerator())
-        assert set(text.texts) == set(CRITERIA_ORDER)
-        assert all(t for t in text.texts.values())
+        assert set(text) == set(CRITERIA_ORDER)
+        assert all(t for t in text.values())
 
     def test_missing_profile_key_errors(self):
         raw = json.dumps(
@@ -373,8 +404,7 @@ class TestGeneratePersonas:
         calls_after_first = client.calls
         second = generate_personas("u1", db, assets, history, client, cache)
         assert client.calls == calls_after_first
-        assert second.texts == first.texts
-        assert second.cache_key == first.cache_key
+        assert second == first
 
     def test_texts_sampled_at_another_temperature_are_not_served(self, monkeypatch, tmp_path):
         from multitap.persona import clients
@@ -406,12 +436,11 @@ class TestGeneratePersonas:
         cache = JsonCache(tmp_path)
         cached = generate_personas("u1", db, assets, history, TemplateGenerator(), cache)
         fresh = generate_personas("u1", db, assets, history, TemplateGenerator(), cache=None)
-        assert cached.texts == fresh.texts
+        assert cached == fresh
 
     def test_one_reparse_attempt_then_error(self):
         class FlakyClient:
             identity = "flaky"
-            provenance = "llm"
 
             def __init__(self):
                 self.calls = 0
@@ -491,13 +520,13 @@ class TestEncoders:
     def test_encode_personas_shape(self):
         ds, labels = domain_with_labels()
         dbs = build_all_persona_dbs(ds, labels)
-        assets = PromptAssets(domain_id="home", domain_description="desc")
+        assets = ("home", "desc")
         texts = [generate_personas(u, dbs[u], assets, [], TemplateGenerator()) for u in ("u2", "u1")]
         out = encode_personas(texts, HashingEncoder(dim=32, seed=1))
         assert out.shape == (2, 5, 32)
         # one (5, d) stack per text, in input order, rows in criterion order
         for text, stack in zip(texts, out):
-            expected = HashingEncoder(dim=32, seed=1).embed(text.ordered_texts())
+            expected = HashingEncoder(dim=32, seed=1).embed([text[c] for c in CRITERIA_ORDER])
             assert stack.tobytes() == expected.tobytes()
 
     def test_item_semantics_ignore_title(self):
@@ -563,8 +592,8 @@ class _RecordingEncoder(HashingEncoder):
         return super().embed(texts)
 
 
-def _persona_text(user_id, texts):
-    return PersonaText(user_id, dict(zip(CRITERIA_ORDER, texts)), "template", f"key-{user_id}")
+def _persona_text(texts):
+    return {c.value: t for c, t in zip(CRITERIA_ORDER, texts)}
 
 
 # a small pool, so that users and items share texts often
@@ -583,7 +612,7 @@ class TestOneEncoderPath:
     def test_same_bytes_as_the_oracles_and_each_text_sent_once(
         self, tmp_path_factory, users, warm, categories, chunk_size
     ):
-        texts = [_persona_text(f"u{k}", ts) for k, ts in enumerate(users)]
+        texts = [_persona_text(ts) for ts in users]
         items = [ItemMeta(f"i{k}", "t", c, 1.0, 4.0, 1) for k, c in enumerate(categories)]
         item_texts = [item_semantic_text(m, "desc") for m in items]
         flat = [t for ts in users for t in ts]
@@ -759,22 +788,20 @@ class TestParallelGeneration:
     def test_parallel_equals_serial(self, tmp_path):
         ds, labels = domain_with_labels()
         dbs = build_all_persona_dbs(ds, labels)
-        assets = PromptAssets(domain_id="home", domain_description="desc")
+        assets = ("home", "desc")
         histories = {u: recent_history(ds, u) for u in dbs}
-        serial = generate_all_personas(dbs, assets, histories, TemplateGenerator())
+        serial = generate_all_personas(dbs, *assets, histories, TemplateGenerator())
         parallel = generate_all_personas(
-            dbs, assets, histories, TemplateGenerator(), parallelism=3
+            dbs, *assets, histories, TemplateGenerator(), parallelism=3
         )
-        assert {u: t.texts for u, t in serial.items()} == {
-            u: t.texts for u, t in parallel.items()
-        }
+        assert serial == parallel
 
 
 class TestShardCache:
     def _inputs(self):
         ds, labels = domain_with_labels()
         dbs = build_all_persona_dbs(ds, labels)
-        assets = PromptAssets(domain_id="home", domain_description="desc")
+        assets = ("home", "desc")
         histories = {u: recent_history(ds, u) for u in dbs}
         return dbs, assets, histories, [ds.items[i] for i in sorted(ds.items)]
 
@@ -782,13 +809,13 @@ class TestShardCache:
         """What the persona stage does for one domain, on caches under `root`."""
         dbs, assets, histories, items = self._inputs()
         texts = generate_all_personas(
-            dbs, assets, histories, generator, JsonCache(root / "texts"), parallelism
+            dbs, *assets, histories, generator, JsonCache(root / "texts"), parallelism
         )
         vectors = JsonCache(root / "vectors")
         personas = encode_personas([texts[u] for u in sorted(texts)], encoder, vectors)
         item_vecs = encode_item_batch(items, "desc", encoder, chunk_size=2, cache=vectors)
         return (
-            {u: t.texts for u, t in texts.items()},
+            texts,
             personas.tobytes(),
             item_vecs.tobytes(),
         )
@@ -814,7 +841,8 @@ class TestShardCache:
 
     def test_stray_and_old_layout_files_ignored(self, tmp_path):
         dbs, assets, histories, _ = self._inputs()
-        key = generate_personas("u1", dbs["u1"], assets, histories["u1"], TemplateGenerator()).cache_key
+        key = persona_key(persona_payload("u1", *assets, dbs["u1"].labels, dbs["u1"].diversity,
+                                          histories["u1"]))
         texts_dir = tmp_path / "texts"
         texts_dir.mkdir()
         # a per-key file and a shard of the two older layouts, and a temp
@@ -827,6 +855,33 @@ class TestShardCache:
         cold = self._stage(tmp_path, generator, HashingEncoder(dim=16, seed=5))
         assert generator.calls == len(dbs)
         assert cold == self._stage(tmp_path / "clean", TemplateGenerator(), HashingEncoder(dim=16, seed=5))
+
+    def test_entries_in_the_older_form_are_served_without_calls(self, tmp_path):
+        """Persona entries once also held the user id and the client's
+        provenance; a cache holding them serves its texts as they are."""
+        dbs, assets, histories, _ = self._inputs()
+        texts = generate_all_personas(dbs, *assets, histories, TemplateGenerator())
+        older = {
+            persona_key(persona_payload(u, *assets, dbs[u].labels, dbs[u].diversity, histories[u])):
+            {"user_id": u, "texts": texts[u], "provenance": "template"}
+            for u in dbs
+        }
+        JsonCache(tmp_path).put(older)
+        generator = TemplateGenerator()
+        served = generate_all_personas(dbs, *assets, histories, generator, JsonCache(tmp_path))
+        assert served == texts
+        assert generator.calls == 0
+        assert len(list(tmp_path.iterdir())) == 1
+
+    def test_cached_entry_without_a_criterion_fails_to_encode(self, tmp_path):
+        dbs, assets, histories, _ = self._inputs()
+        key = persona_key(persona_payload("u1", *assets, dbs["u1"].labels, dbs["u1"].diversity,
+                                          histories["u1"]))
+        JsonCache(tmp_path).put({key: {"texts": {"ps": "a", "qp": "b", "pb": "c", "cf": "d"}}})
+        texts = generate_all_personas(dbs, *assets, histories, TemplateGenerator(),
+                                      JsonCache(tmp_path))
+        with pytest.raises(ValueError, match=r"persona texts missing criteria: \['cd'\]"):
+            encode_personas([texts[u] for u in sorted(texts)], HashingEncoder(dim=16, seed=5))
 
     def test_vectors_and_json_round_trip_bit_exactly(self, tmp_path):
         cache = JsonCache(tmp_path)
@@ -867,7 +922,7 @@ class TestShardCache:
 
         cache = JsonCache(tmp_path)
         with pytest.raises(ClientError):
-            generate_all_personas(dbs, assets, histories, FailsOnThirdUser(), cache)
+            generate_all_personas(dbs, *assets, histories, FailsOnThirdUser(), cache)
         generator = TemplateGenerator()
-        generate_all_personas(dbs, assets, histories, generator, cache)
+        generate_all_personas(dbs, *assets, histories, generator, cache)
         assert generator.calls == len(dbs) - 2

@@ -17,6 +17,7 @@ from multitap import cli as cli_mod
 from multitap.cli import main
 from multitap.diffkit import checkpoint_manifest_path, load_checkpoint
 from multitap.errors import ClientError, DependencyError
+from multitap.persona import JsonCache
 from multitap.persona.clients import build_clients
 from multitap.pipeline import NODES, Pipeline, PipelineConfig, STAGES, stages_through
 from multitap.util import read_json, write_json
@@ -678,6 +679,23 @@ class TestRunStore:
         results = "ablation/results.csv"
         assert (run_dir / results).read_bytes() == (intact / results).read_bytes()
 
+    def test_damaged_run_shard_is_deleted_after_its_warning(self, completed_copy, caplog):
+        run_dir, config_path = completed_copy
+        (shard,) = (run_dir / "cache" / "runs").glob("*.pack")  # train's one run
+        with open(shard, "r+b") as fh:
+            fh.truncate(100)
+        with caplog.at_level(logging.WARNING, logger="multitap.persona.cache"):
+            assert Pipeline(PipelineConfig.from_json(config_path)).run(["ablate"]) == {
+                "ablate": "ran"}
+        assert str(shard) in caplog.text
+        assert not shard.exists()
+        # the retrained runs went to a new shard, and no lookup warns again
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="multitap.persona.cache"):
+            assert JsonCache(run_dir / "cache" / "runs").get(["absent"]) is None
+        assert caplog.text == ""
+        assert len(list((run_dir / "cache" / "runs").glob("*.pack"))) == 1
+
 
 class TestNodeTable:
     def test_every_run_dir_file_is_declared(self, small_fixture, tmp_path):
@@ -1039,13 +1057,31 @@ class TestCliErrors:
         assert cli(capsys, "ablate", "--config", config_path)[0] == 0
         before = snapshot(run_dir)
         for sweep, message in [
-            ("transfer=0:0:1", "unknown transfer mode '0.0'"),
+            ("transfer=0:0:1", "ablate.transfer[0] must be a string, got 0.0"),
             ("tau=0:0:1", "tau must be positive"),
         ]:
             code, captured = cli(capsys, "ablate", "--config", config_path, "--sweep", sweep)
             assert code == 2
             assert json.loads(captured.err)["error"] == {"type": "ValueError", "message": message}
             assert snapshot(run_dir) == before  # the done ablate's manifest included
+
+    def test_checkpoint_that_does_not_fit_the_model_is_rejected(self, completed_copy, capsys):
+        run_dir, config_path = completed_copy
+        code, captured = cli(capsys, "train", "--config", config_path, "--aggregation", "mean")
+        assert code == 0, captured.err
+        trained = run_dir / "model" / "target_seed0.ckpt"
+        ckpt = run_dir.parent / "mean_seed0.ckpt"
+        for source, copy in ((trained, ckpt), (checkpoint_manifest_path(trained),
+                                               checkpoint_manifest_path(ckpt))):
+            shutil.copyfile(source, copy)
+        # the config still aggregates by self-attention, whose parameters the copy lacks
+        code, captured = cli(capsys, "eval", "--config", config_path, "--checkpoint", ckpt)
+        assert code == 2
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith(
+            f"checkpoint {ckpt} does not fit the configured model: missing parameter 'agg.")
+        assert captured.out == ""
 
     def test_ablate_axis_that_is_not_a_list_is_rejected(self, small_fixture, tmp_path, capsys):
         _, paths = small_fixture
@@ -1147,6 +1183,19 @@ class TestConfigChecks:
              "gcn.learning_rate must be a finite number, got inf"),
             (["run"], lambda c: c["source_train"].update(weight_decay=-math.inf),
              "source_train.weight_decay must be a finite number, got -inf"),
+            # each ablate value is checked like the train field it sets
+            (["ablate"], lambda c: c.update(ablate={"lambda": [0.5, math.nan]}),
+             "ablate.lambda[1] must be a finite number, got nan"),
+            (["ablate"], lambda c: c.update(ablate={"tau": ["inf"]}),
+             "ablate.tau[0] must be a number, got 'inf'"),
+            (["ablate"], lambda c: c.update(ablate={"tau": [math.inf]}),
+             "ablate.tau[0] must be a finite number, got inf"),
+            (["ablate"], lambda c: c.update(ablate={"lambda": [True]}),
+             "ablate.lambda[0] must be a number, got True"),
+            (["ablate"], lambda c: c.update(ablate={"lambda": [[1]]}),
+             "ablate.lambda[0] must be a number, got [1]"),
+            (["ablate"], lambda c: c.update(ablate={"aggregation": ["mean", 1]}),
+             "ablate.aggregation[1] must be a string, got 1"),
         ],
         ids=["no_seeds", "repeated_seed", "eval_ks", "no_eval_ks", "eval_k_flag",
              "repeated_eval_k", "repeated_eval_k_flag", "repeated_criterion",
@@ -1159,7 +1208,9 @@ class TestConfigChecks:
              "gcn_dim", "gcn_layers", "fused_dim", "persona_out_dim", "parallelism", "chunk_size",
              "persona_dim", "train_learning_rate", "gcn_learning_rate", "weight_decay",
              "nan_lambda", "nan_learning_rate", "nan_persona_temperature", "inf_tau",
-             "inf_gcn_learning_rate", "minus_inf_weight_decay"],
+             "inf_gcn_learning_rate", "minus_inf_weight_decay", "ablate_nan_lambda",
+             "ablate_tau_as_string", "ablate_inf_tau", "ablate_bool_lambda", "ablate_list_lambda",
+             "ablate_aggregation_as_integer"],
     )
     def test_unusable_value_is_rejected_before_any_stage(
         self, small_fixture, tmp_path, capsys, argv, edit, message
