@@ -48,8 +48,8 @@ class DomainDataset:
     """One domain with all derived views indexed.
 
     `user_category_items[u][c]` is a Counter over item ids (interaction
-    multiplicity preserved), `user_items[u]` the per-user Counter across
-    categories, `user_records[u]` the user's interactions in input order.
+    multiplicity preserved), `user_records[u]` the user's interactions in
+    input order.
     Treat instances as immutable once built.
     """
 
@@ -60,7 +60,6 @@ class DomainDataset:
     item_ids: frozenset[str] = field(default_factory=frozenset)
     categories: frozenset[str] = field(default_factory=frozenset)
     user_category_items: dict[str, dict[str, Counter]] = field(default_factory=dict)
-    user_items: dict[str, Counter] = field(default_factory=dict)
     user_records: dict[str, list[InteractionRecord]] = field(default_factory=dict)
 
     @classmethod
@@ -97,7 +96,6 @@ class DomainDataset:
 def index_views(dataset: DomainDataset) -> DomainDataset:
     """Materialize the per-user and per-(user, category) views."""
     user_category_items: dict[str, dict[str, Counter]] = {}
-    user_items: dict[str, Counter] = {}
     user_records: dict[str, list[InteractionRecord]] = {}
     for rec in dataset.interactions:
         meta = dataset.items.get(rec.item_id)
@@ -106,21 +104,18 @@ def index_views(dataset: DomainDataset) -> DomainDataset:
                 dataset.domain_id, 0, f"interaction references unknown item '{rec.item_id}'"
             )
         user = rec.user_id
-        if user not in user_items:
-            user_items[user] = Counter()
+        if user not in user_records:
             user_category_items[user] = {}
             user_records[user] = []
         per_cat = user_category_items[user]
         if meta.category not in per_cat:
             per_cat[meta.category] = Counter()
         per_cat[meta.category][rec.item_id] += 1
-        user_items[user][rec.item_id] += 1
         user_records[user].append(rec)
-    dataset.users = frozenset(user_items)
+    dataset.users = frozenset(user_records)
     dataset.item_ids = frozenset(dataset.items)
     dataset.categories = frozenset(m.category for m in dataset.items.values())
     dataset.user_category_items = user_category_items
-    dataset.user_items = user_items
     dataset.user_records = user_records
     return dataset
 

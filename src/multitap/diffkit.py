@@ -9,7 +9,9 @@ loss `bpr` (each returns its loss and adjoints in one call), the affine map
 Adjoints are hand-derived instead of built from a general expression graph;
 the callers compose forward and backward passes explicitly and `grad_check`
 verifies the composition against central finite differences.  The module
-also holds the parameter store, Adam, the early-stopped fit loop both
+also holds the parameter store, Adam (its betas and epsilon are the module
+constants `ADAM_BETA1`, `ADAM_BETA2` and `ADAM_EPSILON`; a trainer sets only
+the learning rate and weight decay), the early-stopped fit loop both
 trainers run and the binary array container that checkpoints and the
 persona cache share.
 """
@@ -19,7 +21,6 @@ from __future__ import annotations
 import json
 import logging
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Collection, Mapping
 
@@ -148,21 +149,10 @@ def scatter_rows(index: Array, values: Array, n: int) -> Array:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AdamConfig:
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    weight_decay: float = 0.0
-
-    def __post_init__(self):
-        if self.learning_rate <= 0 or self.epsilon <= 0:
-            raise ValueError("learning_rate and epsilon must be positive")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("betas must lie in (0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+# Adam's moment decay rates and the guard added to its denominator; no config sets them
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class ParameterStore:
@@ -212,7 +202,7 @@ class ParameterStore:
             self.params[name][...] = value
 
 
-def adam_step(store: ParameterStore, config: AdamConfig) -> None:
+def adam_step(store: ParameterStore, learning_rate: float, weight_decay: float) -> None:
     """Bias-corrected Adam update with decoupled L2 weight decay.
 
     Each parameter is updated in place through two scratch arrays, in the
@@ -222,7 +212,7 @@ def adam_step(store: ParameterStore, config: AdamConfig) -> None:
     """
     store.step_count += 1
     t = store.step_count
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     for name in store.names():
@@ -243,25 +233,28 @@ def adam_step(store: ParameterStore, config: AdamConfig) -> None:
         v += a
         np.divide(v, bc2, out=a)
         np.sqrt(a, out=a)
-        a += config.epsilon
+        a += ADAM_EPSILON
         np.divide(m, bc1, out=b)
         b /= a
-        b *= config.learning_rate
+        b *= learning_rate
         p = store.params[name]
         p -= b
-        if config.weight_decay > 0.0:
-            np.multiply(config.learning_rate * config.weight_decay, p, out=b)
+        if weight_decay > 0.0:
+            np.multiply(learning_rate * weight_decay, p, out=b)
             p -= b
     store.zero_grads()
 
 
 def check_loop_settings(config, epochs_field: str, **sizes: int) -> None:
     """Reject loop settings that cannot train or validate: a count or one of
-    the config's own `sizes` below its least value, or a learning rate or
-    weight decay that `AdamConfig` rejects."""
+    the config's own `sizes` below its least value, a learning rate that is
+    not positive or a negative weight decay."""
     least_values = {epochs_field: 1, "batch_size": 1, "negatives": 1, "patience": 0, "eval_k": 1}
     require_at_least(config, {**least_values, **sizes})
-    AdamConfig(learning_rate=config.learning_rate, weight_decay=config.weight_decay)
+    if not config.learning_rate > 0:
+        raise ValueError(f"learning_rate must be positive, got {config.learning_rate!r}")
+    if not config.weight_decay >= 0:
+        raise ValueError(f"weight_decay must be nonnegative, got {config.weight_decay!r}")
 
 
 def fit_early_stopped(

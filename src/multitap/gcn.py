@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import InteractionRecord, SplitBundle
-from .diffkit import AdamConfig, ParameterStore, adam_step, bpr, init_normal, scatter_rows
+from .diffkit import ParameterStore, adam_step, bpr, init_normal, scatter_rows
 from .diffkit import check_loop_settings, fit_early_stopped
 from .errors import DivergenceError
 from .evaluate import full_ranking_eval, heldout_units, pair_index
@@ -167,9 +167,6 @@ def pretrain_id_embeddings(
     nu, ni = len(user_ids), len(item_ids)
     store = ParameterStore()
     emb = store.add("emb", init_normal(rng, (nu + ni, config.dim)))
-    adam = AdamConfig(
-        learning_rate=config.learning_rate, weight_decay=config.weight_decay
-    )
 
     pos_pairs, observed = pair_index(split.train, graph.user_index, graph.item_index)
     units = heldout_units(graph.user_index, item_ids, observed, split.valid)
@@ -206,7 +203,7 @@ def pretrain_id_embeddings(
                 prop.shape[0],
             )
             store.accumulate("emb", _layer_mean(grad_prop, adjacency, layer_count))
-            adam_step(store, adam)
+            adam_step(store, config.learning_rate, config.weight_decay)
 
         table = propagate(
             IdEmbeddingTable(user_ids, item_ids, emb[:nu], emb[nu:]), adjacency, layer_count

@@ -25,7 +25,6 @@ import numpy as np
 from .corpus import InteractionRecord
 from .diffkit import (
     ParameterStore,
-    AdamConfig,
     adam_step,
     affine,
     affine_backward,
@@ -403,9 +402,6 @@ def train_target(
     """Joint training on the target domain with early stopping on valid HR@K."""
     model = MultiTapModel(inputs, config)
     store = model.store
-    adam = AdamConfig(
-        learning_rate=config.learning_rate, weight_decay=config.weight_decay
-    )
     rng = model.rng
 
     positives, observed = pair_index(train_records, model.user_rows, model.item_rows)
@@ -428,7 +424,7 @@ def train_target(
             _, l_rec, l_dpl = model.batch_loss_and_grads(
                 users_all[sl], pos_all[sl], neg_all[sl], dropout_rng=rng
             )
-            adam_step(store, adam)
+            adam_step(store, config.learning_rate, config.weight_decay)
             sum_rec += l_rec
             sum_dpl += l_dpl
             n_batches += 1

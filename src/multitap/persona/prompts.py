@@ -11,6 +11,7 @@ The description payload samples a domain's items
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Mapping, Sequence
 
 from ..corpus import DomainDataset, InteractionRecord, ItemMeta
@@ -152,10 +153,7 @@ def sample_description_items(dataset: DomainDataset) -> list[ItemMeta]:
     If the two lists overlap, further items are backfilled by interaction
     rank until `DESCRIPTION_ITEMS` (or the catalog) is exhausted.
     """
-    counts: dict[str, int] = {i: 0 for i in dataset.items}
-    for user_counter in dataset.user_items.values():
-        for item_id, n in user_counter.items():
-            counts[item_id] += n
+    counts = Counter(rec.item_id for rec in dataset.interactions)
     by_interactions = sorted(dataset.items.values(), key=lambda m: (-counts[m.item_id], m.item_id))
     by_rating = sorted(
         dataset.items.values(), key=lambda m: (-m.avg_rating, -m.rating_count, m.item_id)

@@ -11,12 +11,16 @@ Both take each target run from `_runs`, which serves it from the run store
 (`cache/runs/`, keyed by the source key and the trainer, seed included) or
 trains and stores it, so ablate reuses train's runs.
 Persona labels users from the train split itself, as idh does, so idh is a
-leaf: its `criteria` and `report_labels` reach no other key.  A node's
-record, written last, holds its key and the size of every file it owns; the
-node is done only when both match the disk and every upstream node is done,
+leaf: its `criteria` and `report_labels` reach no other key.  Every node's
+record, the source model's included, is `<node>/manifest.json`, written last:
+it holds the node's key and the size of every file it owns, and the node is
+done only when both match the disk and every upstream node is done,
 so a train-only change reruns train and eval, and a deleted or truncated
 file reruns its node alone.  Sizes, not digests: an edit that keeps
-a file's size is not noticed.  A declared directory is cleared when its node
+a file's size is not noticed.  The run's hash (`Pipeline.hash`, printed as
+`config_hash`) is the content key of the node keys, so like them it follows
+the inputs' content and the clients' identities, never a path or a
+deployment setting.  A declared directory is cleared when its node
 starts, so a rebuilt one holds only what the current config writes.  Every
 record, checkpoint manifest and report holds the key of the stage that wrote
 it, and artifacts never embed absolute paths or timestamps, so a reused
@@ -52,7 +56,7 @@ from .corpus import (
     load_domain,
     time_split,
 )
-from .diffkit import checkpoint_manifest_path, load_checkpoint, save_checkpoint
+from .diffkit import checkpoint_manifest_path, load_checkpoint, read_container, save_checkpoint
 from .errors import DependencyError
 from .evaluate import AVERAGES, aggregate_seed_reports, full_ranking_eval, heldout_units, pair_index
 from .gcn import GcnConfig, pretrain_id_embeddings
@@ -81,10 +85,9 @@ class Node(NamedTuple):
     stage: bool = True
 
 
-# Every node in run order.  "source" is the source-domain model: keyed and
-# checked like a stage, but built inside train and ablate
-# (`_ensure_source_tables`), never requested on its own; its record is the
-# manifest of its last artifact.
+# Every node in run order.  "source" is the source-domain model: keyed,
+# recorded and checked like a stage, but built inside train and ablate
+# (`_ensure_source_tables`), never requested on its own.
 NODES = {
     "ingest": Node((), ("inputs",), ("ingest/summary.json",)),
     "split": Node(("ingest",), ("split",), ("split/{side}.json",)),
@@ -237,13 +240,6 @@ class PipelineConfig:
     def from_json(cls, path: str | Path) -> "PipelineConfig":
         return cls.from_dict(read_json(path))
 
-    def config_hash(self) -> str:
-        """The content key of everything that affects outputs; run/cache
-        locations excluded."""
-        return content_key({f.name: _json_data(getattr(self, f.name))
-                            for f in dataclasses.fields(self)
-                            if f.name not in ("run_dir", "cache_dir")})
-
     def source_train_config(self) -> TrainConfig:
         """The source-domain model's trainer: no transfer, the first seed."""
         base = self.source_train or self.train
@@ -361,8 +357,8 @@ class Pipeline:
 
     @functools.cached_property
     def hash(self) -> str:
-        """The whole-config hash, run and cache locations excluded."""
-        return self.config.config_hash()
+        """The run's hash: the content key of every node's key."""
+        return content_key(self.keys)
 
     def artifact_paths(self, node: str) -> list[Path]:
         """The run-dir paths `node` declares in `NODES`, expanded."""
@@ -370,16 +366,13 @@ class Pipeline:
 
     def _record_path(self, node: str) -> str:
         """The run-dir path of `node`'s record: its key and the files it owns."""
-        if NODES[node].stage:
-            return f"{node}/manifest.json"
-        return os.fspath(checkpoint_manifest_path(self._declared[node][-1]))
+        return f"{node}/manifest.json"
 
     def _files(self, node: str) -> dict[str, int]:
         """Run-dir path -> size of every file `node` owns, which raises
         FileNotFoundError if one is missing: its declared files, their
         checkpoint manifests and every entry of its declared (flat)
-        directories, its record left out.  Plain `os` calls, as `run` lists a
-        node often."""
+        directories.  Plain `os` calls, as `run` lists a node often."""
         root = os.fspath(self.run_dir)
         owned = []
         for rel in self._declared[node]:
@@ -389,8 +382,7 @@ class Pipeline:
                 owned += [rel, os.fspath(checkpoint_manifest_path(rel))]
             else:
                 owned.append(rel)
-        record = self._record_path(node)
-        return {rel: os.stat(f"{root}/{rel}").st_size for rel in owned if rel != record}
+        return {rel: os.stat(f"{root}/{rel}").st_size for rel in owned}
 
     def _is_done(self, node: str) -> bool:
         """True when `node`'s record holds its current key and the files it
@@ -681,11 +673,11 @@ class Pipeline:
             result.model.store.params,
             {"stage_key": self.keys["source"], "seed": cfg.seed, "best_epoch": result.best_epoch},
         )
-        # the tables' manifest is this node's record, which `_mark_done` writes
         save_checkpoint(
-            tables_path, {"h_users": h_all[rows], "v_users": inputs.backbone_user[rows]}, {}
+            tables_path, {"h_users": h_all[rows], "v_users": inputs.backbone_user[rows]},
+            {"stage_key": self.keys["source"], "overlap_users": overlap},
         )
-        self._mark_done("source", {"overlap_users": overlap, "seed": cfg.seed})
+        self._mark_done("source")
 
     def _target_inputs_with_transfer(self) -> ModelInputs:
         arrays, manifest = load_checkpoint(self.artifact_paths("source")[-1])
@@ -704,7 +696,9 @@ class Pipeline:
     def _runs(self, inputs: ModelInputs, points: Sequence[tuple[int, dict]]) -> list:
         """Each (seed, overrides) point's trainer, parameters and run record
         ("history", "best_epoch"), served from the run store under the key of
-        the source model and the trainer, or trained and stored in one shard."""
+        the source model and the trainer, or trained and stored in one shard.
+        A stored run whose tensors cannot all be read (its shard cut short) is
+        trained again."""
         configs = [dataclasses.replace(self.config.train, seed=s, **over) for s, over in points]
         keys = [content_key({"source": self.keys["source"], "run": _json_data(c)}) for c in configs]
         with cache_batch(self.run_cache, keys) as (stored, new):
@@ -712,7 +706,8 @@ class Pipeline:
             if served:  # the stored runs' tensors, in one more read
                 stored.update(self.run_cache.get(served) or {})
             for key, (seed, overrides) in zip(keys, points):
-                if key not in stored:
+                if key not in stored or any(f"{key}/{n}" not in stored
+                                            for n in stored[key]["params"]):
                     result = self._train_one(inputs, seed, overrides)
                     new[key] = {"params": sorted(result.model.store.params),
                                 "history": result.history, "best_epoch": result.best_epoch}
@@ -751,10 +746,11 @@ class Pipeline:
         self._mark_done("train")
 
     def _eval_checkpoint(self, path: Path, inputs: ModelInputs, ks, which_split: str) -> dict:
-        arrays, manifest = load_checkpoint(path)
-        cfg = dataclasses.replace(self.config.train, seed=manifest.get("seed", 0))
+        """Score the checkpoint's tensors under the configured trainer; its
+        manifest is not read, as loading replaces every parameter a seed draws."""
+        arrays, _ = read_container(path)
         try:
-            model = self._model(inputs, cfg, arrays)
+            model = self._model(inputs, self.config.train, arrays)
         except KeyError as exc:  # a parameter the checkpoint lacks, or one the model has no slot for
             raise ValueError(f"checkpoint {path} does not fit the configured model: "
                              f"{exc.args[0]}") from exc

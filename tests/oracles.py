@@ -14,10 +14,10 @@ passes it precomputed.  `normalized_adjacency` is the graph backbone's
 adjacency built one edge at a time through id-keyed maps, optionally onto
 wider user and item orderings.  `encode_personas` and `encode_item_batch`
 are the two encoders before they shared one path: one cache key and one
-encoder call per user, and one key per item text.  `stage_keys` and
-`config_hash` compute the stage keys and the whole-config hash from a deep
-copy of the whole config and the identities of freshly built clients.  All
-are deliberately naive and slow.
+encoder call per user, and one key per item text.  `stage_keys`
+computes the stage keys from a deep copy of the whole config and the
+identities of freshly built clients, and `config_hash` the run hash from
+them.  All are deliberately naive and slow.
 """
 
 from __future__ import annotations
@@ -215,12 +215,13 @@ def early_stopping(valid_hrs, epochs, patience):
     return ran, run.index(max(run))
 
 
-def adam_step(store, config):
-    """Bias-corrected Adam with decoupled weight decay on a
-    `multitap.diffkit.ParameterStore`, expression by expression."""
+def adam_step(store, learning_rate, weight_decay):
+    """Bias-corrected Adam (betas 0.9 and 0.999, epsilon 1e-8) with decoupled
+    weight decay on a `multitap.diffkit.ParameterStore`, expression by
+    expression."""
     store.step_count += 1
     t = store.step_count
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = 0.9, 0.999
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     for name in store.names():
@@ -233,11 +234,11 @@ def adam_step(store, config):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + config.epsilon)
+        update = (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
         p = store.params[name]
-        p -= config.learning_rate * update
-        if config.weight_decay > 0.0:
-            p -= config.learning_rate * config.weight_decay * p
+        p -= learning_rate * update
+        if weight_decay > 0.0:
+            p -= learning_rate * weight_decay * p
     store.zero_grads()
 
 
@@ -407,8 +408,8 @@ def semantic_dict(config) -> dict:
 
 
 def config_hash(config) -> str:
-    """`Pipeline(config).hash`: the content key of the whole config."""
-    return content_key(semantic_dict(config))
+    """`Pipeline(config).hash`: the content key of every node's key."""
+    return content_key(stage_keys(config))
 
 
 def stage_keys(config) -> dict[str, str]:

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from multitap.diffkit import (
-    AdamConfig,
     ParameterStore,
     adam_step,
     affine,
@@ -295,14 +294,14 @@ class TestAdam:
         store = ParameterStore()
         store.add("w", np.array([1.0, -2.0]))
         before = store.params["w"].copy()
-        adam_step(store, AdamConfig(learning_rate=0.1))
+        adam_step(store, 0.1, 0.0)
         np.testing.assert_array_equal(store.params["w"], before)
 
     def test_single_step_hand_computed(self):
         store = ParameterStore()
         store.add("w", np.array([0.0]))
         store.accumulate("w", np.array([1.0]))
-        adam_step(store, AdamConfig(learning_rate=0.1))
+        adam_step(store, 0.1, 0.0)
         # bias-corrected m_hat = 1, v_hat = 1 -> update = -lr * 1/(1 + eps)
         assert store.params["w"][0] == pytest.approx(-0.1, abs=1e-8)
         assert np.all(store.grads["w"] == 0.0)
@@ -320,13 +319,13 @@ class TestAdam:
             theta -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
         for _ in range(2):
             store.accumulate("w", np.array([g]))
-            adam_step(store, AdamConfig(learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps))
+            adam_step(store, lr, 0.0)
         assert store.params["w"][0] == pytest.approx(theta, abs=1e-10)
 
     def test_weight_decay_is_decoupled(self):
         store = ParameterStore()
         store.add("w", np.array([2.0]))
-        adam_step(store, AdamConfig(learning_rate=0.1, weight_decay=0.5))
+        adam_step(store, 0.1, 0.5)
         # zero gradient: only the decay term applies
         assert store.params["w"][0] == pytest.approx(2.0 * (1 - 0.1 * 0.5))
 
@@ -335,10 +334,11 @@ class TestAdam:
         store.add("bad", np.array([1.0]))
         store.accumulate("bad", np.array([np.nan]))
         with pytest.raises(ValueError, match="bad"):
-            adam_step(store, AdamConfig())
+            adam_step(store, 1e-3, 0.0)
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    def test_bit_equal_to_expression_oracle_over_50_steps(self, weight_decay):
+    @pytest.mark.parametrize("learning_rate, weight_decay", [(0.03, 0.0), (0.03, 0.01), (0.4, 0.2)],
+                             ids=["0.0", "0.01", "0.2-lr0.4"])
+    def test_bit_equal_to_expression_oracle_over_50_steps(self, learning_rate, weight_decay):
         rng = np.random.default_rng(7)
         shapes = {"table": (40, 8), "bias": (8,), "scalar": ()}
         stores = (ParameterStore(), ParameterStore())
@@ -346,7 +346,6 @@ class TestAdam:
             init = rng.normal(size=shape)
             for store in stores:
                 store.add(name, init.copy())
-        config = AdamConfig(learning_rate=0.03, weight_decay=weight_decay)
         for _ in range(50):
             for name, shape in shapes.items():
                 # magnitudes from 1e-6 to 1e6, with exact zeros
@@ -354,8 +353,8 @@ class TestAdam:
                 g = np.where(rng.random(size=shape) < 0.1, 0.0, g)
                 for store in stores:
                     store.accumulate(name, g)
-            adam_step(stores[0], config)
-            oracles.adam_step(stores[1], config)
+            adam_step(stores[0], learning_rate, weight_decay)
+            oracles.adam_step(stores[1], learning_rate, weight_decay)
         for attr in ("params", "_m", "_v", "grads"):
             for name in shapes:
                 got, want = getattr(stores[0], attr)[name], getattr(stores[1], attr)[name]
@@ -367,7 +366,7 @@ class TestAdam:
         store.add("w", np.zeros(5))
         store.accumulate("w", np.array([1.0, -2.0, bad, 3.0, 4.0]))
         with pytest.raises(ValueError, match="non-finite gradient for parameter 'w'"):
-            adam_step(store, AdamConfig())
+            adam_step(store, 1e-3, 0.0)
 
     def test_finite_gradient_with_overflowing_sum_steps(self):
         store, reference = ParameterStore(), ParameterStore()
@@ -378,8 +377,8 @@ class TestAdam:
             s.add("w", np.ones(4))
             s.accumulate("w", g)
         with np.errstate(over="ignore"):  # g * g overflows on both sides
-            adam_step(store, AdamConfig())
-            oracles.adam_step(reference, AdamConfig())
+            adam_step(store, 1e-3, 0.0)
+            oracles.adam_step(reference, 1e-3, 0.0)
         assert store.params["w"].tobytes() == reference.params["w"].tobytes()
 
 

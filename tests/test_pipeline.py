@@ -19,7 +19,7 @@ from multitap.diffkit import checkpoint_manifest_path, load_checkpoint
 from multitap.errors import ClientError, DependencyError
 from multitap.persona import JsonCache
 from multitap.persona.clients import build_clients
-from multitap.pipeline import NODES, Pipeline, PipelineConfig, STAGES, stages_through
+from multitap.pipeline import NODES, Pipeline, PipelineConfig, stages_through
 from multitap.util import read_json, write_json
 
 import oracles
@@ -246,7 +246,7 @@ class TestPersonaPhases:
         assert code == 0, captured.err
         assert json.loads(captured.out) == {
             "run_dir": str(tmp_path / "run"),
-            "config_hash": PipelineConfig.from_json(config_path).config_hash(),
+            "config_hash": Pipeline(PipelineConfig.from_json(config_path)).hash,
             "stages": {"ingest": "ran", "split": "ran"},
             "persona_phase": phase,
         }
@@ -286,6 +286,23 @@ class TestEvalOptions:
 
 
 class TestReportPaths:
+    def test_bare_checkpoint_reproduces_the_eval_report(self, completed_copy, small_fixture, tmp_path):
+        """A checkpoint copied without its manifest scores as in eval, also
+        under another trainer seed: loading replaces every parameter a seed draws."""
+        _, paths = small_fixture
+        run_dir, _ = completed_copy
+        report = read_json(run_dir / "eval" / "report.json")
+        want = {m["metric"]: m["per_seed"][0] for m in report["metrics"] if m["K"] == 5}
+        bare = tmp_path / "bare.ckpt"
+        shutil.copyfile(run_dir / "model" / "target_seed0.ckpt", bare)
+        config = small_config_dict(paths, run_dir)
+        for seed in (0, 9):  # the default trainer seed, then another
+            config["train"]["seed"] = seed
+            pipe = Pipeline(PipelineConfig.from_dict(config))
+            pipe.stage_eval(checkpoint=str(bare))
+            single = read_json(pipe.checkpoint_report_path(bare))
+            assert {"HR": single["HR"]["5"], "NDCG": single["NDCG"]["5"]} == want, seed
+
     def test_checkpoint_eval_and_ablate_reproduce_the_eval_report(self, completed_copy):
         """Eval, a checkpoint eval and ablate's doppelganger row all score the
         seed-0 model through `_test_report`, and agree to the last bit."""
@@ -405,10 +422,12 @@ class TestClientSettingsInKeys:
         _, paths = small_fixture
         config = small_config_dict(paths, tmp_path / "run")
         config["client"]["mode"] = mode
-        base = PipelineConfig.from_dict(config).stage_keys()
+        base = Pipeline(PipelineConfig.from_dict(config))
         config["client"][field] = value
-        keys = PipelineConfig.from_dict(config).stage_keys()
-        assert {node for node in keys if keys[node] != base[node]} == changed
+        pipe = Pipeline(PipelineConfig.from_dict(config))
+        assert {node for node in pipe.keys if pipe.keys[node] != base.keys[node]} == changed
+        # the run hash is made of the keys: it moves exactly when one of them does
+        assert (pipe.hash != base.hash) == bool(changed)
 
     @pytest.mark.parametrize("field, value", DEPLOYMENT + REMOTE_OUTPUT[:2],
                              ids=[f for f, _ in DEPLOYMENT + REMOTE_OUTPUT[:2]])
@@ -429,7 +448,9 @@ class TestClientSettingsInKeys:
         run_dir, _ = completed_copy
         before = snapshot(run_dir)
         moved = copy_inputs(paths, tmp_path / "moved")
-        status = Pipeline(PipelineConfig.from_dict(small_config_dict(moved, run_dir))).run(RUN_STAGES)
+        pipe = Pipeline(PipelineConfig.from_dict(small_config_dict(moved, run_dir)))
+        assert pipe.hash == Pipeline(PipelineConfig.from_dict(small_config_dict(paths, run_dir))).hash
+        status = pipe.run(RUN_STAGES)
         assert status == {s: "cached" for s in RUN_STAGES}
         assert snapshot(run_dir) == before
 
@@ -541,7 +562,7 @@ class TestStageReuse:
         assert snapshot(run_dir) == original
 
     @pytest.mark.parametrize(
-        "record", ["train/manifest.json", "model/source_tables.ckpt.manifest.json"],
+        "record", ["train/manifest.json", "source/manifest.json"],
         ids=["stage", "source"],
     )
     def test_record_without_file_list_is_rebuilt(self, completed_copy, small_fixture, record):
@@ -679,6 +700,25 @@ class TestRunStore:
         results = "ablation/results.csv"
         assert (run_dir / results).read_bytes() == (intact / results).read_bytes()
 
+    def test_run_shard_cut_short_in_its_tensors_is_trained_again(
+        self, completed_copy, caplog, monkeypatch
+    ):
+        """The shard's header, which holds the run records, still reads; its
+        tensors do not, so the run is trained again in the same call."""
+        run_dir, config_path = completed_copy
+        original = model_files(run_dir)
+        (shard,) = (run_dir / "cache" / "runs").glob("*.pack")  # train's one run
+        with open(shard, "r+b") as fh:
+            fh.truncate(shard.stat().st_size - 1000)
+        (run_dir / "train" / "manifest.json").unlink()
+        calls = count_target_runs(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="multitap.persona.cache"):
+            assert Pipeline(PipelineConfig.from_json(config_path)).run(["train"]) == {
+                "train": "ran"}
+        assert str(shard) in caplog.text
+        assert [(cfg.transfer, cfg.seed) for cfg in calls] == [("doppelganger", 0)]
+        assert model_files(run_dir) == original
+
     def test_damaged_run_shard_is_deleted_after_its_warning(self, completed_copy, caplog):
         run_dir, config_path = completed_copy
         (shard,) = (run_dir / "cache" / "runs").glob("*.pack")  # train's one run
@@ -705,7 +745,7 @@ class TestNodeTable:
         pipe = build_pipeline(paths, tmp_path / "run")
         pipe.run(RUN_STAGES + ["ablate"])
         declared = {node: pipe.artifact_paths(node) for node in NODES}
-        manifests = {pipe.run_dir / stage / "manifest.json" for stage in STAGES} | {
+        manifests = {pipe.run_dir / node / "manifest.json" for node in NODES} | {
             checkpoint_manifest_path(p) for ps in declared.values() for p in ps if p.suffix == ".ckpt"
         }
         files = [p for p in pipe.run_dir.rglob("*")
@@ -810,6 +850,7 @@ class TestInputsInKey:
 
     def test_input_edited_in_place_reruns_every_stage(self, own_inputs, capsys):
         own, config_path, _ = own_inputs
+        before = Pipeline(PipelineConfig.from_json(config_path)).hash
         lines = own.target_interactions.read_text().splitlines()
         row = json.loads(lines[0])
         row["rating"] = 2.0 if row["rating"] == 1.0 else 1.0
@@ -817,7 +858,9 @@ class TestInputsInKey:
         own.target_interactions.write_text("\n".join(lines) + "\n")
         code, captured = cli(capsys, "run", "--config", config_path, "--stages", ",".join(RUN_STAGES))
         assert code == 0, captured.err
-        assert json.loads(captured.out)["stages"] == {s: "ran" for s in RUN_STAGES}
+        out = json.loads(captured.out)
+        assert out["stages"] == {s: "ran" for s in RUN_STAGES}
+        assert out["config_hash"] != before
 
     def test_missing_input_fails_before_any_stage_runs(self, own_inputs, capsys):
         own, config_path, run_dir = own_inputs
@@ -1165,11 +1208,11 @@ class TestConfigChecks:
             (["run"], lambda c: c["client"].update(chunk_size=0), "chunk_size must be >= 1, got 0"),
             (["run"], lambda c: c["client"].update(persona_dim=0), "persona_dim must be >= 1, got 0"),
             (["run"], lambda c: c["train"].update(learning_rate=0),
-             "learning_rate and epsilon must be positive"),
+             "learning_rate must be positive, got 0"),
             (["run"], lambda c: c["gcn"].update(learning_rate=-0.1),
-             "learning_rate and epsilon must be positive"),
+             "learning_rate must be positive, got -0.1"),
             (["run"], lambda c: c["train"].update(weight_decay=-1e-4),
-             "weight_decay must be nonnegative"),
+             "weight_decay must be nonnegative, got -0.0001"),
             # JSON NaN and Infinity parse as floats; a number field rejects them
             (["run"], lambda c: c["train"].update(lambda_dpl=math.nan),
              "train.lambda_dpl must be a finite number, got nan"),
