@@ -141,15 +141,25 @@ def _require(obj: dict, key: str, path: str, lineno: int):
     return obj[key]
 
 
-def _number(obj: dict, key: str, path: str, lineno: int) -> float:
-    """A finite number; booleans, NaN and infinities are rejected."""
+def _text(obj: dict, key: str, path: str, lineno: int, empty_ok: bool = False) -> str:
+    """A JSON string, nonempty unless `empty_ok`."""
     value = _require(obj, key, path, lineno)
-    if isinstance(value, bool):
+    if not isinstance(value, str):
+        raise ParseError(path, lineno, f"{key} {value!r} is not a string")
+    if not (value or empty_ok):
+        raise ParseError(path, lineno, f"{key} is empty")
+    return value
+
+
+def _number(obj: dict, key: str, path: str, lineno: int) -> float:
+    """A finite JSON number; booleans, strings, NaN and infinities are rejected."""
+    value = _require(obj, key, path, lineno)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(path, lineno, f"{key} {value!r} is not a number")
     try:
         number = float(value)
-    except (TypeError, ValueError):
-        raise ParseError(path, lineno, f"{key} {value!r} is not a number") from None
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
     if not math.isfinite(number):
         raise ParseError(path, lineno, f"{key} {value!r} is not finite")
     return number
@@ -170,11 +180,11 @@ def load_metadata(path: str | Path) -> dict[str, ItemMeta]:
     items: dict[str, ItemMeta] = {}
     spath = str(path)
     for lineno, obj in _jsonl_lines(path):
-        item_id = str(_require(obj, "item", spath, lineno))
+        item_id = _text(obj, "item", spath, lineno)
         if item_id in items:
             raise ParseError(spath, lineno, f"duplicate metadata for item '{item_id}'")
-        title = str(_require(obj, "title", spath, lineno))
-        category = str(_require(obj, "category", spath, lineno))
+        title = _text(obj, "title", spath, lineno, empty_ok=True)
+        category = _text(obj, "category", spath, lineno)
         price = None if obj.get("price") is None else _number(obj, "price", spath, lineno)
         if price is not None and price < 0:
             raise ParseError(spath, lineno, f"price {price} is negative")
@@ -193,8 +203,8 @@ def load_interactions(path: str | Path, items: Mapping[str, ItemMeta]) -> list[I
     seen: set[tuple[str, str, int]] = set()
     spath = str(path)
     for lineno, obj in _jsonl_lines(path):
-        user = str(_require(obj, "user", spath, lineno))
-        item = str(_require(obj, "item", spath, lineno))
+        user = _text(obj, "user", spath, lineno)
+        item = _text(obj, "item", spath, lineno)
         rating = _number(obj, "rating", spath, lineno)
         ts = _whole(obj, "ts", spath, lineno)
         if not (1.0 <= rating <= 5.0):

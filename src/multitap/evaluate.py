@@ -181,14 +181,8 @@ def full_ranking_eval(
     }
 
 
-def aggregate_seed_reports(
-    reports: Sequence[dict], ks: Sequence[int], expected_seeds: int | None = None
-) -> dict:
+def aggregate_seed_reports(reports: Sequence[dict], ks: Sequence[int]) -> dict:
     """Mean and std of each metric over per-seed reports."""
-    if expected_seeds is not None and len(reports) != expected_seeds:
-        raise ValueError(
-            f"expected {expected_seeds} seed reports, got {len(reports)}"
-        )
     metrics = []
     for metric in ("HR", "NDCG"):
         for k in sorted(ks):

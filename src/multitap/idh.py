@@ -31,13 +31,7 @@ class Criterion(str, Enum):
 
 
 # canonical order used for persona texts and embedding stacks
-CRITERIA_ORDER: tuple[Criterion, ...] = (
-    Criterion.PS,
-    Criterion.QP,
-    Criterion.PB,
-    Criterion.CF,
-    Criterion.CD,
-)
+CRITERIA_ORDER: tuple[Criterion, ...] = tuple(Criterion)
 
 METADATA_ACCESSORS: dict[Criterion, Callable[[ItemMeta], float | None]] = {
     Criterion.PS: lambda m: m.price,
@@ -45,7 +39,7 @@ METADATA_ACCESSORS: dict[Criterion, Callable[[ItemMeta], float | None]] = {
     Criterion.PB: lambda m: float(m.rating_count),
 }
 
-METADATA_CRITERIA: tuple[Criterion, ...] = (Criterion.PS, Criterion.QP, Criterion.PB)
+METADATA_CRITERIA: tuple[Criterion, ...] = tuple(METADATA_ACCESSORS)
 
 
 class Label(Enum):
@@ -55,7 +49,7 @@ class Label(Enum):
 
     @property
     def code(self) -> str:
-        return {"LOW": "L", "MEDIUM": "M", "HIGH": "H"}[self.name]
+        return self.name[0]
 
 
 def nearest_rank(sorted_values: Sequence[float], q: float) -> float:
@@ -179,16 +173,14 @@ def preservation_matrix(
     return matrix
 
 
-def compute_domain_bins(
-    dataset: DomainDataset, criteria: Sequence[Criterion] = METADATA_CRITERIA
-) -> dict[Criterion, dict[str, BinAssignment]]:
-    """Per-criterion, per-category bin assignments for a whole domain."""
+def compute_domain_bins(dataset: DomainDataset) -> dict[Criterion, dict[str, BinAssignment]]:
+    """criterion -> category -> bin assignment for every metadata criterion,
+    over each category of `dataset` with at least one item valued on it."""
     by_category: dict[str, list[ItemMeta]] = {}
     for meta in dataset.items.values():
         by_category.setdefault(meta.category, []).append(meta)
     out: dict[Criterion, dict[str, BinAssignment]] = {}
-    for criterion in criteria:
-        accessor = METADATA_ACCESSORS[criterion]
+    for criterion, accessor in METADATA_ACCESSORS.items():
         per_cat: dict[str, BinAssignment] = {}
         for category in sorted(by_category):
             items = by_category[category]
@@ -201,13 +193,14 @@ def compute_domain_bins(
 def compute_domain_labels(
     dataset: DomainDataset,
     bins: Mapping[Criterion, Mapping[str, BinAssignment]] | None = None,
-    criteria: Sequence[Criterion] = METADATA_CRITERIA,
 ) -> dict[Criterion, dict[str, dict[str, Label]]]:
-    """criterion -> category -> user -> label for all metadata criteria."""
+    """criterion -> category -> user -> label for every metadata criterion,
+    from `bins` (by default `compute_domain_bins(dataset)`); a category
+    none of whose users has a binned item is left out."""
     if bins is None:
-        bins = compute_domain_bins(dataset, criteria)
+        bins = compute_domain_bins(dataset)
     labels: dict[Criterion, dict[str, dict[str, Label]]] = {}
-    for criterion in criteria:
+    for criterion in METADATA_CRITERIA:
         per_cat: dict[str, dict[str, Label]] = {}
         for category, assignment in bins[criterion].items():
             scores = preference_scores(dataset, assignment)

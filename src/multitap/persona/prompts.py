@@ -221,20 +221,17 @@ def persona_payload(
 def recent_history(
     dataset: DomainDataset,
     user_id: str,
-    price_bins: Mapping[str, Mapping[str, int]] | None = None,
+    price_bins: Mapping[str, Mapping[str, int]],
 ) -> list[tuple[InteractionRecord, ItemMeta, str | None]]:
     """The user's most recent `HISTORY_LIMIT` interactions, newest first, each
-    with its item's price tag from the PS bin maps `{category: {item: bin}}`."""
+    with its item's price tag from the PS bin maps `{category: {item: bin}}`,
+    None for an item the maps do not bin."""
     rows = sorted(
         dataset.user_records.get(user_id, ()), key=lambda r: (-r.timestamp, r.item_id)
     )
     out = []
     for rec in rows[:HISTORY_LIMIT]:
         meta = dataset.items[rec.item_id]
-        tag = None
-        if price_bins and meta.category in price_bins:
-            b = price_bins[meta.category].get(rec.item_id)
-            if b is not None:
-                tag = Label(b).code
-        out.append((rec, meta, tag))
+        b = price_bins.get(meta.category, {}).get(rec.item_id)
+        out.append((rec, meta, None if b is None else Label(b).code))
     return out

@@ -10,8 +10,8 @@ that train and ablate build on is keyed the same way, as the node "source".
 Both take each target run from `_runs`, which serves it from the run store
 (`cache/runs/`, keyed by the source key and the trainer, seed included) or
 trains and stores it, so ablate reuses train's runs.
-Persona labels users from the train split itself, as idh does, so idh is a
-leaf: its `criteria` and `report_labels` reach no other key.  Every node's
+idh and persona share one heterogeneity analysis per train split, so idh
+is a leaf: its `criteria` and `report_labels` reach no other key.  Every node's
 record, the source model's included, is `<node>/manifest.json`, written last:
 it holds the node's key and the size of every file it owns, and the node is
 done only when both match the disk and every upstream node is done,
@@ -346,7 +346,7 @@ class Pipeline:
         self.run_cache = persona_mod.JsonCache(Path(cache_dir) / "runs")
         self._domains: dict[str, DomainDataset] = {}
         self._splits: dict[str, SplitBundle] = {}
-        self._train_datasets: dict[str, DomainDataset] = {}
+        self._train_datasets: dict[str, tuple[DomainDataset, dict, dict]] = {}
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -437,11 +437,14 @@ class Pipeline:
             )
         return self._splits[which]
 
-    def _train_dataset(self, which: str) -> DomainDataset:
+    def _train_dataset(self, which: str) -> tuple[DomainDataset, dict, dict]:
+        """The train split of `which` as a dataset, with its bins and labels
+        on every metadata criterion, which idh and persona share."""
         if which not in self._train_datasets:
-            self._train_datasets[which] = self._dataset(which).restricted_to(
-                self._split(which).train
-            )
+            train_ds = self._dataset(which).restricted_to(self._split(which).train)
+            bins = idh_mod.compute_domain_bins(train_ds)
+            labels = idh_mod.compute_domain_labels(train_ds, bins)
+            self._train_datasets[which] = (train_ds, bins, labels)
         return self._train_datasets[which]
 
     # -- stages -------------------------------------------------------------
@@ -490,9 +493,7 @@ class Pipeline:
         report_labels = [Label[name.upper()] for name in self.config.report_labels]
         criteria = tuple(Criterion(c) for c in self.config.criteria)
         for which in ("source", "target"):
-            train_ds = self._train_dataset(which)
-            bins = idh_mod.compute_domain_bins(train_ds, criteria)
-            labels = idh_mod.compute_domain_labels(train_ds, bins, criteria)
+            _, bins, labels = self._train_dataset(which)
             base = self.run_dir / "idh" / which
             write_json(
                 base / "bins.json",
@@ -503,9 +504,9 @@ class Pipeline:
                             "q23": a.q23,
                             "bins": dict(sorted(a.bins.items())),
                         }
-                        for cat, a in per_cat.items()
+                        for cat, a in bins[crit].items()
                     }
-                    for crit, per_cat in bins.items()
+                    for crit in criteria
                 },
             )
             write_json(
@@ -513,9 +514,9 @@ class Pipeline:
                 {
                     crit.value: {
                         cat: {u: lab.code for u, lab in sorted(per_user.items())}
-                        for cat, per_user in per_cat.items()
+                        for cat, per_user in labels[crit].items()
                     }
-                    for crit, per_cat in labels.items()
+                    for crit in criteria
                 },
             )
             matrices = []
@@ -532,7 +533,7 @@ class Pipeline:
         """Build databases, generate texts and encode vectors.
 
         The labels of all three metadata criteria and the PS price bins come
-        from the train split, as idh computes them, whatever idh reports on.
+        from the train split's shared analysis, whatever idh reports on.
         `phase` stops early after "build" (databases only) or "generate"
         (plus texts); only the full "encode" pass marks the stage done.  An
         early phase leaves a done stage alone: its databases and texts are
@@ -542,11 +543,9 @@ class Pipeline:
         self._begin("persona")
         generator, persona_encoder, item_encoder = build_clients(self.config.client)
         for which in ("source", "target"):
-            train_ds = self._train_dataset(which)
+            train_ds, bins, labels = self._train_dataset(which)
             # no later stage reads the train slice: do not hold it through training
             self._train_datasets.pop(which)
-            bins = idh_mod.compute_domain_bins(train_ds)
-            labels = idh_mod.compute_domain_labels(train_ds, bins)
             price_bins = {cat: a.bins for cat, a in bins[Criterion.PS].items()}
             dbs = persona_mod.build_all_persona_dbs(train_ds, labels)
             base = self.run_dir / "persona" / which
@@ -785,7 +784,7 @@ class Pipeline:
             )
             for seed in self.config.seeds
         ]
-        aggregated = aggregate_seed_reports(reports, ks, expected_seeds=len(self.config.seeds))
+        aggregated = aggregate_seed_reports(reports, ks)
         aggregated["stage_key"] = self.keys["eval"]
         aggregated["split"] = which_split
         write_json(self.run_dir / "eval" / "report.json", aggregated)

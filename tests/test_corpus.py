@@ -147,6 +147,11 @@ class TestLoaderRejectsBadNumbers:
             ("avg_rating", True),
             ("rating_count", True),
             ("rating_count", 2.5),
+            ("price", "19.99"),
+            ("avg_rating", "4"),
+            ("rating_count", "3"),
+            ("title", None),
+            ("title", 5),
         ],
     )
     def test_metadata_field(self, tmp_path, field, value):
@@ -154,12 +159,26 @@ class TestLoaderRejectsBadNumbers:
         with pytest.raises(ParseError, match=rf"meta\.jsonl:2: {field} "):
             self._load(tmp_path, [meta_row("i1"), bad], [])
 
-    @pytest.mark.parametrize("field,value", [("rating", True), ("ts", 1.9), ("ts", True)])
+    @pytest.mark.parametrize("field,value", [("rating", True), ("ts", 1.9), ("ts", True),
+                                             ("rating", "5"), ("ts", "3"),
+                                             pytest.param("rating", 10**400, id="rating-huge-int")])
     def test_interaction_field(self, tmp_path, field, value):
         good = {"user": "u1", "item": "i1", "rating": 3.0, "ts": 10}
         bad = dict(good, **{field: value})
         with pytest.raises(ParseError, match=rf"inter\.jsonl:2: {field} "):
             self._load(tmp_path, [meta_row("i1")], [good, bad])
+
+    @pytest.mark.parametrize("value", [None, "", {"a": 1}, 7])
+    @pytest.mark.parametrize("name,field", [("meta", "item"), ("meta", "category"),
+                                            ("inter", "user"), ("inter", "item")])
+    def test_id_field(self, tmp_path, name, field, value):
+        """An id must be a nonempty JSON string, never one made from another value."""
+        meta = [meta_row("i1"), meta_row("i2")]
+        inter = [{"user": f"u{k}", "item": f"i{k}", "rating": 3.0, "ts": 10} for k in (1, 2)]
+        rows = meta if name == "meta" else inter
+        rows[1] = dict(rows[1], **{field: value})
+        with pytest.raises(ParseError, match=rf"{name}\.jsonl:2: {field} "):
+            self._load(tmp_path, meta, inter)
 
     def test_nan_price_rejected_in_any_order(self, tmp_path):
         # unrejected, a NaN makes the price tertiles depend on input order:

@@ -275,11 +275,6 @@ class TestSeedAggregation:
         assert hr["std"] == pytest.approx(0.1)
         assert hr["per_seed"] == [0.2, 0.4]
 
-    def test_seed_count_enforced(self):
-        reports = [{"HR": {5: 0.2}, "NDCG": {5: 0.1}, "units": 1, "skipped": 0}]
-        with pytest.raises(ValueError):
-            aggregate_seed_reports(reports, [5], expected_seeds=5)
-
 
 class TestAveragingModes:
     def test_per_user_differs_from_per_interaction(self):

@@ -350,7 +350,7 @@ class TestGeneratePersonas:
         ds, labels = domain_with_labels()
         db = build_all_persona_dbs(ds, labels)["u1"]
         assets = ("home", "desc")
-        history = recent_history(ds, "u1")
+        history = recent_history(ds, "u1", {})
         return ds, db, assets, history
 
     def test_template_phrase_for_high_price(self):
@@ -489,7 +489,7 @@ class TestGeneratePersonas:
     def test_history_truncated_to_30(self):
         triples = [("u", f"i{k}", "A", k) for k in range(45)]
         ds = make_domain(triples)
-        rows = recent_history(ds, "u")
+        rows = recent_history(ds, "u", {})
         assert len(rows) == 30
         # newest first
         assert rows[0][0].timestamp == 44
@@ -789,7 +789,7 @@ class TestParallelGeneration:
         ds, labels = domain_with_labels()
         dbs = build_all_persona_dbs(ds, labels)
         assets = ("home", "desc")
-        histories = {u: recent_history(ds, u) for u in dbs}
+        histories = {u: recent_history(ds, u, {}) for u in dbs}
         serial = generate_all_personas(dbs, *assets, histories, TemplateGenerator())
         parallel = generate_all_personas(
             dbs, *assets, histories, TemplateGenerator(), parallelism=3
@@ -802,7 +802,7 @@ class TestShardCache:
         ds, labels = domain_with_labels()
         dbs = build_all_persona_dbs(ds, labels)
         assets = ("home", "desc")
-        histories = {u: recent_history(ds, u) for u in dbs}
+        histories = {u: recent_history(ds, u, {}) for u in dbs}
         return dbs, assets, histories, [ds.items[i] for i in sorted(ds.items)]
 
     def _stage(self, root, generator, encoder, parallelism=1):

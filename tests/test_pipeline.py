@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import multitap.idh as idh_mod
 import multitap.pipeline as pipeline_mod
 from multitap import cli as cli_mod
 from multitap.cli import main
@@ -19,7 +20,7 @@ from multitap.diffkit import checkpoint_manifest_path, load_checkpoint
 from multitap.errors import ClientError, DependencyError
 from multitap.persona import JsonCache
 from multitap.persona.clients import build_clients
-from multitap.pipeline import NODES, Pipeline, PipelineConfig, stages_through
+from multitap.pipeline import NODES, STAGES, Pipeline, PipelineConfig, stages_through
 from multitap.util import read_json, write_json
 
 import oracles
@@ -83,9 +84,8 @@ class TestEndToEnd:
     def test_matches_stored_golden_metrics(self, completed_run):
         _, run_dir, _ = completed_run
         report = read_json(run_dir / "eval" / "report.json")
-        if not GOLDEN.exists():
-            pytest.skip("golden file not generated yet")
         golden = read_json(GOLDEN)
+        assert len(report["metrics"]) == len(golden["metrics"])
         for got, want in zip(report["metrics"], golden["metrics"]):
             assert got["metric"] == want["metric"] and got["K"] == want["K"]
             assert got["per_seed"] == pytest.approx(want["per_seed"], abs=1e-9)
@@ -835,6 +835,23 @@ class TestIdhIsALeaf:
         for rel, data in single.items():
             if not rel.startswith("idh/"):
                 assert default[rel] == data, f"{rel} differs from the default-criteria run"
+
+
+class TestOneAnalysisPerSplit:
+    def test_cold_run_computes_bins_and_labels_once_per_side(
+        self, small_fixture, tmp_path, monkeypatch
+    ):
+        """idh and persona share each train split's heterogeneity analysis."""
+        _, paths = small_fixture
+        calls = {"compute_domain_bins": 0, "compute_domain_labels": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(idh_mod, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(idh_mod, name, counted)
+        status = build_pipeline(paths, tmp_path / "run").run(STAGES)
+        assert status == {s: "ran" for s in STAGES}
+        assert calls == {"compute_domain_bins": 2, "compute_domain_labels": 2}
 
 
 class TestInputsInKey:
