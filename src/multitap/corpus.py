@@ -255,7 +255,7 @@ class SplitBundle:
 
 
 def time_split(
-    dataset: DomainDataset, boundary_time: int, valid_fraction: float = 0.5
+    dataset: DomainDataset, boundary_time: int, valid_fraction: float
 ) -> SplitBundle:
     """Chronological split: pre-boundary rows train, post-boundary rows are
     split per user into valid (earliest `valid_fraction`) and test.

@@ -52,20 +52,20 @@ def init_normal(rng: np.random.Generator, shape: tuple[int, ...], std: float = 0
 # ---------------------------------------------------------------------------
 
 
-def softmax(logits: Array, axis: int = -1) -> Array:
-    """Numerically stabilized softmax along `axis`."""
+def softmax(logits: Array) -> Array:
+    """Numerically stabilized softmax along the last axis."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.size == 0:
         raise ValueError("softmax of empty input")
     require_finite("softmax logits", logits)
-    shifted = logits - logits.max(axis=axis, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_backward(grad_out: Array, out: Array, axis: int = -1) -> Array:
+def softmax_backward(grad_out: Array, out: Array) -> Array:
     """Adjoint of softmax given its output: s * (g - <g, s>)."""
-    inner = (grad_out * out).sum(axis=axis, keepdims=True)
+    inner = (grad_out * out).sum(axis=-1, keepdims=True)
     return out * (grad_out - inner)
 
 
@@ -182,9 +182,6 @@ class ParameterStore:
     def zero_grads(self) -> None:
         for g in self.grads.values():
             g[...] = 0.0
-
-    def accumulate(self, name: str, grad: Array) -> None:
-        self.grads[name] += grad
 
     def copy_params(self) -> dict[str, Array]:
         return {k: v.copy() for k, v in self.params.items()}

@@ -136,7 +136,7 @@ def _block_ranks(scores: np.ndarray, units: HeldoutUnits) -> list[int]:
 def full_ranking_eval(
     scores: np.ndarray,
     units: HeldoutUnits,
-    ks: Sequence[int] = (5,),
+    ks: Sequence[int],
     average: str = "interaction",
 ) -> dict:
     """HR@K and NDCG@K of `units` (from `heldout_units`) under the

@@ -1,7 +1,9 @@
 """Deterministic synthetic two-domain corpus with planted preference structure.
 
-Users belong to latent groups; each group concentrates its interactions in
-two preferred categories and one price tier, consistently in both domains.
+Users belong to the latent groups of `GROUP_PROFILES`; each group
+concentrates its interactions in two preferred categories of `CATEGORIES`
+and one price tier, consistently in both domains.  Both are constants: the
+groups are written over exactly these four categories.
 The source domain is interaction-rich and the target domain sparse, so a
 user's group is easy to read from source behavior and noisy in the target.
 Quality and popularity metadata are uninformative noise by design.
@@ -24,14 +26,22 @@ _HELDOUT_ERA = (BOUNDARY_TS, 1640995200)  # 2019..2021
 
 _TIER_PRICE = {1: (5.0, 15.0), 2: (25.0, 35.0), 3: (45.0, 60.0)}
 
+CATEGORIES = ("alpha", "beta", "gamma", "delta")
+# each group's (preferred categories, preferred price tier); user k of each
+# user list (overlap, source-only, target-only) belongs to group k % 4
+GROUP_PROFILES = (
+    (("alpha", "beta"), 3),
+    (("gamma", "delta"), 3),
+    (("alpha", "beta"), 1),
+    (("gamma", "delta"), 1),
+)
+
 
 @dataclass
 class FixtureSpec:
     overlap_users: int = 200
     source_only_users: int = 20
     target_only_users: int = 20
-    groups: int = 4
-    categories: tuple[str, ...] = ("alpha", "beta", "gamma", "delta")
     source_items_per_category: int = 48
     target_items_per_category: int = 12
     source_train_per_user: int = 25
@@ -53,16 +63,6 @@ class FixtureSpec:
     target_single_visible_category: bool = True
     seed: int = 7
 
-    def group_profile(self, group: int) -> tuple[tuple[str, str], int]:
-        """(preferred categories, preferred price tier) for a group.
-
-        Four groups: (alpha/beta, high), (gamma/delta, high),
-        (alpha/beta, low), (gamma/delta, low)."""
-        cats = self.categories
-        pair = (cats[0], cats[1]) if group in (0, 2) else (cats[2], cats[3])
-        tier = 3 if group in (0, 1) else 1
-        return pair, tier
-
 
 @dataclass
 class FixturePaths:
@@ -75,11 +75,9 @@ class FixturePaths:
 _TIER_RATING = {1: 3.4, 2: 4.0, 3: 4.6}
 
 
-def _build_items(
-    rng: np.random.Generator, domain: str, spec: FixtureSpec, per_category: int
-) -> list[dict]:
+def _build_items(rng: np.random.Generator, domain: str, per_category: int) -> list[dict]:
     items = []
-    for cat in spec.categories:
+    for cat in CATEGORIES:
         for j in range(per_category):
             tier = (j % 3) + 1
             lo, hi = _TIER_PRICE[tier]
@@ -102,7 +100,6 @@ def _build_items(
 
 def _pick_item(
     rng: np.random.Generator,
-    spec: FixtureSpec,
     items_by_cat_tier: dict,
     preferred_cats: tuple[str, str],
     preferred_tier: int,
@@ -114,7 +111,7 @@ def _pick_item(
         if rng.random() < category_affinity:
             cat = preferred_cats[int(rng.integers(0, 2))]
         else:
-            others = [c for c in spec.categories if c not in preferred_cats]
+            others = [c for c in CATEGORIES if c not in preferred_cats]
             cat = others[int(rng.integers(0, len(others)))]
         if rng.random() < tier_affinity:
             tier = preferred_tier
@@ -143,9 +140,9 @@ def _user_events(
     n_train: int,
     n_heldout: int,
     train_affinities: tuple[float, float],
-    single_visible_category: bool = False,
+    single_visible_category: bool,
 ) -> list[dict]:
-    preferred_cats, tier = spec.group_profile(group)
+    preferred_cats, tier = GROUP_PROFILES[group]
     train_cats = preferred_cats
     if single_visible_category:
         visible = preferred_cats[int(rng.integers(0, 2))]
@@ -156,7 +153,7 @@ def _user_events(
     held_ts = np.sort(rng.integers(_HELDOUT_ERA[0], _HELDOUT_ERA[1], size=n_heldout))
     seen: set[str] = set()
     for k, ts in enumerate(train_ts):
-        item = _pick_item(rng, spec, items_by_cat_tier, train_cats, tier, train_affinities)
+        item = _pick_item(rng, items_by_cat_tier, train_cats, tier, train_affinities)
         seen.add(item["item"])
         events.append(
             {
@@ -171,7 +168,7 @@ def _user_events(
     # every one of them is rankable under the full-ranking protocol
     for k, ts in enumerate(held_ts):
         item = _pick_item(
-            rng, spec, items_by_cat_tier, preferred_cats, tier, heldout_affinities, exclude=seen
+            rng, items_by_cat_tier, preferred_cats, tier, heldout_affinities, exclude=seen
         )
         seen.add(item["item"])
         events.append(
@@ -191,9 +188,8 @@ def generate_fixture(spec: FixtureSpec) -> dict:
     overlap = [f"u{k:04d}" for k in range(spec.overlap_users)]
     source_only = [f"s{k:04d}" for k in range(spec.source_only_users)]
     target_only = [f"t{k:04d}" for k in range(spec.target_only_users)]
-    group_of = {u: k % spec.groups for k, u in enumerate(overlap)}
-    group_of.update({u: k % spec.groups for k, u in enumerate(source_only)})
-    group_of.update({u: k % spec.groups for k, u in enumerate(target_only)})
+    group_of = {u: k % len(GROUP_PROFILES)
+                for users in (overlap, source_only, target_only) for k, u in enumerate(users)}
 
     out = {}
     for domain, users, per_cat, n_train, n_held, affinities, single_cat in (
@@ -205,7 +201,7 @@ def generate_fixture(spec: FixtureSpec) -> dict:
          (spec.target_category_affinity, spec.target_tier_affinity),
          spec.target_single_visible_category),
     ):
-        items = _build_items(rng, domain, spec, per_cat)
+        items = _build_items(rng, domain, per_cat)
         by_cat_tier: dict = {}
         for it in items:
             by_cat_tier.setdefault((it["category"], it["_tier"]), []).append(it)
@@ -290,9 +286,8 @@ def fixture_config_dict(
     return config
 
 
-def write_fixture(directory: str | Path, spec: FixtureSpec | None = None) -> FixturePaths:
+def write_fixture(directory: str | Path, spec: FixtureSpec) -> FixturePaths:
     """Write the synthetic corpus as the four JSONL files the loader expects."""
-    spec = spec or FixtureSpec()
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     data = generate_fixture(spec)

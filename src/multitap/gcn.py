@@ -34,7 +34,7 @@ class BipartiteGraph:
 
     @classmethod
     def from_interactions(
-        cls, records: Iterable[InteractionRecord], catalog_items: Iterable[str] = ()
+        cls, records: Iterable[InteractionRecord], catalog_items: Iterable[str]
     ) -> "BipartiteGraph":
         pairs = sorted({(r.user_id, r.item_id) for r in records})
         if not pairs:
@@ -156,7 +156,7 @@ def _sample_negatives(
 def pretrain_id_embeddings(
     split: SplitBundle,
     config: GcnConfig,
-    catalog_items: Iterable[str] = (),
+    catalog_items: Iterable[str],
 ) -> PretrainResult:
     """Train LightGCN with BPR on the train part, early-stopped on valid HR@K."""
     graph = BipartiteGraph.from_interactions(split.train, catalog_items)
@@ -202,7 +202,7 @@ def pretrain_id_embeddings(
                 np.concatenate([coeff[:, None] * (q_pos - q_neg), grad_pos, -grad_pos]),
                 prop.shape[0],
             )
-            store.accumulate("emb", _layer_mean(grad_prop, adjacency, layer_count))
+            store.grads["emb"] += _layer_mean(grad_prop, adjacency, layer_count)
             adam_step(store, config.learning_rate, config.weight_decay)
 
         table = propagate(

@@ -188,14 +188,14 @@ class MultiTapModel:
 
     # -- forward/backward pieces ------------------------------------------
 
-    def _persona_forward(self, user_rows: np.ndarray, dropout_rng=None) -> dict:
+    def _persona_forward(self, user_rows: np.ndarray, dropout_rng) -> dict:
         p = self.store.params
         E = self.inputs.persona_inputs[user_rows]  # (B, 5, n)
         mode = self.config.aggregation
         cache: dict = {"E": E, "rows": user_rows, "mode": mode}
         if mode == "self_attn":
             logits = E @ p["agg.mask"] / np.sqrt(self.n)  # (B, 5)
-            A = softmax(logits, axis=1)
+            A = softmax(logits)
             pooled = np.einsum("bk,bkn->bn", A, E)
             cache["A"] = A
         elif mode == "mean":
@@ -222,7 +222,7 @@ class MultiTapModel:
         dpooled = affine_backward(self.store, "agg.ffn", cache["pooled"], dhid_pre)
         if cache["mode"] == "self_attn":
             dA = np.einsum("bn,bkn->bk", dpooled, E)
-            dlogits = softmax_backward(dA, cache["A"], axis=1)
+            dlogits = softmax_backward(dA, cache["A"])
             self.store.grads["agg.mask"] += np.einsum("bk,bkn->n", dlogits, E) / np.sqrt(self.n)
         # mean/concat pooling has no trainable parameters and E is frozen
 
@@ -245,7 +245,7 @@ class MultiTapModel:
         persona embeddings: softmax(H S^T / sqrt(h)). Row m's doppelganger
         is the convex combination `weights[m] @ S`."""
         S = self.inputs.source_user_personas
-        return softmax(H @ S.T / np.sqrt(self.h_dim), axis=1)
+        return softmax(H @ S.T / np.sqrt(self.h_dim))
 
     def _transfer_term(
         self, anchors_local: np.ndarray, rows: np.ndarray, h: np.ndarray
@@ -280,7 +280,7 @@ class MultiTapModel:
                 id_grads = {"rows": rows, "grad": grad}
                 continue
             if positive_parts == "doppelganger":
-                dlogits = softmax_backward(dY @ S.T, W, axis=1)
+                dlogits = softmax_backward(dY @ S.T, W)
                 grad = grad + dlogits @ S / np.sqrt(self.h_dim)
             dh[anchors_local] += grad
         return loss, dh, id_grads

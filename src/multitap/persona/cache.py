@@ -78,20 +78,18 @@ class JsonCache:
 
 @contextmanager
 def cache_batch(
-    cache: JsonCache | None, keys: Iterable[str]
+    cache: JsonCache, keys: Iterable[str]
 ) -> Iterator[tuple[dict[str, Any], dict[str, Any]]]:
     """One batched call: yields `(stored, new)`, the cached entries among
     `keys` and an empty dict for the caller to fill with what it computes.
     `new` is written as one shard on exit, also when the caller fails, so
-    finished work survives an interrupted batch.  Without a cache, `stored`
-    is empty and nothing is written."""
-    stored = (cache.get(keys) if cache is not None else None) or {}
+    finished work survives an interrupted batch."""
+    stored = cache.get(keys) or {}
     new: dict[str, Any] = {}
     try:
         yield stored, new
     finally:
-        if cache is not None:
-            cache.put(new)
+        cache.put(new)
 
 
 __all__ = ["JsonCache", "cache_batch"]

@@ -142,7 +142,7 @@ class HashingEncoder:
     hashed once per instance: its (slot, sign) pair is memoised, so repeated
     template phrases cost a dict lookup."""
 
-    def __init__(self, dim: int = 256, seed: int = 0):
+    def __init__(self, dim: int, seed: int):
         if dim <= 0:
             raise ValueError("encoder dimension must be positive")
         self.dim = dim

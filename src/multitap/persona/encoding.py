@@ -1,7 +1,8 @@
 """Dense encoding of persona texts and item metadata.
 
 `encode_texts` is the one encoder path: each distinct text is keyed by its
-content and the encoder identity, and encoded and cached once.
+content and the encoder identity, and encoded and written to the run's
+vector cache once.
 `encode_personas` flattens each user's `{criterion value: text}` map, as
 `generation.generate_all_personas` returns it, into a (U, 5, d) array, each
 user's rows in `CRITERIA_ORDER`; `encode_item_batch` returns an (I, d)
@@ -22,12 +23,12 @@ from .cache import JsonCache, cache_batch
 from .clients import EncoderClient
 
 
-def encode_texts(texts: Sequence[str], encoder: EncoderClient, chunk_size: int = 256,
-                 cache: JsonCache | None = None) -> np.ndarray:
+def encode_texts(texts: Sequence[str], encoder: EncoderClient, chunk_size: int,
+                 cache: JsonCache) -> np.ndarray:
     """The (N, d) vectors of `texts`, in input order.  A text repeated in
-    `texts` or already cached is not sent again: the distinct uncached texts
-    reach the encoder once, in calls of `chunk_size`, and are written, in
-    first-seen order, as one shard."""
+    `texts` or already in `cache` is not sent again: the distinct texts the
+    cache lacks reach the encoder once, in calls of `chunk_size`, and are
+    written, in first-seen order, as one shard."""
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
     keys = [content_key({"text": t, "encoder": encoder.identity}) for t in texts]
@@ -45,12 +46,8 @@ def encode_texts(texts: Sequence[str], encoder: EncoderClient, chunk_size: int =
     return np.array([stored[key] for key in keys]).reshape(len(keys), encoder.dim)
 
 
-def encode_personas(
-    texts: Sequence[Mapping[str, str]],
-    encoder: EncoderClient,
-    cache: JsonCache | None = None,
-    chunk_size: int = 256,
-) -> np.ndarray:
+def encode_personas(texts: Sequence[Mapping[str, str]], encoder: EncoderClient,
+                    chunk_size: int, cache: JsonCache) -> np.ndarray:
     """The (U, 5, d) vectors of each user's five criterion texts."""
     for text in texts:
         missing = [c.value for c in CRITERIA_ORDER if c.value not in text]
@@ -70,8 +67,8 @@ def encode_item_batch(
     items: Sequence[ItemMeta],
     domain_description: str,
     encoder: EncoderClient,
-    chunk_size: int = 256,
-    cache: JsonCache | None = None,
+    chunk_size: int,
+    cache: JsonCache,
 ) -> np.ndarray:
     """The (I, d) vectors of `items`, in input order."""
     texts = [item_semantic_text(m, domain_description) for m in items]

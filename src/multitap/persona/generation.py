@@ -1,13 +1,13 @@
 """Text generation: the domain description and each user's five persona texts.
 
 `generate_texts` is the one generation path.  Each payload is keyed by its
-content, the client identity and the instruction; payloads already cached
-are served, and the others go to the client, whose response is parsed
-against its fixed output schema.  A malformed response gets exactly one
-regeneration attempt.  The new entries are written as one shard, so
-repeated runs make zero client calls.  `build_domain_description` asks for
-one domain's description, and `generate_all_personas` for every user's five
-criterion texts, which are written from that description.
+content, the client identity and the instruction; payloads already in the
+run's text cache are served, and the others go to the client, whose
+response is parsed against its fixed output schema.  A malformed response
+gets exactly one regeneration attempt.  The new entries are written as one
+shard, so repeated runs make zero client calls.  `build_domain_description`
+asks for one domain's description, and `generate_all_personas` for every
+user's five criterion texts, which are written from that description.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .prompts import (
 
 def generate_texts(payloads: Mapping[str, dict], ask: Callable[[dict], str],
                    parse: Callable[[str, str], Any], identity: str, instruction: str,
-                   cache: JsonCache | None = None, parallelism: int = 1) -> dict[str, Any]:
+                   cache: JsonCache, parallelism: int = 1) -> dict[str, Any]:
     """The cache entry of each named payload, in `payloads` order.
 
     `ask(payload)` is the client call and `parse(raw, name)` turns its
@@ -82,7 +82,7 @@ def _parse_description(raw: str, domain_id: str) -> str:
 
 
 def build_domain_description(dataset: DomainDataset, client: GeneratorClient,
-                             cache: JsonCache | None = None) -> str:
+                             cache: JsonCache) -> str:
     """The domain's description, asked of the client for its sampled items.
     It is keyed by the client's `description_identity` (a remote client's
     chat model and description temperature), so a sampling client is asked
@@ -129,8 +129,7 @@ def _persona_entry(raw: str, user_id: str) -> dict:
 
 def generate_all_personas(dbs: Mapping[str, PersonaDB], domain_id: str, description: str,
                           histories: Mapping[str, Sequence[tuple]], client: GeneratorClient,
-                          cache: JsonCache | None = None,
-                          parallelism: int = 1) -> dict[str, dict[str, str]]:
+                          cache: JsonCache, parallelism: int) -> dict[str, dict[str, str]]:
     """Each user's texts, `{user: {criterion value: text}}`, users sorted;
     the payloads are written from the domain's description."""
     payloads = {u: persona_payload(u, domain_id, description, dbs[u].labels, dbs[u].diversity,

@@ -217,6 +217,10 @@ class PipelineConfig:
                 )
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be nonempty and distinct, got {list(self.seeds)}")
+        for name, trainer in (("train", self.train), ("source_train", self.source_train)):
+            if trainer is not None and trainer.seed != 0:
+                raise ValueError(f"{name}.seed must be left unset, as `seeds` sets each "
+                                 f"run's seed; got {trainer.seed!r}")
         if not self.eval_ks or any(k < 1 for k in self.eval_ks):
             raise ValueError(f"eval_ks must be nonempty, each >= 1, got {list(self.eval_ks)}")
         for name in ("eval_ks", "criteria", "report_labels"):
@@ -558,25 +562,19 @@ class Pipeline:
                 for u in sorted(dbs)
             }
             texts = persona_mod.generate_all_personas(
-                dbs, train_ds.domain_id, description, histories, generator,
-                cache=self.text_cache, parallelism=self.config.client.parallelism)
+                dbs, train_ds.domain_id, description, histories, generator, self.text_cache,
+                self.config.client.parallelism)
             user_ids = sorted(texts)
             write_json(base / "texts.json", texts)
             atomic_write_text(base / "description.txt", description + "\n")
             if phase == "generate":
                 continue
+            chunk_size = self.config.client.chunk_size
             vectors = persona_mod.encode_personas(
-                [texts[u] for u in user_ids], persona_encoder, self.vector_cache,
-                self.config.client.chunk_size,
-            )
+                [texts[u] for u in user_ids], persona_encoder, chunk_size, self.vector_cache)
             items = [train_ds.items[i] for i in sorted(train_ds.items)]
             item_vectors = persona_mod.encode_item_batch(
-                items,
-                description,
-                item_encoder,
-                chunk_size=self.config.client.chunk_size,
-                cache=self.vector_cache,
-            )
+                items, description, item_encoder, chunk_size, self.vector_cache)
             save_checkpoint(
                 base / "user_vectors.ckpt",
                 {"vectors": vectors},
@@ -602,9 +600,7 @@ class Pipeline:
         self._begin("pretrain")
         for which in ("source", "target"):
             ds = self._dataset(which)
-            result = pretrain_id_embeddings(
-                self._split(which), self.config.gcn, catalog_items=sorted(ds.item_ids)
-            )
+            result = pretrain_id_embeddings(self._split(which), self.config.gcn, sorted(ds.item_ids))
             save_checkpoint(
                 self.run_dir / "backbone" / f"{which}.ckpt",
                 {
@@ -649,7 +645,7 @@ class Pipeline:
             source_user_backbone=source_backbone,
         )
 
-    def _ensure_source_tables(self, stage: str = "train") -> None:
+    def _ensure_source_tables(self, stage: str) -> None:
         """Unless they are done under the current source key, train the
         source-domain model (no transfer) and export the overlap-aligned
         persona and ID tables it provides; `stage` names the caller in a

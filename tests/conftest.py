@@ -57,5 +57,5 @@ def acceptance_pipeline(acceptance_fixture, tmp_path_factory):
     config = PipelineConfig.from_dict(fixture_config_dict(paths, run_dir))
     pipe = Pipeline(config)
     pipe.run(["ingest", "split", "idh", "persona", "pretrain"])
-    pipe._ensure_source_tables()
+    pipe._ensure_source_tables("train")
     return pipe

@@ -13,8 +13,8 @@ database, re-sorting every distribution it labels against unless the caller
 passes it precomputed.  `normalized_adjacency` is the graph backbone's
 adjacency built one edge at a time through id-keyed maps, optionally onto
 wider user and item orderings.  `encode_personas` and `encode_item_batch`
-are the two encoders before they shared one path: one cache key and one
-encoder call per user, and one key per item text.  `stage_keys`
+are the two encoders before they shared one path, without a cache: one
+encoder call per user, and the item texts in calls of `chunk_size`.  `stage_keys`
 computes the stage keys from a deep copy of the whole config and the
 identities of freshly built clients, and `config_hash` the run hash from
 them.  All are deliberately naive and slow.
@@ -36,7 +36,6 @@ from multitap.errors import MissingLabelError
 from multitap.gcn import BipartiteGraph
 from multitap.idh import CRITERIA_ORDER, Criterion, Label, tertile_label, tertile_thresholds
 from multitap.persona import PersonaDB, item_semantic_text
-from multitap.persona.cache import cache_batch
 from multitap.persona.clients import build_clients
 from multitap.pipeline import NODES, SIDES
 from multitap.util import content_key, file_sha256
@@ -357,46 +356,29 @@ def normalized_adjacency(
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def encode_personas(texts, encoder, cache=None) -> np.ndarray:
-    """The (U, 5, d) vectors of each user's `{criterion value: text}` map, one
-    encoder call per user whose texts are not cached; one cache read and at
-    most one write."""
+def encode_personas(texts, encoder) -> np.ndarray:
+    """The (U, 5, d) vectors of each user's `{criterion value: text}` map,
+    one encoder call per user."""
     for text in texts:
         missing = [c.value for c in CRITERIA_ORDER if c.value not in text]
         if missing:
             raise ValueError(f"persona texts missing criteria: {missing}")
-    ordered = [[text[c.value] for c in CRITERIA_ORDER] for text in texts]
-    keys = [content_key({"texts": t, "encoder": encoder.identity}) for t in ordered]
-    with cache_batch(cache, keys) as (stored, new):
-        for text, key in zip(ordered, keys):
-            if key in stored or key in new:
-                continue
-            matrix = encoder.embed(text)
-            if matrix.shape != (len(CRITERIA_ORDER), encoder.dim):
-                raise ValueError(
-                    f"encoder returned shape {matrix.shape}, expected (5, {encoder.dim})"
-                )
-            new[key] = matrix
-    stored.update(new)
-    return np.stack([stored[key] for key in keys])
+    rows = []
+    for text in texts:
+        matrix = encoder.embed([text[c.value] for c in CRITERIA_ORDER])
+        if matrix.shape != (len(CRITERIA_ORDER), encoder.dim):
+            raise ValueError(f"encoder returned shape {matrix.shape}, expected (5, {encoder.dim})")
+        rows.append(matrix)
+    return np.stack(rows)
 
 
-def encode_item_batch(items, domain_description, encoder, chunk_size=256, cache=None) -> np.ndarray:
-    """The (I, d) vectors of `items`; those whose text is not cached go to
-    the encoder in calls of `chunk_size`.  The cache is keyed per item text."""
+def encode_item_batch(items, domain_description, encoder, chunk_size) -> np.ndarray:
+    """The (I, d) vectors of `items`, sent to the encoder in calls of `chunk_size`."""
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
     texts = [item_semantic_text(m, domain_description) for m in items]
-    keys = [content_key({"text": t, "encoder": encoder.identity}) for t in texts]
-    with cache_batch(cache, keys) as (stored, new):
-        todo = [i for i, key in enumerate(keys) if key not in stored]
-        for start in range(0, len(todo), chunk_size):
-            chunk = todo[start : start + chunk_size]
-            matrix = encoder.embed([texts[i] for i in chunk])
-            for i, row in zip(chunk, matrix):
-                new[keys[i]] = row
-    stored.update(new)
-    return np.stack([stored[key] for key in keys])
+    return np.concatenate([encoder.embed(texts[start : start + chunk_size])
+                           for start in range(0, len(texts), chunk_size)])
 
 
 def semantic_dict(config) -> dict:

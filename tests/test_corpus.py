@@ -1,5 +1,6 @@
-"""Ingestion, overlap and time-split tests."""
+"""Ingestion, overlap and time-split tests, and the synthetic corpus bytes."""
 
+import hashlib
 import json
 import re
 from collections import Counter
@@ -312,7 +313,7 @@ class TestTimeSplit:
                 ("v", "i1", TS_2020),
             ],
         )
-        bundle = time_split(ds, TS_2019)
+        bundle = time_split(ds, TS_2019, 0.5)
         users_post = {r.user_id for r in bundle.valid} | {r.user_id for r in bundle.test}
         assert "v" not in users_post
         dropped = len(ds.interactions) - len(bundle.train) - len(bundle.valid) - len(bundle.test)
@@ -355,7 +356,7 @@ class TestTimeSplit:
         sizes = []
         for boundary in (TS_2019, TS_2019 + 10_000_000, TS_2020):
             try:
-                sizes.append(len(time_split(ds, boundary).train))
+                sizes.append(len(time_split(ds, boundary, 0.5).train))
             except DegenerateSplitError:
                 sizes.append(len([r for r in ds.interactions if r.timestamp < boundary]))
         assert sizes == sorted(sizes)
@@ -363,9 +364,9 @@ class TestTimeSplit:
     def test_degenerate_split_errors(self):
         ds = make_dataset("d", [("u", "i1", TS_2018)])
         with pytest.raises(DegenerateSplitError):
-            time_split(ds, TS_2019)  # nothing after the boundary
+            time_split(ds, TS_2019, 0.5)  # nothing after the boundary
         with pytest.raises(DegenerateSplitError):
-            time_split(ds, TS_2018 - 1000)  # nothing before it
+            time_split(ds, TS_2018 - 1000, 0.5)  # nothing before it
 
 
 class TestIndexViews:
@@ -403,3 +404,39 @@ class TestIndexViews:
             )
             assert total == sum(1 for t in triples if t[0] == u)
             assert ds.user_records[u] == [r for r in ds.interactions if r.user_id == u]
+
+
+class TestFixtureBytes:
+    """The synthetic corpus is pinned to the byte: every stage key, golden
+    metric and benchmark figure starts from these four files."""
+
+    # sha256 of each file `write_fixture` writes, per spec
+    WANT = {
+        "acceptance_fixture": {  # FixtureSpec()
+            "source_interactions.jsonl":
+                "a9ddded10e3d47b614233a47fae8180108e0527d670d33778589c30ba372d226",
+            "source_metadata.jsonl":
+                "0b2947c7bf059648771eaac2d81511c7e2473b3e09c9acac27b8cd2c9b0ce872",
+            "target_interactions.jsonl":
+                "11776d596e385d92d74a27506ce9ab9504edf1547ef22074487b41a1a5c8cc84",
+            "target_metadata.jsonl":
+                "873296ba8fd93f443fb134616d92b28e7f0e58d074aa2f0d987ff7422df6d299",
+        },
+        "small_fixture": {  # conftest.small_fixture_spec()
+            "source_interactions.jsonl":
+                "2882dfe0e0a2ea84dc39002a52b7880add85754292d2502970adbec0f06181b0",
+            "source_metadata.jsonl":
+                "b89d9e7391972e2e692bca986ef29b9e4993ec9036db7b4744bd20eff62e986c",
+            "target_interactions.jsonl":
+                "da6a17a0b4c3226e2cedab773be18bb1b6cf84b38032e5f12b46ad8fb1639759",
+            "target_metadata.jsonl":
+                "928814cd8c6d70556ea32c9042179b94a453eaa9cf68820857013aa65301fe23",
+        },
+    }
+
+    @pytest.mark.parametrize("fixture", sorted(WANT))
+    def test_fixture_files_are_pinned(self, fixture, request):
+        directory, _ = request.getfixturevalue(fixture)
+        got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(directory.glob("*.jsonl"))}
+        assert got == self.WANT[fixture]

@@ -10,8 +10,9 @@ match the constant prefix of a `getattr(obj, f"prefix{...}")` dispatch.
 Dunder methods are called by the language and exempt.  Every defaulted
 parameter of a module-level function must be passed by at least one product
 call of that function (by keyword, by position, or through `*`/`**`
-unpacking); one that no caller sets is a constant.  Code that only tests
-call belongs in the tests.
+unpacking); one that no caller sets is a constant.  Conversely, a default
+that every product call overrides is one no product code relies on: the
+parameter is required.  Code that only tests call belongs in the tests.
 """
 
 import ast
@@ -31,6 +32,12 @@ OUTSIDE_PARAMETERS = {
     "multitap.diffkit.grad_check.eps",  # the gradient gate of the test suite
     "multitap.fixtures.fixture_config_dict.seeds",  # perfbench and the tests
     "multitap.fixtures.fixture_config_dict.cache_dir",
+}
+
+# Defaulted parameters that every product call passes but a caller outside
+# the package leaves out.
+OUTSIDE_DEFAULTS = {
+    "multitap.idh.compute_domain_labels.bins",  # the acceptance suite's real-data test
 }
 
 
@@ -111,14 +118,15 @@ def unreferenced_definitions(root: Path) -> list[str]:
     return sorted(set(defined) - referenced)
 
 
-def unpassed_defaults(root: Path) -> list[str]:
-    """`module.function.parameter` for every defaulted parameter of a
-    module-level function under `root` that no call in `root` passes."""
+def _defaulted_calls(root: Path) -> dict[str, tuple[list[str], list[set[str] | None]]]:
+    """`module.function` -> (its defaulted parameters, the parameters each
+    call in `root` passes) for every module-level function under `root`.
+    A call that unpacks `*`/`**` may pass any parameter: its entry is None."""
     modules = _parse(root)
     defined, bindings, canonical = _names(modules)
     functions = {q: node.args for q, node in defined.items()
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    passed: dict[str, set[str]] = {q: set() for q in functions}
+    calls: dict[str, list[set[str] | None]] = {q: [] for q in functions}
     for module, (_, tree) in modules.items():
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
@@ -127,19 +135,44 @@ def unpassed_defaults(root: Path) -> list[str]:
             if qualified not in functions:
                 continue
             args = functions[qualified]
-            positional = [a.arg for a in args.posonlyargs + args.args]
             if (any(isinstance(a, ast.Starred) for a in call.args)
                     or any(k.arg is None for k in call.keywords)):
-                passed[qualified].update(positional + [a.arg for a in args.kwonlyargs])
-            passed[qualified].update(positional[: len(call.args)])
-            passed[qualified].update(k.arg for k in call.keywords if k.arg)
-    unpassed = []
+                calls[qualified].append(None)
+                continue
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            calls[qualified].append(set(positional[: len(call.args)])
+                                    | {k.arg for k in call.keywords})
+    out = {}
     for qualified, args in functions.items():
         positional = args.posonlyargs + args.args
         defaulted = positional[len(positional) - len(args.defaults):] + [
             a for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
-        unpassed += [f"{qualified}.{a.arg}" for a in defaulted if a.arg not in passed[qualified]]
-    return sorted(unpassed)
+        out[qualified] = ([a.arg for a in defaulted], calls[qualified])
+    return out
+
+
+def unpassed_defaults(root: Path) -> list[str]:
+    """`module.function.parameter` for every defaulted parameter of a
+    module-level function under `root` that no call in `root` passes."""
+    return sorted(
+        f"{qualified}.{name}"
+        for qualified, (defaulted, calls) in _defaulted_calls(root).items()
+        for name in defaulted
+        if not any(passed is None or name in passed for passed in calls)
+    )
+
+
+def always_passed_defaults(root: Path) -> list[str]:
+    """`module.function.parameter` for every defaulted parameter of a
+    module-level function under `root` that calls in `root` pass, each one
+    of them, so that no call relies on the default.  A call that unpacks
+    `*`/`**` may leave it out."""
+    return sorted(
+        f"{qualified}.{name}"
+        for qualified, (defaulted, calls) in _defaulted_calls(root).items()
+        for name in defaulted
+        if calls and all(passed is not None and name in passed for passed in calls)
+    )
 
 
 def _dispatch_prefix(node: ast.AST) -> str | None:
@@ -191,10 +224,14 @@ class TestNoDeadProductCode:
         dead = [name for name in unpassed_defaults(SRC) if name not in OUTSIDE_PARAMETERS]
         assert dead == [], f"no product call passes: {dead}"
 
+    def test_every_default_is_relied_on(self):
+        overridden = [name for name in always_passed_defaults(SRC) if name not in OUTSIDE_DEFAULTS]
+        assert overridden == [], f"every product call passes: {overridden}"
+
     def test_outside_parameters_exist(self):
         modules = _parse(SRC)
         defined, _, _ = _names(modules)
-        for qualified in OUTSIDE_PARAMETERS:
+        for qualified in OUTSIDE_PARAMETERS | OUTSIDE_DEFAULTS:
             function, _, name = qualified.rpartition(".")
             args = defined[function].args
             assert name in [a.arg for a in args.args + args.kwonlyargs], qualified
@@ -254,3 +291,21 @@ class TestNoDeadProductCode:
             "    return f(0, 1) + f(0, by_keyword=2) + a.g(**kwargs) + a.h(*args)\n"
         )
         assert unpassed_defaults(pkg) == ["pkg.a.f.unset", "pkg.a.unused.z"]
+
+    def test_defaults_count_only_when_a_call_leaves_them_out(self, tmp_path):
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text("from .a import f\n")
+        (pkg / "a.py").write_text(
+            "def f(x, always=1, sometimes=2, never=3):\n    return x\n\n"
+            "def g(x=1, *, y=2):\n    return x\n\n"
+            "def h(a=1):\n    return a\n\n"
+            "def uncalled(z=1):\n    return z\n"
+        )
+        (pkg / "b.py").write_text(
+            "from . import a\nfrom pkg import f\n\n"
+            "def run(kwargs):\n"
+            "    return (f(0, 1, 2) + f(0, always=1) + a.g(0, y=1) + a.g(x=0, y=2)\n"
+            "            + a.h(1) + a.h(**kwargs))\n"
+        )
+        assert always_passed_defaults(pkg) == ["pkg.a.f.always", "pkg.a.g.x", "pkg.a.g.y"]

@@ -244,8 +244,8 @@ class TestInfoNce:
 
         def fn(s):
             loss, dx, dy = info_nce(s.params["x"], s.params["y"], 0.5)
-            s.accumulate("x", dx)
-            s.accumulate("y", dy)
+            s.grads["x"] += dx
+            s.grads["y"] += dy
             return loss
 
         assert grad_check(fn, store, eps=1e-5) < 1e-4
@@ -300,7 +300,7 @@ class TestAdam:
     def test_single_step_hand_computed(self):
         store = ParameterStore()
         store.add("w", np.array([0.0]))
-        store.accumulate("w", np.array([1.0]))
+        store.grads["w"] += np.array([1.0])
         adam_step(store, 0.1, 0.0)
         # bias-corrected m_hat = 1, v_hat = 1 -> update = -lr * 1/(1 + eps)
         assert store.params["w"][0] == pytest.approx(-0.1, abs=1e-8)
@@ -318,7 +318,7 @@ class TestAdam:
             v = b2 * v + (1 - b2) * g * g
             theta -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
         for _ in range(2):
-            store.accumulate("w", np.array([g]))
+            store.grads["w"] += np.array([g])
             adam_step(store, lr, 0.0)
         assert store.params["w"][0] == pytest.approx(theta, abs=1e-10)
 
@@ -332,7 +332,7 @@ class TestAdam:
     def test_non_finite_gradient_names_parameter(self):
         store = ParameterStore()
         store.add("bad", np.array([1.0]))
-        store.accumulate("bad", np.array([np.nan]))
+        store.grads["bad"] += np.array([np.nan])
         with pytest.raises(ValueError, match="bad"):
             adam_step(store, 1e-3, 0.0)
 
@@ -352,7 +352,7 @@ class TestAdam:
                 g = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape)
                 g = np.where(rng.random(size=shape) < 0.1, 0.0, g)
                 for store in stores:
-                    store.accumulate(name, g)
+                    store.grads[name] += g
             adam_step(stores[0], learning_rate, weight_decay)
             oracles.adam_step(stores[1], learning_rate, weight_decay)
         for attr in ("params", "_m", "_v", "grads"):
@@ -364,7 +364,7 @@ class TestAdam:
     def test_any_non_finite_entry_raises(self, bad):
         store = ParameterStore()
         store.add("w", np.zeros(5))
-        store.accumulate("w", np.array([1.0, -2.0, bad, 3.0, 4.0]))
+        store.grads["w"] += np.array([1.0, -2.0, bad, 3.0, 4.0])
         with pytest.raises(ValueError, match="non-finite gradient for parameter 'w'"):
             adam_step(store, 1e-3, 0.0)
 
@@ -375,7 +375,7 @@ class TestAdam:
             assert not np.isfinite(g.sum())
         for s in (store, reference):
             s.add("w", np.ones(4))
-            s.accumulate("w", g)
+            s.grads["w"] += g
         with np.errstate(over="ignore"):  # g * g overflows on both sides
             adam_step(store, 1e-3, 0.0)
             oracles.adam_step(reference, 1e-3, 0.0)
@@ -430,7 +430,7 @@ class TestGradCheck:
 
         def fn(s):
             theta = s.params["theta"]
-            s.accumulate("theta", theta)
+            s.grads["theta"] += theta
             return float(0.5 * theta @ theta)
 
         assert grad_check(fn, store, eps=1e-5) < 1e-8

@@ -291,7 +291,7 @@ class TestAveragingModes:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            run_eval(*one_user(np.zeros(1)), ["a"], {}, [("u", "a")], average="nope")
+            run_eval(*one_user(np.zeros(1)), ["a"], {}, [("u", "a")], ks=(5,), average="nope")
 
 
 class TestOneResolutionPerRun:
@@ -317,7 +317,7 @@ class TestOneResolutionPerRun:
         calls = self._count(monkeypatch, gcn)
         split = blocked_split(np.random.default_rng(0), n_users=12, n_items=10, per_user=4)
         config = gcn.GcnConfig(dim=4, layers=1, epochs=3, patience=3, seed=0)
-        result = gcn.pretrain_id_embeddings(split, config)
+        result = gcn.pretrain_id_embeddings(split, config, ())
         assert len(result.history) == 3
         assert calls == {"heldout_units": 1, "full_ranking_eval": 3}
 

@@ -50,24 +50,24 @@ def random_graph(rng, n_users, n_items, p=0.3):
                 records.append(rec(f"u{u}", f"i{i}"))
     if not records:
         records.append(rec("u0", "i0"))
-    return BipartiteGraph.from_interactions(records)
+    return BipartiteGraph.from_interactions(records, ())
 
 
 class TestAdjacency:
     def test_single_edge(self):
-        g = BipartiteGraph.from_interactions([rec("u", "i")])
+        g = BipartiteGraph.from_interactions([rec("u", "i")], ())
         a = normalized_adjacency(g).toarray()
         np.testing.assert_allclose(a, [[0, 1], [1, 0]])
 
     def test_degree_normalization(self):
         records = [rec("u", f"i{k}") for k in range(4)]
-        g = BipartiteGraph.from_interactions(records)
+        g = BipartiteGraph.from_interactions(records, ())
         a = normalized_adjacency(g).toarray()
         # user degree 4, each item degree 1 -> entry 1/2
         assert a[0, 1] == pytest.approx(0.5)
 
     def test_edges_deduplicated(self):
-        g = BipartiteGraph.from_interactions([rec("u", "i", 0), rec("u", "i", 1)])
+        g = BipartiteGraph.from_interactions([rec("u", "i", 0), rec("u", "i", 1)], ())
         assert g.edges.shape[0] == 1
         assert g.user_degrees[0] == 1.0
 
@@ -106,7 +106,7 @@ class TestPropagate:
 
     def test_one_layer_hand_computed(self):
         g = BipartiteGraph.from_interactions(
-            [rec("u1", "i1"), rec("u1", "i2"), rec("u2", "i1"), rec("u2", "i2")]
+            [rec("u1", "i1"), rec("u1", "i2"), rec("u2", "i1"), rec("u2", "i2")], ()
         )
         rng = np.random.default_rng(3)
         table = self._table(rng, g, dim=3)
@@ -184,8 +184,8 @@ class TestPretrain:
         rng = np.random.default_rng(6)
         split = blocked_split(rng)
         config = GcnConfig(dim=16, layers=2, epochs=5, patience=5, seed=3)
-        one = pretrain_id_embeddings(split, config)
-        two = pretrain_id_embeddings(split, config)
+        one = pretrain_id_embeddings(split, config, ())
+        two = pretrain_id_embeddings(split, config, ())
         np.testing.assert_array_equal(one.table.user_vecs, two.table.user_vecs)
         np.testing.assert_array_equal(one.table.item_vecs, two.table.item_vecs)
         assert one.history == two.history
@@ -196,7 +196,7 @@ class TestPretrain:
         config = GcnConfig(
             dim=24, layers=2, epochs=40, patience=8, seed=0, learning_rate=0.05
         )
-        result = pretrain_id_embeddings(split, config)
+        result = pretrain_id_embeddings(split, config, ())
 
         # popularity-ranking oracle on the same protocol: every user's row
         # of the score matrix holds the item counts
@@ -230,13 +230,13 @@ class TestPretrain:
 
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                pretrain_id_embeddings(split, config)
+                pretrain_id_embeddings(split, config, ())
 
     def test_bpr_loss_positive_during_training(self):
         rng = np.random.default_rng(9)
         split = blocked_split(rng, n_users=30, n_items=20, per_user=5)
         config = GcnConfig(dim=8, layers=1, epochs=4, patience=4, seed=1)
-        result = pretrain_id_embeddings(split, config)
+        result = pretrain_id_embeddings(split, config, ())
         assert all(row["loss"] > 0 for row in result.history)
 
 
@@ -255,7 +255,7 @@ class TestCatalogGraph:
     @given(records_and_catalog())
     def test_csr_matches_edge_loop_oracle_byte_for_byte(self, case):
         records, catalog = case
-        train_only = BipartiteGraph.from_interactions(records)
+        train_only = BipartiteGraph.from_interactions(records, ())
         extra = sorted(set(catalog) - set(train_only.item_index))
         want = oracles.normalized_adjacency(
             train_only, sorted(train_only.user_index), sorted(train_only.item_index) + extra
@@ -277,7 +277,7 @@ class TestCatalogGraph:
         for row in (nu + 2, nu + 3):
             assert not a[row].any() and not a[:, row].any()
         np.testing.assert_array_equal(a[: nu + 2, : nu + 2], dense_adjacency(
-            BipartiteGraph.from_interactions(records)
+            BipartiteGraph.from_interactions(records, ())
         ))
 
 

@@ -39,9 +39,10 @@ from multitap.persona.prompts import PERSONA_SYSTEM_PROMPT
 from multitap.util import content_key
 
 
-def generate_personas(user_id, db, assets, history, client, cache=None):
+def generate_personas(user_id, db, assets, history, client, cache):
     """`generate_all_personas` for a single user; `assets` is (domain id, description)."""
-    return generate_all_personas({user_id: db}, *assets, {user_id: history}, client, cache)[user_id]
+    return generate_all_personas({user_id: db}, *assets, {user_id: history}, client, cache,
+                                 1)[user_id]
 
 
 def persona_key(payload, identity="template-v1"):
@@ -311,10 +312,10 @@ class TestDomainDescription:
         assert session.posts == 2
         assert descriptions[0] == descriptions[1] == descriptions[2]
 
-    def test_fallback_description_deterministic(self):
+    def test_fallback_description_deterministic(self, tmp_path):
         ds = self._bulk_domain(60)
-        one = build_domain_description(ds, TemplateGenerator())
-        two = build_domain_description(ds, TemplateGenerator())
+        one = build_domain_description(ds, TemplateGenerator(), JsonCache(tmp_path / "one"))
+        two = build_domain_description(ds, TemplateGenerator(), JsonCache(tmp_path / "two"))
         assert one == two
         assert "home" in one
 
@@ -328,12 +329,13 @@ class TestDomainDescription:
         generator = MalformedFirst()
         description = build_domain_description(ds, generator, JsonCache(tmp_path))
         assert generator.calls == 2
-        assert description == build_domain_description(ds, TemplateGenerator())
+        assert description == build_domain_description(ds, TemplateGenerator(),
+                                                       JsonCache(tmp_path / "fresh"))
         # the valid answer is the one cached
         assert build_domain_description(ds, generator, JsonCache(tmp_path)) == description
         assert generator.calls == 2
 
-    def test_two_malformed_descriptions_fail(self):
+    def test_two_malformed_descriptions_fail(self, tmp_path):
         class Malformed(TemplateGenerator):
             def domain_description(self, payload):
                 super().domain_description(payload)
@@ -341,7 +343,7 @@ class TestDomainDescription:
 
         generator = Malformed()
         with pytest.raises(MalformedResponseError, match="domain description response for 'home'"):
-            build_domain_description(self._bulk_domain(60), generator)
+            build_domain_description(self._bulk_domain(60), generator, JsonCache(tmp_path))
         assert generator.calls == 2
 
 
@@ -353,15 +355,15 @@ class TestGeneratePersonas:
         history = recent_history(ds, "u1", {})
         return ds, db, assets, history
 
-    def test_template_phrase_for_high_price(self):
+    def test_template_phrase_for_high_price(self, tmp_path):
         _, db, assets, history = self._setup()
         db.labels[Criterion.PS]["Women"] = Label.HIGH
-        text = generate_personas("u1", db, assets, history, TemplateGenerator())
+        text = generate_personas("u1", db, assets, history, TemplateGenerator(), JsonCache(tmp_path))
         assert "prefers higher-priced items in Women" in text[Criterion.PS]
 
-    def test_all_five_texts_present(self):
+    def test_all_five_texts_present(self, tmp_path):
         _, db, assets, history = self._setup()
-        text = generate_personas("u1", db, assets, history, TemplateGenerator())
+        text = generate_personas("u1", db, assets, history, TemplateGenerator(), JsonCache(tmp_path))
         assert set(text) == set(CRITERIA_ORDER)
         assert all(t for t in text.values())
 
@@ -433,12 +435,14 @@ class TestGeneratePersonas:
 
     def test_cached_equals_fresh(self, tmp_path):
         _, db, assets, history = self._setup()
-        cache = JsonCache(tmp_path)
+        cache = JsonCache(tmp_path / "cache")
+        generate_personas("u1", db, assets, history, TemplateGenerator(), cache)
         cached = generate_personas("u1", db, assets, history, TemplateGenerator(), cache)
-        fresh = generate_personas("u1", db, assets, history, TemplateGenerator(), cache=None)
+        fresh = generate_personas("u1", db, assets, history, TemplateGenerator(),
+                                  JsonCache(tmp_path / "fresh"))
         assert cached == fresh
 
-    def test_one_reparse_attempt_then_error(self):
+    def test_one_reparse_attempt_then_error(self, tmp_path):
         class FlakyClient:
             identity = "flaky"
 
@@ -455,7 +459,7 @@ class TestGeneratePersonas:
         _, db, assets, history = self._setup()
         client = FlakyClient()
         with pytest.raises(MalformedResponseError):
-            generate_personas("u1", db, assets, history, client)
+            generate_personas("u1", db, assets, history, client, JsonCache(tmp_path))
         assert client.calls == 2
 
     def test_payload_structure(self):
@@ -517,30 +521,32 @@ class TestEncoders:
             v = enc.embed([text])[0]
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-9)
 
-    def test_encode_personas_shape(self):
+    def test_encode_personas_shape(self, tmp_path):
         ds, labels = domain_with_labels()
         dbs = build_all_persona_dbs(ds, labels)
         assets = ("home", "desc")
-        texts = [generate_personas(u, dbs[u], assets, [], TemplateGenerator()) for u in ("u2", "u1")]
-        out = encode_personas(texts, HashingEncoder(dim=32, seed=1))
+        cache = JsonCache(tmp_path)
+        texts = [generate_personas(u, dbs[u], assets, [], TemplateGenerator(), cache)
+                 for u in ("u2", "u1")]
+        out = encode_personas(texts, HashingEncoder(dim=32, seed=1), 256, cache)
         assert out.shape == (2, 5, 32)
         # one (5, d) stack per text, in input order, rows in criterion order
         for text, stack in zip(texts, out):
             expected = HashingEncoder(dim=32, seed=1).embed([text[c] for c in CRITERIA_ORDER])
             assert stack.tobytes() == expected.tobytes()
 
-    def test_item_semantics_ignore_title(self):
+    def test_item_semantics_ignore_title(self, tmp_path):
         ds, _ = domain_with_labels()
         enc = HashingEncoder(dim=32, seed=2)
         same_cat = ItemMeta("other", "completely different title", "catA", 9.9, 2.0, 1)
-        out = encode_item_batch([ds.items["i1"], same_cat], "desc", enc)
+        out = encode_item_batch([ds.items["i1"], same_cat], "desc", enc, 256, JsonCache(tmp_path))
         assert out.shape == (2, 32)
         np.testing.assert_array_equal(out[0], out[1])
 
-    def test_batch_call_count_matches_chunks(self):
+    def test_batch_call_count_matches_chunks(self, tmp_path):
         items = [ItemMeta(f"i{k}", "t", f"c{k}", 1.0, 4.0, 1) for k in range(1000)]
         enc = HashingEncoder(dim=16, seed=4)
-        out = encode_item_batch(items, "desc", enc, chunk_size=100)
+        out = encode_item_batch(items, "desc", enc, 100, JsonCache(tmp_path))
         assert out.shape == (1000, 16)
         assert enc.calls == 10
 
@@ -548,9 +554,9 @@ class TestEncoders:
         cache = JsonCache(tmp_path)
         items = [ItemMeta(f"i{k}", "t", "c", 1.0, 4.0, 1) for k in range(5)]
         enc = HashingEncoder(dim=16, seed=4)
-        first = encode_item_batch(items, "desc", enc, cache=cache)
+        first = encode_item_batch(items, "desc", enc, 256, cache)
         calls = enc.calls
-        second = encode_item_batch(items, "desc", enc, cache=cache)
+        second = encode_item_batch(items, "desc", enc, 256, cache)
         assert enc.calls == calls
         assert second.tobytes() == first.tobytes()
 
@@ -619,10 +625,10 @@ class TestOneEncoderPath:
         cache = JsonCache(tmp_path_factory.mktemp("vectors"))
         # part of the texts cached beforehand: the users flagged warm
         cached = [t for ts, w in zip(users, warm) for t in ts if w]
-        encode_texts(cached, HashingEncoder(dim=8, seed=3), cache=cache)
+        encode_texts(cached, HashingEncoder(dim=8, seed=3), 256, cache)
 
         encoder = _RecordingEncoder(dim=8, seed=3)
-        got = encode_personas(texts, encoder, cache, chunk_size)
+        got = encode_personas(texts, encoder, chunk_size, cache)
         assert got.tobytes() == oracles.encode_personas(texts, HashingEncoder(8, 3)).tobytes()
         sent = [t for batch in encoder.batches for t in batch]
         todo = [t for t in dict.fromkeys(flat) if t not in cached]
@@ -641,19 +647,19 @@ class TestOneEncoderPath:
         got = encode_texts(mixed, HashingEncoder(8, 3), chunk_size, cache)
         assert got.tobytes() == oracles.hashing_embed(mixed, 8, 3).tobytes()
 
-    def test_no_texts_make_no_call(self):
-        encoder = HashingEncoder(8, 3)
-        assert encode_texts([], encoder).shape == (0, 8)
-        assert encode_personas([], encoder).shape == (0, 5, 8)
+    def test_no_texts_make_no_call(self, tmp_path):
+        encoder, cache = HashingEncoder(8, 3), JsonCache(tmp_path)
+        assert encode_texts([], encoder, 256, cache).shape == (0, 8)
+        assert encode_personas([], encoder, 256, cache).shape == (0, 5, 8)
         assert encoder.calls == 0
 
-    def test_wrong_shape_from_the_encoder_is_rejected(self):
+    def test_wrong_shape_from_the_encoder_is_rejected(self, tmp_path):
         class ShortEncoder(HashingEncoder):
             def embed(self, texts):
                 return super().embed(texts)[:-1]
 
         with pytest.raises(ValueError, match=r"shape \(1, 8\), expected \(2, 8\)"):
-            encode_texts(["a", "b"], ShortEncoder(8, 3))
+            encode_texts(["a", "b"], ShortEncoder(8, 3), 256, JsonCache(tmp_path))
 
     def test_remote_encoder_receives_only_distinct_uncached_texts(self, monkeypatch, tmp_path):
         from multitap.persona import clients
@@ -673,7 +679,7 @@ class TestOneEncoderPath:
         session = EmbeddingSession()
         encoder = clients.RemoteEncoder(clients.ClientSettings(), dim=3, session=session)
         cache = JsonCache(tmp_path)
-        encode_texts(["b", "cc"], encoder, cache=cache)
+        encode_texts(["b", "cc"], encoder, 256, cache)
         got = encode_texts(["a", "b", "a", "dddd", "cc", "dddd", "eeeee"], encoder, 2, cache)
         assert session.inputs == [["b", "cc"], ["a", "dddd"], ["eeeee"]]
         np.testing.assert_array_equal(got[:, 0], [1, 1, 1, 4, 2, 4, 5])
@@ -790,10 +796,10 @@ class TestParallelGeneration:
         dbs = build_all_persona_dbs(ds, labels)
         assets = ("home", "desc")
         histories = {u: recent_history(ds, u, {}) for u in dbs}
-        serial = generate_all_personas(dbs, *assets, histories, TemplateGenerator())
-        parallel = generate_all_personas(
-            dbs, *assets, histories, TemplateGenerator(), parallelism=3
-        )
+        serial = generate_all_personas(dbs, *assets, histories, TemplateGenerator(),
+                                       JsonCache(tmp_path / "serial"), 1)
+        parallel = generate_all_personas(dbs, *assets, histories, TemplateGenerator(),
+                                         JsonCache(tmp_path / "parallel"), 3)
         assert serial == parallel
 
 
@@ -812,8 +818,8 @@ class TestShardCache:
             dbs, *assets, histories, generator, JsonCache(root / "texts"), parallelism
         )
         vectors = JsonCache(root / "vectors")
-        personas = encode_personas([texts[u] for u in sorted(texts)], encoder, vectors)
-        item_vecs = encode_item_batch(items, "desc", encoder, chunk_size=2, cache=vectors)
+        personas = encode_personas([texts[u] for u in sorted(texts)], encoder, 256, vectors)
+        item_vecs = encode_item_batch(items, "desc", encoder, 2, vectors)
         return (
             texts,
             personas.tobytes(),
@@ -860,18 +866,20 @@ class TestShardCache:
         """Persona entries once also held the user id and the client's
         provenance; a cache holding them serves its texts as they are."""
         dbs, assets, histories, _ = self._inputs()
-        texts = generate_all_personas(dbs, *assets, histories, TemplateGenerator())
+        texts = generate_all_personas(dbs, *assets, histories, TemplateGenerator(),
+                                      JsonCache(tmp_path / "fresh"), 1)
         older = {
             persona_key(persona_payload(u, *assets, dbs[u].labels, dbs[u].diversity, histories[u])):
             {"user_id": u, "texts": texts[u], "provenance": "template"}
             for u in dbs
         }
-        JsonCache(tmp_path).put(older)
+        JsonCache(tmp_path / "older").put(older)
         generator = TemplateGenerator()
-        served = generate_all_personas(dbs, *assets, histories, generator, JsonCache(tmp_path))
+        served = generate_all_personas(dbs, *assets, histories, generator,
+                                       JsonCache(tmp_path / "older"), 1)
         assert served == texts
         assert generator.calls == 0
-        assert len(list(tmp_path.iterdir())) == 1
+        assert len(list((tmp_path / "older").iterdir())) == 1
 
     def test_cached_entry_without_a_criterion_fails_to_encode(self, tmp_path):
         dbs, assets, histories, _ = self._inputs()
@@ -879,9 +887,10 @@ class TestShardCache:
                                           histories["u1"]))
         JsonCache(tmp_path).put({key: {"texts": {"ps": "a", "qp": "b", "pb": "c", "cf": "d"}}})
         texts = generate_all_personas(dbs, *assets, histories, TemplateGenerator(),
-                                      JsonCache(tmp_path))
+                                      JsonCache(tmp_path), 1)
         with pytest.raises(ValueError, match=r"persona texts missing criteria: \['cd'\]"):
-            encode_personas([texts[u] for u in sorted(texts)], HashingEncoder(dim=16, seed=5))
+            encode_personas([texts[u] for u in sorted(texts)], HashingEncoder(dim=16, seed=5), 256,
+                            JsonCache(tmp_path / "vectors"))
 
     def test_vectors_and_json_round_trip_bit_exactly(self, tmp_path):
         cache = JsonCache(tmp_path)
@@ -922,7 +931,7 @@ class TestShardCache:
 
         cache = JsonCache(tmp_path)
         with pytest.raises(ClientError):
-            generate_all_personas(dbs, *assets, histories, FailsOnThirdUser(), cache)
+            generate_all_personas(dbs, *assets, histories, FailsOnThirdUser(), cache, 1)
         generator = TemplateGenerator()
-        generate_all_personas(dbs, *assets, histories, generator, cache)
+        generate_all_personas(dbs, *assets, histories, generator, cache, 1)
         assert generator.calls == len(dbs) - 2

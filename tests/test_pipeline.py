@@ -287,21 +287,17 @@ class TestEvalOptions:
 
 class TestReportPaths:
     def test_bare_checkpoint_reproduces_the_eval_report(self, completed_copy, small_fixture, tmp_path):
-        """A checkpoint copied without its manifest scores as in eval, also
-        under another trainer seed: loading replaces every parameter a seed draws."""
+        """A checkpoint copied without its manifest scores as in eval."""
         _, paths = small_fixture
         run_dir, _ = completed_copy
         report = read_json(run_dir / "eval" / "report.json")
         want = {m["metric"]: m["per_seed"][0] for m in report["metrics"] if m["K"] == 5}
         bare = tmp_path / "bare.ckpt"
         shutil.copyfile(run_dir / "model" / "target_seed0.ckpt", bare)
-        config = small_config_dict(paths, run_dir)
-        for seed in (0, 9):  # the default trainer seed, then another
-            config["train"]["seed"] = seed
-            pipe = Pipeline(PipelineConfig.from_dict(config))
-            pipe.stage_eval(checkpoint=str(bare))
-            single = read_json(pipe.checkpoint_report_path(bare))
-            assert {"HR": single["HR"]["5"], "NDCG": single["NDCG"]["5"]} == want, seed
+        pipe = Pipeline(PipelineConfig.from_dict(small_config_dict(paths, run_dir)))
+        pipe.stage_eval(checkpoint=str(bare))
+        single = read_json(pipe.checkpoint_report_path(bare))
+        assert {"HR": single["HR"]["5"], "NDCG": single["NDCG"]["5"]} == want
 
     def test_checkpoint_eval_and_ablate_reproduce_the_eval_report(self, completed_copy):
         """Eval, a checkpoint eval and ablate's doppelganger row all score the
@@ -1256,6 +1252,11 @@ class TestConfigChecks:
              "ablate.lambda[0] must be a number, got [1]"),
             (["ablate"], lambda c: c.update(ablate={"aggregation": ["mean", 1]}),
              "ablate.aggregation[1] must be a string, got 1"),
+            # no run reads a trainer's own seed: `seeds` sets each one
+            (["run"], lambda c: c["train"].update(seed=3),
+             "train.seed must be left unset, as `seeds` sets each run's seed; got 3"),
+            (["train"], lambda c: c["source_train"].update(seed=9),
+             "source_train.seed must be left unset, as `seeds` sets each run's seed; got 9"),
         ],
         ids=["no_seeds", "repeated_seed", "eval_ks", "no_eval_ks", "eval_k_flag",
              "repeated_eval_k", "repeated_eval_k_flag", "repeated_criterion",
@@ -1270,7 +1271,7 @@ class TestConfigChecks:
              "nan_lambda", "nan_learning_rate", "nan_persona_temperature", "inf_tau",
              "inf_gcn_learning_rate", "minus_inf_weight_decay", "ablate_nan_lambda",
              "ablate_tau_as_string", "ablate_inf_tau", "ablate_bool_lambda", "ablate_list_lambda",
-             "ablate_aggregation_as_integer"],
+             "ablate_aggregation_as_integer", "train_seed", "source_train_seed"],
     )
     def test_unusable_value_is_rejected_before_any_stage(
         self, small_fixture, tmp_path, capsys, argv, edit, message
