@@ -12,7 +12,10 @@ heads, `softmax`/`softmax_backward`, `info_nce`, `bpr`, `scatter_rows`) and
 an inline tanh adjoint, and `diffkit.grad_check` validates the complete
 objective.  The transfer modes are rows of `TRANSFER_TABLE`.
 `train_target` runs its epoch body (negatives drawn once per epoch) in
-`diffkit.fit_early_stopped`.
+`diffkit.fit_early_stopped`.  A run's seed is an argument of the model and
+of `train_target`, never a `TrainConfig` field, and draws the fusion heads,
+dropout, shuffles and negatives; the aggregator always starts from
+`PERSONA_SPACE_SEED`, in both domains.
 """
 
 from __future__ import annotations
@@ -56,6 +59,12 @@ TRANSFER_TABLE: dict[str, tuple[tuple[str, ...], tuple[str, ...] | str]] = {
 }
 TRANSFER_MODES = (*TRANSFER_TABLE, "none")
 
+# Aggregator layers in both domains share this seeded init so the source
+# and target persona spaces start aligned; the doppelganger attention
+# dots target queries against source keys, which is only meaningful when
+# the two maps agree up to training drift.
+PERSONA_SPACE_SEED = 777
+
 
 @dataclass
 class TrainConfig:
@@ -70,15 +79,9 @@ class TrainConfig:
     dropout: float = 0.1
     max_epochs: int = 100
     patience: int = 10
-    seed: int = 0
     eval_k: int = 5
     persona_out_dim: int | None = None  # defaults to the persona input dimension
     fused_dim: int = 128
-    # Aggregator layers in both domains share this seeded init so the source
-    # and target persona spaces start aligned; the doppelganger attention
-    # dots target queries against source keys, which is only meaningful when
-    # the two maps agree up to training drift.
-    persona_space_seed: int = 777
 
     def __post_init__(self):
         if self.aggregation not in AGGREGATION_MODES:
@@ -95,6 +98,15 @@ class TrainConfig:
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError("dropout must lie in [0, 1)")
         check_loop_settings(self, "max_epochs", fused_dim=1, persona_out_dim=1)
+
+
+def transfer_parts(config: TrainConfig) -> tuple[str, ...]:
+    """The source tables ("persona", "id") a trainer reads: none unless it
+    transfers with a positive lambda."""
+    if config.transfer == "none" or not config.lambda_dpl > 0:
+        return ()
+    anchor_parts, positives = TRANSFER_TABLE[config.transfer]
+    return anchor_parts if positives == "doppelganger" else positives
 
 
 @dataclass
@@ -115,7 +127,7 @@ class ModelInputs:
 class MultiTapModel:
     """Holds the parameter store and implements the joint objective."""
 
-    def __init__(self, inputs: ModelInputs, config: TrainConfig):
+    def __init__(self, inputs: ModelInputs, config: TrainConfig, seed: int = 0):
         self.inputs = inputs
         self.config = config
         U, K, n = inputs.persona_inputs.shape
@@ -126,7 +138,7 @@ class MultiTapModel:
         self.id_dim = inputs.backbone_user.shape[1]
         self.sem_dim = inputs.item_semantics.shape[1]
         self.dz = config.fused_dim
-        self.rng = np.random.default_rng(config.seed)
+        self.rng = np.random.default_rng(seed)
         self.user_rows = {u: k for k, u in enumerate(inputs.user_ids)}
         self.item_rows = {i: k for k, i in enumerate(inputs.item_ids)}
         # each user row's row in the source tables, -1 outside the overlap
@@ -147,7 +159,7 @@ class MultiTapModel:
         # silences the contrastive term entirely.
         ffn_in = 5 * n if config.aggregation == "concat" else n
         ffn_std = 1.0 / np.sqrt(5.0) if config.aggregation == "concat" else 1.0
-        agg_rng = np.random.default_rng(config.persona_space_seed)
+        agg_rng = np.random.default_rng(PERSONA_SPACE_SEED)
         store = ParameterStore()
         if config.aggregation == "self_attn":
             store.add("agg.mask", init_normal(agg_rng, (n,), std=1.0))
@@ -171,20 +183,15 @@ class MultiTapModel:
         store.add("id.item", inputs.backbone_item.copy())
         self.store = store
 
-        if config.transfer != "none" and config.lambda_dpl > 0:
-            if not inputs.overlap_users:
-                raise ValueError(
-                    "transfer is enabled but there are no overlapping users"
-                )
-            anchor_parts, positives = TRANSFER_TABLE[config.transfer]
-            for part in anchor_parts if positives == "doppelganger" else positives:
-                table, width = self.source_tables[part], self.part_widths[part]
-                if table is None:
-                    raise ValueError(f"{config.transfer} needs source {part} embeddings")
-                if table.shape[1] != width:
-                    raise ValueError(
-                        f"source {part} dimension {table.shape[1]} != target {width}"
-                    )
+        parts = transfer_parts(config)
+        if parts and not inputs.overlap_users:
+            raise ValueError("transfer is enabled but there are no overlapping users")
+        for part in parts:
+            table, width = self.source_tables[part], self.part_widths[part]
+            if table is None:
+                raise ValueError(f"{config.transfer} needs source {part} embeddings")
+            if table.shape[1] != width:
+                raise ValueError(f"source {part} dimension {table.shape[1]} != target {width}")
 
     # -- forward/backward pieces ------------------------------------------
 
@@ -323,7 +330,7 @@ class MultiTapModel:
         l_dpl = 0.0
         dh_extra = None
         id_grads: dict = {}
-        if cfg.transfer != "none" and cfg.lambda_dpl > 0:
+        if transfer_parts(cfg):
             anchors_local = np.nonzero(self.source_rows[batch_users] >= 0)[0]
             if anchors_local.size >= 2:
                 l_dpl, dh_extra, id_grads = self._transfer_term(
@@ -398,9 +405,10 @@ def train_target(
     train_records: Sequence[InteractionRecord],
     valid_records: Sequence[InteractionRecord],
     config: TrainConfig,
+    seed: int,
 ) -> TrainResult:
     """Joint training on the target domain with early stopping on valid HR@K."""
-    model = MultiTapModel(inputs, config)
+    model = MultiTapModel(inputs, config, seed)
     store = model.store
     rng = model.rng
 

@@ -67,6 +67,11 @@ class ClientSettings:
             ("persona_dim", "item_dim", "chunk_size", "parallelism", "remote_persona_dim",
              "remote_item_dim"), 1))
 
+    @property
+    def persona_width(self) -> int:
+        """The width of the persona encoder's vectors in this mode."""
+        return self.persona_dim if self.mode == "offline" else self.remote_persona_dim
+
 
 class GeneratorClient(Protocol):
     identity: str
@@ -292,7 +297,7 @@ def build_clients(settings: ClientSettings) -> tuple[GeneratorClient, EncoderCli
     identities name every setting that changes what they return, and nothing
     else: `chunk_size`, `parallelism` and `endpoint` only deploy them."""
     if settings.mode == "offline":
-        return (TemplateGenerator(), HashingEncoder(settings.persona_dim, settings.seed),
+        return (TemplateGenerator(), HashingEncoder(settings.persona_width, settings.seed),
                 HashingEncoder(settings.item_dim, settings.seed))
-    return (RemoteGenerator(settings), RemoteEncoder(settings, settings.remote_persona_dim),
+    return (RemoteGenerator(settings), RemoteEncoder(settings, settings.persona_width),
             RemoteEncoder(settings, settings.remote_item_dim))

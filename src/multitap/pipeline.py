@@ -8,8 +8,9 @@ nodes (`PipelineConfig.stage_keys`).  Ingest hashes its inputs' content, not
 their paths, and persona its clients' identities.  The source-domain model
 that train and ablate build on is keyed the same way, as the node "source".
 Both take each target run from `_runs`, which serves it from the run store
-(`cache/runs/`, keyed by the source key and the trainer, seed included) or
-trains and stores it, so ablate reuses train's runs.
+(`cache/runs/`, keyed by the source key, the trainer and the seed) or
+trains and stores it, so ablate reuses train's runs.  Each run's seed
+comes from `seeds` alone; no trainer section has one.
 idh and persona share one heterogeneity analysis per train split, so idh
 is a leaf: its `criteria` and `report_labels` reach no other key.  Every node's
 record, the source model's included, is `<node>/manifest.json`, written last:
@@ -61,12 +62,7 @@ from .errors import DependencyError
 from .evaluate import AVERAGES, aggregate_seed_reports, full_ranking_eval, heldout_units, pair_index
 from .gcn import GcnConfig, pretrain_id_embeddings
 from .idh import METADATA_CRITERIA, Criterion, Label
-from .model import (
-    ModelInputs,
-    MultiTapModel,
-    TrainConfig,
-    train_target,
-)
+from .model import ModelInputs, MultiTapModel, TrainConfig, train_target, transfer_parts
 from .persona.cache import cache_batch
 from .persona.clients import CLIENT_MODES, ClientSettings, build_clients
 from .util import atomic_write_text, content_key, file_sha256, read_json, write_json
@@ -97,7 +93,7 @@ NODES = {
         f"persona/{{side}}/{f}" for f in ("db.json", "texts.json", "description.txt",
                                           "user_vectors.ckpt", "item_vectors.ckpt"))),
     "pretrain": Node(("split",), ("gcn",), ("backbone/{side}.ckpt",)),
-    "source": Node(("persona", "pretrain"), ("source_train",),
+    "source": Node(("persona", "pretrain"), ("source_train",),  # with the first seed
                    ("model/source_model.ckpt", "model/source_tables.ckpt"), stage=False),
     "train": Node(("source",), ("train", "seeds"),
                   ("model/target_seed{seed}.ckpt", "model/metrics_seed{seed}.jsonl")),
@@ -217,24 +213,30 @@ class PipelineConfig:
                 )
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be nonempty and distinct, got {list(self.seeds)}")
-        for name, trainer in (("train", self.train), ("source_train", self.source_train)):
-            if trainer is not None and trainer.seed != 0:
-                raise ValueError(f"{name}.seed must be left unset, as `seeds` sets each "
-                                 f"run's seed; got {trainer.seed!r}")
         if not self.eval_ks or any(k < 1 for k in self.eval_ks):
             raise ValueError(f"eval_ks must be nonempty, each >= 1, got {list(self.eval_ks)}")
-        for name in ("eval_ks", "criteria", "report_labels"):
-            values = getattr(self, name)
-            if len(set(values)) != len(values):
-                raise ValueError(f"{name} must be distinct, got {list(values)}")
         for axis, values in self.ablate.items():
             if not isinstance(values, (list, tuple)):
                 raise ValueError(f"ablate axis '{axis}' must be a list of values, got {values!r}")
             for k, value in enumerate(values):
                 _typed(value, _ABLATE_OVERRIDES[axis][0], f"ablate.{axis}[{k}]")
+        distinct = {name: getattr(self, name) for name in ("eval_ks", "criteria", "report_labels")}
+        distinct.update((f"ablate.{axis}", values) for axis, values in self.ablate.items())
+        for name, values in distinct.items():
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must be distinct, got {list(values)}")
         # every ablate point must make a valid trainer before any stage runs
-        for _, _, overrides in ablation_grid(self.ablate):
-            dataclasses.replace(self.train, **overrides)
+        trainers = [self.train] + [dataclasses.replace(self.train, **overrides)
+                                   for *_, overrides in ablation_grid(self.ablate)]
+        # a transfer of persona vectors dots target ones against the source model's
+        width = self.client.persona_width
+        target_width = self.train.persona_out_dim or width
+        source_width = self.source_train_config().persona_out_dim or width
+        if target_width != source_width and any("persona" in transfer_parts(t) for t in trainers):
+            raise ValueError(
+                f"train.persona_out_dim makes persona vectors {target_width} wide and "
+                f"source_train.persona_out_dim {source_width}; a transfer of persona vectors "
+                f"needs one width")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineConfig":
@@ -245,20 +247,20 @@ class PipelineConfig:
         return cls.from_dict(read_json(path))
 
     def source_train_config(self) -> TrainConfig:
-        """The source-domain model's trainer: no transfer, the first seed."""
-        base = self.source_train or self.train
-        return dataclasses.replace(base, transfer="none", lambda_dpl=0.0, seed=self.seeds[0])
+        """The source-domain model's trainer: its own section's, or train's, with no transfer."""
+        return dataclasses.replace(self.source_train or self.train, transfer="none", lambda_dpl=0.0)
 
     def stage_keys(self) -> dict[str, str]:
         """The cache key of every node in `NODES`: the sections it reads plus
         the keys of its upstream nodes.  The sections are the config's own,
-        with "source_train" standing for the source model's trainer, plus
+        with "source_train" standing for the source model's trainer and seed, plus
         "inputs", each side's domain id and the sha256 of its two input files
         (not their paths), and "clients", the persona clients' identities.  A
         missing input raises the loader's FileNotFoundError."""
         sections = {f.name: _json_data(getattr(self, f.name)) for f in dataclasses.fields(self)
                     if f.name != "source_train"}
-        sections["source_train"] = _json_data(self.source_train_config())
+        sections["source_train"] = {"trainer": _json_data(self.source_train_config()),
+                                    "seed": self.seeds[0]}
         sections["inputs"] = {side: {"domain_id": spec.domain_id,
                                      "interactions": file_sha256(spec.interactions),
                                      "metadata": file_sha256(spec.metadata)}
@@ -653,10 +655,11 @@ class Pipeline:
         if self._is_done("source"):
             return
         self._begin(stage, "source")
-        cfg = self.config.source_train_config()
+        seed = self.config.seeds[0]
         inputs = self._model_inputs("source")
         split = self._split("source")
-        result = train_target(inputs, split.train, split.valid, cfg)
+        result = train_target(inputs, split.train, split.valid, self.config.source_train_config(),
+                              seed)
         h_all = result.model.user_persona_vectors()
         source_users = set(inputs.user_ids)
         target_train_users = {r.user_id for r in self._split("target").train}
@@ -666,7 +669,7 @@ class Pipeline:
         save_checkpoint(
             model_path,
             result.model.store.params,
-            {"stage_key": self.keys["source"], "seed": cfg.seed, "best_epoch": result.best_epoch},
+            {"stage_key": self.keys["source"], "seed": seed, "best_epoch": result.best_epoch},
         )
         save_checkpoint(
             tables_path, {"h_users": h_all[rows], "v_users": inputs.backbone_user[rows]},
@@ -684,18 +687,19 @@ class Pipeline:
         )
 
     def _train_one(self, inputs: ModelInputs, seed: int, overrides: dict | None = None):
-        cfg = dataclasses.replace(self.config.train, seed=seed, **(overrides or {}))
+        cfg = dataclasses.replace(self.config.train, **(overrides or {}))
         split = self._split("target")
-        return train_target(inputs, split.train, split.valid, cfg)
+        return train_target(inputs, split.train, split.valid, cfg, seed)
 
     def _runs(self, inputs: ModelInputs, points: Sequence[tuple[int, dict]]) -> list:
-        """Each (seed, overrides) point's trainer, parameters and run record
-        ("history", "best_epoch"), served from the run store under the key of
-        the source model and the trainer, or trained and stored in one shard.
-        A stored run whose tensors cannot all be read (its shard cut short) is
-        trained again."""
-        configs = [dataclasses.replace(self.config.train, seed=s, **over) for s, over in points]
-        keys = [content_key({"source": self.keys["source"], "run": _json_data(c)}) for c in configs]
+        """Each (seed, overrides) point's seed, trainer, parameters and run
+        record ("history", "best_epoch"), served from the run store under the
+        key of the source model, the trainer and the seed, or trained and
+        stored in one shard.  A stored run whose tensors cannot all be read
+        (its shard cut short) is trained again."""
+        configs = [dataclasses.replace(self.config.train, **over) for _, over in points]
+        keys = [content_key({"source": self.keys["source"], "run": _json_data(c), "seed": s})
+                for c, (s, _) in zip(configs, points)]
         with cache_batch(self.run_cache, keys) as (stored, new):
             served = [f"{k}/{n}" for k in set(keys) & stored.keys() for n in stored[k]["params"]]
             if served:  # the stored runs' tensors, in one more read
@@ -709,8 +713,8 @@ class Pipeline:
                     new.update((f"{key}/{n}", v) for n, v in result.model.store.params.items())
                     stored.update(new)
                     del result  # one model alive at a time
-        return [(cfg, {n: stored[f"{key}/{n}"] for n in stored[key]["params"]}, stored[key])
-                for key, cfg in zip(keys, configs)]
+        return [(seed, cfg, {n: stored[f"{key}/{n}"] for n in stored[key]["params"]}, stored[key])
+                for key, cfg, (seed, _) in zip(keys, configs, points)]
 
     def _model(self, inputs: ModelInputs, cfg: TrainConfig, params: dict) -> MultiTapModel:
         """The target model under `cfg` holding `params`, all of them checked."""
@@ -731,12 +735,12 @@ class Pipeline:
         self._ensure_source_tables("train")
         self._begin("train")
         inputs = self._target_inputs_with_transfer()
-        for cfg, params, run in self._runs(inputs, [(seed, {}) for seed in self.config.seeds]):
-            save_checkpoint(self.run_dir / "model" / f"target_seed{cfg.seed}.ckpt", params,
-                            {"stage_key": self.keys["train"], "seed": cfg.seed,
+        for seed, _, params, run in self._runs(inputs, [(seed, {}) for seed in self.config.seeds]):
+            save_checkpoint(self.run_dir / "model" / f"target_seed{seed}.ckpt", params,
+                            {"stage_key": self.keys["train"], "seed": seed,
                              "best_epoch": run["best_epoch"]})
             lines = [json.dumps(row, sort_keys=True) for row in run["history"]]
-            atomic_write_text(self.run_dir / "model" / f"metrics_seed{cfg.seed}.jsonl",
+            atomic_write_text(self.run_dir / "model" / f"metrics_seed{seed}.jsonl",
                               "\n".join(lines) + "\n")
         self._mark_done("train")
 
@@ -795,7 +799,7 @@ class Pipeline:
                 for seed in self.config.seeds]
         runs = self._runs(inputs, [(seed, over) for *_, seed, over in grid])
         lines = [f"axis,value,seed,hr@{k},ndcg@{k}"]
-        for (*row, _), (cfg, params, _) in zip(grid, runs):
+        for (*row, _), (_, cfg, params, _) in zip(grid, runs):
             report = self._test_report(self._model(inputs, cfg, params), [k])
             lines.append(",".join(map(str, (*row, report["HR"][k], report["NDCG"][k]))))
         atomic_write_text(self.run_dir / "ablation" / "results.csv", "\n".join(lines) + "\n")

@@ -396,10 +396,12 @@ def config_hash(config) -> str:
 
 def stage_keys(config) -> dict[str, str]:
     """`config.stage_keys()`: every node's key from a deep copy of the whole
-    config, the source trainer converted once more, the input files hashed
+    config, the source model's section rebuilt from it (its own trainer, or
+    train's, with transfer off, and the first seed), the input files hashed
     side by side and the persona clients built anew."""
     sections = semantic_dict(config)
-    sections["source_train"] = dataclasses.asdict(config.source_train_config())
+    trainer = dict(sections["source_train"] or sections["train"], transfer="none", lambda_dpl=0.0)
+    sections["source_train"] = {"trainer": trainer, "seed": sections["seeds"][0]}
     sections["inputs"] = {}
     for side in SIDES:
         spec = sections[side]

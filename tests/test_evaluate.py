@@ -330,7 +330,7 @@ class TestOneResolutionPerRun:
         inputs = toy_inputs(rng)
         train, valid = toy_records(rng, inputs)
         result = model.train_target(
-            inputs, train, valid, toy_config(max_epochs=3, patience=3)
+            inputs, train, valid, toy_config(max_epochs=3, patience=3), 0
         )
         assert len(result.history) == 3
         assert calls == {"heldout_units": 1, "full_ranking_eval": 3}

@@ -73,7 +73,6 @@ def toy_config(**overrides):
         dropout=0.0,
         max_epochs=4,
         patience=4,
-        seed=0,
         fused_dim=6,
     )
     base.update(overrides)
@@ -529,8 +528,8 @@ class TestTraining:
         rng = np.random.default_rng(20)
         inputs = toy_inputs(rng, n_users=6, n_items=8)
         train, valid = toy_records(np.random.default_rng(21), inputs)
-        a = train_target(inputs, train, valid, toy_config(lambda_dpl=0.0))
-        b = train_target(inputs, train, valid, toy_config(transfer="none", lambda_dpl=0.0))
+        a = train_target(inputs, train, valid, toy_config(lambda_dpl=0.0), 0)
+        b = train_target(inputs, train, valid, toy_config(transfer="none", lambda_dpl=0.0), 0)
         assert [r["l_rec"] for r in a.history] == [r["l_rec"] for r in b.history]
         assert [r["valid_hr"] for r in a.history] == [r["valid_hr"] for r in b.history]
         assert all(r["l_dpl"] == 0.0 for r in a.history)
@@ -539,8 +538,8 @@ class TestTraining:
         rng = np.random.default_rng(22)
         inputs = toy_inputs(rng, n_users=6, n_items=8)
         train, valid = toy_records(np.random.default_rng(23), inputs)
-        a = train_target(inputs, train, valid, toy_config(dropout=0.2))
-        b = train_target(inputs, train, valid, toy_config(dropout=0.2))
+        a = train_target(inputs, train, valid, toy_config(dropout=0.2), 0)
+        b = train_target(inputs, train, valid, toy_config(dropout=0.2), 0)
         assert a.history == b.history
         for name in a.model.store.names():
             np.testing.assert_array_equal(

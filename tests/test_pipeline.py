@@ -376,12 +376,16 @@ class TestStageKeys:
             (lambda c: c["gcn"].update(epochs=3), {"pretrain", "source", "train", "eval", "ablate"}),
             (lambda c: c["source_train"].update(max_epochs=3), {"source", "train", "eval", "ablate"}),
             (lambda c: c["train"].update(lambda_dpl=1.0), {"train", "eval", "ablate"}),
+            # the source model trains the first seed alone
+            (lambda c: c.update(seeds=[0, 1]), {"train", "eval", "ablate"}),
+            (lambda c: c.update(seeds=[1]), {"source", "train", "eval", "ablate"}),
             (lambda c: c.update(eval_ks=[5, 10]), {"eval"}),
             (lambda c: c.update(ablate={"lambda": [0.0, 1.0]}), {"ablate"}),
         ],
         ids=["target.domain_id", "split.valid_fraction", "criteria", "report_labels",
              "client.seed", "gcn.epochs",
-             "source_train.max_epochs", "train.lambda_dpl", "eval_ks", "ablate"],
+             "source_train.max_epochs", "train.lambda_dpl", "seeds_added", "first_seed",
+             "eval_ks", "ablate"],
     )
     def test_field_changes_exactly_its_downstream_keys(self, small_fixture, tmp_path, edit, changed):
         _, paths = small_fixture
@@ -617,15 +621,15 @@ class TestStageReuse:
 
 
 def count_target_runs(monkeypatch) -> list:
-    """The trainer of every target run the pipeline's `train_target` trains
-    from now on; the source model, trained on inputs without source tables,
-    is left out."""
+    """The (trainer, seed) of every target run the pipeline's `train_target`
+    trains from now on; the source model, trained on inputs without source
+    tables, is left out."""
     calls = []
     train = pipeline_mod.train_target
 
     def counted(inputs, *args):
         if inputs.source_user_personas is not None:
-            calls.append(args[-1])
+            calls.append(args[-2:])
         return train(inputs, *args)
 
     monkeypatch.setattr(pipeline_mod, "train_target", counted)
@@ -652,7 +656,7 @@ class TestRunStore:
         calls.clear()
         assert pipe.run(["ablate"]) == {"ablate": "ran"}
         # the default grid is doppelganger vs none: train made every doppelganger run
-        assert [(cfg.transfer, cfg.seed) for cfg in calls] == [("none", s) for s in range(5)]
+        assert [(cfg.transfer, seed) for cfg, seed in calls] == [("none", s) for s in range(5)]
         report = read_json(tmp_path / "run" / "eval" / "report.json")
         per_seed = next(m["per_seed"] for m in report["metrics"]
                         if (m["metric"], m["K"]) == ("HR", 5))
@@ -691,7 +695,7 @@ class TestRunStore:
         with caplog.at_level(logging.WARNING, logger="multitap.persona.cache"):
             assert Pipeline(PipelineConfig.from_json(config_path)).run(["ablate"]) == {
                 "ablate": "ran"}
-        assert [(cfg.transfer, cfg.seed) for cfg in calls] == [("doppelganger", 0), ("none", 0)]
+        assert [(cfg.transfer, seed) for cfg, seed in calls] == [("doppelganger", 0), ("none", 0)]
         assert str(shard) in caplog.text
         results = "ablation/results.csv"
         assert (run_dir / results).read_bytes() == (intact / results).read_bytes()
@@ -712,7 +716,7 @@ class TestRunStore:
             assert Pipeline(PipelineConfig.from_json(config_path)).run(["train"]) == {
                 "train": "ran"}
         assert str(shard) in caplog.text
-        assert [(cfg.transfer, cfg.seed) for cfg in calls] == [("doppelganger", 0)]
+        assert [(cfg.transfer, seed) for cfg, seed in calls] == [("doppelganger", 0)]
         assert model_files(run_dir) == original
 
     def test_damaged_run_shard_is_deleted_after_its_warning(self, completed_copy, caplog):
@@ -1160,6 +1164,10 @@ class TestCliErrors:
             PipelineConfig.from_dict(config)
 
 
+TRAIN_FIELDS = ("aggregation, transfer, lambda_dpl, tau, batch_size, negatives, learning_rate, "
+                "weight_decay, dropout, max_epochs, patience, eval_k, persona_out_dim, fused_dim")
+
+
 class TestConfigChecks:
     """Config values no stage can use fail at load, with exit 2, before any
     stage runs or any file of a run dir is touched."""
@@ -1206,9 +1214,7 @@ class TestConfigChecks:
             (["run"], lambda c: c.update(eval_ks=5), "eval_ks must be a list, got 5"),
             (["run"], lambda c: c.update(gcn=[]), "gcn must be an object, got []"),
             (["run"], lambda c: c["train"].update(lamda_dpl=1.0),
-             "unknown config field 'train.lamda_dpl'; known fields: aggregation, transfer, "
-             "lambda_dpl, tau, batch_size, negatives, learning_rate, weight_decay, dropout, "
-             "max_epochs, patience, seed, eval_k, persona_out_dim, fused_dim, persona_space_seed"),
+             f"unknown config field 'train.lamda_dpl'; known fields: {TRAIN_FIELDS}"),
             (["run"], lambda c: c.pop("target"), "missing config field 'target'"),
             (["run"], lambda c: c["source"].pop("metadata"), "missing config field 'source.metadata'"),
             # sizes and rates that cannot train
@@ -1252,11 +1258,24 @@ class TestConfigChecks:
              "ablate.lambda[0] must be a number, got [1]"),
             (["ablate"], lambda c: c.update(ablate={"aggregation": ["mean", 1]}),
              "ablate.aggregation[1] must be a string, got 1"),
-            # no run reads a trainer's own seed: `seeds` sets each one
+            # no trainer section has a seed or a persona-space seed: `seeds` sets each
+            # run's seed, and one constant seeds the aggregator in both domains
             (["run"], lambda c: c["train"].update(seed=3),
-             "train.seed must be left unset, as `seeds` sets each run's seed; got 3"),
+             f"unknown config field 'train.seed'; known fields: {TRAIN_FIELDS}"),
             (["train"], lambda c: c["source_train"].update(seed=9),
-             "source_train.seed must be left unset, as `seeds` sets each run's seed; got 9"),
+             f"unknown config field 'source_train.seed'; known fields: {TRAIN_FIELDS}"),
+            (["run"], lambda c: c["train"].update(persona_space_seed=1),
+             f"unknown config field 'train.persona_space_seed'; known fields: {TRAIN_FIELDS}"),
+            # a transfer of persona vectors needs the source model's persona width
+            (["train"], lambda c: c["train"].update(persona_out_dim=16),
+             "train.persona_out_dim makes persona vectors 16 wide and "
+             "source_train.persona_out_dim 32; a transfer of persona vectors needs one width"),
+            (["ablate"], lambda c: (c["train"].update(persona_out_dim=16, transfer="direct_id"),
+                                    c.update(ablate={"transfer": ["direct_persona"]})),
+             "train.persona_out_dim makes persona vectors 16 wide and "
+             "source_train.persona_out_dim 32; a transfer of persona vectors needs one width"),
+            (["ablate"], lambda c: c.update(ablate={"lambda": [1.0, 1.0]}),
+             "ablate.lambda must be distinct, got [1.0, 1.0]"),
         ],
         ids=["no_seeds", "repeated_seed", "eval_ks", "no_eval_ks", "eval_k_flag",
              "repeated_eval_k", "repeated_eval_k_flag", "repeated_criterion",
@@ -1271,7 +1290,9 @@ class TestConfigChecks:
              "nan_lambda", "nan_learning_rate", "nan_persona_temperature", "inf_tau",
              "inf_gcn_learning_rate", "minus_inf_weight_decay", "ablate_nan_lambda",
              "ablate_tau_as_string", "ablate_inf_tau", "ablate_bool_lambda", "ablate_list_lambda",
-             "ablate_aggregation_as_integer", "train_seed", "source_train_seed"],
+             "ablate_aggregation_as_integer", "train_seed", "source_train_seed",
+             "train_persona_space_seed", "persona_width", "ablate_persona_width",
+             "repeated_ablate_value"],
     )
     def test_unusable_value_is_rejected_before_any_stage(
         self, small_fixture, tmp_path, capsys, argv, edit, message
