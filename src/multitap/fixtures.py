@@ -6,6 +6,9 @@ and one price tier, consistently in both domains.  Both are constants: the
 groups are written over exactly these four categories.
 The source domain is interaction-rich and the target domain sparse, so a
 user's group is easy to read from source behavior and noisy in the target.
+How closely each domain's draws follow a group's preference is a constant
+too (`_TRAIN_AFFINITY`, `_HELDOUT_AFFINITY`, `_SINGLE_VISIBLE_CATEGORY`):
+`FixtureSpec` sets only the corpus's sizes and its seed.
 Quality and popularity metadata are uninformative noise by design.
 """
 
@@ -35,6 +38,15 @@ GROUP_PROFILES = (
     (("alpha", "beta"), 1),
     (("gamma", "delta"), 1),
 )
+# (category, price tier) affinity = probability a draw follows the group's
+# preferred categories / price tier; the rich source is clean, the sparse
+# target train slice is noisy, and held-out draws follow the true preference
+_TRAIN_AFFINITY = {"source": (0.95, 0.95), "target": (0.9, 0.8)}
+_HELDOUT_AFFINITY = (0.95, 0.8)
+# Sparse target histories usually cover one facet of a user's taste: train
+# draws concentrate on a single (per-user) preferred category while held-out
+# interactions span the full preferred pair.
+_SINGLE_VISIBLE_CATEGORY = {"source": False, "target": True}
 
 
 @dataclass
@@ -48,19 +60,6 @@ class FixtureSpec:
     target_train_per_user: int = 4
     source_heldout_per_user: int = 4
     target_heldout_per_user: int = 8
-    # affinity = probability a draw follows the group's preferred
-    # categories / price tier; the rich source is clean, the sparse target
-    # train slice is noisy, and held-out draws follow the true preference
-    source_category_affinity: float = 0.95
-    source_tier_affinity: float = 0.95
-    target_category_affinity: float = 0.9
-    target_tier_affinity: float = 0.8
-    heldout_category_affinity: float = 0.95
-    heldout_tier_affinity: float = 0.8
-    # Sparse target histories usually cover one facet of a user's taste:
-    # train draws concentrate on a single (per-user) preferred category
-    # while held-out interactions span the full preferred pair.
-    target_single_visible_category: bool = True
     seed: int = 7
 
 
@@ -133,27 +132,24 @@ def _pick_item(
 
 def _user_events(
     rng: np.random.Generator,
-    spec: FixtureSpec,
+    domain: str,
     user: str,
     group: int,
     items_by_cat_tier: dict,
     n_train: int,
     n_heldout: int,
-    train_affinities: tuple[float, float],
-    single_visible_category: bool,
 ) -> list[dict]:
     preferred_cats, tier = GROUP_PROFILES[group]
     train_cats = preferred_cats
-    if single_visible_category:
+    if _SINGLE_VISIBLE_CATEGORY[domain]:
         visible = preferred_cats[int(rng.integers(0, 2))]
         train_cats = (visible, visible)
-    heldout_affinities = (spec.heldout_category_affinity, spec.heldout_tier_affinity)
     events = []
     train_ts = np.sort(rng.integers(_TRAIN_ERA[0], _TRAIN_ERA[1], size=n_train))
     held_ts = np.sort(rng.integers(_HELDOUT_ERA[0], _HELDOUT_ERA[1], size=n_heldout))
     seen: set[str] = set()
     for k, ts in enumerate(train_ts):
-        item = _pick_item(rng, items_by_cat_tier, train_cats, tier, train_affinities)
+        item = _pick_item(rng, items_by_cat_tier, train_cats, tier, _TRAIN_AFFINITY[domain])
         seen.add(item["item"])
         events.append(
             {
@@ -168,7 +164,7 @@ def _user_events(
     # every one of them is rankable under the full-ranking protocol
     for k, ts in enumerate(held_ts):
         item = _pick_item(
-            rng, items_by_cat_tier, preferred_cats, tier, heldout_affinities, exclude=seen
+            rng, items_by_cat_tier, preferred_cats, tier, _HELDOUT_AFFINITY, exclude=seen
         )
         seen.add(item["item"])
         events.append(
@@ -192,14 +188,11 @@ def generate_fixture(spec: FixtureSpec) -> dict:
                 for users in (overlap, source_only, target_only) for k, u in enumerate(users)}
 
     out = {}
-    for domain, users, per_cat, n_train, n_held, affinities, single_cat in (
+    for domain, users, per_cat, n_train, n_held in (
         ("source", overlap + source_only, spec.source_items_per_category,
-         spec.source_train_per_user, spec.source_heldout_per_user,
-         (spec.source_category_affinity, spec.source_tier_affinity), False),
+         spec.source_train_per_user, spec.source_heldout_per_user),
         ("target", overlap + target_only, spec.target_items_per_category,
-         spec.target_train_per_user, spec.target_heldout_per_user,
-         (spec.target_category_affinity, spec.target_tier_affinity),
-         spec.target_single_visible_category),
+         spec.target_train_per_user, spec.target_heldout_per_user),
     ):
         items = _build_items(rng, domain, per_cat)
         by_cat_tier: dict = {}
@@ -208,10 +201,7 @@ def generate_fixture(spec: FixtureSpec) -> dict:
         events = []
         for user in users:
             events.extend(
-                _user_events(
-                    rng, spec, user, group_of[user], by_cat_tier, n_train, n_held,
-                    affinities, single_cat
-                )
+                _user_events(rng, domain, user, group_of[user], by_cat_tier, n_train, n_held)
             )
         out[domain] = (events, [{k: v for k, v in it.items() if k != "_tier"} for it in items])
     return out

@@ -6,7 +6,8 @@ the key sections it reads and the run-dir artifacts it writes.  A node's
 cache key is the content key of those sections plus the keys of its upstream
 nodes (`PipelineConfig.stage_keys`).  Ingest hashes its inputs' content, not
 their paths, and persona its clients' identities.  The source-domain model
-that train and ablate build on is keyed the same way, as the node "source".
+that train and ablate build on is keyed the same way, as the node "source";
+it keeps only what they read of it, the overlap users' persona and ID rows.
 Both take each target run from `_runs`, which serves it from the run store
 (`cache/runs/`, keyed by the source key, the trainer and the seed) or
 trains and stores it, so ablate reuses train's runs.  Each run's seed
@@ -14,21 +15,23 @@ comes from `seeds` alone; no trainer section has one.
 idh and persona share one heterogeneity analysis per train split, so idh
 is a leaf: its `criteria` and `report_labels` reach no other key.  Every node's
 record, the source model's included, is `<node>/manifest.json`, written last:
-it holds the node's key and the size of every file it owns, and the node is
-done only when both match the disk and every upstream node is done,
-so a train-only change reruns train and eval, and a deleted or truncated
-file reruns its node alone.  Sizes, not digests: an edit that keeps
+it holds the node's key and the size of every file it owns, nothing else,
+and the node is done only when both match the disk and every upstream node
+is done, so a train-only change reruns train and eval, and a deleted or
+truncated file reruns its node alone.  Sizes, not digests: an edit that keeps
 a file's size is not noticed.  The run's hash (`Pipeline.hash`, printed as
 `config_hash`) is the content key of the node keys, so like them it follows
 the inputs' content and the clients' identities, never a path or a
-deployment setting.  A declared directory is cleared when its node
-starts, so a rebuilt one holds only what the current config writes.  Every
-record, checkpoint manifest and report holds the key of the stage that wrote
-it, and artifacts never embed absolute paths or timestamps, so a reused
-artifact is byte-identical to one built cold.  Run dirs are byte-identical
-across BLAS thread counts when the BLAS variables are unset or 1 (the
-package sets unset ones to 1); a caller that imported numpy before multitap,
-or set a variable to another count, keeps its own threads and its own bytes.
+deployment setting.  A node that starts deletes the files its last record
+lists (inside the run dir, outside `cache/`) and clears its declared
+directories, so a rebuilt node leaves only what the current config writes.
+Every record, checkpoint manifest and report holds the key of the stage
+that wrote it, and artifacts never embed absolute paths or timestamps, so
+a reused artifact is byte-identical to one built cold.  Run dirs are
+byte-identical across BLAS thread counts when the BLAS variables are unset
+or 1 (the package sets unset ones to 1); a caller that imported numpy
+before multitap, or set a variable to another count, keeps its own threads
+and its own bytes.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ NODES = {
                                           "user_vectors.ckpt", "item_vectors.ckpt"))),
     "pretrain": Node(("split",), ("gcn",), ("backbone/{side}.ckpt",)),
     "source": Node(("persona", "pretrain"), ("source_train",),  # with the first seed
-                   ("model/source_model.ckpt", "model/source_tables.ckpt"), stage=False),
+                   ("model/source_tables.ckpt",), stage=False),
     "train": Node(("source",), ("train", "seeds"),
                   ("model/target_seed{seed}.ckpt", "model/metrics_seed{seed}.jsonl")),
     "eval": Node(("train",), ("eval_ks", "eval_split", "eval_average"), ("eval/report.json",)),
@@ -402,25 +405,44 @@ class Pipeline:
         return (record.get("stage_key") == key and record.get("files") == files
                 and all(self._is_done(up) for up in NODES[node].upstream))
 
-    def _mark_done(self, node: str, extra: dict | None = None) -> None:
+    def _mark_done(self, node: str) -> None:
         """Write `node`'s record, after every file it owns."""
-        record = {"stage": node, "stage_key": self.keys[node], "files": self._files(node)}
-        write_json(self.run_dir / self._record_path(node), {**record, **(extra or {})})
+        write_json(self.run_dir / self._record_path(node),
+                   {"stage": node, "stage_key": self.keys[node], "files": self._files(node)})
 
     def _begin(self, stage: str, node: str | None = None) -> None:
         """Start building `node` (default `stage`): raise unless every
-        upstream node is done, then drop `node`'s record, so a build that
-        fails part-way never leaves an old key beside new artifacts, and
-        clear the directories it owns, so none keeps a file it no longer
-        writes."""
+        upstream node is done, then remove the files `node`'s last record
+        lists and the record itself, so a build that fails part-way never
+        leaves an old key beside new artifacts, and clear the directories it
+        owns, so none keeps a file it no longer writes (a seed dropped from
+        `seeds`, say)."""
         node = node or stage
         for needed in NODES[node].upstream:
             if not self._is_done(needed):
                 raise DependencyError(stage, needed)
+        for path in self._recorded_files(node):
+            path.unlink()
         (self.run_dir / self._record_path(node)).unlink(missing_ok=True)
         for path in self.artifact_paths(node):
             if path.is_dir():
                 shutil.rmtree(path)
+
+    def _recorded_files(self, node: str) -> list[Path]:
+        """The files that `node`'s record on disk lists, none if it is missing,
+        unreadable or lists none; only those inside the run dir and outside
+        its `cache/`, as the record is read from disk."""
+        try:
+            record = read_json(self.run_dir / self._record_path(node))
+        except (OSError, ValueError):  # missing or cut short
+            return []
+        listed = record.get("files") if isinstance(record, dict) else None
+        if not isinstance(listed, (dict, list)):
+            return []
+        root = self.run_dir.resolve()
+        paths = [(root / rel).resolve() for rel in listed if isinstance(rel, str)]
+        return [path for path in paths if path.is_relative_to(root) and path.is_file()
+                and path.relative_to(root).parts[0] != "cache"]
 
     # -- shared loaders -----------------------------------------------------
 
@@ -469,7 +491,7 @@ class Pipeline:
         pair = build_domain_pair(self._dataset("source"), self._dataset("target"))
         summary["overlap_users"] = len(pair.overlap)
         write_json(self.run_dir / "ingest" / "summary.json", summary)
-        self._mark_done("ingest", {"overlap_users": len(pair.overlap)})
+        self._mark_done("ingest")
 
     def stage_split(self) -> None:
         self._begin("split")
@@ -665,20 +687,17 @@ class Pipeline:
         target_train_users = {r.user_id for r in self._split("target").train}
         overlap = sorted(source_users & target_train_users)
         rows = [result.model.user_rows[u] for u in overlap]
-        model_path, tables_path = self.artifact_paths("source")
-        save_checkpoint(
-            model_path,
-            result.model.store.params,
-            {"stage_key": self.keys["source"], "seed": seed, "best_epoch": result.best_epoch},
-        )
+        (tables_path,) = self.artifact_paths("source")
         save_checkpoint(
             tables_path, {"h_users": h_all[rows], "v_users": inputs.backbone_user[rows]},
-            {"stage_key": self.keys["source"], "overlap_users": overlap},
+            {"stage_key": self.keys["source"], "seed": seed, "best_epoch": result.best_epoch,
+             "overlap_users": overlap},
         )
         self._mark_done("source")
 
     def _target_inputs_with_transfer(self) -> ModelInputs:
-        arrays, manifest = load_checkpoint(self.artifact_paths("source")[-1])
+        (tables_path,) = self.artifact_paths("source")
+        arrays, manifest = load_checkpoint(tables_path)
         return self._model_inputs(
             "target",
             overlap=manifest["overlap_users"],
@@ -803,7 +822,7 @@ class Pipeline:
             report = self._test_report(self._model(inputs, cfg, params), [k])
             lines.append(",".join(map(str, (*row, report["HR"][k], report["NDCG"][k]))))
         atomic_write_text(self.run_dir / "ablation" / "results.csv", "\n".join(lines) + "\n")
-        self._mark_done("ablate", {"runs": len(runs)})
+        self._mark_done("ablate")
 
     # -- runner ---------------------------------------------------------------
 

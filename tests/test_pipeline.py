@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import multitap.diffkit as diffkit_mod
 import multitap.idh as idh_mod
 import multitap.pipeline as pipeline_mod
 from multitap import cli as cli_mod
@@ -113,7 +114,6 @@ class TestEndToEnd:
             "persona/target/item_vectors.ckpt": "persona",
             "backbone/source.ckpt": "pretrain",
             "backbone/target.ckpt": "pretrain",
-            "model/source_model.ckpt": "source",
             "model/source_tables.ckpt": "source",
             "model/target_seed0.ckpt": "train",
         }
@@ -737,27 +737,56 @@ class TestRunStore:
         assert len(list((run_dir / "cache" / "runs").glob("*.pack"))) == 1
 
 
+def undeclared_files(pipe: Pipeline) -> dict[str, list[str]]:
+    """Every file outside cache/ that is neither a manifest nor under exactly
+    one node's declared artifacts, with the nodes that declare it."""
+    declared = {node: pipe.artifact_paths(node) for node in NODES}
+    manifests = {pipe.run_dir / node / "manifest.json" for node in NODES} | {
+        checkpoint_manifest_path(p) for ps in declared.values() for p in ps if p.suffix == ".ckpt"
+    }
+    files = [p for p in pipe.run_dir.rglob("*")
+             if p.is_file() and p.relative_to(pipe.run_dir).parts[0] != "cache"]
+    assert any(p.parent.name == "report" for p in files)
+    owners = {
+        str(p.relative_to(pipe.run_dir)): [
+            node for node, ps in declared.items() if any(a == p or a in p.parents for a in ps)
+        ]
+        for p in files if p not in manifests
+    }
+    return {rel: nodes for rel, nodes in owners.items() if len(nodes) != 1}
+
+
 class TestNodeTable:
-    def test_every_run_dir_file_is_declared(self, small_fixture, tmp_path):
+    def test_every_run_dir_file_is_declared(self, small_fixture, tmp_path, monkeypatch):
         """After a run plus ablate, every file outside cache/ is a manifest
-        or lies under exactly one node's declared artifacts."""
+        or lies under exactly one node's declared artifacts, and every
+        checkpoint outside cache/ is read later in the run.  Retraining on
+        fewer seeds leaves no file of a dropped seed."""
+        read = set()
+
+        def recording(read_container):
+            def wrapper(path, *args, **kwargs):
+                read.add(Path(path))
+                return read_container(path, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(diffkit_mod, "read_container", recording(diffkit_mod.read_container))
+        monkeypatch.setattr(pipeline_mod, "read_container", recording(pipeline_mod.read_container))
         _, paths = small_fixture
         pipe = build_pipeline(paths, tmp_path / "run")
         pipe.run(RUN_STAGES + ["ablate"])
-        declared = {node: pipe.artifact_paths(node) for node in NODES}
-        manifests = {pipe.run_dir / node / "manifest.json" for node in NODES} | {
-            checkpoint_manifest_path(p) for ps in declared.values() for p in ps if p.suffix == ".ckpt"
-        }
-        files = [p for p in pipe.run_dir.rglob("*")
-                 if p.is_file() and p.relative_to(pipe.run_dir).parts[0] != "cache"]
-        assert any(p.parent.name == "report" for p in files)
-        owners = {
-            str(p.relative_to(pipe.run_dir)): [
-                node for node, ps in declared.items() if any(a == p or a in p.parents for a in ps)
-            ]
-            for p in files if p not in manifests
-        }
-        assert {rel: nodes for rel, nodes in owners.items() if len(nodes) != 1} == {}
+        assert undeclared_files(pipe) == {}
+        checkpoints = {p for p in pipe.run_dir.rglob("*.ckpt")
+                       if p.relative_to(pipe.run_dir).parts[0] != "cache"}
+        assert sorted(str(p.relative_to(pipe.run_dir)) for p in checkpoints - read) == []
+
+        config = small_config_dict(paths, tmp_path / "run")
+        Pipeline(PipelineConfig.from_dict({**config, "seeds": [0, 1]})).run(["train"])
+        assert (pipe.run_dir / "model" / "target_seed1.ckpt").exists()
+        pipe = Pipeline(PipelineConfig.from_dict(config))
+        assert pipe.run(["train"]) == {"train": "ran"}
+        assert undeclared_files(pipe) == {}
+        assert not list(pipe.run_dir.glob("model/*seed1*"))
 
     def test_deleted_report_reruns_idh_alone(self, completed_copy, small_fixture):
         _, paths = small_fixture
@@ -794,6 +823,40 @@ class TestNodeTable:
         reused = snapshot(run_dir / "idh")
         assert reused == snapshot(tmp_path / "cold" / "idh")
         assert not [rel for rel in reused if "_pb_" in rel]
+
+
+class TestBeginRemovesRecordedFiles:
+    """A node that starts removes the files its last record lists, but only
+    files inside the run dir and outside its cache/: records are read from disk."""
+
+    def test_listed_files_inside_the_run_dir_go(self, small_fixture, tmp_path):
+        _, paths = small_fixture
+        pipe = build_pipeline(paths, tmp_path / "run")
+        outside = tmp_path / "outside.txt"
+        for path in (outside, pipe.run_dir / "ingest" / "old.txt",
+                     pipe.run_dir / "cache" / "shard.txt", pipe.run_dir / "unlisted.txt"):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("x")
+        (pipe.run_dir / "link.txt").symlink_to(outside)
+        listed = ["ingest/old.txt", "cache/shard.txt", "../outside.txt", str(outside),
+                  "link.txt", "ingest", "absent.txt", 3]
+        write_json(pipe.run_dir / "ingest" / "manifest.json", {"files": listed})
+        pipe._begin("ingest")
+        left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+        assert left == ["outside.txt", "run/cache/shard.txt", "run/link.txt", "run/unlisted.txt"]
+
+    @pytest.mark.parametrize("record", ['{"files": {"ingest/summary.json": 1}',
+                                        '{"stage": "ingest"}', '{"files": "ingest"}', "[]"])
+    def test_unreadable_or_fileless_record_removes_nothing(self, small_fixture, tmp_path, record):
+        _, paths = small_fixture
+        pipe = build_pipeline(paths, tmp_path / "run")
+        summary = pipe.run_dir / "ingest" / "summary.json"
+        summary.parent.mkdir(parents=True)
+        summary.write_text("{}")
+        (pipe.run_dir / "ingest" / "manifest.json").write_text(record)
+        pipe._begin("ingest")
+        assert summary.exists()
+        assert not (pipe.run_dir / "ingest" / "manifest.json").exists()
 
 
 class TestIdhIsALeaf:
