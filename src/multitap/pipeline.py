@@ -8,10 +8,13 @@ nodes (`PipelineConfig.stage_keys`).  Ingest hashes its inputs' content, not
 their paths, and persona its clients' identities.  The source-domain model
 that train and ablate build on is keyed the same way, as the node "source";
 it keeps only what they read of it, the overlap users' persona and ID rows.
-Both take each target run from `_runs`, which serves it from the run store
-(`cache/runs/`, keyed by the source key, the trainer and the seed) or
-trains and stores it, so ablate reuses train's runs.  Each run's seed
-comes from `seeds` alone; no trainer section has one.
+Every trainer's output comes from `_runs`, which serves it from the run
+store (`cache/runs/`) or trains and stores it: each side's backbone under
+the pretrain key and the side, the source model's tables under the source
+key, and each target run under the source key, the trainer and the seed.
+So ablate reuses train's runs, and a config changed and changed back trains
+nothing the second time.  Nothing prunes the store yet: it only grows.
+Each run's seed comes from `seeds` alone; no trainer section has one.
 idh and persona share one heterogeneity analysis per train split, so idh
 is a leaf: its `criteria` and `report_labels` reach no other key.  Every node's
 record, the source model's included, is `<node>/manifest.json`, written last:
@@ -46,7 +49,7 @@ import typing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -622,33 +625,25 @@ class Pipeline:
 
     def stage_pretrain(self) -> None:
         self._begin("pretrain")
-        for which in ("source", "target"):
-            ds = self._dataset(which)
-            result = pretrain_id_embeddings(self._split(which), self.config.gcn, sorted(ds.item_ids))
-            save_checkpoint(
-                self.run_dir / "backbone" / f"{which}.ckpt",
-                {
-                    "user_vecs": result.table.user_vecs,
-                    "item_vecs": result.table.item_vecs,
-                },
-                {
-                    "stage_key": self.keys["pretrain"],
-                    "seed": self.config.gcn.seed,
-                    "user_ids": result.table.user_ids,
-                    "item_ids": result.table.item_ids,
-                    "best_epoch": result.best_epoch,
-                    "best_valid_hr": result.best_hr,
-                },
-            )
+        for which in SIDES:
+            def train():
+                result = pretrain_id_embeddings(self._split(which), self.config.gcn,
+                                                sorted(self._dataset(which).item_ids))
+                table = result.table
+                return ({"user_vecs": table.user_vecs, "item_vecs": table.item_vecs},
+                        {"user_ids": table.user_ids, "item_ids": table.item_ids,
+                         "best_epoch": result.best_epoch, "best_valid_hr": result.best_hr})
+
+            ((vecs, record),) = self._runs(
+                [(content_key({"pretrain": self.keys["pretrain"], "side": which}), train)])
+            save_checkpoint(self.run_dir / "backbone" / f"{which}.ckpt", vecs, {
+                "stage_key": self.keys["pretrain"], "seed": self.config.gcn.seed,
+                **{n: record[n] for n in ("user_ids", "item_ids", "best_epoch", "best_valid_hr")}})
         self._mark_done("pretrain")
 
     # -- model assembly -----------------------------------------------------
 
-    def _model_inputs(
-        self, which: str, overlap: list[str] | None = None,
-        source_personas: np.ndarray | None = None,
-        source_backbone: np.ndarray | None = None,
-    ) -> ModelInputs:
+    def _model_inputs(self, which: str) -> ModelInputs:
         """The backbone of `which` with its persona and item vectors in
         backbone row order."""
         backbone, ids = load_checkpoint(self.run_dir / "backbone" / f"{which}.ckpt")
@@ -664,76 +659,83 @@ class Pipeline:
             item_semantics=np.stack([semantics["vectors"][irow[i]] for i in ids["item_ids"]]),
             backbone_user=backbone["user_vecs"],
             backbone_item=backbone["item_vecs"],
-            overlap_users=overlap or [],
-            source_user_personas=source_personas,
-            source_user_backbone=source_backbone,
         )
 
     def _ensure_source_tables(self, stage: str) -> None:
-        """Unless they are done under the current source key, train the
-        source-domain model (no transfer) and export the overlap-aligned
-        persona and ID tables it provides; `stage` names the caller in a
-        DependencyError."""
+        """Unless they are done under the current source key, export the
+        overlap-aligned persona and ID tables of the source-domain model (no
+        transfer), served from `_runs` or trained; `stage` names the caller
+        in a DependencyError."""
         if self._is_done("source"):
             return
         self._begin(stage, "source")
         seed = self.config.seeds[0]
-        inputs = self._model_inputs("source")
-        split = self._split("source")
-        result = train_target(inputs, split.train, split.valid, self.config.source_train_config(),
-                              seed)
-        h_all = result.model.user_persona_vectors()
-        source_users = set(inputs.user_ids)
-        target_train_users = {r.user_id for r in self._split("target").train}
-        overlap = sorted(source_users & target_train_users)
-        rows = [result.model.user_rows[u] for u in overlap]
+
+        def train():
+            inputs, split = self._model_inputs("source"), self._split("source")
+            result = train_target(inputs, split.train, split.valid,
+                                  self.config.source_train_config(), seed)
+            target_users = {r.user_id for r in self._split("target").train}
+            overlap = sorted(set(inputs.user_ids) & target_users)
+            rows = [result.model.user_rows[u] for u in overlap]
+            return ({"h_users": result.model.user_persona_vectors()[rows],
+                     "v_users": inputs.backbone_user[rows]},
+                    {"seed": seed, "best_epoch": result.best_epoch, "overlap_users": overlap,
+                     "history": result.history})
+
+        ((tables, record),) = self._runs([(self.keys["source"], train)])
         (tables_path,) = self.artifact_paths("source")
-        save_checkpoint(
-            tables_path, {"h_users": h_all[rows], "v_users": inputs.backbone_user[rows]},
-            {"stage_key": self.keys["source"], "seed": seed, "best_epoch": result.best_epoch,
-             "overlap_users": overlap},
-        )
+        save_checkpoint(tables_path, tables, {
+            "stage_key": self.keys["source"],
+            **{n: record[n] for n in ("seed", "best_epoch", "overlap_users")}})
         self._mark_done("source")
 
     def _target_inputs_with_transfer(self) -> ModelInputs:
         (tables_path,) = self.artifact_paths("source")
         arrays, manifest = load_checkpoint(tables_path)
-        return self._model_inputs(
-            "target",
-            overlap=manifest["overlap_users"],
-            source_personas=arrays["h_users"],
-            source_backbone=arrays["v_users"],
-        )
+        return dataclasses.replace(
+            self._model_inputs("target"), overlap_users=manifest["overlap_users"],
+            source_user_personas=arrays["h_users"], source_user_backbone=arrays["v_users"])
 
     def _train_one(self, inputs: ModelInputs, seed: int, overrides: dict | None = None):
         cfg = dataclasses.replace(self.config.train, **(overrides or {}))
         split = self._split("target")
         return train_target(inputs, split.train, split.valid, cfg, seed)
 
-    def _runs(self, inputs: ModelInputs, points: Sequence[tuple[int, dict]]) -> list:
+    def _runs(self, entries: Sequence[tuple[str, Callable[[], tuple[dict, dict]]]]) -> list:
+        """Each (key, train) entry's tensors and record, served from the run
+        store or made by `train()` and stored, the new ones in one shard.  A
+        record lists its tensors under "params"; an entry whose tensors
+        cannot all be read (its shard cut short) is trained again."""
+        keys = [key for key, _ in entries]
+        with cache_batch(self.run_cache, keys) as (stored, new):
+            served = [f"{k}/{n}" for k in set(keys) & stored.keys() for n in stored[k]["params"]]
+            if served:  # the stored entries' tensors, in one more read
+                stored.update(self.run_cache.get(served) or {})
+            for key, train in entries:
+                if key not in stored or any(f"{key}/{n}" not in stored
+                                            for n in stored[key]["params"]):
+                    tensors, record = train()
+                    new[key] = {"params": sorted(tensors), **record}
+                    new.update((f"{key}/{n}", v) for n, v in tensors.items())
+                    stored.update(new)
+        return [({n: stored[f"{key}/{n}"] for n in stored[key]["params"]}, stored[key])
+                for key in keys]
+
+    def _target_runs(self, inputs: ModelInputs, points: Sequence[tuple[int, dict]]) -> list:
         """Each (seed, overrides) point's seed, trainer, parameters and run
-        record ("history", "best_epoch"), served from the run store under the
-        key of the source model, the trainer and the seed, or trained and
-        stored in one shard.  A stored run whose tensors cannot all be read
-        (its shard cut short) is trained again."""
+        record ("history", "best_epoch") from `_runs`, keyed by the source
+        model, the trainer and the seed."""
+        def train(seed, overrides):
+            result = self._train_one(inputs, seed, overrides)
+            return result.model.store.params, {"history": result.history,
+                                               "best_epoch": result.best_epoch}
+
         configs = [dataclasses.replace(self.config.train, **over) for _, over in points]
         keys = [content_key({"source": self.keys["source"], "run": _json_data(c), "seed": s})
                 for c, (s, _) in zip(configs, points)]
-        with cache_batch(self.run_cache, keys) as (stored, new):
-            served = [f"{k}/{n}" for k in set(keys) & stored.keys() for n in stored[k]["params"]]
-            if served:  # the stored runs' tensors, in one more read
-                stored.update(self.run_cache.get(served) or {})
-            for key, (seed, overrides) in zip(keys, points):
-                if key not in stored or any(f"{key}/{n}" not in stored
-                                            for n in stored[key]["params"]):
-                    result = self._train_one(inputs, seed, overrides)
-                    new[key] = {"params": sorted(result.model.store.params),
-                                "history": result.history, "best_epoch": result.best_epoch}
-                    new.update((f"{key}/{n}", v) for n, v in result.model.store.params.items())
-                    stored.update(new)
-                    del result  # one model alive at a time
-        return [(seed, cfg, {n: stored[f"{key}/{n}"] for n in stored[key]["params"]}, stored[key])
-                for key, cfg, (seed, _) in zip(keys, configs, points)]
+        runs = self._runs([(key, functools.partial(train, *p)) for key, p in zip(keys, points)])
+        return [(s, cfg, *run) for cfg, (s, _), run in zip(configs, points, runs)]
 
     def _model(self, inputs: ModelInputs, cfg: TrainConfig, params: dict) -> MultiTapModel:
         """The target model under `cfg` holding `params`, all of them checked."""
@@ -754,7 +756,7 @@ class Pipeline:
         self._ensure_source_tables("train")
         self._begin("train")
         inputs = self._target_inputs_with_transfer()
-        for seed, _, params, run in self._runs(inputs, [(seed, {}) for seed in self.config.seeds]):
+        for seed, _, params, run in self._target_runs(inputs, [(s, {}) for s in self.config.seeds]):
             save_checkpoint(self.run_dir / "model" / f"target_seed{seed}.ckpt", params,
                             {"stage_key": self.keys["train"], "seed": seed,
                              "best_epoch": run["best_epoch"]})
@@ -816,7 +818,7 @@ class Pipeline:
         k = self.config.train.eval_k
         grid = [(axis, value, seed, over) for axis, value, over in ablation_grid(self.config.ablate)
                 for seed in self.config.seeds]
-        runs = self._runs(inputs, [(seed, over) for *_, seed, over in grid])
+        runs = self._target_runs(inputs, [(seed, over) for *_, seed, over in grid])
         lines = [f"axis,value,seed,hr@{k},ndcg@{k}"]
         for (*row, _), (_, cfg, params, _) in zip(grid, runs):
             report = self._test_report(self._model(inputs, cfg, params), [k])

@@ -620,20 +620,42 @@ class TestStageReuse:
         assert read_json(run_dir / "eval" / "checkpoint_target_seed0.json")["checkpoint"] == ckpt.name
 
 
-def count_target_runs(monkeypatch) -> list:
-    """The (trainer, seed) of every target run the pipeline's `train_target`
-    trains from now on; the source model, trained on inputs without source
-    tables, is left out."""
-    calls = []
-    train = pipeline_mod.train_target
+def count_trainings(monkeypatch) -> dict[str, list]:
+    """What the pipeline trains from now on, by trainer: "target", the
+    (trainer, seed) of every target run; "source", the seed of every
+    source-model training (inputs without source tables); "pretrain", the
+    `gcn` section of every `pretrain_id_embeddings` call."""
+    calls = {"target": [], "source": [], "pretrain": []}
+    train, pretrain = pipeline_mod.train_target, pipeline_mod.pretrain_id_embeddings
 
-    def counted(inputs, *args):
+    def counted_train(inputs, *args):
         if inputs.source_user_personas is not None:
-            calls.append(args[-2:])
+            calls["target"].append(args[-2:])
+        else:
+            calls["source"].append(args[-1])
         return train(inputs, *args)
 
-    monkeypatch.setattr(pipeline_mod, "train_target", counted)
+    def counted_pretrain(split, config, *args):
+        calls["pretrain"].append(config)
+        return pretrain(split, config, *args)
+
+    monkeypatch.setattr(pipeline_mod, "train_target", counted_train)
+    monkeypatch.setattr(pipeline_mod, "pretrain_id_embeddings", counted_pretrain)
     return calls
+
+
+def run_shards(run_dir: Path, trainer: str) -> list[Path]:
+    """The shards of the run store that hold `trainer`'s entries: "backbone"
+    (tensors `user_vecs`, `item_vecs`), "source" (`h_users`, `v_users`) or
+    "target" (a target model's parameters)."""
+    marks = {"backbone": "user_vecs", "source": "h_users"}
+
+    def holds(path: Path) -> str:
+        _, records = diffkit_mod.read_container(path)
+        names = {n for record in records.values() for n in record["params"]}
+        return next((t for t, mark in marks.items() if mark in names), "target")
+
+    return [p for p in sorted((run_dir / "cache" / "runs").glob("*.pack")) if holds(p) == trainer]
 
 
 def model_files(run_dir: Path) -> dict[str, bytes]:
@@ -650,7 +672,7 @@ class TestRunStore:
         config = small_config_dict(paths, tmp_path / "run")
         config["seeds"] = [0, 1, 2, 3, 4]
         pipe = Pipeline(PipelineConfig.from_dict(config))
-        calls = count_target_runs(monkeypatch)
+        calls = count_trainings(monkeypatch)["target"]
         pipe.run(RUN_STAGES)
         assert len(calls) == 5
         calls.clear()
@@ -673,7 +695,7 @@ class TestRunStore:
         code, captured = cli(capsys, "train", "--config", config_path, "--lambda", "1.0")
         assert code == 0, captured.err
         assert model_files(run_dir) != first
-        calls = count_target_runs(monkeypatch)
+        calls = count_trainings(monkeypatch)["target"]
         code, captured = cli(capsys, "train", "--config", config_path, "--lambda", "1.4")
         assert code == 0, captured.err
         assert json.loads(captured.out)["stages"]["train"] == "ran"
@@ -688,10 +710,10 @@ class TestRunStore:
         intact = tmp_path / "intact"
         shutil.copytree(run_dir, intact)
         Pipeline(PipelineConfig.from_dict(small_config_dict(paths, intact))).run(["ablate"])
-        (shard,) = (run_dir / "cache" / "runs").glob("*.pack")  # train's one run
+        (shard,) = run_shards(run_dir, "target")  # train's one run
         with open(shard, "r+b") as fh:
             fh.truncate(100)
-        calls = count_target_runs(monkeypatch)
+        calls = count_trainings(monkeypatch)["target"]
         with caplog.at_level(logging.WARNING, logger="multitap.persona.cache"):
             assert Pipeline(PipelineConfig.from_json(config_path)).run(["ablate"]) == {
                 "ablate": "ran"}
@@ -707,11 +729,11 @@ class TestRunStore:
         tensors do not, so the run is trained again in the same call."""
         run_dir, config_path = completed_copy
         original = model_files(run_dir)
-        (shard,) = (run_dir / "cache" / "runs").glob("*.pack")  # train's one run
+        (shard,) = run_shards(run_dir, "target")  # train's one run
         with open(shard, "r+b") as fh:
             fh.truncate(shard.stat().st_size - 1000)
         (run_dir / "train" / "manifest.json").unlink()
-        calls = count_target_runs(monkeypatch)
+        calls = count_trainings(monkeypatch)["target"]
         with caplog.at_level(logging.WARNING, logger="multitap.persona.cache"):
             assert Pipeline(PipelineConfig.from_json(config_path)).run(["train"]) == {
                 "train": "ran"}
@@ -721,7 +743,7 @@ class TestRunStore:
 
     def test_damaged_run_shard_is_deleted_after_its_warning(self, completed_copy, caplog):
         run_dir, config_path = completed_copy
-        (shard,) = (run_dir / "cache" / "runs").glob("*.pack")  # train's one run
+        (shard,) = run_shards(run_dir, "target")  # train's one run
         with open(shard, "r+b") as fh:
             fh.truncate(100)
         with caplog.at_level(logging.WARNING, logger="multitap.persona.cache"):
@@ -734,7 +756,71 @@ class TestRunStore:
         with caplog.at_level(logging.WARNING, logger="multitap.persona.cache"):
             assert JsonCache(run_dir / "cache" / "runs").get(["absent"]) is None
         assert caplog.text == ""
-        assert len(list((run_dir / "cache" / "runs").glob("*.pack"))) == 1
+        assert len(run_shards(run_dir, "target")) == 1
+
+    def test_first_seed_away_and_back_serves_the_source_tables(
+        self, completed_copy, capsys, monkeypatch
+    ):
+        run_dir, config_path = completed_copy
+        assert read_json(config_path)["seeds"] == [0]
+        first = model_files(run_dir)
+        calls = count_trainings(monkeypatch)
+        code, captured = cli(capsys, "train", "--config", config_path, "--seed", "1")
+        assert code == 0, captured.err
+        assert calls["source"] == [1]
+        assert read_json(checkpoint_manifest_path(run_dir / "model" / "source_tables.ckpt"))[
+            "seed"] == 1
+        shards = sorted((run_dir / "cache" / "runs").glob("*.pack"))
+        code, captured = cli(capsys, "train", "--config", config_path)
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["stages"]["train"] == "ran"
+        assert calls["source"] == [1] and [seed for _, seed in calls["target"]] == [1]
+        assert sorted((run_dir / "cache" / "runs").glob("*.pack")) == shards
+        assert model_files(run_dir) == first
+
+    def test_gcn_change_and_back_serves_both_backbones(self, completed_copy, capsys, monkeypatch):
+        run_dir, config_path = completed_copy
+        assert read_json(config_path)["gcn"]["epochs"] == 15
+        backbones = {rel: data for rel, data in snapshot(run_dir).items()
+                     if rel.startswith("backbone/")}
+        assert len(backbones) == 4
+        calls = count_trainings(monkeypatch)
+        code, captured = cli(capsys, "pretrain", "--config", config_path, "--epochs", "2")
+        assert code == 0, captured.err
+        assert [gcn.epochs for gcn in calls["pretrain"]] == [2, 2]
+        assert {rel: (run_dir / rel).read_bytes() for rel in backbones} != backbones
+        shards = sorted((run_dir / "cache" / "runs").glob("*.pack"))
+        code, captured = cli(capsys, "pretrain", "--config", config_path)
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["stages"]["pretrain"] == "ran"
+        assert [gcn.epochs for gcn in calls["pretrain"]] == [2, 2]
+        assert sorted((run_dir / "cache" / "runs").glob("*.pack")) == shards
+        assert {rel: (run_dir / rel).read_bytes() for rel in backbones} == backbones
+
+    @pytest.mark.parametrize("trainer, stage", [("source", "train"), ("backbone", "pretrain")])
+    @pytest.mark.parametrize("cut", ["header", "tensors"])
+    def test_cut_short_entry_is_trained_again(
+        self, completed_copy, caplog, monkeypatch, trainer, stage, cut
+    ):
+        """A source or backbone entry whose shard is cut short is trained
+        again when its node rebuilds, and the shard and the node's files come
+        back byte-identical; the other backbone side is served."""
+        run_dir, config_path = completed_copy
+        original = snapshot(run_dir)
+        shard = run_shards(run_dir, trainer)[0]
+        with open(shard, "r+b") as fh:
+            fh.truncate(100 if cut == "header" else shard.stat().st_size - 1000)
+        node = "source" if trainer == "source" else "pretrain"
+        (run_dir / node / "manifest.json").unlink()
+        calls = count_trainings(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="multitap.persona.cache"):
+            status = Pipeline(PipelineConfig.from_json(config_path)).run(RUN_STAGES)
+        assert str(shard) in caplog.text
+        assert status == {**{s: "cached" for s in RUN_STAGES}, stage: "ran"}
+        trained = {"source": len(calls["source"]), "backbone": len(calls["pretrain"])}
+        assert trained == {t: int(t == trainer) for t in trained}
+        assert calls["target"] == []
+        assert snapshot(run_dir) == original
 
 
 def undeclared_files(pipe: Pipeline) -> dict[str, list[str]]:
