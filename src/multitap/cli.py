@@ -78,6 +78,17 @@ def _expecting(convert, expected: str):
     return parse
 
 
+def _at_least(least: int):
+    """An integer converter that rejects a value below `least`."""
+
+    def convert(text: str) -> int:
+        if (value := int(text)) < least:
+            raise ValueError(text)
+        return value
+
+    return convert
+
+
 _INTEGER = _expecting(int, "an integer")
 _NUMBER = _expecting(float, "a number")
 _SWEEP = _expecting(_parse_sweep, "a sweep like name=start:stop:step")
@@ -121,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fixture = sub.add_parser("fixture", help="write the synthetic two-domain corpus")
     fixture.add_argument("--out", required=True)
-    fixture.add_argument("--users", type=_INTEGER, default=200)
-    fixture.add_argument("--seed", type=_INTEGER, default=7)
+    fixture.add_argument("--users", type=_expecting(_at_least(1), "an integer >= 1"), default=200)
+    fixture.add_argument("--seed", type=_expecting(_at_least(0), "an integer >= 0"), default=7)
 
     ingest = sub.add_parser("ingest", help="validate and summarize domains")
     ingest.add_argument("--config", default=None)

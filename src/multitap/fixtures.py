@@ -236,14 +236,13 @@ def fixture_config_dict(
             "metadata": str(paths.target_metadata),
         },
         "split": {"boundary": BOUNDARY_TS, "valid_fraction": 0.5},
-        "client": {"mode": "offline", "persona_dim": 256, "item_dim": 128, "seed": 7},
+        "client": {"mode": "offline", "persona_dim": 256, "item_dim": 128},
         "gcn": {
             "dim": 128,
             "layers": 3,
             "learning_rate": 0.02,
             "epochs": 40,
             "patience": 8,
-            "seed": 0,
         },
         "train": {
             "aggregation": "self_attn",
@@ -251,7 +250,6 @@ def fixture_config_dict(
             "lambda_dpl": 1.4,
             "tau": 0.5,
             "batch_size": 256,
-            "negatives": 1,
             "learning_rate": 3e-3,
             "weight_decay": 1e-4,
             "dropout": 0.2,
@@ -261,9 +259,6 @@ def fixture_config_dict(
         },
         "source_train": {
             "aggregation": "self_attn",
-            "transfer": "none",
-            "lambda_dpl": 0.0,
-            "tau": 0.5,
             "batch_size": 1024,
             "learning_rate": 1e-2,
             "weight_decay": 1e-4,

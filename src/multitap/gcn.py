@@ -5,8 +5,8 @@ then any catalog-only items, sorted, after the train items: those have
 degree 0 and no edges, so they receive no propagation mass and are reachable
 only as sampled negatives or ranking candidates.  Propagation is the layer
 mean of repeated normalized-adjacency applications, including layer 0.
-Pretraining runs its epoch body (negatives drawn per batch) in
-`diffkit.fit_early_stopped`.
+Pretraining runs its epoch body (one negative drawn per positive, per
+batch) in `diffkit.fit_early_stopped`, seeded by `BACKBONE_SEED`.
 """
 
 from __future__ import annotations
@@ -114,6 +114,9 @@ def propagate(table: IdEmbeddingTable, adjacency: sp.spmatrix, layers: int) -> I
     )
 
 
+BACKBONE_SEED = 0  # draws each backbone's init, shuffles and negatives; no config sets it
+
+
 @dataclass
 class GcnConfig:
     dim: int = 128
@@ -123,8 +126,6 @@ class GcnConfig:
     epochs: int = 100
     patience: int = 10
     batch_size: int = 1024
-    negatives: int = 1
-    seed: int = 0
     eval_k: int = 5
 
     def __post_init__(self):
@@ -163,7 +164,7 @@ def pretrain_id_embeddings(
     user_ids, item_ids = list(graph.user_index), list(graph.item_index)
     adjacency = normalized_adjacency(graph)
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(BACKBONE_SEED)
     nu, ni = len(user_ids), len(item_ids)
     store = ParameterStore()
     emb = store.add("emb", init_normal(rng, (nu + ni, config.dim)))
@@ -178,8 +179,7 @@ def pretrain_id_embeddings(
         n_triples = 0
         for start in range(0, order.size, config.batch_size):
             batch = pos_pairs[order[start : start + config.batch_size]]
-            users = np.repeat(batch[:, 0], config.negatives)
-            pos = np.repeat(batch[:, 1], config.negatives)
+            users, pos = batch[:, 0], batch[:, 1]
             neg = _sample_negatives(rng, users, observed, ni)
 
             # forward: propagate, then score the batch triples

@@ -11,11 +11,11 @@ batches, composes its forward and backward passes from the `diffkit` ops
 heads, `softmax`/`softmax_backward`, `info_nce`, `bpr`, `scatter_rows`) and
 an inline tanh adjoint, and `diffkit.grad_check` validates the complete
 objective.  The transfer modes are rows of `TRANSFER_TABLE`.
-`train_target` runs its epoch body (negatives drawn once per epoch) in
-`diffkit.fit_early_stopped`.  A run's seed is an argument of the model and
-of `train_target`, never a `TrainConfig` field, and draws the fusion heads,
-dropout, shuffles and negatives; the aggregator always starts from
-`PERSONA_SPACE_SEED`, in both domains.
+`train_target` runs its epoch body (one negative per positive, drawn once
+per epoch) in `diffkit.fit_early_stopped`.  A run's seed is an argument of
+the model and of `train_target`, never a `TrainConfig` field, and draws the
+fusion heads, dropout, shuffles and negatives; the aggregator always starts
+from `PERSONA_SPACE_SEED`, in both domains.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ class TrainConfig:
     lambda_dpl: float = 1.4
     tau: float = 0.5
     batch_size: int = 1024
-    negatives: int = 1
     learning_rate: float = 1e-3
     weight_decay: float = 1e-4
     dropout: float = 0.1
@@ -420,8 +419,7 @@ def train_target(
 
     def run_epoch(epoch: int):
         order = rng.permutation(positives.shape[0])
-        users_all = np.repeat(positives[order, 0], config.negatives)
-        pos_all = np.repeat(positives[order, 1], config.negatives)
+        users_all, pos_all = positives[order, 0], positives[order, 1]
         neg_all = _sample_negatives(rng, users_all, observed, n_items)
 
         sum_rec = 0.0

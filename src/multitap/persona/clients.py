@@ -7,7 +7,7 @@ needs no network.  `build_clients` builds both from `ClientSettings`, the
 `client` section of the pipeline config; a client's `identity` names the
 settings that change its output.  The offline generator verbalizes the
 structured evidence through fixed sentence templates; the offline encoder is
-a seeded feature-hashing bag-of-words embedder with unit L2 norm.
+a feature-hashing bag-of-words embedder with unit L2 norm and a fixed seed.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ class ClientSettings:
     mode: str = "offline"
     persona_dim: int = 256
     item_dim: int = 128
-    seed: int = 7
     chunk_size: int = 256
     parallelism: int = 1
     endpoint: str = "https://api.openai.com/v1"
@@ -296,8 +295,8 @@ def build_clients(settings: ClientSettings) -> tuple[GeneratorClient, EncoderCli
     """The persona stage's generator, persona encoder and item encoder.  Their
     identities name every setting that changes what they return, and nothing
     else: `chunk_size`, `parallelism` and `endpoint` only deploy them."""
-    if settings.mode == "offline":
-        return (TemplateGenerator(), HashingEncoder(settings.persona_width, settings.seed),
-                HashingEncoder(settings.item_dim, settings.seed))
+    if settings.mode == "offline":  # hashing seed 7: identities "hashing-v2-d<dim>-s7"
+        return (TemplateGenerator(), HashingEncoder(settings.persona_width, 7),
+                HashingEncoder(settings.item_dim, 7))
     return (RemoteGenerator(settings), RemoteEncoder(settings, settings.persona_width),
             RemoteEncoder(settings, settings.remote_item_dim))

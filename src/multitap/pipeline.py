@@ -14,7 +14,8 @@ the pretrain key and the side, the source model's tables under the source
 key, and each target run under the source key, the trainer and the seed.
 So ablate reuses train's runs, and a config changed and changed back trains
 nothing the second time.  Nothing prunes the store yet: it only grows.
-Each run's seed comes from `seeds` alone; no trainer section has one.
+Each run's seed comes from `seeds` alone; no other section has one, as the
+backbones and the offline encoders seed from constants.
 idh and persona share one heterogeneity analysis per train split, so idh
 is a leaf: its `criteria` and `report_labels` reach no other key.  Every node's
 record, the source model's included, is `<node>/manifest.json`, written last:
@@ -66,7 +67,7 @@ from .corpus import (
 from .diffkit import checkpoint_manifest_path, load_checkpoint, read_container, save_checkpoint
 from .errors import DependencyError
 from .evaluate import AVERAGES, aggregate_seed_reports, full_ranking_eval, heldout_units, pair_index
-from .gcn import GcnConfig, pretrain_id_embeddings
+from .gcn import BACKBONE_SEED, GcnConfig, pretrain_id_embeddings
 from .idh import METADATA_CRITERIA, Criterion, Label
 from .model import ModelInputs, MultiTapModel, TrainConfig, train_target, transfer_parts
 from .persona.cache import cache_batch
@@ -219,6 +220,8 @@ class PipelineConfig:
                 )
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be nonempty and distinct, got {list(self.seeds)}")
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError(f"seeds must be nonnegative, got {list(self.seeds)}")
         if not self.eval_ks or any(k < 1 for k in self.eval_ks):
             raise ValueError(f"eval_ks must be nonempty, each >= 1, got {list(self.eval_ks)}")
         for axis, values in self.ablate.items():
@@ -253,8 +256,10 @@ class PipelineConfig:
         return cls.from_dict(read_json(path))
 
     def source_train_config(self) -> TrainConfig:
-        """The source-domain model's trainer: its own section's, or train's, with no transfer."""
-        return dataclasses.replace(self.source_train or self.train, transfer="none", lambda_dpl=0.0)
+        """The source-domain model's trainer: its own section's, or train's,
+        with no transfer, so the transfer settings it never reads are pinned."""
+        return dataclasses.replace(self.source_train or self.train, transfer="none", lambda_dpl=0.0,
+                                   tau=TrainConfig.tau)
 
     def stage_keys(self) -> dict[str, str]:
         """The cache key of every node in `NODES`: the sections it reads plus
@@ -637,7 +642,7 @@ class Pipeline:
             ((vecs, record),) = self._runs(
                 [(content_key({"pretrain": self.keys["pretrain"], "side": which}), train)])
             save_checkpoint(self.run_dir / "backbone" / f"{which}.ckpt", vecs, {
-                "stage_key": self.keys["pretrain"], "seed": self.config.gcn.seed,
+                "stage_key": self.keys["pretrain"], "seed": BACKBONE_SEED,
                 **{n: record[n] for n in ("user_ids", "item_ids", "best_epoch", "best_valid_hr")}})
         self._mark_done("pretrain")
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multitap import gcn as gcn_mod
 from multitap.corpus import InteractionRecord, SplitBundle
 from multitap.gcn import (
     BipartiteGraph,
@@ -172,7 +173,7 @@ class TestPretrain:
             test=(rec("u", "A", 3),),
             boundary_time=2,
         )
-        config = GcnConfig(dim=8, layers=2, epochs=30, patience=30, seed=0, learning_rate=0.05)
+        config = GcnConfig(dim=8, layers=2, epochs=30, patience=30, learning_rate=0.05)
         result = pretrain_id_embeddings(split, config, catalog_items=["A", "B"])
         table = result.table
         u = table.user_vecs[0]
@@ -183,7 +184,7 @@ class TestPretrain:
     def test_fixed_seed_identical_checkpoints(self):
         rng = np.random.default_rng(6)
         split = blocked_split(rng)
-        config = GcnConfig(dim=16, layers=2, epochs=5, patience=5, seed=3)
+        config = GcnConfig(dim=16, layers=2, epochs=5, patience=5)
         one = pretrain_id_embeddings(split, config, ())
         two = pretrain_id_embeddings(split, config, ())
         np.testing.assert_array_equal(one.table.user_vecs, two.table.user_vecs)
@@ -193,9 +194,7 @@ class TestPretrain:
     def test_beats_popularity_baseline(self):
         rng = np.random.default_rng(7)
         split = blocked_split(rng, n_users=80, n_items=40, per_user=7)
-        config = GcnConfig(
-            dim=24, layers=2, epochs=40, patience=8, seed=0, learning_rate=0.05
-        )
+        config = GcnConfig(dim=24, layers=2, epochs=40, patience=8, learning_rate=0.05)
         result = pretrain_id_embeddings(split, config, ())
 
         # popularity-ranking oracle on the same protocol: every user's row
@@ -222,7 +221,7 @@ class TestPretrain:
     def test_divergence_detected(self):
         rng = np.random.default_rng(8)
         split = blocked_split(rng, n_users=20, n_items=16, per_user=4)
-        config = GcnConfig(dim=8, layers=1, epochs=3, patience=3, seed=0, learning_rate=1e200)
+        config = GcnConfig(dim=8, layers=1, epochs=3, patience=3, learning_rate=1e200)
         from multitap.errors import DivergenceError
 
         with pytest.raises(DivergenceError), np.errstate(all="ignore"):
@@ -235,7 +234,7 @@ class TestPretrain:
     def test_bpr_loss_positive_during_training(self):
         rng = np.random.default_rng(9)
         split = blocked_split(rng, n_users=30, n_items=20, per_user=5)
-        config = GcnConfig(dim=8, layers=1, epochs=4, patience=4, seed=1)
+        config = GcnConfig(dim=8, layers=1, epochs=4, patience=4)
         result = pretrain_id_embeddings(split, config, ())
         assert all(row["loss"] > 0 for row in result.history)
 
@@ -299,11 +298,12 @@ def pinned_split():
 
 
 class TestPretrainPinned:
-    def test_tables_match_pinned_digests(self):
+    def test_tables_match_pinned_digests(self, monkeypatch):
         """The propagated tables of a small run with catalog-only items,
-        digests recorded before the adjacency was vectorised."""
-        config = GcnConfig(dim=8, layers=2, epochs=6, patience=6, seed=5, learning_rate=0.05,
-                           eval_k=3)
+        digests recorded before the adjacency was vectorised, when the
+        backbone seed was a `GcnConfig` field set to 5."""
+        monkeypatch.setattr(gcn_mod, "BACKBONE_SEED", 5)
+        config = GcnConfig(dim=8, layers=2, epochs=6, patience=6, learning_rate=0.05, eval_k=3)
         result = pretrain_id_embeddings(pinned_split(), config, catalog_items=["i99", "i03", "i98"])
         assert result.table.item_ids[-2:] == ["i98", "i99"]
         assert result.best_epoch == 1

@@ -67,7 +67,6 @@ def toy_config(**overrides):
         lambda_dpl=1.4,
         tau=0.5,
         batch_size=64,
-        negatives=1,
         learning_rate=0.01,
         weight_decay=0.0,
         dropout=0.0,
@@ -584,7 +583,7 @@ class TestLoopSettings:
         "config_cls, epochs", [(GcnConfig, "epochs"), (TrainConfig, "max_epochs")]
     )
     @pytest.mark.parametrize(
-        "field, bound", [("epochs", 1), ("batch_size", 1), ("negatives", 1), ("patience", 0)]
+        "field, bound", [("epochs", 1), ("batch_size", 1), ("eval_k", 1), ("patience", 0)]
     )
     def test_below_bound_rejected_and_bound_accepted(self, config_cls, epochs, field, bound):
         name = epochs if field == "epochs" else field

@@ -189,6 +189,23 @@ class TestCli:
         err = json.loads(captured.err)
         assert err["error"]["type"] == "DependencyError"
 
+    @pytest.mark.parametrize("argv, flag, expected", [
+        (["--seed", "-1"], "--seed", "an integer >= 0, got '-1'"),
+        (["--users", "-3"], "--users", "an integer >= 1, got '-3'"),
+        (["--users", "0"], "--users", "an integer >= 1, got '0'"),
+    ])
+    def test_fixture_rejects_a_bad_size_or_seed_before_writing(
+        self, tmp_path, capsys, argv, flag, expected
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(["fixture", "--out", str(tmp_path / "fx"), *argv])
+        assert info.value.code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "ArgumentError",
+            "message": f"multitap fixture: argument {flag}: expected {expected}",
+        }
+        assert not (tmp_path / "fx").exists()
+
     def test_cli_sweep_parsing(self):
         from multitap.cli import _parse_sweep
 
@@ -372,7 +389,7 @@ class TestStageKeys:
             (lambda c: c["split"].update(valid_fraction=0.4), ALL_KEYED),
             (lambda c: c.update(criteria=["ps", "qp"]), {"idh"}),
             (lambda c: c.update(report_labels=["high"]), {"idh"}),
-            (lambda c: c["client"].update(seed=8), {"persona", "source", "train", "eval", "ablate"}),
+            (lambda c: c["client"].update(item_dim=64), {"persona", "source", "train", "eval", "ablate"}),
             (lambda c: c["gcn"].update(epochs=3), {"pretrain", "source", "train", "eval", "ablate"}),
             (lambda c: c["source_train"].update(max_epochs=3), {"source", "train", "eval", "ablate"}),
             (lambda c: c["train"].update(lambda_dpl=1.0), {"train", "eval", "ablate"}),
@@ -383,7 +400,7 @@ class TestStageKeys:
             (lambda c: c.update(ablate={"lambda": [0.0, 1.0]}), {"ablate"}),
         ],
         ids=["target.domain_id", "split.valid_fraction", "criteria", "report_labels",
-             "client.seed", "gcn.epochs",
+             "client.item_dim", "gcn.epochs",
              "source_train.max_epochs", "train.lambda_dpl", "seeds_added", "first_seed",
              "eval_ks", "ablate"],
     )
@@ -402,7 +419,7 @@ DEPLOYMENT = [("parallelism", 2), ("chunk_size", 7), ("endpoint", "http://localh
 REMOTE_OUTPUT = [("chat_model", "chat-x"), ("persona_temperature", 0.2),
                  ("description_temperature", 0.9), ("embed_model", "emb-y"),
                  ("remote_persona_dim", 6), ("remote_item_dim", 4)]
-OFFLINE_OUTPUT = [("mode", "remote"), ("persona_dim", 64), ("item_dim", 64), ("seed", 8)]
+OFFLINE_OUTPUT = [("mode", "remote"), ("persona_dim", 64), ("item_dim", 64)]
 CLIENT_KEY_CASES = [
     *[("offline", f, v, PERSONA_ON) for f, v in OFFLINE_OUTPUT],
     *[("remote", f, v, PERSONA_ON) for f, v in REMOTE_OUTPUT],
@@ -777,6 +794,25 @@ class TestRunStore:
         assert calls["source"] == [1] and [seed for _, seed in calls["target"]] == [1]
         assert sorted((run_dir / "cache" / "runs").glob("*.pack")) == shards
         assert model_files(run_dir) == first
+
+    def test_train_tau_trains_no_source_model_without_source_train(
+        self, small_fixture, tmp_path, capsys, monkeypatch
+    ):
+        """With no `source_train`, the source model trains on `train` with
+        transfer off, which reads no tau: a new `train.tau` retrains the
+        target runs alone."""
+        _, paths = small_fixture
+        config = small_config_dict(paths, tmp_path / "run")
+        del config["source_train"]
+        config_path = tmp_path / "config.json"
+        write_json(config_path, config)
+        code, captured = cli(capsys, "train", "--config", config_path)
+        assert code == 0, captured.err
+        calls = count_trainings(monkeypatch)
+        code, captured = cli(capsys, "train", "--config", config_path, "--tau", "0.3")
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["stages"]["train"] == "ran"
+        assert calls["source"] == [] and [cfg.tau for cfg, _ in calls["target"]] == [0.3]
 
     def test_gcn_change_and_back_serves_both_backbones(self, completed_copy, capsys, monkeypatch):
         run_dir, config_path = completed_copy
@@ -1192,7 +1228,7 @@ class TestCliErrors:
         "argv, edit, field",
         [
             (["pretrain", "--epochs", "0"], None, "epochs"),
-            (["train"], lambda c: c["train"].update(negatives=0), "negatives"),
+            (["train"], lambda c: c["train"].update(batch_size=0), "batch_size"),
             (["train"], lambda c: c["train"].update(max_epochs=0), "max_epochs"),
             (["train"], lambda c: c["source_train"].update(batch_size=0), "batch_size"),
             (["pretrain"], lambda c: c["gcn"].update(patience=-1), "patience"),
@@ -1313,8 +1349,12 @@ class TestCliErrors:
             PipelineConfig.from_dict(config)
 
 
-TRAIN_FIELDS = ("aggregation, transfer, lambda_dpl, tau, batch_size, negatives, learning_rate, "
+TRAIN_FIELDS = ("aggregation, transfer, lambda_dpl, tau, batch_size, learning_rate, "
                 "weight_decay, dropout, max_epochs, patience, eval_k, persona_out_dim, fused_dim")
+GCN_FIELDS = "dim, layers, learning_rate, weight_decay, epochs, patience, batch_size, eval_k"
+CLIENT_FIELDS = ("mode, persona_dim, item_dim, chunk_size, parallelism, endpoint, chat_model, "
+                 "embed_model, persona_temperature, description_temperature, remote_persona_dim, "
+                 "remote_item_dim")
 
 
 class TestConfigChecks:
@@ -1327,6 +1367,8 @@ class TestConfigChecks:
             (["train"], lambda c: c.update(seeds=[]), "seeds must be nonempty and distinct, got []"),
             (["train"], lambda c: c.update(seeds=[0, 0]),
              "seeds must be nonempty and distinct, got [0, 0]"),
+            (["train"], lambda c: c.update(seeds=[0, -2]), "seeds must be nonnegative, got [0, -2]"),
+            (["train", "--seed", "-1"], None, "seeds must be nonnegative, got [-1]"),
             (["eval"], lambda c: c.update(eval_ks=[0, -3]),
              "eval_ks must be nonempty, each >= 1, got [0, -3]"),
             (["eval"], lambda c: c.update(eval_ks=[]), "eval_ks must be nonempty, each >= 1, got []"),
@@ -1415,6 +1457,18 @@ class TestConfigChecks:
              f"unknown config field 'source_train.seed'; known fields: {TRAIN_FIELDS}"),
             (["run"], lambda c: c["train"].update(persona_space_seed=1),
              f"unknown config field 'train.persona_space_seed'; known fields: {TRAIN_FIELDS}"),
+            # nor does `gcn` or `client`: the backbones and the offline encoders
+            # draw from constants, and every trainer draws one negative per positive
+            (["pretrain"], lambda c: c["gcn"].update(seed=1),
+             f"unknown config field 'gcn.seed'; known fields: {GCN_FIELDS}"),
+            (["pretrain"], lambda c: c["gcn"].update(negatives=1),
+             f"unknown config field 'gcn.negatives'; known fields: {GCN_FIELDS}"),
+            (["run"], lambda c: c["train"].update(negatives=1),
+             f"unknown config field 'train.negatives'; known fields: {TRAIN_FIELDS}"),
+            (["train"], lambda c: c["source_train"].update(negatives=2),
+             f"unknown config field 'source_train.negatives'; known fields: {TRAIN_FIELDS}"),
+            (["persona"], lambda c: c["client"].update(seed=7),
+             f"unknown config field 'client.seed'; known fields: {CLIENT_FIELDS}"),
             # a transfer of persona vectors needs the source model's persona width
             (["train"], lambda c: c["train"].update(persona_out_dim=16),
              "train.persona_out_dim makes persona vectors 16 wide and "
@@ -1426,7 +1480,7 @@ class TestConfigChecks:
             (["ablate"], lambda c: c.update(ablate={"lambda": [1.0, 1.0]}),
              "ablate.lambda must be distinct, got [1.0, 1.0]"),
         ],
-        ids=["no_seeds", "repeated_seed", "eval_ks", "no_eval_ks", "eval_k_flag",
+        ids=["no_seeds", "repeated_seed", "negative_seed", "negative_seed_flag", "eval_ks", "no_eval_ks", "eval_k_flag",
              "repeated_eval_k", "repeated_eval_k_flag", "repeated_criterion",
              "repeated_label_flag", "train_eval_k",
              "source_train_eval_k", "gcn_eval_k", "boundary_flag", "boundary_bool",
@@ -1440,7 +1494,8 @@ class TestConfigChecks:
              "inf_gcn_learning_rate", "minus_inf_weight_decay", "ablate_nan_lambda",
              "ablate_tau_as_string", "ablate_inf_tau", "ablate_bool_lambda", "ablate_list_lambda",
              "ablate_aggregation_as_integer", "train_seed", "source_train_seed",
-             "train_persona_space_seed", "persona_width", "ablate_persona_width",
+             "train_persona_space_seed", "gcn_seed", "gcn_negatives", "train_negatives",
+             "source_train_negatives", "client_seed", "persona_width", "ablate_persona_width",
              "repeated_ablate_value"],
     )
     def test_unusable_value_is_rejected_before_any_stage(
@@ -1627,8 +1682,7 @@ class TestSharedCache:
 
         def clients(cs):
             generators.append(SamplingGenerator())
-            return generators[-1], HashingEncoder(cs.persona_dim, cs.seed), HashingEncoder(
-                cs.item_dim, cs.seed)
+            return generators[-1], HashingEncoder(cs.persona_dim, 7), HashingEncoder(cs.item_dim, 7)
 
         monkeypatch.setattr(pipeline_mod, "build_clients", clients)
         _, paths = small_fixture
