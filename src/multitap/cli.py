@@ -64,6 +64,14 @@ def _comma_list(convert=str):
     return comma_list
 
 
+def _stage_list(text: str) -> list[str]:
+    """'a, b,c' as its stage names; a list with none raises ValueError."""
+    stages = [s.strip() for s in text.split(",") if s.strip()]
+    if not stages:
+        raise ValueError(text)
+    return stages
+
+
 def _expecting(convert, expected: str):
     """A flag type whose usage error names the form it expects; NaN and infinities fail too."""
 
@@ -126,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run pipeline stages from a config file")
     run.add_argument("--config", required=True)
-    run.add_argument("--stages", default=",".join(STAGES))
+    run.add_argument("--stages", default=",".join(STAGES),
+                     type=_expecting(_stage_list, "a nonempty comma list of stages"))
     run.add_argument("--sweep", dest="ablate", metavar="SWEEP", action="append", default=[],
                      type=_SWEEP)
 
@@ -251,11 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "persona" and args.action != "encode":
             _run_stages(config, stages_through("persona")[:-1], persona_phase=args.action)
             return 0
-        if args.command == "run":
-            stages = [s.strip() for s in args.stages.split(",") if s.strip()]
-        else:
-            stages = stages_through(args.command)
-        _run_stages(config, stages)
+        _run_stages(config, args.stages if args.command == "run" else stages_through(args.command))
         return 0
     except MultitapError as exc:
         _print_error(type(exc).__name__, str(exc))

@@ -3,12 +3,16 @@
 A domain is a pair of JSONL files.  Interactions carry one
 `{"user", "item", "rating", "ts"}` object per line; metadata carries
 `{"item", "title", "category", "price", "avg_rating", "rating_count"}`.
-Datasets are immutable after construction and pre-indexed with the
-per-user and per-(user, category) views the rest of the pipeline reads.
+Datasets are immutable after construction.  Their users, item ids and
+categories are computed when a dataset is built; the per-user and
+per-(user, category) views are built on first read, so a dataset whose
+views nothing reads (a full corpus before its split) never holds them.
+Records are slotted, and one load keeps one string object per distinct id.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
@@ -25,7 +29,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InteractionRecord:
     user_id: str
     item_id: str
@@ -33,7 +37,7 @@ class InteractionRecord:
     timestamp: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ItemMeta:
     item_id: str
     title: str
@@ -45,22 +49,32 @@ class ItemMeta:
 
 @dataclass
 class DomainDataset:
-    """One domain with all derived views indexed.
+    """One domain: its interactions, catalog, users, item ids and categories.
 
     `user_category_items[u][c]` is a Counter over item ids (interaction
     multiplicity preserved), `user_records[u]` the user's interactions in
-    input order.
+    input order; both are built on first read, users in order of their
+    first interaction.  An interaction whose item is not in the catalog
+    raises UnknownItemError at construction.
     Treat instances as immutable once built.
     """
 
     domain_id: str
     interactions: tuple[InteractionRecord, ...]
     items: dict[str, ItemMeta]
-    users: frozenset[str] = field(default_factory=frozenset)
-    item_ids: frozenset[str] = field(default_factory=frozenset)
-    categories: frozenset[str] = field(default_factory=frozenset)
-    user_category_items: dict[str, dict[str, Counter]] = field(default_factory=dict)
-    user_records: dict[str, list[InteractionRecord]] = field(default_factory=dict)
+    users: frozenset[str] = field(init=False)
+    item_ids: frozenset[str] = field(init=False)
+    categories: frozenset[str] = field(init=False)
+
+    def __post_init__(self):
+        for rec in self.interactions:
+            if rec.item_id not in self.items:
+                raise UnknownItemError(
+                    self.domain_id, 0, f"interaction references unknown item '{rec.item_id}'"
+                )
+        self.users = frozenset(rec.user_id for rec in self.interactions)
+        self.item_ids = frozenset(self.items)
+        self.categories = frozenset(m.category for m in self.items.values())
 
     @classmethod
     def from_records(
@@ -69,8 +83,25 @@ class DomainDataset:
         interactions: Iterable[InteractionRecord],
         items: Mapping[str, ItemMeta],
     ) -> "DomainDataset":
-        ds = cls(domain_id=domain_id, interactions=tuple(interactions), items=dict(items))
-        return index_views(ds)
+        return cls(domain_id=domain_id, interactions=tuple(interactions), items=dict(items))
+
+    @functools.cached_property
+    def user_records(self) -> dict[str, list[InteractionRecord]]:
+        records: dict[str, list[InteractionRecord]] = {}
+        for rec in self.interactions:
+            records.setdefault(rec.user_id, []).append(rec)
+        return records
+
+    @functools.cached_property
+    def user_category_items(self) -> dict[str, dict[str, Counter]]:
+        views: dict[str, dict[str, Counter]] = {}
+        for rec in self.interactions:
+            per_cat = views.setdefault(rec.user_id, {})
+            category = self.items[rec.item_id].category
+            if category not in per_cat:
+                per_cat[category] = Counter()
+            per_cat[category][rec.item_id] += 1
+        return views
 
     def interaction_count(self, user_id: str, category: str) -> int:
         """|E_{u,c}|: number of the user's interactions with items of c."""
@@ -91,33 +122,6 @@ class DomainDataset:
     def restricted_to(self, records: Sequence[InteractionRecord]) -> "DomainDataset":
         """Same catalog, different interaction slice (e.g. the train split)."""
         return DomainDataset.from_records(self.domain_id, records, self.items)
-
-
-def index_views(dataset: DomainDataset) -> DomainDataset:
-    """Materialize the per-user and per-(user, category) views."""
-    user_category_items: dict[str, dict[str, Counter]] = {}
-    user_records: dict[str, list[InteractionRecord]] = {}
-    for rec in dataset.interactions:
-        meta = dataset.items.get(rec.item_id)
-        if meta is None:
-            raise UnknownItemError(
-                dataset.domain_id, 0, f"interaction references unknown item '{rec.item_id}'"
-            )
-        user = rec.user_id
-        if user not in user_records:
-            user_category_items[user] = {}
-            user_records[user] = []
-        per_cat = user_category_items[user]
-        if meta.category not in per_cat:
-            per_cat[meta.category] = Counter()
-        per_cat[meta.category][rec.item_id] += 1
-        user_records[user].append(rec)
-    dataset.users = frozenset(user_records)
-    dataset.item_ids = frozenset(dataset.items)
-    dataset.categories = frozenset(m.category for m in dataset.items.values())
-    dataset.user_category_items = user_category_items
-    dataset.user_records = user_records
-    return dataset
 
 
 def _jsonl_lines(path: str | Path):
@@ -199,8 +203,11 @@ def load_metadata(path: str | Path) -> dict[str, ItemMeta]:
 
 
 def load_interactions(path: str | Path, items: Mapping[str, ItemMeta]) -> list[InteractionRecord]:
+    """The interactions of `path`, each item id the catalog's own key object
+    and each user id one object per distinct id."""
     records: list[InteractionRecord] = []
     seen: set[tuple[str, str, int]] = set()
+    users: dict[str, str] = {}
     spath = str(path)
     for lineno, obj in _jsonl_lines(path):
         user = _text(obj, "user", spath, lineno)
@@ -211,8 +218,10 @@ def load_interactions(path: str | Path, items: Mapping[str, ItemMeta]) -> list[I
             raise ParseError(spath, lineno, f"rating {rating} outside [1, 5]")
         if ts < 0:
             raise ParseError(spath, lineno, f"timestamp {ts} is negative")
-        if item not in items:
+        meta = items.get(item)
+        if meta is None:
             raise UnknownItemError(spath, lineno, f"unknown item '{item}'")
+        user, item = users.setdefault(user, user), meta.item_id
         triple = (user, item, ts)
         if triple in seen:
             raise DuplicateInteractionError(
@@ -224,7 +233,7 @@ def load_interactions(path: str | Path, items: Mapping[str, ItemMeta]) -> list[I
 
 
 def load_domain(interactions_path: str | Path, metadata_path: str | Path, domain_id: str) -> DomainDataset:
-    """Load one domain from its two JSONL files and index all views."""
+    """Load one domain from its two JSONL files."""
     items = load_metadata(metadata_path)
     records = load_interactions(interactions_path, items)
     return DomainDataset.from_records(domain_id, records, items)

@@ -169,6 +169,8 @@ _ABLATE_OVERRIDES = {
 }
 ABLATE_AXES = tuple(_ABLATE_OVERRIDES)
 EVAL_SPLITS = ("valid", "test")
+# the source model's transfer settings: it trains with no transfer, whatever `train` sets
+_SOURCE_PINNED = {"transfer": "none", "lambda_dpl": 0.0, "tau": TrainConfig.tau}
 
 
 def ablation_grid(ablate: dict) -> list[tuple[str, object, dict]]:
@@ -249,7 +251,14 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineConfig":
-        return _from_fields(cls, obj)
+        config = _from_fields(cls, obj)
+        # the source model reads none of them: `source_train_config` pins them
+        pinned = ", ".join(f"{name}={value!r}" for name, value in _SOURCE_PINNED.items())
+        for name in _SOURCE_PINNED:
+            if name in (obj.get("source_train") or {}):
+                raise ValueError(f"source_train.{name} is never read: the source model "
+                                 f"always trains with {pinned}")
+        return config
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":
@@ -258,8 +267,7 @@ class PipelineConfig:
     def source_train_config(self) -> TrainConfig:
         """The source-domain model's trainer: its own section's, or train's,
         with no transfer, so the transfer settings it never reads are pinned."""
-        return dataclasses.replace(self.source_train or self.train, transfer="none", lambda_dpl=0.0,
-                                   tau=TrainConfig.tau)
+        return dataclasses.replace(self.source_train or self.train, **_SOURCE_PINNED)
 
     def stage_keys(self) -> dict[str, str]:
         """The cache key of every node in `NODES`: the sections it reads plus
@@ -346,7 +354,14 @@ def _records_to_rows(records: Sequence[InteractionRecord]) -> list[list]:
 
 
 def _rows_to_records(rows: Sequence[Sequence]) -> tuple[InteractionRecord, ...]:
-    return tuple(InteractionRecord(str(u), str(i), float(r), int(t)) for u, i, r, t in rows)
+    """The records of split rows, with one string object per distinct id."""
+    ids: dict[str, str] = {}
+
+    def one(value) -> str:
+        text = str(value)
+        return ids.setdefault(text, text)
+
+    return tuple(InteractionRecord(one(u), one(i), float(r), int(t)) for u, i, r, t in rows)
 
 
 class Pipeline:

@@ -25,6 +25,7 @@ from multitap.errors import (
     ParseError,
     UnknownItemError,
 )
+from multitap.pipeline import _rows_to_records
 
 TS_2018 = 1514764800
 TS_2019 = 1546300800
@@ -47,14 +48,13 @@ def meta_row(item, category="cat", price=10.0):
     }
 
 
-def make_dataset(domain_id, triples, categories=None):
+def make_dataset(domain_id, triples):
     """triples: (user, item, ts) or (user, item, ts, category)"""
-    categories = categories or {}
     items = {}
     records = []
     for row in triples:
         user, item, ts = row[:3]
-        category = row[3] if len(row) > 3 else categories.get(item, "cat")
+        category = row[3] if len(row) > 3 else "cat"
         items.setdefault(
             item, ItemMeta(item, f"t {item}", category, 5.0, 4.0, 2)
         )
@@ -127,6 +127,45 @@ class TestLoadDomain:
         write_jsonl(tmp_path / "inter.jsonl", [])
         with pytest.raises(ParseError, match=":1:"):
             load_domain(tmp_path / "inter.jsonl", tmp_path / "meta.jsonl", "demo")
+
+
+class TestCompactRecords:
+    """A record holds no `__dict__`, and one load keeps one string object per
+    distinct id, so a corpus costs memory per interaction, not per id read."""
+
+    def test_records_have_no_instance_dict(self):
+        for record in (InteractionRecord("u", "i", 5.0, 1), ItemMeta("i", "t", "c", None, 4.0, 2)):
+            assert not hasattr(record, "__dict__")
+
+    def test_one_load_keeps_one_string_per_id(self, tmp_path):
+        write_jsonl(tmp_path / "meta.jsonl", [meta_row("i1"), meta_row("i2")])
+        write_jsonl(
+            tmp_path / "inter.jsonl",
+            [
+                {"user": "u1", "item": "i1", "rating": 3.0, "ts": 10},
+                {"user": "u2", "item": "i1", "rating": 4.0, "ts": 11},
+                {"user": "u1", "item": "i2", "rating": 5.0, "ts": 12},
+            ],
+        )
+        ds = load_domain(tmp_path / "inter.jsonl", tmp_path / "meta.jsonl", "demo")
+        first, second, third = ds.interactions
+        assert first.user_id is third.user_id
+        assert first.item_id is second.item_id
+        assert first.item_id is next(key for key in ds.items if key == "i1")
+
+    def test_split_rows_keep_one_string_per_id(self):
+        # decoded, as a split file is read: every id is its own string object
+        rows = json.loads(json.dumps([["u1", "i1", 5.0, 1], ["u1", "i2", 4.0, 2],
+                                      ["u2", "i1", 3.0, 3]]))
+        first, second, third = _rows_to_records(rows)
+        assert first.user_id is second.user_id
+        assert first.item_id is third.item_id
+        assert [r.item_id for r in (first, second, third)] == ["i1", "i2", "i1"]
+
+    def test_from_records_rejects_an_unknown_item(self):
+        items = {"i1": ItemMeta("i1", "t", "cat", 5.0, 4.0, 2)}
+        with pytest.raises(UnknownItemError, match="unknown item 'ghost'"):
+            DomainDataset.from_records("d", [InteractionRecord("u", "ghost", 5.0, 1)], items)
 
 
 class TestLoaderRejectsBadNumbers:
@@ -383,27 +422,38 @@ class TestIndexViews:
         assert ds.interaction_count("u", "catA") == 2
         assert ds.distinct_items("u", "catC") == []
 
-    def test_views_match_brute_force_group_by(self):
+    def test_views_match_brute_force_group_by(self, tmp_path):
+        """Each view is built on first read, alone, with the contents and
+        the insertion order of a first-appearance group-by."""
         rng = np.random.default_rng(11)
         cats = {f"i{k}": f"cat{k % 5}" for k in range(30)}
-        triples = []
-        for k in range(200):
-            triples.append(
-                (f"u{rng.integers(0, 20)}", f"i{rng.integers(0, 30)}", k, None)
-            )
-        triples = [(u, i, ts, cats[i]) for u, i, ts, _ in triples]
-        ds = make_dataset("d", triples, categories=cats)
+        triples = [(f"u{rng.integers(0, 20)}", f"i{rng.integers(0, 30)}", k) for k in range(200)]
+        write_jsonl(tmp_path / "meta.jsonl", [meta_row(i, c) for i, c in cats.items()])
+        write_jsonl(
+            tmp_path / "inter.jsonl",
+            [{"user": u, "item": i, "rating": 5.0, "ts": ts} for u, i, ts in triples],
+        )
+        ds = load_domain(tmp_path / "inter.jsonl", tmp_path / "meta.jsonl", "d")
+        assert "user_records" not in vars(ds) and "user_category_items" not in vars(ds)
         # full re-scan oracle
         expected: dict = {}
-        for u, i, ts, c in triples:
-            expected.setdefault(u, {}).setdefault(c, Counter())[i] += 1
+        for u, i, ts in triples:
+            expected.setdefault(u, {}).setdefault(cats[i], Counter())[i] += 1
         assert ds.user_category_items == expected
+        assert "user_records" not in vars(ds)
+
+        def ordered(views):
+            return [(u, [(c, list(items.items())) for c, items in per_cat.items()])
+                    for u, per_cat in views.items()]
+
+        assert ordered(ds.user_category_items) == ordered(expected)
         for u in ds.users:
             total = sum(
                 ds.interaction_count(u, c) for c in ds.user_category_items[u]
             )
             assert total == sum(1 for t in triples if t[0] == u)
             assert ds.user_records[u] == [r for r in ds.interactions if r.user_id == u]
+        assert list(ds.user_records) == list(expected)
 
 
 class TestFixtureBytes:

@@ -1194,6 +1194,8 @@ class TestCliErrors:
         "train --lambda nan": "expected a number, got 'nan'",
         "train --tau inf": "expected a number, got 'inf'",
         "split --valid-fraction=-Infinity": "expected a number, got '-Infinity'",
+        "run --stages ": "expected a nonempty comma list of stages, got ''",
+        "run --stages ,": "expected a nonempty comma list of stages, got ','",
     }
 
     @pytest.mark.parametrize(
@@ -1210,6 +1212,9 @@ class TestCliErrors:
             (["train", "--lambda", "nan"], "--lambda"),
             (["train", "--tau", "inf"], "--tau"),
             (["split", "--valid-fraction=-Infinity"], "--valid-fraction"),
+            # a stage list that names no stage would run nothing and succeed
+            (["run", "--stages", ""], "--stages"),
+            (["run", "--stages", ","], "--stages"),
         ],
     )
     def test_rejected_flag_value_prints_json_error(self, capsys, argv, flag):
@@ -1352,6 +1357,7 @@ class TestCliErrors:
 TRAIN_FIELDS = ("aggregation, transfer, lambda_dpl, tau, batch_size, learning_rate, "
                 "weight_decay, dropout, max_epochs, patience, eval_k, persona_out_dim, fused_dim")
 GCN_FIELDS = "dim, layers, learning_rate, weight_decay, epochs, patience, batch_size, eval_k"
+SOURCE_PINNED = "the source model always trains with transfer='none', lambda_dpl=0.0, tau=0.5"
 CLIENT_FIELDS = ("mode, persona_dim, item_dim, chunk_size, parallelism, endpoint, chat_model, "
                  "embed_model, persona_temperature, description_temperature, remote_persona_dim, "
                  "remote_item_dim")
@@ -1479,6 +1485,14 @@ class TestConfigChecks:
              "source_train.persona_out_dim 32; a transfer of persona vectors needs one width"),
             (["ablate"], lambda c: c.update(ablate={"lambda": [1.0, 1.0]}),
              "ablate.lambda must be distinct, got [1.0, 1.0]"),
+            # the source model trains with transfer off: a section that sets what
+            # it never reads is rejected, not silently overridden
+            (["train"], lambda c: c["source_train"].update(transfer="doppelganger"),
+             f"source_train.transfer is never read: {SOURCE_PINNED}"),
+            (["run"], lambda c: c["source_train"].update(lambda_dpl=2.0),
+             f"source_train.lambda_dpl is never read: {SOURCE_PINNED}"),
+            (["ablate"], lambda c: c["source_train"].update(tau=0.1),
+             f"source_train.tau is never read: {SOURCE_PINNED}"),
         ],
         ids=["no_seeds", "repeated_seed", "negative_seed", "negative_seed_flag", "eval_ks", "no_eval_ks", "eval_k_flag",
              "repeated_eval_k", "repeated_eval_k_flag", "repeated_criterion",
@@ -1496,7 +1510,8 @@ class TestConfigChecks:
              "ablate_aggregation_as_integer", "train_seed", "source_train_seed",
              "train_persona_space_seed", "gcn_seed", "gcn_negatives", "train_negatives",
              "source_train_negatives", "client_seed", "persona_width", "ablate_persona_width",
-             "repeated_ablate_value"],
+             "repeated_ablate_value", "source_train_transfer", "source_train_lambda_dpl",
+             "source_train_tau"],
     )
     def test_unusable_value_is_rejected_before_any_stage(
         self, small_fixture, tmp_path, capsys, argv, edit, message
