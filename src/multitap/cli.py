@@ -56,10 +56,10 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
 
 
 def _comma_list(convert=str):
-    """A flag type for 'a,b,c'; an empty list leaves its field alone."""
+    """A flag type for 'a,b,c'; '' is a list of one empty entry."""
 
-    def comma_list(text: str) -> tuple | None:
-        return tuple(convert(x) for x in text.split(",")) if text else None
+    def comma_list(text: str) -> tuple:
+        return tuple(convert(x) for x in text.split(","))
 
     return comma_list
 
@@ -207,6 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "ingest" and args.config is not None:
+        standalone = [f"--{name}" for name in ("domain", "interactions", "metadata", "out")
+                      if getattr(args, name) is not None]
+        if standalone:
+            parser.error(f"ingest --config takes none of {', '.join(standalone)}")
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

@@ -260,7 +260,6 @@ class SplitBundle:
     train: tuple[InteractionRecord, ...]
     valid: tuple[InteractionRecord, ...]
     test: tuple[InteractionRecord, ...]
-    boundary_time: int
 
 
 def time_split(
@@ -294,6 +293,4 @@ def time_split(
         raise DegenerateSplitError(
             f"no post-boundary interactions for train users in '{dataset.domain_id}'"
         )
-    return SplitBundle(
-        train=tuple(train), valid=tuple(valid), test=tuple(test), boundary_time=boundary_time
-    )
+    return SplitBundle(train=tuple(train), valid=tuple(valid), test=tuple(test))

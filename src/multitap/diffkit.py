@@ -246,7 +246,7 @@ def check_loop_settings(config, epochs_field: str, **sizes: int) -> None:
     """Reject loop settings that cannot train or validate: a count or one of
     the config's own `sizes` below its least value, a learning rate that is
     not positive or a negative weight decay."""
-    least_values = {epochs_field: 1, "batch_size": 1, "patience": 0, "eval_k": 1}
+    least_values = {epochs_field: 1, "batch_size": 1, "patience": 0}
     require_at_least(config, {**least_values, **sizes})
     if not config.learning_rate > 0:
         raise ValueError(f"learning_rate must be positive, got {config.learning_rate!r}")

@@ -28,6 +28,9 @@ logger = logging.getLogger(__name__)
 
 AVERAGES = ("interaction", "user")
 
+# the cutoff of every trainer's validation HR@K and of ablate's columns; no config sets it
+EARLY_STOP_K = 5
+
 # cells (units x items) compared at once by the blocked rank count
 _BLOCK_CELLS = 1 << 18
 

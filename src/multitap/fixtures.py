@@ -236,7 +236,7 @@ def fixture_config_dict(
             "metadata": str(paths.target_metadata),
         },
         "split": {"boundary": BOUNDARY_TS, "valid_fraction": 0.5},
-        "client": {"mode": "offline", "persona_dim": 256, "item_dim": 128},
+        "client": {"mode": "offline"},
         "gcn": {
             "dim": 128,
             "layers": 3,

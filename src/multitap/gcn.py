@@ -21,7 +21,7 @@ from .corpus import InteractionRecord, SplitBundle
 from .diffkit import ParameterStore, adam_step, bpr, init_normal, scatter_rows
 from .diffkit import check_loop_settings, fit_early_stopped
 from .errors import DivergenceError
-from .evaluate import full_ranking_eval, heldout_units, pair_index
+from .evaluate import EARLY_STOP_K, full_ranking_eval, heldout_units, pair_index
 
 
 @dataclass
@@ -126,7 +126,6 @@ class GcnConfig:
     epochs: int = 100
     patience: int = 10
     batch_size: int = 1024
-    eval_k: int = 5
 
     def __post_init__(self):
         check_loop_settings(self, "epochs", dim=1, layers=0)
@@ -209,8 +208,8 @@ def pretrain_id_embeddings(
             IdEmbeddingTable(user_ids, item_ids, emb[:nu], emb[nu:]), adjacency, layer_count
         )
         scores = table.user_vecs @ table.item_vecs.T
-        metrics = full_ranking_eval(scores, units, ks=[config.eval_k])
-        stats = {"loss": epoch_loss / n_triples, "valid_hr": metrics["HR"][config.eval_k]}
+        metrics = full_ranking_eval(scores, units, ks=[EARLY_STOP_K])
+        stats = {"loss": epoch_loss / n_triples, "valid_hr": metrics["HR"][EARLY_STOP_K]}
         return stats, lambda: table
 
     history, best_epoch, best_hr, table = fit_early_stopped(

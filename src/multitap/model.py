@@ -41,7 +41,7 @@ from .diffkit import (
     softmax_backward,
 )
 from .errors import DivergenceError
-from .evaluate import full_ranking_eval, heldout_units, pair_index
+from .evaluate import EARLY_STOP_K, full_ranking_eval, heldout_units, pair_index
 
 AGGREGATION_MODES = ("self_attn", "mean", "concat")
 
@@ -78,7 +78,6 @@ class TrainConfig:
     dropout: float = 0.1
     max_epochs: int = 100
     patience: int = 10
-    eval_k: int = 5
     persona_out_dim: int | None = None  # defaults to the persona input dimension
     fused_dim: int = 128
 
@@ -435,12 +434,12 @@ def train_target(
             sum_dpl += l_dpl
             n_batches += 1
 
-        metrics = full_ranking_eval(model.score_matrix(), units, ks=[config.eval_k])
+        metrics = full_ranking_eval(model.score_matrix(), units, ks=[EARLY_STOP_K])
         stats = {
             "l_rec": sum_rec / n_batches,
             "l_dpl": sum_dpl / n_batches,
-            "valid_hr": metrics["HR"][config.eval_k],
-            "valid_ndcg": metrics["NDCG"][config.eval_k],
+            "valid_hr": metrics["HR"][EARLY_STOP_K],
+            "valid_ndcg": metrics["NDCG"][EARLY_STOP_K],
         }
         return stats, store.copy_params
 

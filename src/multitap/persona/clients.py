@@ -42,14 +42,18 @@ ATTEMPTS = 3
 BACKOFF_S = 1.0
 TIMEOUT_S = 60.0
 
-CLIENT_MODES = ("offline", "remote")
+MODE_WIDTHS = {"offline": (256, 128), "remote": (3072, 512)}  # (persona, item) encoder widths
+CLIENT_MODES = tuple(MODE_WIDTHS)
 
 
 @dataclass
 class ClientSettings:
+    """The `client` section.  `persona_dim` and `item_dim` size the encoders
+    of either mode; an unset one reads the mode's width from `MODE_WIDTHS`."""
+
     mode: str = "offline"
-    persona_dim: int = 256
-    item_dim: int = 128
+    persona_dim: int | None = None
+    item_dim: int | None = None
     chunk_size: int = 256
     parallelism: int = 1
     endpoint: str = "https://api.openai.com/v1"
@@ -57,19 +61,18 @@ class ClientSettings:
     embed_model: str = "text-embedding-3-large"
     persona_temperature: float = 0.7
     description_temperature: float = 1.0
-    remote_persona_dim: int = 3072
-    remote_item_dim: int = 512
 
     def __post_init__(self):
         # sizes that cannot embed or batch anything, rejected before any stage runs
         require_at_least(self, dict.fromkeys(
-            ("persona_dim", "item_dim", "chunk_size", "parallelism", "remote_persona_dim",
-             "remote_item_dim"), 1))
+            ("persona_dim", "item_dim", "chunk_size", "parallelism"), 1))
 
     @property
-    def persona_width(self) -> int:
-        """The width of the persona encoder's vectors in this mode."""
-        return self.persona_dim if self.mode == "offline" else self.remote_persona_dim
+    def widths(self) -> tuple[int, int]:
+        """The (persona, item) encoder widths, resolved on read, as `persona
+        --offline` replaces the mode of a built section."""
+        persona, item = MODE_WIDTHS[self.mode]
+        return self.persona_dim or persona, self.item_dim or item
 
 
 class GeneratorClient(Protocol):
@@ -296,7 +299,5 @@ def build_clients(settings: ClientSettings) -> tuple[GeneratorClient, EncoderCli
     identities name every setting that changes what they return, and nothing
     else: `chunk_size`, `parallelism` and `endpoint` only deploy them."""
     if settings.mode == "offline":  # hashing seed 7: identities "hashing-v2-d<dim>-s7"
-        return (TemplateGenerator(), HashingEncoder(settings.persona_width, 7),
-                HashingEncoder(settings.item_dim, 7))
-    return (RemoteGenerator(settings), RemoteEncoder(settings, settings.persona_width),
-            RemoteEncoder(settings, settings.remote_item_dim))
+        return (TemplateGenerator(), *(HashingEncoder(width, 7) for width in settings.widths))
+    return (RemoteGenerator(settings), *(RemoteEncoder(settings, w) for w in settings.widths))

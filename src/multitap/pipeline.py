@@ -46,6 +46,7 @@ import json
 import logging
 import os
 import shutil
+import sys
 import typing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -66,7 +67,8 @@ from .corpus import (
 )
 from .diffkit import checkpoint_manifest_path, load_checkpoint, read_container, save_checkpoint
 from .errors import DependencyError
-from .evaluate import AVERAGES, aggregate_seed_reports, full_ranking_eval, heldout_units, pair_index
+from .evaluate import (AVERAGES, EARLY_STOP_K, aggregate_seed_reports, full_ranking_eval,
+                       heldout_units, pair_index)
 from .gcn import BACKBONE_SEED, GcnConfig, pretrain_id_embeddings
 from .idh import METADATA_CRITERIA, Criterion, Label
 from .model import ModelInputs, MultiTapModel, TrainConfig, train_target, transfer_parts
@@ -121,21 +123,6 @@ def stages_through(stage: str) -> list[str]:
     return [s for s in STAGES if s in needed]
 
 
-def _parse_boundary(value) -> int:
-    """An integer timestamp (not a bool) or an ISO date, as a UTC timestamp."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    try:
-        dt = datetime.fromisoformat(str(value))
-    except ValueError:
-        raise ValueError(
-            f"split boundary must be an integer timestamp or an ISO date, got {value!r}"
-        ) from None
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
-
-
 @dataclass
 class DomainPathsConfig:
     domain_id: str
@@ -145,18 +132,21 @@ class DomainPathsConfig:
 
 @dataclass
 class SplitConfig:
-    boundary: str | int = "2019-01-01"
+    boundary: int | str = "2019-01-01"  # an ISO date (UTC when it names no zone) or a timestamp
     valid_fraction: float = 0.5
 
     def __post_init__(self):
-        # checked here, not at split time, so a bad value never touches a run dir
-        _parse_boundary(self.boundary)
+        # checked here, not at split time, so a bad value never touches a run dir; the
+        # boundary is kept as its UTC timestamp, however it was written
+        if isinstance(self.boundary, bool) or not isinstance(self.boundary, int):
+            try:
+                when = datetime.fromisoformat(str(self.boundary))
+            except ValueError:
+                raise ValueError("split boundary must be an integer timestamp or an ISO date, "
+                                 f"got {self.boundary!r}") from None
+            self.boundary = int(when.replace(tzinfo=when.tzinfo or timezone.utc).timestamp())
         if not 0.0 < self.valid_fraction < 1.0:
             raise ValueError(f"valid_fraction must lie in (0, 1), got {self.valid_fraction!r}")
-
-    @property
-    def boundary_ts(self) -> int:
-        return _parse_boundary(self.boundary)
 
 
 # ablate axis -> the type of the TrainConfig field it sets, and the overrides of one of its values
@@ -164,8 +154,8 @@ _ABLATE_OVERRIDES = {
     "aggregation": (str, lambda mode: {"aggregation": mode}),
     "transfer": (str, lambda mode: {"transfer": mode, "lambda_dpl": 0.0} if mode == "none"
                  else {"transfer": mode}),
-    "lambda": (float, lambda lam: {"lambda_dpl": float(lam)}),
-    "tau": (float, lambda tau: {"tau": float(tau)}),
+    "lambda": (float, lambda lam: {"lambda_dpl": lam}),
+    "tau": (float, lambda tau: {"tau": tau}),
 }
 ABLATE_AXES = tuple(_ABLATE_OVERRIDES)
 EVAL_SPLITS = ("valid", "test")
@@ -229,8 +219,9 @@ class PipelineConfig:
         for axis, values in self.ablate.items():
             if not isinstance(values, (list, tuple)):
                 raise ValueError(f"ablate axis '{axis}' must be a list of values, got {values!r}")
-            for k, value in enumerate(values):
-                _typed(value, _ABLATE_OVERRIDES[axis][0], f"ablate.{axis}[{k}]")
+        self.ablate = {axis: [_typed(value, _ABLATE_OVERRIDES[axis][0], f"ablate.{axis}[{k}]")
+                              for k, value in enumerate(values)]
+                       for axis, values in self.ablate.items()}
         distinct = {name: getattr(self, name) for name in ("eval_ks", "criteria", "report_labels")}
         distinct.update((f"ablate.{axis}", values) for axis, values in self.ablate.items())
         for name, values in distinct.items():
@@ -240,7 +231,7 @@ class PipelineConfig:
         trainers = [self.train] + [dataclasses.replace(self.train, **overrides)
                                    for *_, overrides in ablation_grid(self.ablate)]
         # a transfer of persona vectors dots target ones against the source model's
-        width = self.client.persona_width
+        width = self.client.widths[0]
         target_width = self.train.persona_out_dim or width
         source_width = self.source_train_config().persona_out_dim or width
         if target_width != source_width and any("persona" in transfer_parts(t) for t in trainers):
@@ -328,9 +319,9 @@ def _from_fields(cls, obj, path: str = ""):
 
 def _typed(value, hint, path: str):
     """`value` as the config field at `path`, declared `hint`, takes it.  A bool is
-    neither an int nor a float, and NaN and the infinities are no number; an int in
-    a float field is kept as it is, so no stage key changes; a list stands for a
-    tuple.  A field of two kinds (`split.boundary`) is left to its class's own check."""
+    neither an int nor a float; a number field holds a finite float, an int included,
+    so `1` and `1.0` key alike; a list stands for a tuple.  A field of two kinds
+    (`split.boundary`) is left to its class's own check."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:  # tuple[T, ...]
         if not isinstance(value, (list, tuple)):
@@ -344,9 +335,9 @@ def _typed(value, hint, path: str):
         return _from_fields(kind, value, path)
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise ValueError(f"{path} must be {_KIND_NAMES[kind]}, got {value!r}")
-    if isinstance(value, float) and not np.isfinite(value):
+    if kind is float and not abs(value) <= sys.float_info.max:  # NaN, an infinity, a huge int
         raise ValueError(f"{path} must be a finite number, got {value!r}")
-    return value
+    return float(value) if kind is float else value
 
 
 def _records_to_rows(records: Sequence[InteractionRecord]) -> list[list]:
@@ -484,7 +475,6 @@ class Pipeline:
                 train=_rows_to_records(obj["train"]),
                 valid=_rows_to_records(obj["valid"]),
                 test=_rows_to_records(obj["test"]),
-                boundary_time=obj["boundary"],
             )
         return self._splits[which]
 
@@ -518,7 +508,7 @@ class Pipeline:
 
     def stage_split(self) -> None:
         self._begin("split")
-        boundary = self.config.split.boundary_ts
+        boundary = self.config.split.boundary
         for which in ("source", "target"):
             ds = self._dataset(which)
             bundle = time_split(ds, boundary, self.config.split.valid_fraction)
@@ -835,7 +825,7 @@ class Pipeline:
         self._ensure_source_tables("ablate")
         self._begin("ablate")
         inputs = self._target_inputs_with_transfer()
-        k = self.config.train.eval_k
+        k = EARLY_STOP_K
         grid = [(axis, value, seed, over) for axis, value, over in ablation_grid(self.config.ablate)
                 for seed in self.config.seeds]
         runs = self._target_runs(inputs, [(seed, over) for *_, seed, over in grid])

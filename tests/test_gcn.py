@@ -161,7 +161,7 @@ def blocked_split(rng, n_users=60, n_items=40, per_user=6):
             target = train if k < per_user - 1 else valid
             target.append(InteractionRecord(f"u{u:02d}", f"i{int(i):02d}", 5.0, ts))
             ts += 1
-    return SplitBundle(tuple(train), tuple(valid), tuple(valid), boundary_time=10**9)
+    return SplitBundle(tuple(train), tuple(valid), tuple(valid))
 
 
 class TestPretrain:
@@ -171,7 +171,6 @@ class TestPretrain:
             train=(rec("u", "A", 0), rec("u", "A", 1)),
             valid=(rec("u", "A", 2),),
             test=(rec("u", "A", 3),),
-            boundary_time=2,
         )
         config = GcnConfig(dim=8, layers=2, epochs=30, patience=30, learning_rate=0.05)
         result = pretrain_id_embeddings(split, config, catalog_items=["A", "B"])
@@ -294,16 +293,17 @@ def pinned_split():
             )
             ts += 1
     train.append(train[0])
-    return SplitBundle(tuple(train), tuple(valid), tuple(valid), boundary_time=10**9)
+    return SplitBundle(tuple(train), tuple(valid), tuple(valid))
 
 
 class TestPretrainPinned:
     def test_tables_match_pinned_digests(self, monkeypatch):
         """The propagated tables of a small run with catalog-only items,
         digests recorded before the adjacency was vectorised, when the
-        backbone seed was a `GcnConfig` field set to 5."""
+        backbone seed and the validation cutoff were `GcnConfig` fields set to 5 and 3."""
         monkeypatch.setattr(gcn_mod, "BACKBONE_SEED", 5)
-        config = GcnConfig(dim=8, layers=2, epochs=6, patience=6, learning_rate=0.05, eval_k=3)
+        monkeypatch.setattr(gcn_mod, "EARLY_STOP_K", 3)
+        config = GcnConfig(dim=8, layers=2, epochs=6, patience=6, learning_rate=0.05)
         result = pretrain_id_embeddings(pinned_split(), config, catalog_items=["i99", "i03", "i98"])
         assert result.table.item_ids[-2:] == ["i98", "i99"]
         assert result.best_epoch == 1

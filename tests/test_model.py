@@ -583,7 +583,7 @@ class TestLoopSettings:
         "config_cls, epochs", [(GcnConfig, "epochs"), (TrainConfig, "max_epochs")]
     )
     @pytest.mark.parametrize(
-        "field, bound", [("epochs", 1), ("batch_size", 1), ("eval_k", 1), ("patience", 0)]
+        "field, bound", [("epochs", 1), ("batch_size", 1), ("patience", 0)]
     )
     def test_below_bound_rejected_and_bound_accepted(self, config_cls, epochs, field, bound):
         name = epochs if field == "epochs" else field

@@ -20,7 +20,7 @@ from multitap.cli import main
 from multitap.diffkit import checkpoint_manifest_path, load_checkpoint
 from multitap.errors import ClientError, DependencyError
 from multitap.persona import JsonCache
-from multitap.persona.clients import build_clients
+from multitap.persona.clients import ClientSettings, build_clients
 from multitap.pipeline import NODES, STAGES, Pipeline, PipelineConfig, stages_through
 from multitap.util import read_json, write_json
 
@@ -355,6 +355,25 @@ class TestCliStandaloneIngest:
         assert summary["users"] > 0
         assert (tmp_path / "target_ingest.json").exists()
 
+    @pytest.mark.parametrize("flags", [["--domain", "zzz", "--out", "stats"], ["--out", "stats"],
+                                       ["--interactions", "i.jsonl", "--metadata", "m.jsonl"]])
+    def test_standalone_flags_with_config_are_a_usage_error(
+        self, small_fixture, tmp_path, capsys, monkeypatch, flags
+    ):
+        """They would be ignored: the config's ingest stage would run instead."""
+        _, paths = small_fixture
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "config.json", small_config_dict(paths, tmp_path / "run"))
+        with pytest.raises(SystemExit) as info:
+            main(["ingest", "--config", str(tmp_path / "config.json"), *flags])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "ArgumentError"
+        assert error["message"].endswith(", ".join(f for f in flags if f.startswith("--")))
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
 
 @pytest.fixture
 def completed_copy(completed_run, small_fixture, tmp_path):
@@ -387,6 +406,9 @@ class TestStageKeys:
         [
             (lambda c: c["target"].update(domain_id="other"), ALL_KEYED | {"ingest"}),
             (lambda c: c["split"].update(valid_fraction=0.4), ALL_KEYED),
+            # the fixture's boundary, 1546300800, spelt as an ISO date and in another zone
+            (lambda c: c["split"].update(boundary="2019-01-01"), set()),
+            (lambda c: c["split"].update(boundary="2019-01-01T01:00:00+01:00"), set()),
             (lambda c: c.update(criteria=["ps", "qp"]), {"idh"}),
             (lambda c: c.update(report_labels=["high"]), {"idh"}),
             (lambda c: c["client"].update(item_dim=64), {"persona", "source", "train", "eval", "ablate"}),
@@ -399,7 +421,8 @@ class TestStageKeys:
             (lambda c: c.update(eval_ks=[5, 10]), {"eval"}),
             (lambda c: c.update(ablate={"lambda": [0.0, 1.0]}), {"ablate"}),
         ],
-        ids=["target.domain_id", "split.valid_fraction", "criteria", "report_labels",
+        ids=["target.domain_id", "split.valid_fraction", "split.boundary_date",
+             "split.boundary_zoned", "criteria", "report_labels",
              "client.item_dim", "gcn.epochs",
              "source_train.max_epochs", "train.lambda_dpl", "seeds_added", "first_seed",
              "eval_ks", "ablate"],
@@ -417,14 +440,17 @@ PERSONA_ON = {"persona", "source", "train", "eval", "ablate"}
 # deployment settings: how the clients are reached and batched, never what they return
 DEPLOYMENT = [("parallelism", 2), ("chunk_size", 7), ("endpoint", "http://localhost:9/v2")]
 REMOTE_OUTPUT = [("chat_model", "chat-x"), ("persona_temperature", 0.2),
-                 ("description_temperature", 0.9), ("embed_model", "emb-y"),
-                 ("remote_persona_dim", 6), ("remote_item_dim", 4)]
-OFFLINE_OUTPUT = [("mode", "remote"), ("persona_dim", 64), ("item_dim", 64)]
+                 ("description_temperature", 0.9), ("embed_model", "emb-y")]
+# the encoders' widths, which size the encoders of either mode
+WIDTHS = [("persona_dim", 64), ("item_dim", 64)]
 CLIENT_KEY_CASES = [
-    *[("offline", f, v, PERSONA_ON) for f, v in OFFLINE_OUTPUT],
-    *[("remote", f, v, PERSONA_ON) for f, v in REMOTE_OUTPUT],
+    *[("offline", f, v, PERSONA_ON) for f, v in [("mode", "remote"), *WIDTHS]],
+    *[("remote", f, v, PERSONA_ON) for f, v in REMOTE_OUTPUT + WIDTHS],
     *[("offline", f, v, set()) for f, v in DEPLOYMENT + REMOTE_OUTPUT],
-    *[("remote", f, v, set()) for f, v in DEPLOYMENT + OFFLINE_OUTPUT[1:]],
+    *[("remote", f, v, set()) for f, v in DEPLOYMENT],
+    # a width written out at the mode's default is the same width
+    ("offline", "persona_dim", 256, set()),
+    ("remote", "item_dim", 512, set()),
     # a temperature written as an integer is the same temperature
     ("remote", "description_temperature", 1, set()),
 ]
@@ -702,6 +728,20 @@ class TestRunStore:
         lines = (tmp_path / "run" / "ablation" / "results.csv").read_text().splitlines()
         served = [float(line.split(",")[3]) for line in lines[1:] if ",doppelganger," in line]
         assert served == per_seed
+
+    def test_ablate_lambda_written_as_an_integer_is_served_from_train(
+        self, small_fixture, tmp_path, monkeypatch
+    ):
+        """`1` and `1.0` are one lambda, so one run: ablate trains nothing."""
+        _, paths = small_fixture
+        config = small_config_dict(paths, tmp_path / "run")
+        config["train"]["lambda_dpl"] = 1
+        config["ablate"] = {"lambda": [1]}
+        pipe = Pipeline(PipelineConfig.from_dict(config))
+        pipe.run(RUN_STAGES)
+        calls = count_trainings(monkeypatch)
+        assert pipe.run(["ablate"]) == {"ablate": "ran"}
+        assert calls == {"target": [], "source": [], "pretrain": []}
 
     def test_train_moved_back_to_an_earlier_lambda_trains_nothing(
         self, completed_copy, capsys, monkeypatch
@@ -1136,7 +1176,7 @@ def captured_runs(small_fixture, tmp_path, monkeypatch):
 
 # (argv, the config field its flag sets, the value it sets)
 OVERRIDES = [
-    (["split", "--boundary", "2020-06-01"], "split.boundary", "2020-06-01"),
+    (["split", "--boundary", "2020-06-01"], "split.boundary", 1590969600),
     (["split", "--valid-fraction", "0.25"], "split.valid_fraction", 0.25),
     (["idh", "--criteria", "ps,qp"], "criteria", ("ps", "qp")),
     (["idh", "--labels", "high"], "report_labels", ("high",)),
@@ -1196,6 +1236,7 @@ class TestCliErrors:
         "split --valid-fraction=-Infinity": "expected a number, got '-Infinity'",
         "run --stages ": "expected a nonempty comma list of stages, got ''",
         "run --stages ,": "expected a nonempty comma list of stages, got ','",
+        "eval --k ": "expected a comma list of integers, got ''",
     }
 
     @pytest.mark.parametrize(
@@ -1215,6 +1256,8 @@ class TestCliErrors:
             # a stage list that names no stage would run nothing and succeed
             (["run", "--stages", ""], "--stages"),
             (["run", "--stages", ","], "--stages"),
+            # an empty list would leave the field as the config sets it
+            (["eval", "--k", ""], "--k"),
         ],
     )
     def test_rejected_flag_value_prints_json_error(self, capsys, argv, flag):
@@ -1267,8 +1310,13 @@ class TestCliErrors:
              "unknown eval_average 'users'; known averages: interaction, user"),
             (["run"], lambda c: c["client"].update(mode="ofline"),
              "unknown client mode 'ofline'; known modes: offline, remote"),
+            # an empty flag list is a list of one empty name, like any other list
+            (["idh", "--criteria", ""], None, "unknown criterion ''; known criteria: ps, qp, pb"),
+            (["idh", "--labels", ""], None,
+             "unknown report label ''; known labels: high, medium, low"),
         ],
-        ids=["report_labels", "criteria", "eval_split", "eval_average", "client_mode"],
+        ids=["report_labels", "criteria", "eval_split", "eval_average", "client_mode",
+             "empty_criteria", "empty_labels"],
     )
     def test_value_outside_closed_vocabulary_is_rejected(
         self, small_fixture, tmp_path, capsys, argv, edit, message
@@ -1355,12 +1403,11 @@ class TestCliErrors:
 
 
 TRAIN_FIELDS = ("aggregation, transfer, lambda_dpl, tau, batch_size, learning_rate, "
-                "weight_decay, dropout, max_epochs, patience, eval_k, persona_out_dim, fused_dim")
-GCN_FIELDS = "dim, layers, learning_rate, weight_decay, epochs, patience, batch_size, eval_k"
+                "weight_decay, dropout, max_epochs, patience, persona_out_dim, fused_dim")
+GCN_FIELDS = "dim, layers, learning_rate, weight_decay, epochs, patience, batch_size"
 SOURCE_PINNED = "the source model always trains with transfer='none', lambda_dpl=0.0, tau=0.5"
 CLIENT_FIELDS = ("mode, persona_dim, item_dim, chunk_size, parallelism, endpoint, chat_model, "
-                 "embed_model, persona_temperature, description_temperature, remote_persona_dim, "
-                 "remote_item_dim")
+                 "embed_model, persona_temperature, description_temperature")
 
 
 class TestConfigChecks:
@@ -1385,10 +1432,18 @@ class TestConfigChecks:
              "criteria must be distinct, got ['ps', 'ps']"),
             (["idh", "--labels", "high,high"], None,
              "report_labels must be distinct, got ['high', 'high']"),
-            (["train"], lambda c: c["train"].update(eval_k=0), "eval_k must be >= 1, got 0"),
-            (["train"], lambda c: c["source_train"].update(eval_k=-1),
-             "eval_k must be >= 1, got -1"),
-            (["pretrain"], lambda c: c["gcn"].update(eval_k=0), "eval_k must be >= 1, got 0"),
+            # no section sets the validation cutoff, and one width per encoder
+            # serves both client modes
+            (["train"], lambda c: c["train"].update(eval_k=5),
+             f"unknown config field 'train.eval_k'; known fields: {TRAIN_FIELDS}"),
+            (["train"], lambda c: c["source_train"].update(eval_k=5),
+             f"unknown config field 'source_train.eval_k'; known fields: {TRAIN_FIELDS}"),
+            (["pretrain"], lambda c: c["gcn"].update(eval_k=5),
+             f"unknown config field 'gcn.eval_k'; known fields: {GCN_FIELDS}"),
+            (["persona"], lambda c: c["client"].update(remote_persona_dim=3072),
+             f"unknown config field 'client.remote_persona_dim'; known fields: {CLIENT_FIELDS}"),
+            (["persona"], lambda c: c["client"].update(remote_item_dim=512),
+             f"unknown config field 'client.remote_item_dim'; known fields: {CLIENT_FIELDS}"),
             (["split", "--boundary", "garbage"], None,
              "split boundary must be an integer timestamp or an ISO date, got 'garbage'"),
             (["split"], lambda c: c["split"].update(boundary=True),
@@ -1406,6 +1461,8 @@ class TestConfigChecks:
             (["run"], lambda c: c["source_train"].update(tau=False),
              "source_train.tau must be a number, got False"),
             (["run"], lambda c: c["gcn"].update(epochs=2.0), "gcn.epochs must be an integer, got 2.0"),
+            (["run"], lambda c: c["train"].update(learning_rate=10**400),
+             f"train.learning_rate must be a finite number, got {10**400}"),
             (["run"], lambda c: c["client"].update(mode=1), "client.mode must be a string, got 1"),
             (["run"], lambda c: c.update(seeds=[0, "1"]), "seeds[1] must be an integer, got '1'"),
             (["run"], lambda c: c.update(eval_ks=5), "eval_ks must be a list, got 5"),
@@ -1424,7 +1481,7 @@ class TestConfigChecks:
             (["run"], lambda c: c["client"].update(chunk_size=0), "chunk_size must be >= 1, got 0"),
             (["run"], lambda c: c["client"].update(persona_dim=0), "persona_dim must be >= 1, got 0"),
             (["run"], lambda c: c["train"].update(learning_rate=0),
-             "learning_rate must be positive, got 0"),
+             "learning_rate must be positive, got 0.0"),
             (["run"], lambda c: c["gcn"].update(learning_rate=-0.1),
              "learning_rate must be positive, got -0.1"),
             (["run"], lambda c: c["train"].update(weight_decay=-1e-4),
@@ -1496,11 +1553,12 @@ class TestConfigChecks:
         ],
         ids=["no_seeds", "repeated_seed", "negative_seed", "negative_seed_flag", "eval_ks", "no_eval_ks", "eval_k_flag",
              "repeated_eval_k", "repeated_eval_k_flag", "repeated_criterion",
-             "repeated_label_flag", "train_eval_k",
-             "source_train_eval_k", "gcn_eval_k", "boundary_flag", "boundary_bool",
-             "valid_fraction_flag", "valid_fraction_zero",
+             "repeated_label_flag", "train_eval_k", "source_train_eval_k", "gcn_eval_k",
+             "client_remote_persona_dim", "client_remote_item_dim", "boundary_flag",
+             "boundary_bool", "valid_fraction_flag", "valid_fraction_zero",
              "number_as_string", "integer_as_string", "bool_as_integer", "bool_as_number",
-             "float_as_integer", "string_as_number", "seed_as_string", "list_as_integer",
+             "float_as_integer", "huge_integer_as_number", "string_as_number", "seed_as_string",
+             "list_as_integer",
              "section_as_list", "misspelt_field", "missing_section", "missing_field",
              "gcn_dim", "gcn_layers", "fused_dim", "persona_out_dim", "parallelism", "chunk_size",
              "persona_dim", "train_learning_rate", "gcn_learning_rate", "weight_decay",
@@ -1526,14 +1584,19 @@ class TestConfigChecks:
         assert json.loads(captured.err)["error"] == {"type": "ValueError", "message": message}
         assert not (tmp_path / "run").exists()
 
-    def test_int_in_float_field_is_kept_as_written(self, small_fixture, tmp_path):
-        """Made a float, it would change the stage keys of a config that
-        earlier versions read."""
+    def test_int_in_float_field_is_stored_as_float(self, small_fixture, tmp_path):
+        """So `1` and `1.0` make one stage key, in a section and in ablate."""
         _, paths = small_fixture
         config = small_config_dict(paths, tmp_path / "run")
         config["train"]["lambda_dpl"] = 1
-        lambda_dpl = PipelineConfig.from_dict(config).train.lambda_dpl
-        assert lambda_dpl == 1 and type(lambda_dpl) is int
+        config["ablate"] = {"lambda": [0, 1], "tau": [2]}
+        loaded = PipelineConfig.from_dict(config)
+        assert type(loaded.train.lambda_dpl) is float and loaded.train.lambda_dpl == 1.0
+        assert loaded.ablate == {"lambda": [0.0, 1.0], "tau": [2.0]}
+        assert {type(v) for values in loaded.ablate.values() for v in values} == {float}
+        config["train"]["lambda_dpl"] = 1.0
+        config["ablate"] = {"lambda": [0.0, 1.0], "tau": [2.0]}
+        assert PipelineConfig.from_dict(config).stage_keys() == loaded.stage_keys()
 
     @pytest.mark.parametrize(
         "argv, edit",
@@ -1615,7 +1678,7 @@ class TestRemoteClients:
         "settings",
         [{}, {"endpoint": "http://localhost:9/v2/", "chat_model": "chat-x", "embed_model": "emb-y",
               "persona_temperature": 0.2, "description_temperature": 0.9,
-              "remote_persona_dim": 6, "remote_item_dim": 4}],
+              "persona_dim": 6, "item_dim": 4}],
         ids=["defaults", "custom"],
     )
     def test_clients_carry_client_settings(self, monkeypatch, tmp_path, settings):
@@ -1623,18 +1686,22 @@ class TestRemoteClients:
         cs, (generator, persona_encoder, item_encoder), sleeps = self._clients(
             monkeypatch, tmp_path, session, **settings
         )
+        # the widths are the section's, or the remote defaults when it sets none
+        persona_width, item_width = cs.widths
+        assert (persona_encoder.dim, item_encoder.dim) == cs.widths
+        assert cs.widths == ((6, 4) if settings else (3072, 512))
         if not settings:
             assert generator.identity == "remote-gpt-4o-t0.7-1.0"
             assert persona_encoder.identity == "remote-text-embedding-3-large-d3072"
             assert item_encoder.identity == "remote-text-embedding-3-large-d512"
         assert generator.identity == (
             f"remote-{cs.chat_model}-t{cs.persona_temperature}-{cs.description_temperature}")
-        assert persona_encoder.identity == f"remote-{cs.embed_model}-d{cs.remote_persona_dim}"
-        assert item_encoder.identity == f"remote-{cs.embed_model}-d{cs.remote_item_dim}"
+        assert persona_encoder.identity == f"remote-{cs.embed_model}-d{persona_width}"
+        assert item_encoder.identity == f"remote-{cs.embed_model}-d{item_width}"
         assert generator.personas({"User ID": "u"}) == "text"
         assert generator.domain_description({"Domain": "d"}) == "text"
-        assert persona_encoder.embed(["a"]).shape == (1, cs.remote_persona_dim)
-        assert item_encoder.embed(["b", "c"]).shape == (2, cs.remote_item_dim)
+        assert persona_encoder.embed(["a"]).shape == (1, persona_width)
+        assert item_encoder.embed(["b", "c"]).shape == (2, item_width)
         base = cs.endpoint.rstrip("/")
         assert [p["url"] for p in session.posts] == [base + "/chat/completions"] * 2 + [
             base + "/embeddings"] * 2
@@ -1647,10 +1714,18 @@ class TestRemoteClients:
         assert [b["messages"][1]["content"] for b in chats] == [
             '{"User ID": "u"}', '{"Domain": "d"}']
         assert [p["body"] for p in session.posts[2:]] == [
-            {"model": cs.embed_model, "input": ["a"], "dimensions": cs.remote_persona_dim},
-            {"model": cs.embed_model, "input": ["b", "c"], "dimensions": cs.remote_item_dim},
+            {"model": cs.embed_model, "input": ["a"], "dimensions": persona_width},
+            {"model": cs.embed_model, "input": ["b", "c"], "dimensions": item_width},
         ]
         assert sleeps == []
+
+    def test_widths_follow_a_replaced_mode(self):
+        """`persona --offline` replaces the mode of a built remote section:
+        unset widths become the offline ones."""
+        remote = ClientSettings(mode="remote")
+        assert remote.widths == (3072, 512)
+        offline = dataclasses.replace(remote, mode="offline")
+        assert offline.widths == (256, 128)
 
     def test_three_attempts_with_doubling_backoff(self, monkeypatch, tmp_path):
         session = self._Session(fail=503)
@@ -1697,7 +1772,7 @@ class TestSharedCache:
 
         def clients(cs):
             generators.append(SamplingGenerator())
-            return generators[-1], HashingEncoder(cs.persona_dim, 7), HashingEncoder(cs.item_dim, 7)
+            return generators[-1], *(HashingEncoder(width, 7) for width in cs.widths)
 
         monkeypatch.setattr(pipeline_mod, "build_clients", clients)
         _, paths = small_fixture
