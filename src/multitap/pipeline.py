@@ -9,11 +9,12 @@ their paths, and persona its clients' identities.  The source-domain model
 that train and ablate build on is keyed the same way, as the node "source";
 it keeps only what they read of it, the overlap users' persona and ID rows.
 Every trainer's output comes from `_runs`, which serves it from the run
-store (`cache/runs/`) or trains and stores it: each side's backbone under
-the pretrain key and the side, the source model's tables under the source
-key, and each target run under the source key, the trainer and the seed.
-So ablate reuses train's runs, and a config changed and changed back trains
-nothing the second time.  Nothing prunes the store yet: it only grows.
+store (`cache/runs/`) or trains and stores it under what it reads: a
+backbone under the pretrain key and its side, the source model's tables
+under the source key, a target run under its trainer (`trainer_data`), its
+seed and the source key, or the pretrain and persona keys if it transfers
+nothing.  So ablate reuses train's runs, and a config changed and changed
+back trains nothing the second time.  Nothing prunes the store: it only grows.
 Each run's seed comes from `seeds` alone; no other section has one, as the
 backbones and the offline encoders seed from constants.
 idh and persona share one heterogeneity analysis per train split, so idh
@@ -152,20 +153,18 @@ class SplitConfig:
 # ablate axis -> the type of the TrainConfig field it sets, and the overrides of one of its values
 _ABLATE_OVERRIDES = {
     "aggregation": (str, lambda mode: {"aggregation": mode}),
-    "transfer": (str, lambda mode: {"transfer": mode, "lambda_dpl": 0.0} if mode == "none"
-                 else {"transfer": mode}),
+    "transfer": (str, lambda mode: {"transfer": mode}),
     "lambda": (float, lambda lam: {"lambda_dpl": lam}),
     "tau": (float, lambda tau: {"tau": tau}),
 }
 ABLATE_AXES = tuple(_ABLATE_OVERRIDES)
 EVAL_SPLITS = ("valid", "test")
-# the source model's transfer settings: it trains with no transfer, whatever `train` sets
-_SOURCE_PINNED = {"transfer": "none", "lambda_dpl": 0.0, "tau": TrainConfig.tau}
 
 
 def ablation_grid(ablate: dict) -> list[tuple[str, object, dict]]:
-    """The (axis, value, TrainConfig overrides) points of an ablate grid,
-    axis by axis in `ABLATE_AXES` order; no axes means doppelganger vs none."""
+    """The (axis, value, TrainConfig overrides) points of an ablate grid, axis by
+    axis in `ABLATE_AXES` order; no axes means doppelganger vs none.  A point sets
+    its axis alone: a `none` point keeps train's lambda, which it never reads."""
     axes = ablate or {"transfer": ["doppelganger", "none"]}
     return [(axis, value, over(value)) for axis, (_, over) in _ABLATE_OVERRIDES.items()
             for value in axes.get(axis, [])]
@@ -231,9 +230,8 @@ class PipelineConfig:
         trainers = [self.train] + [dataclasses.replace(self.train, **overrides)
                                    for *_, overrides in ablation_grid(self.ablate)]
         # a transfer of persona vectors dots target ones against the source model's
-        width = self.client.widths[0]
-        target_width = self.train.persona_out_dim or width
-        source_width = self.source_train_config().persona_out_dim or width
+        target_width, source_width = (self.trainer_data(t)["persona_out_dim"]
+                                      for t in (self.train, self.source_train_config()))
         if target_width != source_width and any("persona" in transfer_parts(t) for t in trainers):
             raise ValueError(
                 f"train.persona_out_dim makes persona vectors {target_width} wide and "
@@ -243,12 +241,10 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineConfig":
         config = _from_fields(cls, obj)
-        # the source model reads none of them: `source_train_config` pins them
-        pinned = ", ".join(f"{name}={value!r}" for name, value in _SOURCE_PINNED.items())
-        for name in _SOURCE_PINNED:
+        for name in ("transfer", "lambda_dpl", "tau"):  # the source model reads none of them
             if name in (obj.get("source_train") or {}):
                 raise ValueError(f"source_train.{name} is never read: the source model "
-                                 f"always trains with {pinned}")
+                                 "always trains with transfer='none'")
         return config
 
     @classmethod
@@ -257,8 +253,18 @@ class PipelineConfig:
 
     def source_train_config(self) -> TrainConfig:
         """The source-domain model's trainer: its own section's, or train's,
-        with no transfer, so the transfer settings it never reads are pinned."""
-        return dataclasses.replace(self.source_train or self.train, **_SOURCE_PINNED)
+        with no transfer."""
+        return dataclasses.replace(self.source_train or self.train, transfer="none")
+
+    def trainer_data(self, trainer: TrainConfig) -> dict:
+        """`trainer` as its run reads it, as JSON data: `persona_out_dim` resolved,
+        and one that transfers nothing as `transfer: "none"`, with no lambda or tau."""
+        data = {**_json_data(trainer),
+                "persona_out_dim": trainer.persona_out_dim or self.client.widths[0]}
+        if not transfer_parts(trainer):
+            data["transfer"] = "none"
+            del data["lambda_dpl"], data["tau"]
+        return data
 
     def stage_keys(self) -> dict[str, str]:
         """The cache key of every node in `NODES`: the sections it reads plus
@@ -269,7 +275,7 @@ class PipelineConfig:
         missing input raises the loader's FileNotFoundError."""
         sections = {f.name: _json_data(getattr(self, f.name)) for f in dataclasses.fields(self)
                     if f.name != "source_train"}
-        sections["source_train"] = {"trainer": _json_data(self.source_train_config()),
+        sections["source_train"] = {"trainer": self.trainer_data(self.source_train_config()),
                                     "seed": self.seeds[0]}
         sections["inputs"] = {side: {"domain_id": spec.domain_id,
                                      "interactions": file_sha256(spec.interactions),
@@ -723,27 +729,31 @@ class Pipeline:
             if served:  # the stored entries' tensors, in one more read
                 stored.update(self.run_cache.get(served) or {})
             for key, train in entries:
-                if key not in stored or any(f"{key}/{n}" not in stored
-                                            for n in stored[key]["params"]):
+                trained = key not in stored or any(f"{key}/{n}" not in stored
+                                                   for n in stored[key]["params"])
+                if trained:
                     tensors, record = train()
                     new[key] = {"params": sorted(tensors), **record}
                     new.update((f"{key}/{n}", v) for n, v in tensors.items())
                     stored.update(new)
+                logger.info("run %s %s", key[:12], "trained" if trained else "served")
         return [({n: stored[f"{key}/{n}"] for n in stored[key]["params"]}, stored[key])
                 for key in keys]
 
     def _target_runs(self, inputs: ModelInputs, points: Sequence[tuple[int, dict]]) -> list:
         """Each (seed, overrides) point's seed, trainer, parameters and run
-        record ("history", "best_epoch") from `_runs`, keyed by the source
-        model, the trainer and the seed."""
+        record ("history", "best_epoch") from `_runs`, keyed by what the run
+        reads: the trainer as `trainer_data` gives it, the seed, and the source
+        model's key if it transfers, else the pretrain and persona keys."""
         def train(seed, overrides):
             result = self._train_one(inputs, seed, overrides)
             return result.model.store.params, {"history": result.history,
                                                "best_epoch": result.best_epoch}
 
         configs = [dataclasses.replace(self.config.train, **over) for _, over in points]
-        keys = [content_key({"source": self.keys["source"], "run": _json_data(c), "seed": s})
-                for c, (s, _) in zip(configs, points)]
+        reads = [("source",) if transfer_parts(c) else ("pretrain", "persona") for c in configs]
+        keys = [content_key({**{n: self.keys[n] for n in r}, "run": self.config.trainer_data(c),
+                             "seed": s}) for c, r, (s, _) in zip(configs, reads, points)]
         runs = self._runs([(key, functools.partial(train, *p)) for key, p in zip(keys, points)])
         return [(s, cfg, *run) for cfg, (s, _), run in zip(configs, points, runs)]
 

@@ -35,7 +35,6 @@ from multitap.corpus import DomainDataset
 from multitap.errors import MissingLabelError
 from multitap.gcn import BipartiteGraph
 from multitap.idh import CRITERIA_ORDER, Criterion, Label, tertile_label, tertile_thresholds
-from multitap.model import TrainConfig
 from multitap.persona import PersonaDB, item_semantic_text
 from multitap.persona.clients import build_clients
 from multitap.pipeline import NODES, SIDES
@@ -398,11 +397,14 @@ def config_hash(config) -> str:
 def stage_keys(config) -> dict[str, str]:
     """`config.stage_keys()`: every node's key from a deep copy of the whole
     config, the source model's section rebuilt from it (its own trainer, or
-    train's, with transfer off and the default tau, and the first seed), the
-    input files hashed side by side and the persona clients built anew."""
+    train's, with transfer off and so no lambda or tau, its persona width
+    read off the persona encoder when unset, and the first seed), the input
+    files hashed side by side and the persona clients built anew."""
     sections = semantic_dict(config)
-    trainer = dict(sections["source_train"] or sections["train"], transfer="none", lambda_dpl=0.0,
-                   tau=TrainConfig().tau)
+    clients = build_clients(config.client)
+    trainer = dict(sections["source_train"] or sections["train"], transfer="none")
+    del trainer["lambda_dpl"], trainer["tau"]
+    trainer["persona_out_dim"] = trainer["persona_out_dim"] or clients[1].dim
     sections["source_train"] = {"trainer": trainer, "seed": sections["seeds"][0]}
     sections["inputs"] = {}
     for side in SIDES:
@@ -412,7 +414,7 @@ def stage_keys(config) -> dict[str, str]:
             "interactions": file_sha256(spec["interactions"]),
             "metadata": file_sha256(spec["metadata"]),
         }
-    sections["clients"] = [client.identity for client in build_clients(config.client)]
+    sections["clients"] = [client.identity for client in clients]
     keys: dict[str, str] = {}
     for name, node in NODES.items():
         keys[name] = content_key({

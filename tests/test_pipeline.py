@@ -854,6 +854,87 @@ class TestRunStore:
         assert json.loads(captured.out)["stages"]["train"] == "ran"
         assert calls["source"] == [] and [cfg.tau for cfg, _ in calls["target"]] == [0.3]
 
+    def test_source_trainer_change_serves_the_runs_that_transfer_nothing(
+        self, small_fixture, tmp_path, monkeypatch
+    ):
+        """A run that transfers nothing reads no source model: a new
+        `source_train` retrains the source model, and ablate's `none` runs
+        are served."""
+        _, paths = small_fixture
+        config = small_config_dict(paths, tmp_path / "run")
+        config.update(seeds=[0, 1], ablate={"transfer": ["none"]})
+        Pipeline(PipelineConfig.from_dict(config)).run(["ingest", "split", "persona", "pretrain",
+                                                        "ablate"])
+        results = (tmp_path / "run" / "ablation" / "results.csv").read_bytes()
+        config["source_train"]["learning_rate"] *= 2
+        calls = count_trainings(monkeypatch)
+        assert Pipeline(PipelineConfig.from_dict(config)).run(["ablate"]) == {"ablate": "ran"}
+        assert calls["source"] == [0] and calls["target"] == []
+        assert (tmp_path / "run" / "ablation" / "results.csv").read_bytes() == results
+
+    def test_ablate_none_is_served_from_train_none_at_any_lambda(
+        self, small_fixture, tmp_path, monkeypatch
+    ):
+        """`train.transfer: none` reads no lambda, so ablate's `none` point
+        is train's run whatever lambda train sets."""
+        _, paths = small_fixture
+        config = small_config_dict(paths, tmp_path / "run")
+        config["train"]["transfer"] = "none"
+        assert config["train"]["lambda_dpl"] == 1.4
+        config.update(seeds=[0, 1], ablate={"transfer": ["none"]})
+        pipe = Pipeline(PipelineConfig.from_dict(config))
+        pipe.run(RUN_STAGES)
+        calls = count_trainings(monkeypatch)
+        assert pipe.run(["ablate"]) == {"ablate": "ran"}
+        assert calls == {"target": [], "source": [], "pretrain": []}
+        report = read_json(tmp_path / "run" / "eval" / "report.json")
+        per_seed = next(m["per_seed"] for m in report["metrics"]
+                        if (m["metric"], m["K"]) == ("HR", 5))
+        lines = (tmp_path / "run" / "ablation" / "results.csv").read_text().splitlines()
+        assert [float(line.split(",")[3]) for line in lines[1:]] == per_seed
+
+    def test_unset_persona_width_is_the_encoder_width(self, small_fixture, tmp_path, monkeypatch):
+        """An unset `persona_out_dim` is the persona encoder's width (256 in
+        offline mode), so writing that width out trains nothing."""
+        _, paths = small_fixture
+        config = small_config_dict(paths, tmp_path / "run")
+        config["seeds"] = [0, 1]
+        for trainer in ("train", "source_train"):
+            config[trainer]["persona_out_dim"] = None
+        Pipeline(PipelineConfig.from_dict(config)).run(RUN_STAGES)
+        tensors = {rel: data for rel, data in model_files(tmp_path / "run").items()
+                   if rel.endswith((".ckpt", ".jsonl"))}
+        for trainer in ("train", "source_train"):
+            config[trainer]["persona_out_dim"] = 256
+        calls = count_trainings(monkeypatch)
+        status = Pipeline(PipelineConfig.from_dict(config)).run(RUN_STAGES)
+        assert status == {**{s: "cached" for s in RUN_STAGES}, "train": "ran", "eval": "ran"}
+        assert calls == {"target": [], "source": [], "pretrain": []}
+        assert {rel: (tmp_path / "run" / rel).read_bytes() for rel in tensors} == tensors
+
+    def test_transfer_at_lambda_zero_is_the_run_with_no_transfer(
+        self, small_fixture, tmp_path, caplog, monkeypatch
+    ):
+        """`transfer: none` and `lambda: 0.0` in one grid are one run per
+        seed: each is trained once, served to the other point, and logged
+        as such on `multitap.pipeline`."""
+        _, paths = small_fixture
+        config = small_config_dict(paths, tmp_path / "run")
+        config.update(seeds=[0, 1], ablate={"transfer": ["none"], "lambda": [0.0]})
+        pipe = Pipeline(PipelineConfig.from_dict(config))
+        pipe.run(["ingest", "split", "persona", "pretrain"])
+        calls = count_trainings(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="multitap.pipeline"):
+            assert pipe.run(["ablate"]) == {"ablate": "ran"}
+        assert [(cfg.transfer, seed) for cfg, seed in calls["target"]] == [("none", 0), ("none", 1)]
+        runs = [m.split() for m in caplog.messages if m.startswith("run ")]
+        assert [status for *_, status in runs] == ["trained"] * 3 + ["served"] * 2
+        assert [key for _, key, _ in runs[1:]] == [key for _, key, _ in runs[1:3]] * 2
+        lines = (tmp_path / "run" / "ablation" / "results.csv").read_text().splitlines()
+        metrics = {tuple(line.split(",")[:3]): line.split(",")[3:] for line in lines[1:]}
+        for seed in ("0", "1"):
+            assert metrics["transfer", "none", seed] == metrics["lambda", "0.0", seed]
+
     def test_gcn_change_and_back_serves_both_backbones(self, completed_copy, capsys, monkeypatch):
         run_dir, config_path = completed_copy
         assert read_json(config_path)["gcn"]["epochs"] == 15
@@ -1405,7 +1486,7 @@ class TestCliErrors:
 TRAIN_FIELDS = ("aggregation, transfer, lambda_dpl, tau, batch_size, learning_rate, "
                 "weight_decay, dropout, max_epochs, patience, persona_out_dim, fused_dim")
 GCN_FIELDS = "dim, layers, learning_rate, weight_decay, epochs, patience, batch_size"
-SOURCE_PINNED = "the source model always trains with transfer='none', lambda_dpl=0.0, tau=0.5"
+SOURCE_PINNED = "the source model always trains with transfer='none'"
 CLIENT_FIELDS = ("mode, persona_dim, item_dim, chunk_size, parallelism, endpoint, chat_model, "
                  "embed_model, persona_temperature, description_temperature")
 
@@ -1746,7 +1827,9 @@ class TestKeysAndHash:
         {"source_train": None},
         {"ablate": {"lambda": [0.0, 1.0], "transfer": ["none"]}, "seeds": [3, 1]},
         {"client": {"mode": "remote", "chunk_size": 7}, "split": {"boundary": 1546300800}},
-    ], ids=["fixture", "no-source-trainer", "ablate", "client-split"])
+        {"train": {"transfer": "none", "persona_out_dim": None},
+         "source_train": {"persona_out_dim": None}},
+    ], ids=["fixture", "no-source-trainer", "ablate", "client-split", "no-transfer-unset-width"])
     def test_match_the_whole_config_oracle(self, small_fixture, tmp_path, overrides):
         _, paths = small_fixture
         config = PipelineConfig.from_dict({**small_config_dict(paths, tmp_path / "run"), **overrides})
