@@ -5,7 +5,8 @@ recommendation model and the graph backbone call: `softmax` with
 `softmax_backward`, the batched cosine InfoNCE `info_nce` and the mean BPR
 loss `bpr` (each returns its loss and adjoints in one call), the affine map
 `affine` of a stored weight/bias pair with `affine_backward`, `sigmoid` and
-`scatter_rows`, the adjoint of a row gather.
+`scatter_rows`, the adjoint of a row gather: one ordered `np.bincount` whose
+sums are bit-equal to `np.add.at`, so the module needs numpy alone.
 Adjoints are hand-derived instead of built from a general expression graph;
 the callers compose forward and backward passes explicitly and `grad_check`
 verifies the composition against central finite differences.  The module
@@ -25,7 +26,6 @@ from pathlib import Path
 from typing import Any, Callable, Collection, Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DivergenceError
 from .util import atomic_write_bytes, read_json, require_at_least, write_json
@@ -136,12 +136,15 @@ def scatter_rows(index: Array, values: Array, n: int) -> Array:
     """(n, d) sums of the rows of `values` grouped by `index`: output row r
     is the sum of every `values[t]` with `index[t] == r`.
 
-    A CSR product whose row r holds one unit entry per term, in input order;
-    each output row adds its terms into zero in that order, so the result
-    is bit-equal to `np.add.at(np.zeros((n, d)), index, values)`."""
-    T = index.shape[0]
-    select = sp.csr_matrix((np.ones(T), (index, np.arange(T))), shape=(n, T))
-    return select @ values
+    One flat `np.bincount` over the cells, binned at `index * d + column`:
+    bincount adds each cell's terms into 0.0 in input order, so the result
+    is bit-equal to `np.add.at(np.zeros((n, d)), index, values)` (which
+    keeps the other NaN where two NaNs meet)."""
+    d = values.shape[1]
+    bins = (index[:, None] * d + np.arange(d)).ravel()
+    # an empty `index` makes bincount return int64 zeros
+    sums = np.bincount(bins, weights=values.ravel(), minlength=n * d)
+    return sums.reshape(n, d).astype(np.float64, copy=False)
 
 
 # ---------------------------------------------------------------------------

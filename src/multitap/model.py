@@ -315,14 +315,11 @@ class MultiTapModel:
         icache = self._fuse("item", self.inputs.item_semantics[batch_items], batch_items)
         zu, zi = ucache["z"], icache["z"]
 
-        margin = np.einsum(
-            "td,td->t", zu[user_inv], zi[pos_local] - zi[neg_local]
-        )
-        l_rec, dmargin = bpr(margin)
-        dzu = scatter_rows(
-            user_inv, dmargin[:, None] * (zi[pos_local] - zi[neg_local]), zu.shape[0]
-        )
-        dzi_pos = dmargin[:, None] * zu[user_inv]
+        zu_t = zu[user_inv]
+        zi_diff = zi[pos_local] - zi[neg_local]
+        l_rec, dmargin = bpr(np.einsum("td,td->t", zu_t, zi_diff))
+        dzu = scatter_rows(user_inv, dmargin[:, None] * zi_diff, zu.shape[0])
+        dzi_pos = dmargin[:, None] * zu_t
         dzi = scatter_rows(item_inv, np.concatenate([dzi_pos, -dzi_pos]), zi.shape[0])
 
         l_dpl = 0.0
