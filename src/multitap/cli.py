@@ -177,10 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="joint training on the target domain")
     train.add_argument("--config", required=True)
-    train.add_argument("--source", dest="source_domain", default=None,
-                       help="domain id to use as the source")
-    train.add_argument("--target", dest="target_domain", default=None,
-                       help="domain id to use as the target")
     train.add_argument("--lambda", dest="train.lambda_dpl", type=_NUMBER, default=None)
     train.add_argument("--tau", dest="train.tau", type=_NUMBER, default=None)
     train.add_argument("--aggregation", dest="train.aggregation", choices=AGGREGATION_MODES,
@@ -244,18 +240,7 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(summary))
             return 0
 
-        config = PipelineConfig.from_json(args.config)
-        if args.command == "train" and (args.source_domain or args.target_domain):
-            ids = {config.source.domain_id, config.target.domain_id}
-            wanted_source = args.source_domain or config.source.domain_id
-            wanted_target = args.target_domain or config.target.domain_id
-            if {wanted_source, wanted_target} != ids or wanted_source == wanted_target:
-                raise ValueError(
-                    f"--source/--target must name the two configured domains {sorted(ids)}"
-                )
-            if wanted_source != config.source.domain_id:
-                config = dataclasses.replace(config, source=config.target, target=config.source)
-        config = _apply_overrides(config, args)
+        config = _apply_overrides(PipelineConfig.from_json(args.config), args)
         if args.command == "eval" and args.checkpoint:
             pipe = Pipeline(config)
             pipe.stage_eval(checkpoint=args.checkpoint)

@@ -1,20 +1,21 @@
 """Config-driven pipeline: ingest, split, idh, persona, pretrain, train, eval,
 ablate.
 
-`NODES` declares each node of the stage graph once: the nodes it consumes,
-the key sections it reads and the run-dir artifacts it writes.  A node's
-cache key is the content key of those sections plus the keys of its upstream
-nodes (`PipelineConfig.stage_keys`).  Ingest hashes its inputs' content, not
-their paths, and persona its clients' identities.  The source-domain model
-that train and ablate build on is keyed the same way, as the node "source";
-it keeps only what they read of it, the overlap users' persona and ID rows.
-Every trainer's output comes from `_runs`, which serves it from the run
-store (`cache/runs/`) or trains and stores it under what it reads: a
-backbone under the pretrain key and its side, the source model's tables
-under the source key, a target run under its trainer (`trainer_data`), its
-seed and the source key, or the pretrain and persona keys if it transfers
-nothing.  So ablate reuses train's runs, and a config changed and changed
-back trains nothing the second time.  Nothing prunes the store: it only grows.
+`NODES` declares each node of the stage graph once: the nodes it consumes, the
+key sections it reads and the run-dir artifacts it writes.  A node's cache key
+is the content key of those sections plus the keys of its upstream nodes
+(`PipelineConfig.stage_keys`).  Ingest hashes its inputs' content, not their
+paths, and persona its clients' identities.  Train and ablate consume persona
+and pretrain and key each trainer as its runs read it (`trainer_data`), the
+source model's trainer and seed included if it transfers.  That model, the leaf
+"source", is built only for a run that transfers and keeps only the overlap
+users' persona and ID rows such a run reads; eval scores with no transfer.
+Every trainer's output comes from `_runs`, which serves it from the run store
+(`cache/runs/`) or trains and stores it under what it reads: a backbone under
+the pretrain key and its side, the source model's tables under the source key, a
+target run under the pretrain and persona keys, its `trainer_data` and its seed.
+So ablate reuses train's runs, and a config changed and changed back trains
+nothing the second time.  Nothing prunes the store: it only grows.
 Each run's seed comes from `seeds` alone; no other section has one, as the
 backbones and the offline encoders seed from constants.
 idh and persona share one heterogeneity analysis per train split, so idh
@@ -91,9 +92,9 @@ class Node(NamedTuple):
     stage: bool = True
 
 
-# Every node in run order.  "source" is the source-domain model: keyed,
-# recorded and checked like a stage, but built inside train and ablate
-# (`_ensure_source_tables`), never requested on its own.
+# Every node in run order.  "source" is the source-domain model: keyed, recorded
+# and checked like a stage, but a leaf that train and ablate build only for a run
+# that transfers (`_ensure_source_tables`), never requested on its own.
 NODES = {
     "ingest": Node((), ("inputs",), ("ingest/summary.json",)),
     "split": Node(("ingest",), ("split",), ("split/{side}.json",)),
@@ -105,10 +106,10 @@ NODES = {
     "pretrain": Node(("split",), ("gcn",), ("backbone/{side}.ckpt",)),
     "source": Node(("persona", "pretrain"), ("source_train",),  # with the first seed
                    ("model/source_tables.ckpt",), stage=False),
-    "train": Node(("source",), ("train", "seeds"),
+    "train": Node(("persona", "pretrain"), ("train", "seeds"),
                   ("model/target_seed{seed}.ckpt", "model/metrics_seed{seed}.jsonl")),
     "eval": Node(("train",), ("eval_ks", "eval_split", "eval_average"), ("eval/report.json",)),
-    "ablate": Node(("source",), ("ablate", "train", "seeds", "eval_average"),
+    "ablate": Node(("persona", "pretrain"), ("ablate", "seeds", "eval_average"),
                    ("ablation/results.csv",)),
 }
 STAGES = tuple(name for name, node in NODES.items() if node.stage)
@@ -256,12 +257,19 @@ class PipelineConfig:
         with no transfer."""
         return dataclasses.replace(self.source_train or self.train, transfer="none")
 
+    def _source_data(self) -> dict:
+        """The source-domain model's trainer and seed, as JSON data."""
+        return {"trainer": self.trainer_data(self.source_train_config()), "seed": self.seeds[0]}
+
     def trainer_data(self, trainer: TrainConfig) -> dict:
-        """`trainer` as its run reads it, as JSON data: `persona_out_dim` resolved,
+        """`trainer` as its run reads it, as JSON data: `persona_out_dim` resolved;
+        one that transfers with the source model's trainer and seed under "source",
         and one that transfers nothing as `transfer: "none"`, with no lambda or tau."""
         data = {**_json_data(trainer),
                 "persona_out_dim": trainer.persona_out_dim or self.client.widths[0]}
-        if not transfer_parts(trainer):
+        if transfer_parts(trainer):
+            data["source"] = self._source_data()
+        else:
             data["transfer"] = "none"
             del data["lambda_dpl"], data["tau"]
         return data
@@ -269,14 +277,17 @@ class PipelineConfig:
     def stage_keys(self) -> dict[str, str]:
         """The cache key of every node in `NODES`: the sections it reads plus
         the keys of its upstream nodes.  The sections are the config's own,
-        with "source_train" standing for the source model's trainer and seed, plus
+        with "train" and each ablate grid point's trainer as `trainer_data` gives
+        it, "source_train" standing for the source model's trainer and seed, plus
         "inputs", each side's domain id and the sha256 of its two input files
         (not their paths), and "clients", the persona clients' identities.  A
         missing input raises the loader's FileNotFoundError."""
-        sections = {f.name: _json_data(getattr(self, f.name)) for f in dataclasses.fields(self)
-                    if f.name != "source_train"}
-        sections["source_train"] = {"trainer": self.trainer_data(self.source_train_config()),
-                                    "seed": self.seeds[0]}
+        sections = {f.name: _json_data(getattr(self, f.name)) for f in dataclasses.fields(self)}
+        sections["train"] = self.trainer_data(self.train)
+        sections["ablate"] = [
+            (axis, value, self.trainer_data(dataclasses.replace(self.train, **over)))
+            for axis, value, over in ablation_grid(self.ablate)]
+        sections["source_train"] = self._source_data()
         sections["inputs"] = {side: {"domain_id": spec.domain_id,
                                      "interactions": file_sha256(spec.interactions),
                                      "metadata": file_sha256(spec.metadata)}
@@ -740,22 +751,27 @@ class Pipeline:
         return [({n: stored[f"{key}/{n}"] for n in stored[key]["params"]}, stored[key])
                 for key in keys]
 
-    def _target_runs(self, inputs: ModelInputs, points: Sequence[tuple[int, dict]]) -> list:
-        """Each (seed, overrides) point's seed, trainer, parameters and run
-        record ("history", "best_epoch") from `_runs`, keyed by what the run
-        reads: the trainer as `trainer_data` gives it, the seed, and the source
-        model's key if it transfers, else the pretrain and persona keys."""
+    def _target_runs(self, stage: str, points: Sequence[tuple[int, dict]]) -> tuple:
+        """The target model's inputs, with the source model's tables (`stage` builds
+        them) only if a point transfers, and each (seed, overrides) point's seed,
+        trainer, parameters and run record ("history", "best_epoch") from `_runs`,
+        keyed by what the run reads: pretrain and persona keys, `trainer_data`, seed."""
         def train(seed, overrides):
             result = self._train_one(inputs, seed, overrides)
             return result.model.store.params, {"history": result.history,
                                                "best_epoch": result.best_epoch}
 
         configs = [dataclasses.replace(self.config.train, **over) for _, over in points]
-        reads = [("source",) if transfer_parts(c) else ("pretrain", "persona") for c in configs]
-        keys = [content_key({**{n: self.keys[n] for n in r}, "run": self.config.trainer_data(c),
-                             "seed": s}) for c, r, (s, _) in zip(configs, reads, points)]
+        if any(map(transfer_parts, configs)):
+            self._ensure_source_tables(stage)
+            inputs = self._target_inputs_with_transfer()
+        else:
+            inputs = self._model_inputs("target")
+        keys = [content_key({"pretrain": self.keys["pretrain"], "persona": self.keys["persona"],
+                             "run": self.config.trainer_data(c), "seed": s})
+                for c, (s, _) in zip(configs, points)]
         runs = self._runs([(key, functools.partial(train, *p)) for key, p in zip(keys, points)])
-        return [(s, cfg, *run) for cfg, (s, _), run in zip(configs, points, runs)]
+        return inputs, [(s, cfg, *run) for cfg, (s, _), run in zip(configs, points, runs)]
 
     def _model(self, inputs: ModelInputs, cfg: TrainConfig, params: dict) -> MultiTapModel:
         """The target model under `cfg` holding `params`, all of them checked."""
@@ -773,10 +789,9 @@ class Pipeline:
         return full_ranking_eval(model.score_matrix(), units, ks, self.config.eval_average)
 
     def stage_train(self) -> None:
-        self._ensure_source_tables("train")
         self._begin("train")
-        inputs = self._target_inputs_with_transfer()
-        for seed, _, params, run in self._target_runs(inputs, [(s, {}) for s in self.config.seeds]):
+        _, runs = self._target_runs("train", [(s, {}) for s in self.config.seeds])
+        for seed, _, params, run in runs:
             save_checkpoint(self.run_dir / "model" / f"target_seed{seed}.ckpt", params,
                             {"stage_key": self.keys["train"], "seed": seed,
                              "best_epoch": run["best_epoch"]})
@@ -786,11 +801,13 @@ class Pipeline:
         self._mark_done("train")
 
     def _eval_checkpoint(self, path: Path, inputs: ModelInputs, ks, which_split: str) -> dict:
-        """Score the checkpoint's tensors under the configured trainer; its
-        manifest is not read, as loading replaces every parameter a seed draws."""
+        """Score the checkpoint's tensors under the configured trainer with no
+        transfer, which no parameter or score reads; its manifest is not read,
+        as loading replaces every parameter a seed draws."""
         arrays, _ = read_container(path)
         try:
-            model = self._model(inputs, self.config.train, arrays)
+            model = self._model(inputs, dataclasses.replace(self.config.train, transfer="none"),
+                                arrays)
         except KeyError as exc:  # a parameter the checkpoint lacks, or one the model has no slot for
             raise ValueError(f"checkpoint {path} does not fit the configured model: "
                              f"{exc.args[0]}") from exc
@@ -805,11 +822,11 @@ class Pipeline:
         instead, which leaves the stage's done state alone."""
         if checkpoint is None:
             self._begin("eval")
-        elif not self._is_done("source"):
-            # the checkpoint is scored on this config's personas, backbone and
-            # source tables, which train builds
-            raise DependencyError("eval", "train")
-        inputs = self._target_inputs_with_transfer()
+        else:  # the checkpoint is scored on the personas and backbone that train reads
+            for needed in NODES["train"].upstream:
+                if not self._is_done(needed):
+                    raise DependencyError("eval", needed)
+        inputs = self._model_inputs("target")
         ks = list(self.config.eval_ks)
         which_split = self.config.eval_split
         if checkpoint is not None:
@@ -832,13 +849,11 @@ class Pipeline:
         self._mark_done("eval")
 
     def stage_ablate(self) -> None:
-        self._ensure_source_tables("ablate")
         self._begin("ablate")
-        inputs = self._target_inputs_with_transfer()
         k = EARLY_STOP_K
         grid = [(axis, value, seed, over) for axis, value, over in ablation_grid(self.config.ablate)
                 for seed in self.config.seeds]
-        runs = self._target_runs(inputs, [(seed, over) for *_, seed, over in grid])
+        inputs, runs = self._target_runs("ablate", [(seed, over) for *_, seed, over in grid])
         lines = [f"axis,value,seed,hr@{k},ndcg@{k}"]
         for (*row, _), (_, cfg, params, _) in zip(grid, runs):
             report = self._test_report(self._model(inputs, cfg, params), [k])

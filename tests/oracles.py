@@ -396,16 +396,37 @@ def config_hash(config) -> str:
 
 def stage_keys(config) -> dict[str, str]:
     """`config.stage_keys()`: every node's key from a deep copy of the whole
-    config, the source model's section rebuilt from it (its own trainer, or
-    train's, with transfer off and so no lambda or tau, its persona width
-    read off the persona encoder when unset, and the first seed), the input
-    files hashed side by side and the persona clients built anew."""
+    config.  Each trainer is rebuilt as its runs read it: its persona width
+    read off the persona encoder when unset; with transfer off (`none`, or a
+    lambda of 0 or less), as `none` with no lambda or tau; else with the
+    source model's section under "source".  That section is the source model's
+    own trainer, or train's, with transfer off, and the first seed.  The train
+    section is train's trainer; the ablate section lists each grid point's axis,
+    value and trainer, axis by axis (no axes: doppelganger vs none).  The input
+    files are hashed side by side and the persona clients built anew."""
     sections = semantic_dict(config)
     clients = build_clients(config.client)
-    trainer = dict(sections["source_train"] or sections["train"], transfer="none")
-    del trainer["lambda_dpl"], trainer["tau"]
-    trainer["persona_out_dim"] = trainer["persona_out_dim"] or clients[1].dim
-    sections["source_train"] = {"trainer": trainer, "seed": sections["seeds"][0]}
+
+    def as_read(trainer: dict, source=None) -> dict:
+        trainer = dict(trainer, persona_out_dim=trainer["persona_out_dim"] or clients[1].dim)
+        if trainer["transfer"] == "none" or trainer["lambda_dpl"] <= 0:
+            trainer["transfer"] = "none"
+            del trainer["lambda_dpl"], trainer["tau"]
+        else:
+            trainer["source"] = source
+        return trainer
+
+    source = {"trainer": as_read(dict(sections["source_train"] or sections["train"],
+                                      transfer="none")),
+              "seed": sections["seeds"][0]}
+    fields = {"aggregation": "aggregation", "transfer": "transfer", "lambda": "lambda_dpl",
+              "tau": "tau"}
+    axes = sections["ablate"] or {"transfer": ["doppelganger", "none"]}
+    sections["ablate"] = [
+        [axis, value, as_read(dict(sections["train"], **{field: value}), source)]
+        for axis, field in fields.items() for value in axes.get(axis, [])]
+    sections["train"] = as_read(sections["train"], source)
+    sections["source_train"] = source
     sections["inputs"] = {}
     for side in SIDES:
         spec = sections[side]

@@ -6,6 +6,7 @@ import logging
 import math
 import os
 import shutil
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -610,13 +611,16 @@ class TestStageReuse:
     )
     def test_record_without_file_list_is_rebuilt(self, completed_copy, small_fixture, record):
         """A record an older version wrote holds no file list: its node is
-        rebuilt, here inside train, and comes back byte-identical."""
+        rebuilt, here inside train, and comes back byte-identical.  The source
+        model is a leaf that train reads, so train's record goes too."""
         _, paths = small_fixture
         run_dir, _ = completed_copy
         original = snapshot(run_dir)
         old = read_json(run_dir / record)
         del old["files"]
         write_json(run_dir / record, old)
+        if record.startswith("source/"):
+            (run_dir / "train" / "manifest.json").unlink()
         status = Pipeline(PipelineConfig.from_dict(small_config_dict(paths, run_dir))).run(RUN_STAGES)
         assert status == {**{s: "cached" for s in RUN_STAGES}, "train": "ran"}
         assert snapshot(run_dir) == original
@@ -665,14 +669,15 @@ class TestStageReuse:
 
 def count_trainings(monkeypatch) -> dict[str, list]:
     """What the pipeline trains from now on, by trainer: "target", the
-    (trainer, seed) of every target run; "source", the seed of every
-    source-model training (inputs without source tables); "pretrain", the
-    `gcn` section of every `pretrain_id_embeddings` call."""
+    (trainer, seed) of every target run (a `train_target` call from
+    `Pipeline._train_one`); "source", the seed of every source-model training
+    (any other `train_target` call); "pretrain", the `gcn` section of every
+    `pretrain_id_embeddings` call."""
     calls = {"target": [], "source": [], "pretrain": []}
     train, pretrain = pipeline_mod.train_target, pipeline_mod.pretrain_id_embeddings
 
     def counted_train(inputs, *args):
-        if inputs.source_user_personas is not None:
+        if sys._getframe(1).f_code.co_name == "_train_one":
             calls["target"].append(args[-2:])
         else:
             calls["source"].append(args[-1])
@@ -858,8 +863,8 @@ class TestRunStore:
         self, small_fixture, tmp_path, monkeypatch
     ):
         """A run that transfers nothing reads no source model: a new
-        `source_train` retrains the source model, and ablate's `none` runs
-        are served."""
+        `source_train` trains nothing, and ablate with `none` points alone is
+        served whole."""
         _, paths = small_fixture
         config = small_config_dict(paths, tmp_path / "run")
         config.update(seeds=[0, 1], ablate={"transfer": ["none"]})
@@ -868,8 +873,8 @@ class TestRunStore:
         results = (tmp_path / "run" / "ablation" / "results.csv").read_bytes()
         config["source_train"]["learning_rate"] *= 2
         calls = count_trainings(monkeypatch)
-        assert Pipeline(PipelineConfig.from_dict(config)).run(["ablate"]) == {"ablate": "ran"}
-        assert calls["source"] == [0] and calls["target"] == []
+        assert Pipeline(PipelineConfig.from_dict(config)).run(["ablate"]) == {"ablate": "cached"}
+        assert calls["source"] == [] and calls["target"] == []
         assert (tmp_path / "run" / "ablation" / "results.csv").read_bytes() == results
 
     def test_ablate_none_is_served_from_train_none_at_any_lambda(
@@ -895,7 +900,7 @@ class TestRunStore:
 
     def test_unset_persona_width_is_the_encoder_width(self, small_fixture, tmp_path, monkeypatch):
         """An unset `persona_out_dim` is the persona encoder's width (256 in
-        offline mode), so writing that width out trains nothing."""
+        offline mode), so writing that width out reruns no stage."""
         _, paths = small_fixture
         config = small_config_dict(paths, tmp_path / "run")
         config["seeds"] = [0, 1]
@@ -908,7 +913,7 @@ class TestRunStore:
             config[trainer]["persona_out_dim"] = 256
         calls = count_trainings(monkeypatch)
         status = Pipeline(PipelineConfig.from_dict(config)).run(RUN_STAGES)
-        assert status == {**{s: "cached" for s in RUN_STAGES}, "train": "ran", "eval": "ran"}
+        assert status == {s: "cached" for s in RUN_STAGES}
         assert calls == {"target": [], "source": [], "pretrain": []}
         assert {rel: (tmp_path / "run" / rel).read_bytes() for rel in tensors} == tensors
 
@@ -917,7 +922,7 @@ class TestRunStore:
     ):
         """`transfer: none` and `lambda: 0.0` in one grid are one run per
         seed: each is trained once, served to the other point, and logged
-        as such on `multitap.pipeline`."""
+        as such on `multitap.pipeline`; neither reads a source model."""
         _, paths = small_fixture
         config = small_config_dict(paths, tmp_path / "run")
         config.update(seeds=[0, 1], ablate={"transfer": ["none"], "lambda": [0.0]})
@@ -927,9 +932,10 @@ class TestRunStore:
         with caplog.at_level(logging.INFO, logger="multitap.pipeline"):
             assert pipe.run(["ablate"]) == {"ablate": "ran"}
         assert [(cfg.transfer, seed) for cfg, seed in calls["target"]] == [("none", 0), ("none", 1)]
+        assert calls["source"] == []
         runs = [m.split() for m in caplog.messages if m.startswith("run ")]
-        assert [status for *_, status in runs] == ["trained"] * 3 + ["served"] * 2
-        assert [key for _, key, _ in runs[1:]] == [key for _, key, _ in runs[1:3]] * 2
+        assert [status for *_, status in runs] == ["trained"] * 2 + ["served"] * 2
+        assert [key for _, key, _ in runs] == [key for _, key, _ in runs[:2]] * 2
         lines = (tmp_path / "run" / "ablation" / "results.csv").read_text().splitlines()
         metrics = {tuple(line.split(",")[:3]): line.split(",")[3:] for line in lines[1:]}
         for seed in ("0", "1"):
@@ -961,14 +967,16 @@ class TestRunStore:
     ):
         """A source or backbone entry whose shard is cut short is trained
         again when its node rebuilds, and the shard and the node's files come
-        back byte-identical; the other backbone side is served."""
+        back byte-identical; the other backbone side is served.  The source
+        model is a leaf that train reads, so train's record goes too."""
         run_dir, config_path = completed_copy
         original = snapshot(run_dir)
         shard = run_shards(run_dir, trainer)[0]
         with open(shard, "r+b") as fh:
             fh.truncate(100 if cut == "header" else shard.stat().st_size - 1000)
         node = "source" if trainer == "source" else "pretrain"
-        (run_dir / node / "manifest.json").unlink()
+        for record in {node, stage}:
+            (run_dir / record / "manifest.json").unlink()
         calls = count_trainings(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="multitap.persona.cache"):
             status = Pipeline(PipelineConfig.from_json(config_path)).run(RUN_STAGES)
@@ -1141,6 +1149,79 @@ class TestIdhIsALeaf:
         for rel, data in single.items():
             if not rel.startswith("idh/"):
                 assert default[rel] == data, f"{rel} differs from the default-criteria run"
+
+
+def no_transfer_run(small_fixture, run_dir: Path) -> dict:
+    """The small config with `train.transfer: none`, run cold through eval."""
+    _, paths = small_fixture
+    config = small_config_dict(paths, run_dir)
+    config["train"]["transfer"] = "none"
+    assert Pipeline(PipelineConfig.from_dict(config)).run(RUN_STAGES) == {
+        s: "ran" for s in RUN_STAGES}
+    return config
+
+
+class TestSourceIsALeaf:
+    """Only a run that transfers reads the source model, so train and ablate
+    build it for such a run alone, and eval never reads it."""
+
+    def test_train_and_ablate_do_not_consume_the_source_model(self):
+        assert NODES["train"].upstream == NODES["ablate"].upstream == ("persona", "pretrain")
+        assert not any("source" in node.upstream for node in NODES.values())
+
+    def test_cold_run_that_transfers_nothing_trains_no_source_model(
+        self, small_fixture, tmp_path, monkeypatch
+    ):
+        calls = count_trainings(monkeypatch)
+        no_transfer_run(small_fixture, tmp_path / "run")
+        assert calls["source"] == [] and len(calls["target"]) == 1
+        assert not (tmp_path / "run" / "model" / "source_tables.ckpt").exists()
+        assert not (tmp_path / "run" / "source" / "manifest.json").exists()
+
+    def test_source_trainer_change_reruns_no_stage_of_a_run_that_transfers_nothing(
+        self, small_fixture, tmp_path, monkeypatch
+    ):
+        config = no_transfer_run(small_fixture, tmp_path / "run")
+        before = snapshot(tmp_path / "run")
+        config["source_train"]["learning_rate"] *= 2
+        calls = count_trainings(monkeypatch)
+        status = Pipeline(PipelineConfig.from_dict(config)).run(RUN_STAGES)
+        assert status == {s: "cached" for s in RUN_STAGES}
+        assert calls == {"target": [], "source": [], "pretrain": []}
+        assert snapshot(tmp_path / "run") == before
+
+    def test_lambda_of_a_train_that_transfers_nothing_reruns_no_stage(
+        self, completed_copy, capsys, monkeypatch
+    ):
+        run_dir, config_path = completed_copy
+        code, captured = cli(capsys, "train", "--config", config_path, "--transfer", "none",
+                             "--lambda", "0.5")
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["stages"]["train"] == "ran"
+        before = snapshot(run_dir)
+        calls = count_trainings(monkeypatch)
+        code, captured = cli(capsys, "train", "--config", config_path, "--transfer", "none",
+                             "--lambda", "0.7")
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["stages"]["train"] == "cached"
+        assert calls == {"target": [], "source": [], "pretrain": []}
+        assert snapshot(run_dir) == before
+
+    def test_checkpoint_eval_needs_no_source_model(self, small_fixture, tmp_path, capsys):
+        """A checkpoint is scored with no transfer, on the personas and
+        backbone alone: it scores as in eval on a run dir with no source model."""
+        config = no_transfer_run(small_fixture, tmp_path / "run")
+        run_dir = tmp_path / "run"
+        assert not (run_dir / "source").exists()
+        write_json(tmp_path / "config.json", config)
+        ckpt = run_dir / "model" / "target_seed0.ckpt"
+        code, captured = cli(capsys, "eval", "--config", tmp_path / "config.json",
+                             "--checkpoint", ckpt)
+        assert code == 0, captured.err
+        report = read_json(run_dir / "eval" / "report.json")
+        want = {m["metric"]: m["per_seed"][0] for m in report["metrics"] if m["K"] == 5}
+        single = read_json(run_dir / "eval" / "checkpoint_target_seed0.json")
+        assert {"HR": single["HR"]["5"], "NDCG": single["NDCG"]["5"]} == want
 
 
 class TestOneAnalysisPerSplit:
@@ -1412,6 +1493,18 @@ class TestCliErrors:
         error = json.loads(captured.err)["error"]
         assert error == {"type": "ValueError", "message": message}
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag", ["--source", "--target"])
+    def test_train_takes_its_domains_from_the_config_alone(self, capsys, flag):
+        """A flag that swapped the domains for train alone is not a flag."""
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--config", "unused.json", flag, "target"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "ArgumentError"
+        assert f"unrecognized arguments: {flag} target" in error["message"]
+        assert captured.out == ""
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -1829,7 +1922,9 @@ class TestKeysAndHash:
         {"client": {"mode": "remote", "chunk_size": 7}, "split": {"boundary": 1546300800}},
         {"train": {"transfer": "none", "persona_out_dim": None},
          "source_train": {"persona_out_dim": None}},
-    ], ids=["fixture", "no-source-trainer", "ablate", "client-split", "no-transfer-unset-width"])
+        {"train": {"transfer": "none"}, "ablate": {"tau": [0.3], "aggregation": ["mean"]}},
+    ], ids=["fixture", "no-source-trainer", "ablate", "client-split", "no-transfer-unset-width",
+            "no-transfer-ablate-axes"])
     def test_match_the_whole_config_oracle(self, small_fixture, tmp_path, overrides):
         _, paths = small_fixture
         config = PipelineConfig.from_dict({**small_config_dict(paths, tmp_path / "run"), **overrides})
