@@ -228,13 +228,7 @@ def main(argv: list[str] | None = None) -> int:
             if not (args.domain and args.interactions and args.metadata):
                 parser.error("ingest needs either --config or --domain/--interactions/--metadata")
             ds = load_domain(args.interactions, args.metadata, args.domain)
-            summary = {
-                "domain": ds.domain_id,
-                "users": len(ds.users),
-                "items": len(ds.item_ids),
-                "interactions": len(ds.interactions),
-                "categories": len(ds.categories),
-            }
+            summary = {**ds.summary(), "categories": len(ds.categories)}
             if args.out:
                 write_json(Path(args.out) / f"{ds.domain_id}_ingest.json", summary)
             print(json.dumps(summary))

@@ -85,6 +85,11 @@ class DomainDataset:
     ) -> "DomainDataset":
         return cls(domain_id=domain_id, interactions=tuple(interactions), items=dict(items))
 
+    def summary(self) -> dict:
+        """The domain id and its user, item and interaction counts."""
+        return {"domain": self.domain_id, "users": len(self.users), "items": len(self.item_ids),
+                "interactions": len(self.interactions)}
+
     @functools.cached_property
     def user_records(self) -> dict[str, list[InteractionRecord]]:
         records: dict[str, list[InteractionRecord]] = {}

@@ -265,7 +265,6 @@ def fixture_config_dict(
             "dropout": 0.1,
             "max_epochs": 60,
             "patience": 20,
-            "persona_out_dim": 32,
         },
         "seeds": list(seeds),
         "eval_ks": [5, 10],

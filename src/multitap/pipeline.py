@@ -9,7 +9,8 @@ paths, and persona its clients' identities.  Train and ablate consume persona
 and pretrain and key each trainer as its runs read it (`trainer_data`), the
 source model's trainer and seed included if it transfers.  That model, the leaf
 "source", is built only for a run that transfers and keeps only the overlap
-users' persona and ID rows such a run reads; eval scores with no transfer.
+users' persona and ID rows such a run reads, at train's persona width; eval and
+ablate score every model with no transfer, on the target's own inputs.
 Every trainer's output comes from `_runs`, which serves it from the run store
 (`cache/runs/`) or trains and stores it under what it reads: a backbone under
 the pretrain key and its side, the source model's tables under the source key, a
@@ -159,6 +160,10 @@ _ABLATE_OVERRIDES = {
     "tau": (float, lambda tau: {"tau": tau}),
 }
 ABLATE_AXES = tuple(_ABLATE_OVERRIDES)
+# a `source_train` field the source model never reads -> what it reads instead
+_SOURCE_PINNED = {**dict.fromkeys(("transfer", "lambda_dpl", "tau"),
+                                  "always trains with transfer='none'"),
+                  "persona_out_dim": "takes train.persona_out_dim, as a transfer needs one width"}
 EVAL_SPLITS = ("valid", "test")
 
 
@@ -228,24 +233,15 @@ class PipelineConfig:
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must be distinct, got {list(values)}")
         # every ablate point must make a valid trainer before any stage runs
-        trainers = [self.train] + [dataclasses.replace(self.train, **overrides)
-                                   for *_, overrides in ablation_grid(self.ablate)]
-        # a transfer of persona vectors dots target ones against the source model's
-        target_width, source_width = (self.trainer_data(t)["persona_out_dim"]
-                                      for t in (self.train, self.source_train_config()))
-        if target_width != source_width and any("persona" in transfer_parts(t) for t in trainers):
-            raise ValueError(
-                f"train.persona_out_dim makes persona vectors {target_width} wide and "
-                f"source_train.persona_out_dim {source_width}; a transfer of persona vectors "
-                f"needs one width")
+        for *_, overrides in ablation_grid(self.ablate):
+            dataclasses.replace(self.train, **overrides)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineConfig":
         config = _from_fields(cls, obj)
-        for name in ("transfer", "lambda_dpl", "tau"):  # the source model reads none of them
+        for name, why in _SOURCE_PINNED.items():  # the source model reads none of them
             if name in (obj.get("source_train") or {}):
-                raise ValueError(f"source_train.{name} is never read: the source model "
-                                 "always trains with transfer='none'")
+                raise ValueError(f"source_train.{name} is never read: the source model {why}")
         return config
 
     @classmethod
@@ -254,8 +250,10 @@ class PipelineConfig:
 
     def source_train_config(self) -> TrainConfig:
         """The source-domain model's trainer: its own section's, or train's,
-        with no transfer."""
-        return dataclasses.replace(self.source_train or self.train, transfer="none")
+        with no transfer and train's persona width, as a transfer attends from
+        target persona vectors over the source model's in one persona space."""
+        return dataclasses.replace(self.source_train or self.train, transfer="none",
+                                   persona_out_dim=self.train.persona_out_dim)
 
     def _source_data(self) -> dict:
         """The source-domain model's trainer and seed, as JSON data."""
@@ -449,15 +447,20 @@ class Pipeline:
         owns, so none keeps a file it no longer writes (a seed dropped from
         `seeds`, say)."""
         node = node or stage
-        for needed in NODES[node].upstream:
-            if not self._is_done(needed):
-                raise DependencyError(stage, needed)
+        self._require(stage, node)
         for path in self._recorded_files(node):
             path.unlink()
         (self.run_dir / self._record_path(node)).unlink(missing_ok=True)
         for path in self.artifact_paths(node):
             if path.is_dir():
                 shutil.rmtree(path)
+
+    def _require(self, stage: str, node: str) -> None:
+        """Raise a DependencyError naming `stage` unless every node upstream of
+        `node` is done."""
+        for needed in NODES[node].upstream:
+            if not self._is_done(needed):
+                raise DependencyError(stage, needed)
 
     def _recorded_files(self, node: str) -> list[Path]:
         """The files that `node`'s record on disk lists, none if it is missing,
@@ -509,15 +512,7 @@ class Pipeline:
 
     def stage_ingest(self) -> None:
         self._begin("ingest")
-        summary = {}
-        for which in ("source", "target"):
-            ds = self._dataset(which)
-            summary[which] = {
-                "domain": ds.domain_id,
-                "users": len(ds.users),
-                "items": len(ds.item_ids),
-                "interactions": len(ds.interactions),
-            }
+        summary = {which: self._dataset(which).summary() for which in SIDES}
         pair = build_domain_pair(self._dataset("source"), self._dataset("target"))
         summary["overlap_users"] = len(pair.overlap)
         write_json(self.run_dir / "ingest" / "summary.json", summary)
@@ -751,11 +746,12 @@ class Pipeline:
         return [({n: stored[f"{key}/{n}"] for n in stored[key]["params"]}, stored[key])
                 for key in keys]
 
-    def _target_runs(self, stage: str, points: Sequence[tuple[int, dict]]) -> tuple:
-        """The target model's inputs, with the source model's tables (`stage` builds
-        them) only if a point transfers, and each (seed, overrides) point's seed,
-        trainer, parameters and run record ("history", "best_epoch") from `_runs`,
-        keyed by what the run reads: pretrain and persona keys, `trainer_data`, seed."""
+    def _target_runs(self, stage: str, points: Sequence[tuple[int, dict]]) -> list:
+        """Each (seed, overrides) point's seed, trainer, parameters and run record
+        ("history", "best_epoch") from `_runs`, keyed by what the run reads: pretrain
+        and persona keys, `trainer_data`, seed.  A run trains on the target model's
+        inputs, with the source model's tables (`stage` builds them) only if a point
+        transfers."""
         def train(seed, overrides):
             result = self._train_one(inputs, seed, overrides)
             return result.model.store.params, {"history": result.history,
@@ -771,13 +767,24 @@ class Pipeline:
                              "run": self.config.trainer_data(c), "seed": s})
                 for c, (s, _) in zip(configs, points)]
         runs = self._runs([(key, functools.partial(train, *p)) for key, p in zip(keys, points)])
-        return inputs, [(s, cfg, *run) for cfg, (s, _), run in zip(configs, points, runs)]
+        return [(s, cfg, *run) for cfg, (s, _), run in zip(configs, points, runs)]
 
-    def _model(self, inputs: ModelInputs, cfg: TrainConfig, params: dict) -> MultiTapModel:
-        """The target model under `cfg` holding `params`, all of them checked."""
-        model = MultiTapModel(inputs, cfg)
-        model.store.load_params(params)
-        return model
+    def _score(self, inputs: ModelInputs, trainer: TrainConfig, params: dict | Path,
+               ks: Sequence[int], which_split: str = "test") -> dict:
+        """`_test_report` of the target model built on the target's own `inputs`
+        under `trainer` with no transfer, which no parameter or score reads,
+        holding a stored run's `params` (which fit: the run's key holds its
+        trainer), or the tensors of the checkpoint at that path (its manifest is
+        not read, as loading replaces every parameter a seed draws); a
+        checkpoint that does not fit raises ValueError naming it."""
+        arrays = params if isinstance(params, dict) else read_container(params)[0]
+        model = MultiTapModel(inputs, dataclasses.replace(trainer, transfer="none"))
+        try:
+            model.store.load_params(arrays)
+        except (KeyError, ValueError) as exc:  # a tensor missing, unknown or of another shape
+            raise ValueError(f"checkpoint {params} does not fit the configured model: "
+                             f"{exc.args[0]}") from exc
+        return self._test_report(model, ks, which_split)
 
     def _test_report(
         self, model: MultiTapModel, ks: Sequence[int], which_split: str = "test"
@@ -790,7 +797,7 @@ class Pipeline:
 
     def stage_train(self) -> None:
         self._begin("train")
-        _, runs = self._target_runs("train", [(s, {}) for s in self.config.seeds])
+        runs = self._target_runs("train", [(s, {}) for s in self.config.seeds])
         for seed, _, params, run in runs:
             save_checkpoint(self.run_dir / "model" / f"target_seed{seed}.ckpt", params,
                             {"stage_key": self.keys["train"], "seed": seed,
@@ -799,19 +806,6 @@ class Pipeline:
             atomic_write_text(self.run_dir / "model" / f"metrics_seed{seed}.jsonl",
                               "\n".join(lines) + "\n")
         self._mark_done("train")
-
-    def _eval_checkpoint(self, path: Path, inputs: ModelInputs, ks, which_split: str) -> dict:
-        """Score the checkpoint's tensors under the configured trainer with no
-        transfer, which no parameter or score reads; its manifest is not read,
-        as loading replaces every parameter a seed draws."""
-        arrays, _ = read_container(path)
-        try:
-            model = self._model(inputs, dataclasses.replace(self.config.train, transfer="none"),
-                                arrays)
-        except KeyError as exc:  # a parameter the checkpoint lacks, or one the model has no slot for
-            raise ValueError(f"checkpoint {path} does not fit the configured model: "
-                             f"{exc.args[0]}") from exc
-        return self._test_report(model, ks, which_split)
 
     def checkpoint_report_path(self, checkpoint: str | Path) -> Path:
         return self.run_dir / "eval" / f"checkpoint_{Path(checkpoint).stem}.json"
@@ -823,25 +817,20 @@ class Pipeline:
         if checkpoint is None:
             self._begin("eval")
         else:  # the checkpoint is scored on the personas and backbone that train reads
-            for needed in NODES["train"].upstream:
-                if not self._is_done(needed):
-                    raise DependencyError("eval", needed)
+            self._require("eval", "train")
         inputs = self._model_inputs("target")
         ks = list(self.config.eval_ks)
         which_split = self.config.eval_split
         if checkpoint is not None:
-            report = self._eval_checkpoint(Path(checkpoint), inputs, ks, which_split)
+            report = self._score(inputs, self.config.train, Path(checkpoint), ks, which_split)
             report.update(
                 stage_key=self.keys["eval"], split=which_split, checkpoint=Path(checkpoint).name
             )
             write_json(self.checkpoint_report_path(checkpoint), report)
             return
-        reports = [
-            self._eval_checkpoint(
-                self.run_dir / "model" / f"target_seed{seed}.ckpt", inputs, ks, which_split
-            )
-            for seed in self.config.seeds
-        ]
+        reports = [self._score(inputs, self.config.train,
+                               self.run_dir / "model" / f"target_seed{seed}.ckpt", ks, which_split)
+                   for seed in self.config.seeds]
         aggregated = aggregate_seed_reports(reports, ks)
         aggregated["stage_key"] = self.keys["eval"]
         aggregated["split"] = which_split
@@ -853,10 +842,11 @@ class Pipeline:
         k = EARLY_STOP_K
         grid = [(axis, value, seed, over) for axis, value, over in ablation_grid(self.config.ablate)
                 for seed in self.config.seeds]
-        inputs, runs = self._target_runs("ablate", [(seed, over) for *_, seed, over in grid])
+        runs = self._target_runs("ablate", [(seed, over) for *_, seed, over in grid])
+        inputs = self._model_inputs("target")
         lines = [f"axis,value,seed,hr@{k},ndcg@{k}"]
         for (*row, _), (_, cfg, params, _) in zip(grid, runs):
-            report = self._test_report(self._model(inputs, cfg, params), [k])
+            report = self._score(inputs, cfg, params, [k])
             lines.append(",".join(map(str, (*row, report["HR"][k], report["NDCG"][k]))))
         atomic_write_text(self.run_dir / "ablation" / "results.csv", "\n".join(lines) + "\n")
         self._mark_done("ablate")

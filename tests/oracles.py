@@ -400,7 +400,8 @@ def stage_keys(config) -> dict[str, str]:
     read off the persona encoder when unset; with transfer off (`none`, or a
     lambda of 0 or less), as `none` with no lambda or tau; else with the
     source model's section under "source".  That section is the source model's
-    own trainer, or train's, with transfer off, and the first seed.  The train
+    own trainer, or train's, with transfer off and train's persona width, and
+    the first seed.  The train
     section is train's trainer; the ablate section lists each grid point's axis,
     value and trainer, axis by axis (no axes: doppelganger vs none).  The input
     files are hashed side by side and the persona clients built anew."""
@@ -417,7 +418,8 @@ def stage_keys(config) -> dict[str, str]:
         return trainer
 
     source = {"trainer": as_read(dict(sections["source_train"] or sections["train"],
-                                      transfer="none")),
+                                      transfer="none",
+                                      persona_out_dim=sections["train"]["persona_out_dim"])),
               "seed": sections["seeds"][0]}
     fields = {"aggregation": "aggregation", "transfer": "transfer", "lambda": "lambda_dpl",
               "tau": "tau"}

@@ -335,6 +335,34 @@ class TestReportPaths:
             "transfer", "doppelganger", "0"))
         assert {"HR": float(row["hr@5"]), "NDCG": float(row["ndcg@5"])} == want
 
+    def test_ablate_scores_every_run_with_no_transfer(self, completed_copy, monkeypatch):
+        """Ablate builds each scored model on the target's own inputs with
+        `transfer: none`, never one that transfers, and writes the rows that
+        scoring each run under its transferring trainer gives."""
+        run_dir, config_path = completed_copy
+        pipe = Pipeline(PipelineConfig.from_json(config_path))
+        built, model_cls = [], pipeline_mod.MultiTapModel
+
+        def spy(inputs, cfg, *args):
+            built.append((cfg.transfer, inputs.overlap_users))
+            return model_cls(inputs, cfg, *args)
+
+        monkeypatch.setattr(pipeline_mod, "MultiTapModel", spy)
+        assert pipe.run(["ablate"]) == {"ablate": "ran"}
+        assert built == [("none", [])] * 2
+        monkeypatch.undo()
+        grid = pipeline_mod.ablation_grid(pipe.config.ablate)
+        runs = pipe._target_runs("ablate", [(0, over) for *_, over in grid])
+        inputs = pipe._target_inputs_with_transfer()
+        want = ["axis,value,seed,hr@5,ndcg@5"]
+        for (axis, value, _), (seed, cfg, params, _) in zip(grid, runs):
+            model = model_cls(inputs, cfg)
+            model.store.load_params(params)
+            report = pipe._test_report(model, [5])
+            want.append(f"{axis},{value},{seed},{report['HR'][5]},{report['NDCG'][5]}")
+        assert [cfg.transfer for _, cfg, *_ in runs] == ["doppelganger", "none"]
+        assert (run_dir / "ablation" / "results.csv").read_text().splitlines() == want
+
 
 class TestCliStandaloneIngest:
     def test_ingest_without_config(self, small_fixture, tmp_path, capsys):
@@ -904,13 +932,11 @@ class TestRunStore:
         _, paths = small_fixture
         config = small_config_dict(paths, tmp_path / "run")
         config["seeds"] = [0, 1]
-        for trainer in ("train", "source_train"):
-            config[trainer]["persona_out_dim"] = None
+        config["train"]["persona_out_dim"] = None
         Pipeline(PipelineConfig.from_dict(config)).run(RUN_STAGES)
         tensors = {rel: data for rel, data in model_files(tmp_path / "run").items()
                    if rel.endswith((".ckpt", ".jsonl"))}
-        for trainer in ("train", "source_train"):
-            config[trainer]["persona_out_dim"] = 256
+        config["train"]["persona_out_dim"] = 256
         calls = count_trainings(monkeypatch)
         status = Pipeline(PipelineConfig.from_dict(config)).run(RUN_STAGES)
         assert status == {s: "cached" for s in RUN_STAGES}
@@ -1222,6 +1248,21 @@ class TestSourceIsALeaf:
         want = {m["metric"]: m["per_seed"][0] for m in report["metrics"] if m["K"] == 5}
         single = read_json(run_dir / "eval" / "checkpoint_target_seed0.json")
         assert {"HR": single["HR"]["5"], "NDCG": single["NDCG"]["5"]} == want
+
+
+class TestOnePersonaWidth:
+    """The source model takes train's persona width, which a transfer needs."""
+
+    def test_source_model_is_as_wide_as_train(self, small_fixture, tmp_path):
+        _, paths = small_fixture
+        config = small_config_dict(paths, tmp_path / "run")
+        assert "persona_out_dim" not in config["source_train"]
+        config["train"]["persona_out_dim"] = 16
+        pipe = Pipeline(PipelineConfig.from_dict(config))
+        assert pipe.config.source_train_config().persona_out_dim == 16
+        pipe.run(["ingest", "split", "persona", "pretrain", "train"])
+        tables, _ = load_checkpoint(tmp_path / "run" / "model" / "source_tables.ckpt")
+        assert tables["h_users"].shape[1] == 16
 
 
 class TestOneAnalysisPerSplit:
@@ -1555,6 +1596,27 @@ class TestCliErrors:
             f"checkpoint {ckpt} does not fit the configured model: missing parameter 'agg.")
         assert captured.out == ""
 
+    def test_checkpoint_of_another_persona_width_is_rejected_naming_it(
+        self, completed_copy, capsys
+    ):
+        """A tensor of another shape, like a missing one, names the checkpoint."""
+        run_dir, config_path = completed_copy
+        config = read_json(config_path)
+        config["train"]["persona_out_dim"] = 16
+        write_json(run_dir.parent / "width16.json", config)
+        code, captured = cli(capsys, "train", "--config", run_dir.parent / "width16.json",
+                             "--transfer", "none")
+        assert code == 0, captured.err
+        ckpt = run_dir.parent / "width16_seed0.ckpt"
+        shutil.copyfile(run_dir / "model" / "target_seed0.ckpt", ckpt)
+        code, captured = cli(capsys, "eval", "--config", config_path, "--checkpoint", ckpt)
+        assert code == 2
+        assert json.loads(captured.err)["error"] == {
+            "type": "ValueError",
+            "message": f"checkpoint {ckpt} does not fit the configured model: "
+                       "shape mismatch loading 'agg.proj_b'"}
+        assert captured.out == ""
+
     def test_ablate_axis_that_is_not_a_list_is_rejected(self, small_fixture, tmp_path, capsys):
         _, paths = small_fixture
         config = small_config_dict(paths, tmp_path / "run")
@@ -1580,6 +1642,7 @@ TRAIN_FIELDS = ("aggregation, transfer, lambda_dpl, tau, batch_size, learning_ra
                 "weight_decay, dropout, max_epochs, patience, persona_out_dim, fused_dim")
 GCN_FIELDS = "dim, layers, learning_rate, weight_decay, epochs, patience, batch_size"
 SOURCE_PINNED = "the source model always trains with transfer='none'"
+SOURCE_WIDTH = "the source model takes train.persona_out_dim, as a transfer needs one width"
 CLIENT_FIELDS = ("mode, persona_dim, item_dim, chunk_size, parallelism, endpoint, chat_model, "
                  "embed_model, persona_temperature, description_temperature")
 
@@ -1649,7 +1712,7 @@ class TestConfigChecks:
             (["run"], lambda c: c["gcn"].update(dim=0), "dim must be >= 1, got 0"),
             (["run"], lambda c: c["gcn"].update(layers=-1), "layers must be >= 0, got -1"),
             (["run"], lambda c: c["train"].update(fused_dim=0), "fused_dim must be >= 1, got 0"),
-            (["run"], lambda c: c["source_train"].update(persona_out_dim=0),
+            (["run"], lambda c: c["train"].update(persona_out_dim=0),
              "persona_out_dim must be >= 1, got 0"),
             (["run"], lambda c: c["client"].update(parallelism=0), "parallelism must be >= 1, got 0"),
             (["run"], lambda c: c["client"].update(chunk_size=0), "chunk_size must be >= 1, got 0"),
@@ -1706,14 +1769,13 @@ class TestConfigChecks:
              f"unknown config field 'source_train.negatives'; known fields: {TRAIN_FIELDS}"),
             (["persona"], lambda c: c["client"].update(seed=7),
              f"unknown config field 'client.seed'; known fields: {CLIENT_FIELDS}"),
-            # a transfer of persona vectors needs the source model's persona width
-            (["train"], lambda c: c["train"].update(persona_out_dim=16),
-             "train.persona_out_dim makes persona vectors 16 wide and "
-             "source_train.persona_out_dim 32; a transfer of persona vectors needs one width"),
-            (["ablate"], lambda c: (c["train"].update(persona_out_dim=16, transfer="direct_id"),
-                                    c.update(ablate={"transfer": ["direct_persona"]})),
-             "train.persona_out_dim makes persona vectors 16 wide and "
-             "source_train.persona_out_dim 32; a transfer of persona vectors needs one width"),
+            # the source model takes train's persona width, which a transfer needs:
+            # a source width is rejected, whether it differs from train's or not
+            (["train"], lambda c: c["source_train"].update(persona_out_dim=16),
+             f"source_train.persona_out_dim is never read: {SOURCE_WIDTH}"),
+            (["ablate"], lambda c: (c["train"].update(transfer="none"),
+                                    c["source_train"].update(persona_out_dim=32)),
+             f"source_train.persona_out_dim is never read: {SOURCE_WIDTH}"),
             (["ablate"], lambda c: c.update(ablate={"lambda": [1.0, 1.0]}),
              "ablate.lambda must be distinct, got [1.0, 1.0]"),
             # the source model trains with transfer off: a section that sets what
@@ -1920,8 +1982,7 @@ class TestKeysAndHash:
         {"source_train": None},
         {"ablate": {"lambda": [0.0, 1.0], "transfer": ["none"]}, "seeds": [3, 1]},
         {"client": {"mode": "remote", "chunk_size": 7}, "split": {"boundary": 1546300800}},
-        {"train": {"transfer": "none", "persona_out_dim": None},
-         "source_train": {"persona_out_dim": None}},
+        {"train": {"transfer": "none", "persona_out_dim": None}},
         {"train": {"transfer": "none"}, "ablate": {"tau": [0.3], "aggregation": ["mean"]}},
     ], ids=["fixture", "no-source-trainer", "ablate", "client-split", "no-transfer-unset-width",
             "no-transfer-ablate-axes"])
