@@ -83,12 +83,14 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.aggregation not in AGGREGATION_MODES:
-            raise ValueError(f"unknown aggregation mode '{self.aggregation}'")
+            raise ValueError(f"aggregation must be one of {', '.join(AGGREGATION_MODES)}, "
+                             f"got {self.aggregation!r}")
         if self.transfer not in TRANSFER_MODES:
-            raise ValueError(f"unknown transfer mode '{self.transfer}'")
-        # written so that NaN fails each check
+            raise ValueError(f"transfer must be one of {', '.join(TRANSFER_MODES)}, "
+                             f"got {self.transfer!r}")
+        # each message leads with its field, and is written so that NaN fails each check
         if not self.lambda_dpl >= 0:
-            raise ValueError("lambda must be nonnegative")
+            raise ValueError("lambda_dpl must be nonnegative")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
         if not self.tau < np.inf:

@@ -145,7 +145,7 @@ class SplitConfig:
             try:
                 when = datetime.fromisoformat(str(self.boundary))
             except ValueError:
-                raise ValueError("split boundary must be an integer timestamp or an ISO date, "
+                raise ValueError("boundary must be an integer timestamp or an ISO date, "
                                  f"got {self.boundary!r}") from None
             self.boundary = int(when.replace(tzinfo=when.tzinfo or timezone.utc).timestamp())
         if not 0.0 < self.valid_fraction < 1.0:
@@ -238,11 +238,12 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineConfig":
-        config = _from_fields(cls, obj)
+        # before the section is built: a pinned field is never read, whatever its value
+        source = obj.get("source_train") if isinstance(obj, dict) else None
         for name, why in _SOURCE_PINNED.items():  # the source model reads none of them
-            if name in (obj.get("source_train") or {}):
+            if isinstance(source, dict) and name in source:
                 raise ValueError(f"source_train.{name} is never read: the source model {why}")
-        return config
+        return _from_fields(cls, obj)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":
@@ -279,23 +280,25 @@ class PipelineConfig:
         it, "source_train" standing for the source model's trainer and seed, plus
         "inputs", each side's domain id and the sha256 of its two input files
         (not their paths), and "clients", the persona clients' identities.  A
-        missing input raises the loader's FileNotFoundError."""
-        sections = {f.name: _json_data(getattr(self, f.name)) for f in dataclasses.fields(self)}
-        sections["train"] = self.trainer_data(self.train)
-        sections["ablate"] = [
-            (axis, value, self.trainer_data(dataclasses.replace(self.train, **over)))
-            for axis, value, over in ablation_grid(self.ablate)]
-        sections["source_train"] = self._source_data()
-        sections["inputs"] = {side: {"domain_id": spec.domain_id,
-                                     "interactions": file_sha256(spec.interactions),
-                                     "metadata": file_sha256(spec.metadata)}
-                              for side, spec in zip(SIDES, (self.source, self.target))}
-        sections["clients"] = [client.identity for client in build_clients(self.client)]
+        missing input raises the loader's FileNotFoundError.  A section no node
+        reads is never built."""
+        sections = {
+            "train": self.trainer_data(self.train),
+            "ablate": [(axis, value, self.trainer_data(dataclasses.replace(self.train, **over)))
+                       for axis, value, over in ablation_grid(self.ablate)],
+            "source_train": self._source_data(),
+            "inputs": {side: {"domain_id": spec.domain_id,
+                              "interactions": file_sha256(spec.interactions),
+                              "metadata": file_sha256(spec.metadata)}
+                       for side, spec in zip(SIDES, (self.source, self.target))},
+            "clients": [client.identity for client in build_clients(self.client)],
+        }
         keys: dict[str, str] = {}
         for name, node in NODES.items():
             keys[name] = content_key({
                 "node": name,
-                "config": {section: sections[section] for section in node.reads},
+                "config": {section: sections[section] if section in sections
+                           else _json_data(getattr(self, section)) for section in node.reads},
                 "upstream": [keys[u] for u in node.upstream],
             })
         return keys
@@ -316,7 +319,8 @@ def _from_fields(cls, obj, path: str = ""):
     """`cls(**obj)`, every field of `obj` first checked against the type `cls`
     declares for it; a dataclass-typed field is built from its object the
     same way.  A field `cls` does not declare, a required one left out, or a
-    value of another type raises ValueError naming it (`train.lambda_dpl`)."""
+    value of another type raises ValueError naming it (`train.lambda_dpl`), and so
+    does a value `cls` itself rejects, as each section's checks lead with the field."""
     if not isinstance(obj, dict):
         raise ValueError(f"{path or 'the config'} must be an object, got {obj!r}")
     prefix = f"{path}." if path else ""
@@ -329,7 +333,13 @@ def _from_fields(cls, obj, path: str = ""):
                and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
     if missing:
         raise ValueError(f"missing config field {', '.join(repr(prefix + m) for m in missing)}")
-    return cls(**{name: _typed(value, hints[name], prefix + name) for name, value in obj.items()})
+    fields = {name: _typed(value, hints[name], prefix + name) for name, value in obj.items()}
+    try:
+        return cls(**fields)
+    except ValueError as error:
+        if not prefix:
+            raise
+        raise ValueError(prefix + str(error)) from error
 
 
 def _typed(value, hint, path: str):
@@ -422,17 +432,23 @@ class Pipeline:
                 owned.append(rel)
         return {rel: os.stat(f"{root}/{rel}").st_size for rel in owned}
 
-    def _is_done(self, node: str) -> bool:
+    def _is_done(self, node: str, known: dict[str, bool] | None = None) -> bool:
         """True when `node`'s record holds its current key and the files it
-        owns, each at its size on disk, and every upstream node is done."""
+        owns, each at its size on disk, and every upstream node is done.
+        `known` keeps each node's answer, so one pass over several nodes reads
+        a shared upstream record once."""
+        if known is not None and node in known:
+            return known[node]
         key = self.keys[node]  # a missing input file raises here
         try:
             record = read_json(os.path.join(self.run_dir, self._record_path(node)))
-            files = self._files(node)
+            done = record.get("stage_key") == key and record.get("files") == self._files(node)
         except (FileNotFoundError, ValueError):  # a file missing, or the record cut short
-            return False
-        return (record.get("stage_key") == key and record.get("files") == files
-                and all(self._is_done(up) for up in NODES[node].upstream))
+            done = False
+        done = done and all(self._is_done(up, known) for up in NODES[node].upstream)
+        if known is not None:
+            known[node] = done
+        return done
 
     def _mark_done(self, node: str) -> None:
         """Write `node`'s record, after every file it owns."""
@@ -858,14 +874,16 @@ class Pipeline:
         if unknown:
             raise ValueError(f"unknown stages: {unknown}")
         status: dict[str, str] = {}
+        known: dict[str, bool] = {}  # the done checks since the last stage ran
         for stage in STAGES:
             if stage not in stages:
                 continue
-            if self._is_done(stage):
+            if self._is_done(stage, known):
                 logger.info("stage %s cached", stage)
                 status[stage] = "cached"
                 continue
             logger.info("stage %s running", stage)
             getattr(self, f"stage_{stage}")()
             status[stage] = "ran"
+            known.clear()
         return status

@@ -592,7 +592,7 @@ class TestLoopSettings:
         assert getattr(config_cls(**{name: bound}), name) == bound
 
     @pytest.mark.parametrize("field, value, message", [
-        ("lambda_dpl", math.nan, "lambda must be nonnegative"),
+        ("lambda_dpl", math.nan, "lambda_dpl must be nonnegative"),
         ("tau", math.nan, "tau must be positive"),
         ("tau", math.inf, "tau must be finite"),
     ])

@@ -545,6 +545,22 @@ class TestStageReuse:
         for rel, data in cold.items():
             assert reused[rel] == data, f"{rel} differs from a cold run of the same config"
 
+    def test_served_run_reads_each_record_once(self, completed_copy, monkeypatch):
+        """One pass shares its done checks: a run that serves every stage reads
+        each stage's record once, not once more for every stage downstream."""
+        run_dir, config_path = completed_copy
+        pipe = Pipeline(PipelineConfig.from_json(config_path))
+        reads = []
+
+        def counted(path):
+            reads.append(Path(path).relative_to(run_dir).as_posix())
+            return read_json(path)
+
+        monkeypatch.setattr(pipeline_mod, "read_json", counted)
+        status = pipe.run(RUN_STAGES)
+        assert status == dict.fromkeys(RUN_STAGES, "cached")
+        assert sorted(reads) == sorted(f"{stage}/manifest.json" for stage in RUN_STAGES)
+
     @pytest.mark.parametrize(
         "argv, ran, downstream",
         [
@@ -1479,10 +1495,10 @@ class TestCliErrors:
         "argv, edit, field",
         [
             (["pretrain", "--epochs", "0"], None, "epochs"),
-            (["train"], lambda c: c["train"].update(batch_size=0), "batch_size"),
-            (["train"], lambda c: c["train"].update(max_epochs=0), "max_epochs"),
-            (["train"], lambda c: c["source_train"].update(batch_size=0), "batch_size"),
-            (["pretrain"], lambda c: c["gcn"].update(patience=-1), "patience"),
+            (["train"], lambda c: c["train"].update(batch_size=0), "train.batch_size"),
+            (["train"], lambda c: c["train"].update(max_epochs=0), "train.max_epochs"),
+            (["train"], lambda c: c["source_train"].update(batch_size=0), "source_train.batch_size"),
+            (["pretrain"], lambda c: c["gcn"].update(patience=-1), "gcn.patience"),
         ],
     )
     def test_loop_setting_that_cannot_train_is_rejected(
@@ -1682,21 +1698,21 @@ class TestConfigChecks:
             (["persona"], lambda c: c["client"].update(remote_item_dim=512),
              f"unknown config field 'client.remote_item_dim'; known fields: {CLIENT_FIELDS}"),
             (["split", "--boundary", "garbage"], None,
-             "split boundary must be an integer timestamp or an ISO date, got 'garbage'"),
+             "boundary must be an integer timestamp or an ISO date, got 'garbage'"),
             (["split"], lambda c: c["split"].update(boundary=True),
-             "split boundary must be an integer timestamp or an ISO date, got True"),
+             "split.boundary must be an integer timestamp or an ISO date, got True"),
             (["split", "--valid-fraction", "1.5"], None,
              "valid_fraction must lie in (0, 1), got 1.5"),
             (["split"], lambda c: c["split"].update(valid_fraction=0.0),
-             "valid_fraction must lie in (0, 1), got 0.0"),
+             "split.valid_fraction must lie in (0, 1), got 0.0"),
             # each field is checked against the type its section declares
             (["run"], lambda c: c["split"].update(valid_fraction="0.5"),
              "split.valid_fraction must be a number, got '0.5'"),
             (["run"], lambda c: c["gcn"].update(epochs="2"), "gcn.epochs must be an integer, got '2'"),
             (["run"], lambda c: c["train"].update(max_epochs=True),
              "train.max_epochs must be an integer, got True"),
-            (["run"], lambda c: c["source_train"].update(tau=False),
-             "source_train.tau must be a number, got False"),
+            (["run"], lambda c: c["source_train"].update(dropout=False),
+             "source_train.dropout must be a number, got False"),
             (["run"], lambda c: c["gcn"].update(epochs=2.0), "gcn.epochs must be an integer, got 2.0"),
             (["run"], lambda c: c["train"].update(learning_rate=10**400),
              f"train.learning_rate must be a finite number, got {10**400}"),
@@ -1709,20 +1725,30 @@ class TestConfigChecks:
             (["run"], lambda c: c.pop("target"), "missing config field 'target'"),
             (["run"], lambda c: c["source"].pop("metadata"), "missing config field 'source.metadata'"),
             # sizes and rates that cannot train
-            (["run"], lambda c: c["gcn"].update(dim=0), "dim must be >= 1, got 0"),
-            (["run"], lambda c: c["gcn"].update(layers=-1), "layers must be >= 0, got -1"),
-            (["run"], lambda c: c["train"].update(fused_dim=0), "fused_dim must be >= 1, got 0"),
+            (["run"], lambda c: c["gcn"].update(dim=0), "gcn.dim must be >= 1, got 0"),
+            (["run"], lambda c: c["gcn"].update(layers=-1), "gcn.layers must be >= 0, got -1"),
+            (["run"], lambda c: c["train"].update(fused_dim=0), "train.fused_dim must be >= 1, got 0"),
             (["run"], lambda c: c["train"].update(persona_out_dim=0),
-             "persona_out_dim must be >= 1, got 0"),
-            (["run"], lambda c: c["client"].update(parallelism=0), "parallelism must be >= 1, got 0"),
-            (["run"], lambda c: c["client"].update(chunk_size=0), "chunk_size must be >= 1, got 0"),
-            (["run"], lambda c: c["client"].update(persona_dim=0), "persona_dim must be >= 1, got 0"),
+             "train.persona_out_dim must be >= 1, got 0"),
+            (["run"], lambda c: c["client"].update(parallelism=0),
+             "client.parallelism must be >= 1, got 0"),
+            (["run"], lambda c: c["client"].update(chunk_size=0),
+             "client.chunk_size must be >= 1, got 0"),
+            (["run"], lambda c: c["client"].update(persona_dim=0),
+             "client.persona_dim must be >= 1, got 0"),
             (["run"], lambda c: c["train"].update(learning_rate=0),
-             "learning_rate must be positive, got 0.0"),
+             "train.learning_rate must be positive, got 0.0"),
             (["run"], lambda c: c["gcn"].update(learning_rate=-0.1),
-             "learning_rate must be positive, got -0.1"),
+             "gcn.learning_rate must be positive, got -0.1"),
             (["run"], lambda c: c["train"].update(weight_decay=-1e-4),
-             "weight_decay must be nonnegative, got -0.0001"),
+             "train.weight_decay must be nonnegative, got -0.0001"),
+            # a value rejected in a trainer section is named with its section
+            (["run"], lambda c: c["source_train"].update(max_epochs=0),
+             "source_train.max_epochs must be >= 1, got 0"),
+            (["run"], lambda c: c["source_train"].update(aggregation="foo"),
+             "source_train.aggregation must be one of self_attn, mean, concat, got 'foo'"),
+            (["run"], lambda c: c["train"].update(lambda_dpl=-1.0),
+             "train.lambda_dpl must be nonnegative"),
             # JSON NaN and Infinity parse as floats; a number field rejects them
             (["run"], lambda c: c["train"].update(lambda_dpl=math.nan),
              "train.lambda_dpl must be a finite number, got nan"),
@@ -1776,6 +1802,8 @@ class TestConfigChecks:
             (["ablate"], lambda c: (c["train"].update(transfer="none"),
                                     c["source_train"].update(persona_out_dim=32)),
              f"source_train.persona_out_dim is never read: {SOURCE_WIDTH}"),
+            (["train"], lambda c: c["source_train"].update(persona_out_dim=0),
+             f"source_train.persona_out_dim is never read: {SOURCE_WIDTH}"),
             (["ablate"], lambda c: c.update(ablate={"lambda": [1.0, 1.0]}),
              "ablate.lambda must be distinct, got [1.0, 1.0]"),
             # the source model trains with transfer off: a section that sets what
@@ -1798,12 +1826,14 @@ class TestConfigChecks:
              "section_as_list", "misspelt_field", "missing_section", "missing_field",
              "gcn_dim", "gcn_layers", "fused_dim", "persona_out_dim", "parallelism", "chunk_size",
              "persona_dim", "train_learning_rate", "gcn_learning_rate", "weight_decay",
+             "source_train_max_epochs", "source_train_aggregation", "train_lambda_dpl",
              "nan_lambda", "nan_learning_rate", "nan_persona_temperature", "inf_tau",
              "inf_gcn_learning_rate", "minus_inf_weight_decay", "ablate_nan_lambda",
              "ablate_tau_as_string", "ablate_inf_tau", "ablate_bool_lambda", "ablate_list_lambda",
              "ablate_aggregation_as_integer", "train_seed", "source_train_seed",
              "train_persona_space_seed", "gcn_seed", "gcn_negatives", "train_negatives",
              "source_train_negatives", "client_seed", "persona_width", "ablate_persona_width",
+             "unusable_persona_width",
              "repeated_ablate_value", "source_train_transfer", "source_train_lambda_dpl",
              "source_train_tau"],
     )
