@@ -9,12 +9,12 @@ so rankings are deterministic across runs.  Users are ranked from rows of a
 observed items (the trainers' negative-sampling sets and the users'
 exclusion sets), and `heldout_units` resolves its held-out interactions to
 (score row, candidate column, user) units once per run, so each epoch's
-validation only ranks: `full_ranking_eval` counts the kept candidates ahead
-of each positive for blocks of at most `_BLOCK_CELLS` cells (one row when a
-row alone is larger).  Only the ranking is blocked: every
-caller passes a dense (U, I) score matrix.  Ranks are integer counts, and
-hits and gains are summed per user in held-out order, so the result does not
-depend on the block size.
+validation only ranks.  Ranks come first: `unit_ranks` gives each unit's
+rank, in unit order, counting the kept candidates ahead of its positive in
+blocks of at most `_BLOCK_CELLS` cells (one row when a row alone is larger);
+that array is the per-unit outcome paired comparisons read.  Metrics follow
+as ordered sums over units: `full_ranking_eval` adds each user's hits and
+gains into 0.0 in held-out order, so no result depends on the block size.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class HeldoutUnits(NamedTuple):
     excluded: np.ndarray  # each ranked user's excluded columns, concatenated
     excluded_ptr: np.ndarray  # user s excludes excluded[excluded_ptr[s]:excluded_ptr[s + 1]]
     id_rank: np.ndarray  # position of each column's id in ascending order, the tie-break
-    per_user: list[int]  # units of each ranked user
     skipped: int
 
 
@@ -86,7 +85,7 @@ def heldout_units(
     id_rank[np.argsort(np.asarray(item_ids), kind="stable")] = np.arange(len(item_ids))
 
     skipped = 0
-    rows, cols, excluded, excluded_ptr, per_user = [], [], [], [0], []
+    rows, cols, excluded, excluded_ptr, counts = [], [], [], [0], []
     for user, items in sorted(by_user.items()):
         row = user_rows.get(user)
         if row is None or len(observed[row]) == len(item_ids):  # no candidate left
@@ -100,23 +99,24 @@ def heldout_units(
             cols += u_cols
             excluded += seen
             excluded_ptr.append(len(excluded))
-            per_user.append(len(u_cols))
+            counts.append(len(u_cols))
     rows, cols, excluded, excluded_ptr = (
         np.asarray(v, dtype=np.int64) for v in (rows, cols, excluded, excluded_ptr)
     )
-    slots = np.repeat(np.arange(len(per_user)), per_user)
-    return HeldoutUnits(rows, cols, slots, excluded, excluded_ptr, id_rank, per_user, skipped)
+    slots = np.repeat(np.arange(len(counts)), counts)
+    return HeldoutUnits(rows, cols, slots, excluded, excluded_ptr, id_rank, skipped)
 
 
-def _block_ranks(scores: np.ndarray, units: HeldoutUnits) -> list[int]:
-    """1-based rank of candidate `cols[j]` in score row `rows[j]` for each
-    unit j, among the columns its user keeps: all but
-    `excluded[excluded_ptr[s]:excluded_ptr[s + 1]]` for `s = slots[j]`.
-    Candidates are ordered by descending score, then ascending id rank; NaN
-    scores come after every other score, as in a sort on the negated scores."""
+def unit_ranks(scores: np.ndarray, units: HeldoutUnits) -> np.ndarray:
+    """The int64 1-based rank of candidate `cols[j]` in row `rows[j]` of the
+    (U, I) matrix `scores` for each unit j, in unit order, among the columns
+    its user keeps: all but `excluded[excluded_ptr[s]:excluded_ptr[s + 1]]` for
+    `s = slots[j]`.  Candidates are ordered by descending score, then ascending
+    id rank; NaN scores come after every other score, as in a sort on the negated scores."""
+    scores = np.asarray(scores, dtype=np.float64)
     rows, cols, slots, excluded, excluded_ptr, id_rank = units[:6]
     per_block = max(1, _BLOCK_CELLS // max(len(id_rank), 1))
-    ranks: list[int] = []
+    ranks = np.empty(len(rows), dtype=np.int64)
     for a in range(0, len(rows), per_block):
         b = min(a + per_block, len(rows))
         block = scores[rows[a:b]]
@@ -132,7 +132,7 @@ def _block_ranks(scores: np.ndarray, units: HeldoutUnits) -> list[int]:
         lens = excluded_ptr[slots[a:b] + 1] - starts
         at = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
         ahead[np.repeat(local, lens), excluded[at]] = False
-        ranks += (np.count_nonzero(ahead, axis=1) + 1).tolist()
+        ranks[a:b] = np.count_nonzero(ahead, axis=1) + 1
     return ranks
 
 
@@ -143,44 +143,39 @@ def full_ranking_eval(
     average: str = "interaction",
 ) -> dict:
     """HR@K and NDCG@K of `units` (from `heldout_units`) under the
-    full-ranking protocol on the (U, I) matrix `scores`.  `average` is
-    "interaction" (each positive is one unit) or "user" (per-user means,
-    then averaged across users)."""
+    full-ranking protocol on the (U, I) matrix `scores`, each a float.
+    `average` is "interaction" (each positive is one unit) or "user"
+    (per-user means, then averaged across users)."""
     if average not in AVERAGES:
         raise ValueError(f"unknown averaging mode '{average}'")
     ks = sorted(ks)
-    ranks = _block_ranks(np.asarray(scores, dtype=np.float64), units)
+    ranks = unit_ranks(scores, units)
     n_units = len(ranks)
-
-    per_user_hits: list[dict[int, float]] = []
-    per_user_gains: list[dict[int, float]] = []
-    start = 0
-    for u_units in units.per_user:
-        u_hits = {k: 0.0 for k in ks}
-        u_gains = {k: 0.0 for k in ks}
-        for rank in ranks[start:start + u_units]:
-            for k in ks:
-                if rank <= k:
-                    u_hits[k] += 1.0
-                    u_gains[k] += 1.0 / np.log2(rank + 1)
-        start += u_units
-        per_user_hits.append(u_hits)
-        per_user_gains.append(u_gains)
     if units.skipped:
         logger.warning("full_ranking_eval skipped %d held-out units", units.skipped)
 
-    def reduce(per_user: list[dict[int, float]], k: int) -> float:
-        if not per_user:
-            return 0.0
-        if average == "interaction":
-            return sum(d[k] for d in per_user) / n_units
-        return float(np.mean([d[k] / n for d, n in zip(per_user, units.per_user)]))
-
+    # one row of terms per metric: the hits at each K, then the gains at each K
+    hits = ranks <= np.asarray(ks)[:, None]
+    terms = np.concatenate([hits, np.where(hits, 1.0 / np.log2(ranks + 1), 0.0)])
+    counts = np.bincount(units.slots)  # units of each ranked user
+    n_rows, n_users = len(terms), len(counts)
+    # bincount adds each (metric, user) bin's terms into 0.0 in held-out order
+    bins = np.arange(n_rows)[:, None] * n_users + units.slots
+    per_user = np.bincount(bins.ravel(), weights=terms.ravel(), minlength=n_rows * n_users)
+    per_user = per_user.reshape(n_rows, n_users)
+    if not n_units:
+        values = np.zeros(n_rows)
+    elif average == "interaction":
+        # users folded left to right; sum() over floats compensates from Python 3.12
+        values = np.cumsum(per_user, axis=1)[:, -1] / n_units
+    else:
+        values = np.mean(per_user / counts, axis=1)
+    values = values.tolist()  # plain floats
     return {
         "units": n_units,
         "skipped": units.skipped,
-        "HR": {k: reduce(per_user_hits, k) for k in ks},
-        "NDCG": {k: reduce(per_user_gains, k) for k in ks},
+        "HR": dict(zip(ks, values[:len(ks)])),
+        "NDCG": dict(zip(ks, values[len(ks):])),
     }
 
 

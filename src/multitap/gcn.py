@@ -152,14 +152,14 @@ class PretrainResult:
 def _sample_negatives(
     rng: np.random.Generator, users: np.ndarray, observed: list[set[int]], n_items: int
 ) -> np.ndarray:
-    negs = rng.integers(0, n_items, size=users.shape[0])
-    for idx in range(users.shape[0]):
-        seen = observed[users[idx]]
+    negs = rng.integers(0, n_items, size=users.shape[0]).tolist()
+    for idx, user in enumerate(users.tolist()):
+        seen = observed[user]
         if len(seen) >= n_items:
             continue  # no unobserved item exists; keep the draw
-        while int(negs[idx]) in seen:
-            negs[idx] = rng.integers(0, n_items)
-    return negs
+        while negs[idx] in seen:
+            negs[idx] = int(rng.integers(0, n_items))
+    return np.array(negs, dtype=np.int64)
 
 
 def pretrain_id_embeddings(

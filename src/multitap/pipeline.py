@@ -56,8 +56,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from . import idh as idh_mod
 from . import persona as persona_mod
 from .corpus import (
@@ -693,8 +691,8 @@ class Pipeline:
         return ModelInputs(
             user_ids=ids["user_ids"],
             item_ids=ids["item_ids"],
-            persona_inputs=np.stack([personas["vectors"][urow[u]] for u in ids["user_ids"]]),
-            item_semantics=np.stack([semantics["vectors"][irow[i]] for i in ids["item_ids"]]),
+            persona_inputs=personas["vectors"][[urow[u] for u in ids["user_ids"]]],
+            item_semantics=semantics["vectors"][[irow[i] for i in ids["item_ids"]]],
             backbone_user=backbone["user_vecs"],
             backbone_item=backbone["item_vecs"],
         )

@@ -93,7 +93,7 @@ def full_ranking_eval(score_fn, item_ids, train_items, heldout, ks=(5,), average
         if not per_user:
             return 0.0
         if average == "interaction":
-            return sum(d[k] for d in per_user) / units
+            return float(sum(d[k] for d in per_user) / units)
         return float(np.mean([d[k] / n for d, n in zip(per_user, per_user_units)]))
 
     return {

@@ -19,14 +19,18 @@ def records(pairs):
     return [InteractionRecord(user, item, 5.0, 0) for user, item in pairs]
 
 
-def run_eval(scores, user_rows, item_ids, train, heldout, **kwargs):
-    """`full_ranking_eval` of the (user, item) pairs `heldout` with `train`
+def resolve(user_rows, item_ids, train, heldout):
+    """The units of the (user, item) pairs `heldout` with `train`
     ({user: items}) as the users' observed items."""
     item_rows = {i: k for k, i in enumerate(item_ids)}
     train_records = records((u, i) for u in train for i in train[u])
     _, observed = pair_index(train_records, user_rows, item_rows)
-    units = heldout_units(user_rows, item_ids, observed, records(heldout))
-    return full_ranking_eval(scores, units, **kwargs)
+    return heldout_units(user_rows, item_ids, observed, records(heldout))
+
+
+def run_eval(scores, user_rows, item_ids, train, heldout, **kwargs):
+    """`full_ranking_eval` of the units `resolve` makes."""
+    return full_ranking_eval(scores, resolve(user_rows, item_ids, train, heldout), **kwargs)
 
 
 def score_matrix(scores_by_user):
@@ -250,6 +254,39 @@ class TestSortOracle:
             got = run_eval(matrix, rows, item_ids, train, heldout, ks=ks, average=average)
         want = oracles.full_ranking_eval(score_fn, item_ids, train, heldout, ks=ks, average=average)
         assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("block_cells", [1, 7, evaluate._BLOCK_CELLS])
+    def test_unit_ranks_equal_oracle_ranks(self, block_cells):
+        """Each unit's rank, in unit order, is its item's place in the
+        lexsort oracle's ranking of the unit's user."""
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            item_ids, scores, train, heldout = self._case(rng)
+            matrix, rows = score_matrix(scores)
+            units = resolve(rows, item_ids, train, heldout)
+            with mock.patch.object(evaluate, "_BLOCK_CELLS", block_cells):
+                ranks = evaluate.unit_ranks(matrix, units)
+            user_of = {row: user for user, row in rows.items()}
+            want = [
+                rank_candidates(matrix[row], item_ids, train.get(user_of[row], set())).index(
+                    item_ids[col]) + 1
+                for row, col in zip(units.rows.tolist(), units.cols.tolist())
+            ]
+            assert ranks.dtype == np.int64
+            assert ranks.tolist() == want
+
+    def test_every_metric_is_a_float(self):
+        rng = np.random.default_rng(5)
+        cases = [self._case(rng) for _ in range(50)]
+        # a case whose every unit is skipped reports zeros
+        cases.append((["i0"], {"u0": np.zeros(1)}, {"u0": {"i0"}}, [("u0", "i0")]))
+        for item_ids, scores, train, heldout in cases:
+            matrix, rows = score_matrix(scores)
+            for average in evaluate.AVERAGES:
+                out = run_eval(matrix, rows, item_ids, train, heldout, ks=(1, 5), average=average)
+                for metric in ("HR", "NDCG"):
+                    assert [type(v) for v in out[metric].values()] == [float, float]
+        assert out["units"] == 0 and out["HR"] == {1: 0.0, 5: 0.0}
 
     def test_nan_ranks_after_finite_then_by_id(self):
         item_ids = ["c", "a", "b", "d"]
