@@ -324,28 +324,32 @@ def grad_check(
 # ---------------------------------------------------------------------------
 
 
-def pack_container(arrays: Mapping[str, Array], values: Mapping[str, Any] | None = None) -> bytes:
-    """Deterministic bytes of named float64 arrays and JSON values: magic,
-    uint32 version and header length, a JSON header listing the arrays under
-    "tensors" and mapping names to values under "json" (omitted when there
-    are none), then the little-endian float64 blobs in name order."""
+def pack_container(
+    arrays: Mapping[str, Array], values: Mapping[str, Any] | None = None
+) -> list[bytes | memoryview]:
+    """Deterministic bytes of named float64 arrays and JSON values, as the
+    buffers that make them up in order: magic, uint32 version and header
+    length and a JSON header listing the arrays under "tensors" and mapping
+    names to values under "json" (omitted when there are none), as one
+    `bytes`, then each array's little-endian float64 blob in name order.
+    A blob is the array's own buffer when the array is already C-ordered
+    little-endian float64, so a container written buffer by buffer copies
+    none of its arrays."""
     entries = []
     blobs = []
     offset = 0
     for name in sorted(arrays):
-        arr = np.asarray(arrays[name], dtype="<f8")
-        raw = arr.tobytes()  # C order; unlike ascontiguousarray, keeps a 0-d shape
+        arr = np.asarray(arrays[name], dtype="<f8", order="C")  # keeps a 0-d shape
+        blob = memoryview(arr.reshape(-1)).cast("B")
         entries.append(
-            {"name": name, "shape": list(arr.shape), "offset": offset, "nbytes": len(raw)}
+            {"name": name, "shape": list(arr.shape), "offset": offset, "nbytes": blob.nbytes}
         )
-        blobs.append(raw)
-        offset += len(raw)
+        blobs.append(blob)
+        offset += blob.nbytes
     header = json.dumps(
         {"tensors": entries, **({"json": dict(values)} if values else {})}, sort_keys=True
     ).encode("utf-8")
-    return b"".join(
-        [_CKPT_MAGIC, struct.pack("<II", _CKPT_VERSION, len(header)), header] + blobs
-    )
+    return [_CKPT_MAGIC + struct.pack("<II", _CKPT_VERSION, len(header)) + header, *blobs]
 
 
 def read_container(
@@ -384,7 +388,7 @@ def checkpoint_manifest_path(path: str | Path) -> Path:
 
 def save_checkpoint(path: str | Path, arrays: dict[str, Array], manifest: dict) -> None:
     """Write arrays to the binary container plus a JSON manifest beside it."""
-    atomic_write_bytes(Path(path), pack_container(arrays))
+    atomic_write_bytes(Path(path), *pack_container(arrays))
     write_json(checkpoint_manifest_path(path), manifest)
 
 

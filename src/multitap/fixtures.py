@@ -121,7 +121,7 @@ def _pick_item(
         else:
             tier = int(rng.integers(1, 4))
         bucket = items_by_cat_tier[(cat, tier)]
-        fresh = [it for it in bucket if it["item"] not in exclude]
+        fresh = [it for it in bucket if it["item"] not in exclude] if exclude else bucket
         if fresh:
             return fresh[int(rng.integers(0, len(fresh)))]
     # preference buckets exhausted; fall back to any unseen item
@@ -279,17 +279,14 @@ def write_fixture(directory: str | Path, spec: FixtureSpec) -> FixturePaths:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     data = generate_fixture(spec)
+    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds an encoder per call
     paths = {}
     for domain in ("source", "target"):
         events, items = data[domain]
         inter_path = directory / f"{domain}_interactions.jsonl"
         meta_path = directory / f"{domain}_metadata.jsonl"
-        atomic_write_text(
-            inter_path, "\n".join(json.dumps(e, sort_keys=True) for e in events) + "\n"
-        )
-        atomic_write_text(
-            meta_path, "\n".join(json.dumps(m, sort_keys=True) for m in items) + "\n"
-        )
+        atomic_write_text(inter_path, "\n".join(map(encode, events)) + "\n")
+        atomic_write_text(meta_path, "\n".join(map(encode, items)) + "\n")
         paths[domain] = (inter_path, meta_path)
     return FixturePaths(
         source_interactions=paths["source"][0],

@@ -16,6 +16,11 @@ per epoch) in `diffkit.fit_early_stopped`.  A run's seed is an argument of
 the model and of `train_target`, never a `TrainConfig` field, and draws the
 fusion heads, dropout, shuffles and negatives; the aggregator always starts
 from `PERSONA_SPACE_SEED`, in both domains.
+A training step holds only what it still reads: the persona aggregation
+keeps no (B, 5, n) gather of the criterion rows (its backward gathers them
+again), the item head's backward runs as soon as its gradient exists, and
+the BPR temporaries go at their last read.  Scoring reads the persona and
+ID tables in place.
 """
 
 from __future__ import annotations
@@ -195,11 +200,14 @@ class MultiTapModel:
 
     # -- forward/backward pieces ------------------------------------------
 
-    def _persona_forward(self, user_rows: np.ndarray, dropout_rng) -> dict:
+    def _persona_forward(self, user_rows: np.ndarray | slice, dropout_rng) -> dict:
+        """Aggregated persona rows `h` of the users `user_rows` (a slice
+        reads the table in place) and what the backward pass reads; the
+        (B, 5, n) gather itself is not kept."""
         p = self.store.params
         E = self.inputs.persona_inputs[user_rows]  # (B, 5, n)
         mode = self.config.aggregation
-        cache: dict = {"E": E, "rows": user_rows, "mode": mode}
+        cache: dict = {"rows": user_rows, "mode": mode}
         if mode == "self_attn":
             logits = E @ p["agg.mask"] / np.sqrt(self.n)  # (B, 5)
             A = softmax(logits)
@@ -222,18 +230,19 @@ class MultiTapModel:
         return cache
 
     def _persona_backward(self, cache: dict, dh: np.ndarray) -> None:
-        hid, E = cache["hid"], cache["E"]
+        hid = cache["hid"]
         dhid_d = affine_backward(self.store, "agg.proj", cache["hid_d"], dh)
         dhid = dhid_d * cache["drop_mask"] if cache["drop_mask"] is not None else dhid_d
         dhid_pre = dhid * (1.0 - hid * hid)
         dpooled = affine_backward(self.store, "agg.ffn", cache["pooled"], dhid_pre)
         if cache["mode"] == "self_attn":
+            E = self.inputs.persona_inputs[cache["rows"]]  # gathered again, not held since the forward
             dA = np.einsum("bn,bkn->bk", dpooled, E)
             dlogits = softmax_backward(dA, cache["A"])
             self.store.grads["agg.mask"] += np.einsum("bk,bkn->n", dlogits, E) / np.sqrt(self.n)
         # mean/concat pooling has no trainable parameters and E is frozen
 
-    def _fuse(self, side: str, features: np.ndarray, rows: np.ndarray) -> dict:
+    def _fuse(self, side: str, features: np.ndarray, rows: np.ndarray | slice) -> dict:
         """Fusion head of `side` ("user" or "item"): the affine map
         "fuse.<side>" of [features, ID embedding] for the table rows `rows`."""
         x = np.concatenate([features, self.store.params[f"id.{side}"][rows]], axis=1)
@@ -315,14 +324,25 @@ class MultiTapModel:
         pcache = self._persona_forward(batch_users, dropout_rng)
         ucache = self._fuse("user", pcache["h"], batch_users)
         icache = self._fuse("item", self.inputs.item_semantics[batch_items], batch_items)
-        zu, zi = ucache["z"], icache["z"]
 
-        zu_t = zu[user_inv]
+        zu_t = ucache.pop("z")[user_inv]
+        zi = icache.pop("z")
         zi_diff = zi[pos_local] - zi[neg_local]
+        del zi
         l_rec, dmargin = bpr(np.einsum("td,td->t", zu_t, zi_diff))
-        dzu = scatter_rows(user_inv, dmargin[:, None] * zi_diff, zu.shape[0])
-        dzi_pos = dmargin[:, None] * zu_t
-        dzi = scatter_rows(item_inv, np.concatenate([dzi_pos, -dzi_pos]), zi.shape[0])
+        dzu = scatter_rows(user_inv, dmargin[:, None] * zi_diff, batch_users.size)
+        del zi_diff
+        # the item rows' scatter input [dmargin * zu_t; -dmargin * zu_t], in one buffer
+        dzi_terms = np.empty((2 * T, self.dz))
+        np.multiply(dmargin[:, None], zu_t, out=dzi_terms[:T])
+        np.negative(dzi_terms[:T], out=dzi_terms[T:])
+        del zu_t
+        dzi = scatter_rows(item_inv, dzi_terms, batch_items.size)
+        del dzi_terms
+        # the item head's backward writes only fuse.item_* and id.item, so it runs
+        # before the user side's and its cache goes at once
+        self._fuse_backward(icache, dzi)
+        del icache, dzi
 
         l_dpl = 0.0
         dh_extra = None
@@ -335,7 +355,6 @@ class MultiTapModel:
                 )
 
         dh = self._fuse_backward(ucache, dzu)
-        self._fuse_backward(icache, dzi)
         if dh_extra is not None:
             dh = dh + cfg.lambda_dpl * dh_extra
         if id_grads:
@@ -351,16 +370,15 @@ class MultiTapModel:
 
     def user_persona_vectors(self) -> np.ndarray:
         """(U, h) table of aggregated persona embeddings, no dropout."""
-        rows = np.arange(len(self.inputs.user_ids))
-        return self._persona_forward(rows, None)["h"]
+        return self._persona_forward(slice(None), None)["h"]
 
     def score_matrix(self) -> np.ndarray:
-        """(U, I) preference scores from the fused representations."""
-        rows = np.arange(len(self.inputs.user_ids))
-        h = self._persona_forward(rows, None)["h"]
-        zu = self._fuse("user", h, rows)["z"]
-        items = np.arange(len(self.inputs.item_ids))
-        zi = self._fuse("item", self.inputs.item_semantics, items)["z"]
+        """(U, I) preference scores from the fused representations.  Each
+        table is read in place through a full slice, which an index array
+        would copy."""
+        h = self._persona_forward(slice(None), None)["h"]
+        zu = self._fuse("user", h, slice(None))["z"]
+        zi = self._fuse("item", self.inputs.item_semantics, slice(None))["z"]
         return zu @ zi.T
 
 

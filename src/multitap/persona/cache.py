@@ -71,9 +71,11 @@ class JsonCache:
         if not entries:
             return
         arrays = {key: value for key, value in entries.items() if isinstance(value, np.ndarray)}
-        data = pack_container(arrays, {k: v for k, v in entries.items() if k not in arrays})
-        name = hashlib.sha256(data).hexdigest() + _SUFFIX
-        atomic_write_bytes(self.directory / name, data)
+        parts = pack_container(arrays, {k: v for k, v in entries.items() if k not in arrays})
+        digest = hashlib.sha256()
+        for part in parts:
+            digest.update(part)
+        atomic_write_bytes(self.directory / (digest.hexdigest() + _SUFFIX), *parts)
 
 
 @contextmanager

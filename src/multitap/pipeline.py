@@ -393,6 +393,9 @@ class Pipeline:
         self._domains: dict[str, DomainDataset] = {}
         self._splits: dict[str, SplitBundle] = {}
         self._train_datasets: dict[str, tuple[DomainDataset, dict, dict]] = {}
+        # node -> done, within one `run` pass: each record is read and its files
+        # listed once per pass; a stage called on its own checks afresh
+        self._done: dict[str, bool] | None = None
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -430,28 +433,30 @@ class Pipeline:
                 owned.append(rel)
         return {rel: os.stat(f"{root}/{rel}").st_size for rel in owned}
 
-    def _is_done(self, node: str, known: dict[str, bool] | None = None) -> bool:
+    def _is_done(self, node: str) -> bool:
         """True when `node`'s record holds its current key and the files it
         owns, each at its size on disk, and every upstream node is done.
-        `known` keeps each node's answer, so one pass over several nodes reads
-        a shared upstream record once."""
-        if known is not None and node in known:
-            return known[node]
+        Within a `run` pass the answer is kept, so a shared upstream record
+        is read once."""
+        if self._done is not None and node in self._done:
+            return self._done[node]
         key = self.keys[node]  # a missing input file raises here
         try:
             record = read_json(os.path.join(self.run_dir, self._record_path(node)))
             done = record.get("stage_key") == key and record.get("files") == self._files(node)
         except (FileNotFoundError, ValueError):  # a file missing, or the record cut short
             done = False
-        done = done and all(self._is_done(up, known) for up in NODES[node].upstream)
-        if known is not None:
-            known[node] = done
+        done = done and all(self._is_done(up) for up in NODES[node].upstream)
+        if self._done is not None:
+            self._done[node] = done
         return done
 
     def _mark_done(self, node: str) -> None:
         """Write `node`'s record, after every file it owns."""
         write_json(self.run_dir / self._record_path(node),
                    {"stage": node, "stage_key": self.keys[node], "files": self._files(node)})
+        if self._done is not None:
+            self._done[node] = True
 
     def _begin(self, stage: str, node: str | None = None) -> None:
         """Start building `node` (default `stage`): raise unless every
@@ -462,6 +467,8 @@ class Pipeline:
         `seeds`, say)."""
         node = node or stage
         self._require(stage, node)
+        if self._done is not None:
+            self._done[node] = False
         for path in self._recorded_files(node):
             path.unlink()
         (self.run_dir / self._record_path(node)).unlink(missing_ok=True)
@@ -872,16 +879,18 @@ class Pipeline:
         if unknown:
             raise ValueError(f"unknown stages: {unknown}")
         status: dict[str, str] = {}
-        known: dict[str, bool] = {}  # the done checks since the last stage ran
-        for stage in STAGES:
-            if stage not in stages:
-                continue
-            if self._is_done(stage, known):
-                logger.info("stage %s cached", stage)
-                status[stage] = "cached"
-                continue
-            logger.info("stage %s running", stage)
-            getattr(self, f"stage_{stage}")()
-            status[stage] = "ran"
-            known.clear()
+        self._done = {}
+        try:
+            for stage in STAGES:
+                if stage not in stages:
+                    continue
+                if self._is_done(stage):
+                    logger.info("stage %s cached", stage)
+                    status[stage] = "cached"
+                    continue
+                logger.info("stage %s running", stage)
+                getattr(self, f"stage_{stage}")()
+                status[stage] = "ran"
+        finally:
+            self._done = None
         return status

@@ -30,14 +30,16 @@ def content_key(obj: Any) -> str:
     return sha256_hex(canonical_json(obj))
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+def atomic_write_bytes(path: str | Path, *chunks: bytes | memoryview) -> None:
+    """Write `chunks` one after another to a temp file in the same
+    directory, then rename it into place."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

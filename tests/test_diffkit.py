@@ -8,6 +8,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -593,6 +594,17 @@ class TestDeterminismAndCheckpoints:
             "0a21eee0f952505647ea4e22a78e1533d5e354100702418aad20b848115e195c"
         )
 
+    def test_save_checkpoint_copies_no_array(self, tmp_path):
+        # the header and each array's own buffer go to the file as they are
+        big = np.arange(1 << 20, dtype=np.float64)  # 8 MiB
+        tracemalloc.start()
+        try:
+            save_checkpoint(tmp_path / "big.ckpt", {"big": big}, {"seed": 1})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < big.nbytes, f"save_checkpoint allocated {peak} bytes for {big.nbytes}"
+
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         arrays = {"a": np.arange(6, dtype=np.float64).reshape(2, 3)}
         p1, p2 = tmp_path / "one.ckpt", tmp_path / "two.ckpt"
@@ -616,6 +628,11 @@ _arrays = st.lists(st.integers(0, 3), max_size=3).flatmap(
 )
 
 
+def container_bytes(arrays, values=None) -> bytes:
+    """The container's bytes, as a file holds them."""
+    return b"".join(pack_container(arrays, values))
+
+
 class TestContainer:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -629,7 +646,7 @@ class TestContainer:
             st.none() | st.sets(st.sampled_from(sorted({*arrays, *values, "absent"})))
         )
         path = tmp_path_factory.mktemp("container") / "c.bin"
-        path.write_bytes(pack_container(arrays, values))
+        path.write_bytes(container_bytes(arrays, values))
         got_arrays, got_values = read_container(path, names)
         keep = (lambda k: True) if names is None else (lambda k: k in names)
         assert sorted(got_arrays) == sorted(k for k in arrays if keep(k))
@@ -641,12 +658,12 @@ class TestContainer:
 
     def test_empty_name_set_reads_nothing(self, tmp_path):
         path = tmp_path / "c.bin"
-        path.write_bytes(pack_container({"v": np.ones(3)}, {"t": "x"}))
+        path.write_bytes(container_bytes({"v": np.ones(3)}, {"t": "x"}))
         assert read_container(path, set()) == ({}, {})
 
     @pytest.mark.parametrize("damage", ["cut-in-tensor", "cut-in-header", "version", "magic"])
     def test_every_value_error_names_the_file(self, tmp_path, damage):
-        data = pack_container({"w": np.ones((64, 64))}, {"t": "x"})
+        data = container_bytes({"w": np.ones((64, 64))}, {"t": "x"})
         header_end = 16 + struct.unpack_from("<I", data, 12)[0]
         damaged = {
             "cut-in-tensor": data[: header_end + 13 * 8],
@@ -659,6 +676,14 @@ class TestContainer:
         with pytest.raises(ValueError, match=re.escape(str(path))):
             read_container(path)
 
+    @pytest.mark.parametrize("layout", ["transposed", "strided", "int64", "big-endian", "0-d"])
+    def test_any_array_is_written_as_its_c_ordered_float64_copy(self, layout):
+        base = np.arange(12.0).reshape(3, 4)
+        arr = {"transposed": base.T, "strided": base[:, ::2], "int64": base.astype(np.int64),
+               "big-endian": base.astype(">f8"), "0-d": np.float64(-0.0)}[layout]
+        copy = np.array(arr, dtype=np.float64, order="C")
+        assert container_bytes({"a": arr}) == container_bytes({"a": copy})
+
     def test_values_key_omitted_when_empty(self):
-        assert pack_container({"a": np.ones(2)}) == pack_container({"a": np.ones(2)}, {})
-        assert b'"json"' not in pack_container({"a": np.ones(2)})
+        assert container_bytes({"a": np.ones(2)}) == container_bytes({"a": np.ones(2)}, {})
+        assert b'"json"' not in container_bytes({"a": np.ones(2)})

@@ -6,6 +6,7 @@ references the batched paths are compared with live in `tests/oracles.py`."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -470,6 +471,26 @@ class TestBatchedPathsMatchOps:
         _, _, l_dpl = model.batch_loss_and_grads(users, items, items[::-1])
         expected = reference_transfer_loss(model, persona_of(model)["h"], inputs.user_ids[:4])
         assert l_dpl == pytest.approx(expected, abs=1e-12)
+
+
+class TestScoringMemory:
+    @pytest.mark.parametrize("method", ["score_matrix", "user_persona_vectors"])
+    def test_allocates_less_than_one_persona_table(self, method):
+        # wide criterion rows and narrow heads: a copy of the (U, 5, n) table
+        # alone is more than everything scoring allocates
+        rng = np.random.default_rng(31)
+        inputs = toy_inputs(rng, n_users=400, n_items=10, n=256, h=8)
+        model = MultiTapModel(inputs, toy_config(persona_out_dim=8))
+        table = inputs.persona_inputs.nbytes
+        tracemalloc.start()
+        try:
+            getattr(model, method)()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table, f"{method} allocated {peak} bytes; the persona table holds {table}"
+        # read in place, the table gives the bits a gather of every row gives
+        assert model.user_persona_vectors().tobytes() == persona_of(model)["h"].tobytes()
 
 
 class TestTransferTable:

@@ -1,7 +1,9 @@
 """Persona database, generation, encoding and client tests."""
 
+import hashlib
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -891,6 +893,18 @@ class TestShardCache:
         with pytest.raises(ValueError, match=r"persona texts missing criteria: \['cd'\]"):
             encode_personas([texts[u] for u in sorted(texts)], HashingEncoder(dim=16, seed=5), 256,
                             JsonCache(tmp_path / "vectors"))
+
+    def test_put_copies_no_vector_and_names_the_shard_by_its_bytes(self, tmp_path):
+        big = np.arange(1 << 20, dtype=np.float64).reshape(1024, 1024)  # 8 MiB
+        tracemalloc.start()
+        try:
+            JsonCache(tmp_path).put({"v": big, "t": "text"})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < big.nbytes, f"put allocated {peak} bytes for {big.nbytes}"
+        (shard,) = tmp_path.iterdir()
+        assert shard.name == hashlib.sha256(shard.read_bytes()).hexdigest() + ".pack"
 
     def test_vectors_and_json_round_trip_bit_exactly(self, tmp_path):
         cache = JsonCache(tmp_path)

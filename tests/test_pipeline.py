@@ -561,6 +561,16 @@ class TestStageReuse:
         assert status == dict.fromkeys(RUN_STAGES, "cached")
         assert sorted(reads) == sorted(f"{stage}/manifest.json" for stage in RUN_STAGES)
 
+        # a pass that reruns train and eval checks each served record once too:
+        # neither a stage's dependency check nor the source model's reads it again
+        config = read_json(config_path)
+        config["train"]["lambda_dpl"] = 0.7
+        reads.clear()
+        status = Pipeline(PipelineConfig.from_dict(config)).run(RUN_STAGES)
+        assert {s for s, v in status.items() if v == "ran"} == {"train", "eval"}
+        for stage in ("ingest", "split", "persona", "pretrain"):
+            assert reads.count(f"{stage}/manifest.json") == 1, (stage, reads)
+
     @pytest.mark.parametrize(
         "argv, ran, downstream",
         [
